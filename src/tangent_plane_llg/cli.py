@@ -8,6 +8,7 @@ outputs are kept).
 """
 
 import argparse
+import copy
 import itertools
 import json
 import os
@@ -21,91 +22,53 @@ from .diagnostics import (CheckReport, check_bounded_ratio, check_inverse_bounds
                           check_mapping_identities, energy_norm)
 from .mesh import MeshError, generate_structured_cube, mesh_quality
 from .precond import PRECONDITIONER_KINDS
-from .scheme import (ConfigError, SimulationConfig, SolverFailure,
-                     run_simulation)
-from .tangent import FIXED_INVOLUTIONS, build_frame, select_tn_adaptive
+from .scheme import (TN_MODES, ConfigError, SimulationConfig, SolverFailure,
+                     _fmt, config_schema, run_simulation)
+from .tangent import FRAME_STRATEGIES, build_frame, select_tn_adaptive
 
 SUMMARY_HEADER = ("h,k,precond,alpha,alpha_p,tn_mode,"
                   "avg_iterations,max_iterations,steps,wall_time_s")
 
-DEFAULT_CONFIG = {
-    "scheme": "tps1",
-    "alpha": 0.5,
-    "theta": 1.0,
-    "ell_ex2": 10.0,
-    "T": 0.05,
-    "k": 0.01,
-    "projection": True,
-    "mesh": {"kind": "cube", "bounds": [[0, 1], [0, 1], [0, 1]], "n": [2, 2, 2]},
-    "field": {
-        "pi": {"kind": "zero"},
-        "applied": {"kind": "academic"},
-        "m0": {"kind": "constant", "value": [1.0, 0.0, 0.0]},
-    },
-    "solver": {"tol": 1e-14, "restart": 200, "maxit": 100000,
-               "reorthogonalize": False},
-    "precond": {"kind": "stationary", "alpha_p": 1.0, "rebuild_every": 1},
-    "frame": {"tn": "adaptive", "strategy": "householder"},
-    "output": {"snapshot_every": 0, "residual_csv": False},
-}
+SWEEP_AXES = {"mesh": "[mesh configs]", "precond": "[kinds]",
+              "alpha_p": "[floats]", "tn": "[modes]"}
 
 
 def print_config_schema(out=None):
-    """Emit the config schema with defaults; the defaults parse back."""
+    """Emit the config table: defaults, allowed values and per-kind keys."""
     out = out if out is not None else sys.stdout
     schema = {
-        "description": "simulation config; optional top-level 'sweep' object "
-                       "with axes over mesh configs, preconditioners, alpha_p "
-                       "values and tn modes",
-        "enums": {
-            "scheme": ["tps1", "tps2"],
-            "precond.kind": list(PRECONDITIONER_KINDS),
-            "frame.tn": ["adaptive"] + sorted(FIXED_INVOLUTIONS),
-            "frame.strategy": ["householder", "signflip", "rotation"],
-            "field.pi.kind": ["zero", "uniaxial", "zhang_li"],
-            "field.applied.kind": ["constant", "academic"],
-            "field.m0.kind": ["constant", "spiral"],
-        },
-        "sweep": {"mesh": "[mesh configs]", "precond": "[kinds]",
-                  "alpha_p": "[floats]", "tn": "[modes]"},
-        "defaults": DEFAULT_CONFIG,
+        "description": "simulation config; an optional top-level 'sweep' crosses mesh "
+                       "configs, preconditioners, alpha_p values and tn modes; "
+                       "under 'kinds', null marks a key that its kind requires",
+        "sweep": SWEEP_AXES,
+        **config_schema(),
     }
     json.dump(schema, out, indent=2)
     out.write("\n")
 
 
 def _sweep_points(doc):
-    """Cartesian product over the sweep axes, in deterministic order."""
+    """Cartesian product over the sweep axes, in deterministic order; an
+    axis the sweep leaves out takes its value from the resolved config."""
+    base = SimulationConfig.from_dict(doc)
     sweep = doc.get("sweep", {})
-    known = {"mesh", "precond", "alpha_p", "tn"}
-    unknown = set(sweep) - known
+    if not isinstance(sweep, dict):
+        raise ConfigError(f"sweep must be an object, got {sweep!r}")
+    unknown = set(sweep) - set(SWEEP_AXES)
     if unknown:
         raise ConfigError(f"unknown sweep axes: {sorted(unknown)}")
-    for axis in known & set(sweep):
-        if not isinstance(sweep[axis], list) or not sweep[axis]:
+    for axis, values in sweep.items():
+        if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep axis {axis!r} must be a non-empty list")
-    meshes = sweep.get("mesh", [doc.get("mesh", DEFAULT_CONFIG["mesh"])])
-    preconds = sweep.get("precond",
-                         [doc.get("precond", DEFAULT_CONFIG["precond"]).get("kind", "stationary")])
-    alpha_ps = sweep.get("alpha_p",
-                         [doc.get("precond", DEFAULT_CONFIG["precond"]).get("alpha_p", 1.0)])
-    tns = sweep.get("tn", [doc.get("frame", DEFAULT_CONFIG["frame"]).get("tn", "adaptive")])
-    return list(itertools.product(meshes, preconds, alpha_ps, tns))
+    axes = {"mesh": [base.mesh], "precond": [base.precond["kind"]],
+            "alpha_p": [base.precond["alpha_p"]], "tn": [base.frame["tn"]], **sweep}
+    return list(itertools.product(*(axes[axis] for axis in SWEEP_AXES)))
 
 
 def _point_config(doc, mesh_cfg, pkind, alpha_p, tn):
-    point = {k: v for k, v in doc.items() if k != "sweep"}
-    point["mesh"] = mesh_cfg
-    point["precond"] = dict(point.get("precond", {}))
-    point["precond"]["kind"] = pkind
-    point["precond"]["alpha_p"] = alpha_p
-    point["frame"] = dict(point.get("frame", {}))
-    point["frame"]["tn"] = tn
-    return SimulationConfig.from_dict(point)
-
-
-def _fmt(v):
-    return repr(float(v))
+    return SimulationConfig.from_dict(_apply_overrides(doc, {
+        "mesh": mesh_cfg, "precond.kind": pkind, "precond.alpha_p": alpha_p,
+        "frame.tn": tn}))
 
 
 def run_experiment(config_path, out_dir=None, overrides=None):
@@ -113,20 +76,14 @@ def run_experiment(config_path, out_dir=None, overrides=None):
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config is a JSON object, got {type(doc).__name__}")
+        doc = _apply_overrides(doc, overrides or {})
+        configs = [_point_config(doc, *point) for point in _sweep_points(doc)]
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    if overrides:
-        doc = _apply_overrides(doc, overrides)
-    out_dir = out_dir or doc.get("output", {}).get("dir") or "out"
-
-    try:
-        points = _sweep_points(doc)
-        configs = [_point_config(doc, *point) for point in points]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    out_dir = out_dir or configs[0].output["dir"] or "out"
 
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, "summary.csv")
@@ -138,7 +95,6 @@ def run_experiment(config_path, out_dir=None, overrides=None):
             alpha_p = cfg.precond["alpha_p"]
             tn = cfg.frame["tn"]
             base = f"steps_{idx:03d}_{pkind}_ap{alpha_p:g}_{tn.replace('+', 'p').replace('-', 'm')}"
-            cfg.output = dict(cfg.output)
             cfg.output["dir"] = out_dir
             cfg.output["basename"] = base
             started = time.perf_counter()
@@ -167,13 +123,16 @@ def run_experiment(config_path, out_dir=None, overrides=None):
 
 
 def _apply_overrides(doc, overrides):
-    doc = json.loads(json.dumps(doc))  # deep copy
+    """A copy of doc with each dotted key of overrides set to its value."""
+    doc = copy.deepcopy(doc)
     for dotted, value in overrides.items():
-        parts = dotted.split(".")
+        *parents, last = dotted.split(".")
         target = doc
-        for p in parts[:-1]:
-            target = target.setdefault(p, {})
-        target[parts[-1]] = value
+        for part in parents:
+            target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise ConfigError(f"{part} must be an object, got {target!r}")
+        target[last] = value
     return doc
 
 
@@ -214,6 +173,20 @@ def run_checks(out=None):
     return 0 if ok else 1
 
 
+# run flags: each sets one dotted config key over the config file
+RUN_FLAGS = (
+    ("--precond", "precond.kind", {"choices": PRECONDITIONER_KINDS}),
+    ("--alpha-p", "precond.alpha_p", {"type": float}),
+    ("--precond-rebuild-every", "precond.rebuild_every", {"type": int}),
+    ("--tn", "frame.tn", {"choices": TN_MODES}),
+    ("--frame", "frame.strategy", {"choices": FRAME_STRATEGIES}),
+    ("--tol", "solver.tol", {"type": float}),
+    ("--restart", "solver.restart", {"type": int}),
+    ("--maxit", "solver.maxit", {"type": int}),
+    ("--no-projection", "projection", {"action": "store_const", "const": False}),
+)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="tangent-plane-llg",
@@ -224,15 +197,8 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="JSON config path")
     p_run.add_argument("--out", help="output directory (default: config output.dir or ./out)")
-    p_run.add_argument("--precond", choices=PRECONDITIONER_KINDS)
-    p_run.add_argument("--alpha-p", type=float, dest="alpha_p")
-    p_run.add_argument("--precond-rebuild-every", type=int, dest="rebuild_every")
-    p_run.add_argument("--tn", choices=["adaptive"] + sorted(FIXED_INVOLUTIONS))
-    p_run.add_argument("--frame", choices=["householder", "signflip", "rotation"])
-    p_run.add_argument("--tol", type=float)
-    p_run.add_argument("--restart", type=int)
-    p_run.add_argument("--maxit", type=int)
-    p_run.add_argument("--no-projection", action="store_true")
+    for flag, key, options in RUN_FLAGS:
+        p_run.add_argument(flag, dest=key, **options)
 
     sub.add_parser("schema", help="print the config schema with defaults")
     sub.add_parser("check", help="run the diagnostics suite")
@@ -245,25 +211,8 @@ def main(argv=None):
     if args.command == "check":
         return run_checks()
 
-    overrides = {}
-    if args.precond:
-        overrides["precond.kind"] = args.precond
-    if args.alpha_p is not None:
-        overrides["precond.alpha_p"] = args.alpha_p
-    if args.rebuild_every is not None:
-        overrides["precond.rebuild_every"] = args.rebuild_every
-    if args.tn:
-        overrides["frame.tn"] = args.tn
-    if args.frame:
-        overrides["frame.strategy"] = args.frame
-    if args.tol is not None:
-        overrides["solver.tol"] = args.tol
-    if args.restart is not None:
-        overrides["solver.restart"] = args.restart
-    if args.maxit is not None:
-        overrides["solver.maxit"] = args.maxit
-    if args.no_projection:
-        overrides["projection"] = False
+    overrides = {key: getattr(args, key) for _, key, _ in RUN_FLAGS
+                 if getattr(args, key) is not None}
     return run_experiment(args.config, out_dir=args.out, overrides=overrides)
 
 

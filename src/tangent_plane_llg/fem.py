@@ -171,13 +171,6 @@ class AssembledSystem:
         return full.toarray().reshape(n3, n3)
 
 
-def dump_coo(matrix, fh):
-    """Debug dump: one '<row> <col> <value>' line per entry, 0-based."""
-    coo = sp.coo_array(matrix)
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        fh.write(f"{r} {c} {float(v)!r}\n")
-
-
 def build_system(mesh, m, alpha, beta_k, weights, lh, ell_ex2, mass=None, stiffness=None):
     """Assemble all pieces of the per-step system for magnetization m."""
     if mass is None:

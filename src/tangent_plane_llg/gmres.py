@@ -49,12 +49,6 @@ class SolverStats:
     breakdown: bool = False
 
 
-def _as_matvec(op):
-    if hasattr(op, "matvec"):
-        return op.matvec
-    return op
-
-
 def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000,
                 reorthogonalize=False):
     """Solve P A x = P b; returns (x, SolverStats).
@@ -62,9 +56,10 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000,
     op provides the action of A (object with .matvec or a callable); precond
     provides P via .apply (None means no preconditioning).  Terminates when
     ||P(b - A x)||_2 <= tol * ||P b||_2 or maxit total inner iterations are
-    exhausted.  Exactly one operator apply and one preconditioner apply are
-    spent per inner iteration, plus one of each per explicit residual
-    evaluation (start, every restart, and each convergence verification).
+    exhausted.  op_applies and precond_applies book one of each per inner
+    iteration and per explicit residual (start, restarts, verifications),
+    precond_applies one more for P b; from a zero initial guess the start
+    residual is P b, so its two applies are booked but not performed.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -72,7 +67,7 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000,
         raise ValueError("restart must be >= 1")
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    matvec = _as_matvec(op)
+    matvec = op.matvec if hasattr(op, "matvec") else op
     papply = (lambda r: r.copy()) if precond is None else precond.apply
 
     stats = SolverStats()

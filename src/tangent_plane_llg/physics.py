@@ -89,15 +89,6 @@ class PiConfig:
         if not np.all(np.isfinite(self.u)):
             raise FieldConfigError("spin velocity must be finite")
 
-    @staticmethod
-    def from_dict(d):
-        kind = d.get("kind", "zero")
-        if kind == "uniaxial":
-            return PiConfig(kind=kind, axis=tuple(d["axis"]), strength=float(d["strength"]))
-        if kind == "zhang_li":
-            return PiConfig(kind=kind, u=tuple(d["u"]), beta_zl=float(d.get("beta_zl", 0.05)))
-        return PiConfig(kind="zero")
-
 
 def nodal_directional_derivative(mesh, m, u):
     """(u . grad) m recovered at nodes by volume-weighted element averaging."""
@@ -149,13 +140,6 @@ class AppliedFieldConfig:
     def __post_init__(self):
         if self.kind not in ("constant", "academic"):
             raise FieldConfigError(f"unknown applied field kind {self.kind!r}")
-
-    @staticmethod
-    def from_dict(d):
-        kind = d.get("kind", "constant")
-        if kind == "constant":
-            return AppliedFieldConfig(kind="constant", value=tuple(d.get("value", (0.0, 0.0, 0.0))))
-        return AppliedFieldConfig(kind="academic")
 
     def nodal(self, mesh, t):
         if self.kind == "constant":

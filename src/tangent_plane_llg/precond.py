@@ -45,14 +45,10 @@ class ScalarFactorization:
 class Preconditioner:
     """Apply-action wrapper; kind in {theoretical, stationary, practical, jacobi, none}."""
 
-    def __init__(self, kind, n_nodes, apply_fn, alpha_P=None, beta_k=None,
-                 scalar_factor=None, frame=None):
+    def __init__(self, kind, n_nodes, apply_fn, scalar_factor=None):
         self.kind = kind
         self.n_nodes = n_nodes
-        self.alpha_P = alpha_P
-        self.beta_k = beta_k
         self.scalar_factor = scalar_factor
-        self.frame = frame
         self._apply = apply_fn
 
     def apply(self, r):
@@ -61,11 +57,6 @@ class Preconditioner:
             raise PreconditionerError(
                 f"expected ({2 * self.n_nodes},) residual, got {r.shape}")
         return self._apply(r)
-
-
-def apply(precond, r):
-    """z = P r (kind 'none' returns r unchanged)."""
-    return precond.apply(r)
 
 
 def build_none(n_nodes=None):
@@ -89,8 +80,7 @@ def build_theoretical(frame, mass, stiffness, alpha_P, beta_k):
     except RuntimeError as exc:
         raise PreconditionerError(
             f"theoretical preconditioner factorization failed (SPD lost?): {exc}") from exc
-    return Preconditioner("theoretical", frame.n_nodes, lu.solve,
-                          alpha_P=alpha_P, beta_k=beta_k, frame=frame)
+    return Preconditioner("theoretical", frame.n_nodes, lu.solve)
 
 
 def build_stationary_2d(mass, stiffness, alpha_P, beta_k, scalar_factor=None):
@@ -108,8 +98,7 @@ def build_stationary_2d(mass, stiffness, alpha_P, beta_k, scalar_factor=None):
     def apply_fn(r):
         return scalar_factor.solve(r.reshape(n, 2)).ravel()
 
-    return Preconditioner("stationary", n, apply_fn, alpha_P=alpha_P, beta_k=beta_k,
-                          scalar_factor=scalar_factor)
+    return Preconditioner("stationary", n, apply_fn, scalar_factor=scalar_factor)
 
 
 def build_practical(frame, mass, stiffness, alpha_P, beta_k, scalar_factor=None):
@@ -128,8 +117,7 @@ def build_practical(frame, mass, stiffness, alpha_P, beta_k, scalar_factor=None)
         lifted = apply_q(frame, r).reshape(n, 3)
         return apply_qt(frame, scalar_factor.solve(lifted).ravel())
 
-    return Preconditioner("practical", n, apply_fn, alpha_P=alpha_P, beta_k=beta_k,
-                          scalar_factor=scalar_factor, frame=frame)
+    return Preconditioner("practical", n, apply_fn, scalar_factor=scalar_factor)
 
 
 def build_jacobi(mass, stiffness, alpha_P, beta_k):
@@ -147,12 +135,15 @@ def build_jacobi(mass, stiffness, alpha_P, beta_k):
     def apply_fn(r):
         return (r.reshape(n, 2) * inv[:, None]).ravel()
 
-    return Preconditioner("jacobi", n, apply_fn, alpha_P=alpha_P, beta_k=beta_k)
+    return Preconditioner("jacobi", n, apply_fn)
 
 
 def make_preconditioner(kind, mass, stiffness, alpha_P, beta_k, frame=None,
                         scalar_factor=None):
-    """Dispatch by kind; frame required for theoretical and practical."""
+    """The one map from a preconditioner kind to its builder; theoretical
+    and practical need the frame of the step."""
+    if frame is None and kind in ("theoretical", "practical"):
+        raise PreconditionerError(f"{kind} preconditioner needs a frame")
     if kind == "none":
         return build_none(mass.shape[0])
     if kind == "jacobi":
@@ -160,11 +151,7 @@ def make_preconditioner(kind, mass, stiffness, alpha_P, beta_k, frame=None,
     if kind == "stationary":
         return build_stationary_2d(mass, stiffness, alpha_P, beta_k, scalar_factor)
     if kind == "practical":
-        if frame is None:
-            raise PreconditionerError("practical preconditioner needs the current frame")
         return build_practical(frame, mass, stiffness, alpha_P, beta_k, scalar_factor)
     if kind == "theoretical":
-        if frame is None:
-            raise PreconditionerError("theoretical preconditioner needs a frame")
         return build_theoretical(frame, mass, stiffness, alpha_P, beta_k)
     raise PreconditionerError(f"unknown preconditioner kind {kind!r}")

@@ -10,16 +10,19 @@ the local field strength.
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fem, precond as precond_mod
-from .gmres import ReducedOperator, gmres_solve
+from .gmres import GmresError, ReducedOperator, gmres_solve
 from .mesh import Mesh, generate_structured_cube, load_mesh
-from .physics import AppliedFieldConfig, PiConfig, pi_apply
-from .tangent import (FIXED_INVOLUTIONS, apply_q, build_frame, frame_gamma,
-                      select_tn_adaptive)
+from .physics import AppliedFieldConfig, FieldConfigError, PiConfig, pi_apply
+from .tangent import (FIXED_INVOLUTIONS, FRAME_STRATEGIES, apply_q, build_frame,
+                      frame_gamma, select_tn_adaptive)
+
+SCHEME_VARIANTS = ("tps1", "tps2")
 
 
 class ConfigError(ValueError):
@@ -42,7 +45,7 @@ class SchemeCoefficients:
     theta: float = 1.0           # first-order stabilization parameter
 
     def __post_init__(self):
-        if self.variant not in ("tps1", "tps2"):
+        if self.variant not in SCHEME_VARIANTS:
             raise ConfigError(f"unknown scheme variant {self.variant!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
@@ -176,54 +179,169 @@ class StepRecord:
     exchange_energy: float
 
 
+TN_MODES = ("adaptive",) + tuple(sorted(FIXED_INVOLUTIONS))
+
+# CONFIG_TABLE entries that are not plain defaults: a string from options, a
+# section whose keys depend on its "kind" (variants: kind -> {key: default}),
+# and a key without default whose example gives the type of its value.
+Choice = namedtuple("Choice", "default options")
+Kinds = namedtuple("Kinds", "default variants")
+Required = namedtuple("Required", "example")
+
+# The one table of config keys, defaults and allowed values.  A value must
+# have the type of its default: bool, integer, finite real, string, or a
+# list of these as long as the default (resolved as a tuple).
+CONFIG_TABLE = {
+    "scheme": Choice("tps1", SCHEME_VARIANTS),
+    "alpha": 0.5,
+    "theta": 1.0,
+    "ell_ex2": 10.0,
+    "T": 0.05,
+    "k": 0.01,
+    "projection": True,
+    "mesh": Kinds("cube", {
+        "cube": {"bounds": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], "n": [2, 2, 2]},
+        "file": {"path": Required("")},
+    }),
+    "field": {
+        "pi": Kinds("zero", {
+            "zero": {},
+            "uniaxial": {"axis": Required([0.0, 0.0, 0.0]), "strength": Required(0.0)},
+            "zhang_li": {"u": Required([0.0, 0.0, 0.0]), "beta_zl": 0.05},
+        }),
+        "applied": Kinds("academic", {
+            "academic": {},
+            "constant": {"value": [0.0, 0.0, 0.0]},
+        }),
+        "m0": Kinds("constant", {
+            "constant": {"value": [1.0, 0.0, 0.0]},
+            "spiral": {"turns": 1.0},
+        }),
+    },
+    "solver": {"tol": 1e-14, "restart": 200, "maxit": 100000, "reorthogonalize": False},
+    "precond": {"kind": Choice("stationary", precond_mod.PRECONDITIONER_KINDS),
+                "alpha_p": 1.0, "rebuild_every": 1},
+    "frame": {"tn": Choice("adaptive", TN_MODES),
+              "strategy": Choice("householder", FRAME_STRATEGIES)},
+    # dir "" writes no files; the sweep runner sets dir and basename per point
+    "output": {"dir": "", "basename": "steps", "snapshot_every": 0, "residual_csv": False},
+}
+
+_MISSING = object()
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _resolve(path, value, spec):
+    """value checked against spec and converted to the type of its default,
+    with the defaults of spec filled in; ConfigError on any mismatch."""
+    if isinstance(spec, (dict, Kinds)):
+        value = {} if value is _MISSING else value
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object, got {value!r}")
+    if isinstance(spec, Kinds):
+        kind = value.get("kind", spec.default)
+        if kind not in list(spec.variants):
+            raise ConfigError(f"{_join(path, 'kind')}: unknown kind {kind!r}, "
+                              f"expected one of {list(spec.variants)}")
+        rest = {key: val for key, val in value.items() if key != "kind"}
+        return {"kind": kind, **_resolve(path, rest, spec.variants[kind])}
+    if isinstance(spec, dict):
+        unknown = [_join(path, key) for key in sorted(set(value) - set(spec))]
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
+        return {key: _resolve(_join(path, key), value.get(key, _MISSING), sub)
+                for key, sub in spec.items()}
+    if isinstance(spec, Choice):
+        if value is _MISSING:
+            return spec.default
+        if value not in spec.options:
+            raise ConfigError(f"{path}: unknown value {value!r}, "
+                              f"expected one of {list(spec.options)}")
+        return value
+    if isinstance(spec, Required):
+        if value is _MISSING:
+            raise ConfigError(f"{path} is required")
+        spec = spec.example
+    elif value is _MISSING:
+        value = spec
+    if isinstance(spec, list):
+        if not isinstance(value, (list, tuple)) or len(value) != len(spec):
+            raise ConfigError(f"{path} must be a list of {len(spec)}, got {value!r}")
+        return tuple(_resolve(f"{path}[{i}]", val, ex)
+                     for i, (val, ex) in enumerate(zip(value, spec)))
+    if type(spec) in (int, float):
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"{path} must be a finite number, got {value!r}")
+        if isinstance(spec, float):
+            return float(value)
+        if value != int(value):
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
+        return int(value)
+    if not isinstance(value, type(spec)):
+        raise ConfigError(f"{path} must be a {type(spec).__name__}, got {value!r}")
+    return value
+
+
+def config_schema():
+    """CONFIG_TABLE as plain data: the default document, the options of
+    every enum, and the keys of every kind (null marks a required key)."""
+    enums, kinds = {}, {}
+
+    def plain(path, spec):
+        if isinstance(spec, Choice):
+            enums[path] = list(spec.options)
+            return spec.default
+        if isinstance(spec, Kinds):
+            enums[_join(path, "kind")] = list(spec.variants)
+            kinds[path] = {kind: plain(path, keys) for kind, keys in spec.variants.items()}
+            return {"kind": spec.default, **kinds[path][spec.default]}
+        if isinstance(spec, dict):
+            return {key: plain(_join(path, key), sub) for key, sub in spec.items()}
+        return None if isinstance(spec, Required) else _resolve(path, spec, spec)
+
+    return {"enums": enums, "kinds": kinds, "defaults": plain("", CONFIG_TABLE)}
+
+
 @dataclass
 class SimulationConfig:
-    scheme: str = "tps1"
-    alpha: float = 0.5
-    theta: float = 1.0
-    ell_ex2: float = 10.0
-    T: float = 0.05
-    k: float = 1e-2
-    projection: bool = True
-    mesh: dict = field(default_factory=lambda: {
-        "kind": "cube", "bounds": [[0, 1], [0, 1], [0, 1]], "n": [2, 2, 2]})
-    field_cfg: dict = field(default_factory=lambda: {
-        "pi": {"kind": "zero"},
-        "applied": {"kind": "academic"},
-        "m0": {"kind": "constant", "value": [1.0, 0.0, 0.0]}})
-    solver: dict = field(default_factory=lambda: {
-        "tol": 1e-14, "restart": 200, "maxit": 100000})
-    precond: dict = field(default_factory=lambda: {
-        "kind": "stationary", "alpha_p": 1.0, "rebuild_every": 1})
-    frame: dict = field(default_factory=lambda: {
-        "tn": "adaptive", "strategy": "householder"})
-    output: dict = field(default_factory=dict)
+    """A resolved config: every key of CONFIG_TABLE present and checked."""
+
+    scheme: str
+    alpha: float
+    theta: float
+    ell_ex2: float
+    T: float
+    k: float
+    projection: bool
+    mesh: dict
+    field_cfg: dict
+    solver: dict
+    precond: dict
+    frame: dict
+    output: dict
 
     @staticmethod
     def from_dict(d):
-        d = dict(d)
-        d.pop("sweep", None)
-        known = {"scheme", "alpha", "theta", "ell_ex2", "T", "k", "projection",
-                 "mesh", "field", "solver", "precond", "frame", "output"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = SimulationConfig()
-        for key in ("scheme", "alpha", "theta", "ell_ex2", "T", "k", "projection"):
-            if key in d:
-                setattr(cfg, key, d[key])
-        for src, attr in (("mesh", "mesh"), ("field", "field_cfg"), ("solver", "solver"),
-                          ("precond", "precond"), ("frame", "frame"), ("output", "output")):
-            if src in d:
-                merged = dict(getattr(cfg, attr))
-                merged.update(d[src])
-                setattr(cfg, attr, merged)
-        cfg.validate()
-        return cfg
+        """Resolve a config document over CONFIG_TABLE.
+
+        Raises ConfigError on an unknown key or kind, a value of the wrong
+        type, and every range check of validate().  A top-level "sweep" is
+        the experiment runner's and is ignored here.
+        """
+        doc = {key: val for key, val in d.items() if key != "sweep"}
+        resolved = _resolve("", doc, CONFIG_TABLE)
+        resolved["field_cfg"] = resolved.pop("field")
+        return SimulationConfig(**resolved).validate()
 
     def validate(self):
-        coeffs = self.coefficients()       # raises on bad alpha/theta/variant
-        coeffs.check_timestep(self.k)
+        self.coefficients().check_timestep(self.k)  # bad variant, alpha, theta or k
         if self.T <= 0:
             raise ConfigError(f"final time must be positive, got {self.T}")
         steps = self.T / self.k
@@ -231,22 +349,22 @@ class SimulationConfig:
             raise ConfigError(f"T/k = {steps} is not an integer step count")
         if not self.projection and self.scheme != "tps1":
             raise ConfigError("projection can only be skipped for the first-order scheme")
-        if self.precond.get("kind") not in precond_mod.PRECONDITIONER_KINDS:
-            raise ConfigError(f"unknown preconditioner kind {self.precond.get('kind')!r}")
-        if self.precond.get("alpha_p", 1.0) <= 0:
-            raise ConfigError("alpha_p must be positive")
-        if int(self.precond.get("rebuild_every", 1)) < 1:
-            raise ConfigError("rebuild_every must be >= 1")
-        tn = self.frame.get("tn", "adaptive")
-        if tn != "adaptive" and tn not in FIXED_INVOLUTIONS:
-            raise ConfigError(f"unknown tn mode {tn!r}")
-        if self.frame.get("strategy", "householder") not in ("householder", "signflip", "rotation"):
-            raise ConfigError(f"unknown frame strategy {self.frame.get('strategy')!r}")
-        PiConfig.from_dict(self.field_cfg.get("pi", {"kind": "zero"}))
-        AppliedFieldConfig.from_dict(self.field_cfg.get("applied", {"kind": "constant"}))
-        m0_kind = self.field_cfg.get("m0", {}).get("kind", "constant")
-        if m0_kind not in ("constant", "spiral"):
-            raise ConfigError(f"unknown m0 kind {m0_kind!r}")
+        if self.solver["tol"] <= 0:
+            raise ConfigError(f"solver.tol must be positive, got {self.solver['tol']!r}")
+        for key in ("restart", "maxit"):
+            if self.solver[key] < 1:
+                raise ConfigError(f"solver.{key} must be >= 1, got {self.solver[key]!r}")
+        if self.precond["alpha_p"] <= 0:
+            raise ConfigError("precond.alpha_p must be positive")
+        if self.precond["rebuild_every"] < 1:
+            raise ConfigError("precond.rebuild_every must be >= 1")
+        m0 = self.field_cfg["m0"]
+        if m0["kind"] == "constant" and not any(m0["value"]):
+            raise ConfigError("field.m0.value must be a nonzero vector")
+        try:
+            PiConfig(**self.field_cfg["pi"])
+        except FieldConfigError as exc:
+            raise ConfigError(f"field.pi: {exc}") from exc
         return self
 
     def coefficients(self):
@@ -257,41 +375,32 @@ class SimulationConfig:
         return int(round(self.T / self.k))
 
     def build_mesh(self):
-        kind = self.mesh.get("kind", "cube")
-        if kind == "cube":
+        if self.mesh["kind"] == "cube":
             return generate_structured_cube(self.mesh["bounds"], self.mesh["n"])
-        if kind == "file":
-            with open(self.mesh["path"], "rb") as fh:
-                return load_mesh(fh)
-        raise ConfigError(f"unknown mesh kind {kind!r}")
+        with open(self.mesh["path"], "rb") as fh:
+            return load_mesh(fh)
 
 
 def initial_magnetization(cfg, mesh):
-    """Nodal unit field from the m0 config fragment."""
-    kind = cfg.get("kind", "constant")
-    if kind == "constant":
-        value = np.asarray(cfg.get("value", (1.0, 0.0, 0.0)), dtype=np.float64)
+    """Nodal unit field from the resolved m0 config section."""
+    if cfg["kind"] == "constant":
+        value = np.asarray(cfg["value"], dtype=np.float64)
         value = value / np.linalg.norm(value)
         return np.tile(value, (mesh.N, 1))
-    if kind == "spiral":
-        # unit field winding in the (1,2)-plane along the first axis
-        turns = float(cfg.get("turns", 1.0))
-        x = mesh.nodes[:, 0]
-        span = x.max() - x.min()
-        phase = 2.0 * np.pi * turns * (x - x.min()) / (span if span > 0 else 1.0)
-        m = np.zeros((mesh.N, 3))
-        m[:, 0] = np.cos(phase)
-        m[:, 1] = np.sin(phase)
-        return m
-    raise ConfigError(f"unknown m0 kind {kind!r}")
+    # spiral: unit field winding in the (1,2)-plane along the first axis
+    x = mesh.nodes[:, 0]
+    span = x.max() - x.min()
+    phase = 2.0 * np.pi * cfg["turns"] * (x - x.min()) / (span if span > 0 else 1.0)
+    m = np.zeros((mesh.N, 3))
+    m[:, 0] = np.cos(phase)
+    m[:, 1] = np.sin(phase)
+    return m
 
 
 class StepContext:
     """Immutable per-run data plus cached preconditioner state."""
 
     def __init__(self, config, mesh=None):
-        if isinstance(config, dict):
-            config = SimulationConfig.from_dict(config)
         config.validate()
         self.config = config
         self.mesh = mesh if mesh is not None else config.build_mesh()
@@ -300,53 +409,43 @@ class StepContext:
         self.beta_k = self.coeffs.beta(self.k) * self.k
         self.mass = fem.assemble_mass(self.mesh)
         self.stiffness = fem.assemble_stiffness(self.mesh)
-        self.pi_cfg = PiConfig.from_dict(config.field_cfg.get("pi", {"kind": "zero"}))
-        self.applied = AppliedFieldConfig.from_dict(
-            config.field_cfg.get("applied", {"kind": "constant"}))
-        self.alpha_p = float(config.precond.get("alpha_p", 1.0))
-        self.precond_kind = config.precond.get("kind", "stationary")
-        self.rebuild_every = int(config.precond.get("rebuild_every", 1))
-        self.tn_mode = config.frame.get("tn", "adaptive")
-        self.strategy = config.frame.get("strategy", "householder")
-        self.solver = dict(config.solver)
+        # the resolved field sections hold exactly these dataclasses' fields
+        self.pi_cfg = PiConfig(**config.field_cfg["pi"])
+        self.applied = AppliedFieldConfig(**config.field_cfg["applied"])
+        self.alpha_p = config.precond["alpha_p"]
+        self.precond_kind = config.precond["kind"]
 
+        # stationary and practical share one scalar factorization, built
+        # here so that it counts as set-up, not as a step
         self._scalar_factor = None
-        self._static_precond = None
-        self._theoretical = None
-        self.precond_builds = 0
         if self.precond_kind in ("stationary", "practical"):
             self._scalar_factor = precond_mod.ScalarFactorization(
                 self.mass, self.stiffness, self.alpha_p, self.beta_k)
-        if self.precond_kind in ("stationary", "jacobi", "none"):
-            self._static_precond = precond_mod.make_preconditioner(
-                self.precond_kind, self.mass, self.stiffness, self.alpha_p,
-                self.beta_k, scalar_factor=self._scalar_factor)
+        self._precond = None
+        self.precond_builds = 0
 
     def preconditioner_for(self, frame, step):
-        if self._static_precond is not None:
-            return self._static_precond
-        if self.precond_kind == "practical":
-            # shares the scalar factorization; only the frame is per-step
-            return precond_mod.build_practical(
-                frame, self.mass, self.stiffness, self.alpha_p, self.beta_k,
-                scalar_factor=self._scalar_factor)
-        if self.precond_kind == "theoretical":
-            if self._theoretical is None or step % self.rebuild_every == 0:
-                self._theoretical = precond_mod.build_theoretical(
-                    frame, self.mass, self.stiffness, self.alpha_p, self.beta_k)
-                self.precond_builds += 1
-            return self._theoretical
-        raise ConfigError(f"unknown preconditioner kind {self.precond_kind!r}")
+        """The preconditioner of a step: static kinds are built once,
+        practical every step on the shared factor, and theoretical every
+        rebuild_every steps (precond_builds counts its factorizations)."""
+        kind = self.precond_kind
+        if (self._precond is None or kind == "practical" or (
+                kind == "theoretical" and step % self.config.precond["rebuild_every"] == 0)):
+            self._precond = precond_mod.make_preconditioner(
+                kind, self.mass, self.stiffness, self.alpha_p, self.beta_k,
+                frame=frame, scalar_factor=self._scalar_factor)
+            self.precond_builds += kind == "theoretical"
+        return self._precond
 
     def initial_state(self):
-        m0 = initial_magnetization(self.config.field_cfg.get(
-            "m0", {"kind": "constant", "value": [1.0, 0.0, 0.0]}), self.mesh)
+        m0 = initial_magnetization(self.config.field_cfg["m0"], self.mesh)
         assert_unit_nodal(m0, tol=1e-12)
         return TimeStepState(n=0, t_n=0.0, m_n=m0, m_nm1=m0.copy())
 
 
 def tps_step(ctx, state):
-    """One step of the tangent plane scheme; returns (new_state, record)."""
+    """One step of the tangent plane scheme; returns (new_state, record).
+    A numerical failure of the step raises SolverFailure with its index."""
     cfg = ctx.config
     coeffs = ctx.coeffs
     mesh = ctx.mesh
@@ -357,11 +456,9 @@ def tps_step(ctx, state):
     mdir = m / norms[:, None]
 
     selection = select_tn_adaptive(mdir)
-    if ctx.tn_mode == "adaptive":
-        T = selection.chosen_T
-    else:
-        T = FIXED_INVOLUTIONS[ctx.tn_mode]
-    frame = build_frame(mdir, T, ctx.strategy)
+    tn = cfg.frame["tn"]
+    T = selection.chosen_T if tn == "adaptive" else FIXED_INVOLUTIONS[tn]
+    frame = build_frame(mdir, T, cfg.frame["strategy"])
 
     if coeffs.variant == "tps2":
         f_plus_pi = ctx.applied.nodal(mesh, state.t_n) + pi_apply(ctx.pi_cfg, mesh, m)
@@ -375,27 +472,22 @@ def tps_step(ctx, state):
     system = fem.build_system(mesh, m, coeffs.alpha, ctx.beta_k, weights, lh,
                               coeffs.ell_ex2, mass=ctx.mass, stiffness=ctx.stiffness)
 
-    pc = ctx.preconditioner_for(frame, state.n)
-    op = ReducedOperator(system, frame)
-    x, stats = gmres_solve(op, pc, op.reduced_rhs(),
-                           tol=ctx.solver.get("tol", 1e-14),
-                           restart=int(ctx.solver.get("restart", 200)),
-                           maxit=int(ctx.solver.get("maxit", 100000)),
-                           reorthogonalize=bool(ctx.solver.get("reorthogonalize", False)))
-    if not stats.converged:
-        raise SolverFailure(state.n, f"GMRES did not converge "
-                            f"(residual {stats.final_relative_residual:.3e} "
-                            f"after {stats.iterations} iterations)")
-
-    v = apply_q(frame, x).reshape(mesh.N, 3)
-    defect, scale = tangency_defect(m, v)
-    if defect > 1e-8 * scale:
-        raise SolverFailure(state.n, f"solved update lost tangency: {defect:.3e}")
-
-    if cfg.projection:
-        m_next = normalize_update(m, v, k)
-    else:
-        m_next = m + k * v
+    try:
+        pc = ctx.preconditioner_for(frame, state.n)
+        op = ReducedOperator(system, frame)
+        # the solver section holds exactly the options of gmres_solve
+        x, stats = gmres_solve(op, pc, op.reduced_rhs(), **cfg.solver)
+        if not stats.converged:
+            raise SolverFailure(state.n, f"GMRES did not converge "
+                                f"(residual {stats.final_relative_residual:.3e} "
+                                f"after {stats.iterations} iterations)")
+        v = apply_q(frame, x).reshape(mesh.N, 3)
+        defect, scale = tangency_defect(m, v)
+        if defect > 1e-8 * scale:
+            raise SolverFailure(state.n, f"solved update lost tangency: {defect:.3e}")
+        m_next = normalize_update(m, v, k) if cfg.projection else m + k * v
+    except (GmresError, precond_mod.PreconditionerError, ValueError) as exc:
+        raise SolverFailure(state.n, str(exc)) from exc
 
     record = StepRecord(
         step=state.n,
@@ -443,10 +535,9 @@ def run_simulation(config, mesh=None, keep_states=False):
     state = ctx.initial_state()
     states = [state] if keep_states else None
 
-    out_dir = cfg.output.get("dir")
-    basename = cfg.output.get("basename", "steps")
-    snapshot_every = int(cfg.output.get("snapshot_every", 0))
-    dump_residuals = bool(cfg.output.get("residual_csv", False))
+    out_dir = cfg.output["dir"]
+    basename = cfg.output["basename"]
+    snapshot_every = cfg.output["snapshot_every"]
     csv_fh = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -465,7 +556,7 @@ def run_simulation(config, mesh=None, keep_states=False):
             if csv_fh is not None:
                 csv_fh.write(format_step_row(record) + "\n")
                 csv_fh.flush()
-            if out_dir and dump_residuals:
+            if out_dir and cfg.output["residual_csv"]:
                 path = os.path.join(out_dir, f"{basename}_residuals_step{record.step:06d}.csv")
                 write_residual_csv(state.last_stats, path)
             if out_dir and snapshot_every > 0 and (record.step + 1) % snapshot_every == 0:

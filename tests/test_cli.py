@@ -1,11 +1,19 @@
 import io
 import json
+import math
 import os
+import pathlib
 
-from tangent_plane_llg.cli import main, print_config_schema, run_checks
+import pytest
+
+from tangent_plane_llg.cli import (_apply_overrides, _point_config, _sweep_points,
+                                   main, print_config_schema, run_checks)
 from tangent_plane_llg.scheme import SimulationConfig
 
 from conftest import UNIT_BOUNDS
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+BUNDLED_CONFIGS = sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("bench/configs/*.json"))
 
 
 def academic_sweep_doc(n_levels=(2, 3), preconds=("stationary", "none")):
@@ -165,3 +173,56 @@ def test_bad_m0_kind_is_config_error(tmp_path):
     del doc["sweep"]
     doc["field"]["m0"] = {"kind": "vortex"}
     assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+
+
+# One row per malformed input: the dotted key set on configs/academic_lite.json
+# (sweep removed, T = k), its value, the exit code and a fragment of the message.
+EXIT_CODE_ROWS = [
+    ("field.pi.kind", "demag", 2, "field.pi.kind"),
+    ("field.applied.kind", "bogus", 2, "field.applied.kind"),
+    ("solver.restrat", 5, 2, "solver.restrat"),
+    ("precond.alpah_p", 1.0, 2, "precond.alpah_p"),
+    ("solver.tol", -1, 2, "solver.tol"),
+    ("solver.restart", 0, 2, "solver.restart"),
+    ("k", "0.01", 2, "k must be a finite number"),
+    ("field.pi", {"kind": "uniaxial", "strength": 0.5}, 2, "field.pi.axis"),
+    ("output.snapshot_every", "x", 2, "output.snapshot_every"),
+    ("field.applied", {"kind": "constant", "value": [math.inf, 0, 0]}, 2,
+     "field.applied.value"),
+    # finite input whose right-hand side overflows: GMRES fails in step 0
+    ("field.applied", {"kind": "constant", "value": [1e308, 1e308, 0]}, 3, "step 0"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("key, value, code, fragment", EXIT_CODE_ROWS)
+def test_exit_code_contract(tmp_path, capsys, key, value, code, fragment):
+    doc = json.loads((REPO / "configs" / "academic_lite.json").read_text())
+    del doc["sweep"]
+    doc["T"] = doc["k"]
+    doc = _apply_overrides(doc, {key: value})
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert fragment in err
+    if code == 2:
+        # one line, before any output is written
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        # the failing point keeps its partial outputs
+        assert (out / "summary.csv").exists()
+        assert any(p.startswith("steps_") for p in os.listdir(out))
+
+
+@pytest.mark.parametrize("path", BUNDLED_CONFIGS,
+                         ids=lambda p: p.relative_to(REPO).as_posix())
+def test_bundled_configs_resolve(path, monkeypatch):
+    """Every shipped config passes validation, which builds no mesh."""
+    def no_mesh(cfg):
+        raise AssertionError("validation built a mesh")
+
+    monkeypatch.setattr(SimulationConfig, "build_mesh", no_mesh)
+    doc = json.loads(path.read_text())
+    configs = [_point_config(doc, *point) for point in _sweep_points(doc)]
+    assert configs and all(cfg.k == doc["k"] for cfg in configs)

@@ -159,15 +159,3 @@ def test_assembly_deterministic(cube2):
     m1 = assemble_mass(cube2)
     m2 = assemble_mass(cube2)
     assert np.array_equal(m1.data, m2.data)
-
-
-def test_dump_coo_format(cube1):
-    import io
-    from tangent_plane_llg.fem import dump_coo
-    buf = io.StringIO()
-    dump_coo(assemble_mass(cube1), buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == assemble_mass(cube1).nnz
-    r, c, v = lines[0].split()
-    assert int(r) >= 0 and int(c) >= 0
-    assert float(v) != 0.0

@@ -71,11 +71,28 @@ def test_residual_history_monotone_within_cycles():
 
 
 def test_apply_counts():
+    """SolverStats against the applies gmres_solve really makes.  From the
+    zero initial guess the start residual is P b, whose operator and
+    preconditioner applies are booked without being performed."""
     a, rng = random_pd(30, seed=4)
     b = rng.standard_normal(30)
-    x, stats = gmres_solve(MatOp(a), None, b, tol=1e-13, restart=7)
-    assert stats.op_applies == stats.iterations + stats.residual_computations
-    assert stats.precond_applies == stats.op_applies + 1  # initial ||P b||
+    calls = {"op": 0, "pc": 0}
+
+    def matvec(x):
+        calls["op"] += 1
+        return a @ x
+
+    def papply(r):
+        calls["pc"] += 1
+        return r.copy()
+
+    x, stats = gmres_solve(matvec, Preconditioner("none", None, papply), b,
+                           tol=1e-13, restart=7)
+    assert stats.converged and stats.restarts >= 1
+    assert calls["op"] == stats.iterations + stats.residual_computations - 1
+    assert calls["pc"] == calls["op"] + 1  # P b
+    assert stats.op_applies == calls["op"] + 1
+    assert stats.precond_applies == calls["pc"] + 1
 
 
 def test_defaults_follow_experiment_settings():

@@ -6,8 +6,7 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, build_frame, build_jacobi,
                                build_none, build_practical,
                                build_stationary_2d, build_theoretical,
                                make_preconditioner, select_tn_adaptive)
-from tangent_plane_llg.precond import (PreconditionerError, ScalarFactorization,
-                                       apply)
+from tangent_plane_llg.precond import PreconditionerError, ScalarFactorization
 
 from conftest import random_unit_field
 
@@ -174,7 +173,7 @@ class TestApplyDispatch:
     def test_none_is_identity(self, rng):
         pc = build_none(5)
         r = rng.standard_normal(10)
-        out = apply(pc, r)
+        out = pc.apply(r)
         assert np.array_equal(out, r)
         assert out is not r
 

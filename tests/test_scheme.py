@@ -363,8 +363,9 @@ def test_mesh_from_file_config(tmp_path):
     mesh = generate_structured_cube([[0, 1], [0, 1], [0, 1]], (2, 2, 2))
     path = tmp_path / "mesh.json"
     path.write_bytes(save_mesh(mesh))
-    cfg = SimulationConfig.from_dict(academic_config(
-        T=0.01, mesh={"kind": "file", "path": str(path)}))
+    doc = academic_config(T=0.01)
+    doc["mesh"] = {"kind": "file", "path": str(path)}  # cube keys would be unknown
+    cfg = SimulationConfig.from_dict(doc)
     res = run_simulation(cfg)
     assert res.mesh.N == 27
     assert res.records[0].final_residual <= 1e-13
