@@ -32,6 +32,10 @@ SUMMARY_HEADER = ("h,k,precond,alpha,alpha_p,tn_mode,"
 SWEEP_AXES = {"mesh": "[mesh configs]", "precond": "[kinds]",
               "alpha_p": "[floats]", "tn": "[modes]"}
 
+# the config key each sweep axis sets; an override of that key pins the axis
+SWEEP_KEYS = {"mesh": "mesh", "precond": "precond.kind",
+              "alpha_p": "precond.alpha_p", "tn": "frame.tn"}
+
 
 def print_config_schema(out=None):
     """Emit the config table: defaults, allowed values and per-kind keys."""
@@ -65,20 +69,28 @@ def _sweep_points(doc):
     return list(itertools.product(*(axes[axis] for axis in SWEEP_AXES)))
 
 
-def _point_config(doc, mesh_cfg, pkind, alpha_p, tn):
-    return SimulationConfig.from_dict(_apply_overrides(doc, {
-        "mesh": mesh_cfg, "precond.kind": pkind, "precond.alpha_p": alpha_p,
-        "frame.tn": tn}))
+def _point_config(doc, *point):
+    """The resolved config of one sweep point (values in SWEEP_AXES order)."""
+    return SimulationConfig.from_dict(
+        _apply_overrides(doc, dict(zip(SWEEP_KEYS.values(), point))))
 
 
 def run_experiment(config_path, out_dir=None, overrides=None):
-    """Run every sweep point; returns process exit code."""
+    """Run every sweep point; returns process exit code.
+
+    overrides maps dotted config keys to values; one that sets the key of a
+    sweep axis replaces that axis by its single value.
+    """
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ConfigError(f"a config is a JSON object, got {type(doc).__name__}")
-        doc = _apply_overrides(doc, overrides or {})
+        overrides = overrides or {}
+        doc = _apply_overrides(doc, overrides)
+        if isinstance(doc.get("sweep"), dict):
+            doc["sweep"] = {axis: values for axis, values in doc["sweep"].items()
+                            if SWEEP_KEYS.get(axis) not in overrides}
         configs = [_point_config(doc, *point) for point in _sweep_points(doc)]
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .tangent import apply_q, frame_columns
+from .tangent import apply_q, build_frame
 
 _DENSE_GUARD = 200
 
@@ -140,10 +140,9 @@ def theory_factors(mesh, m, mu, T, alpha_P, beta_k, h, strategy="householder"):
     mu = np.asarray(mu, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
 
-    diff_frames = np.array([
-        np.linalg.norm(frame_columns(T @ mz, strategy) - frame_columns(T @ muz, strategy), 2)
-        for mz, muz in zip(m, mu)
-    ])
+    # nodal spectral norms of frame(T m(z)) - frame(T mu(z))
+    frames = [build_frame(field @ T.T, None, strategy).blocks for field in (m, mu)]
+    diff_frames = np.linalg.norm(frames[0] - frames[1], 2, axis=(1, 2))
     bk_scale = beta_k / (alpha_P * h**2)
     f_theo = 1.0 + bk_scale * float((diff_frames**2).max())
     f_prac = 1.0 + bk_scale

@@ -1,14 +1,15 @@
 """P1 finite element assembly on tetrahedra.
 
-Scalar mass/stiffness matrices are stored N x N; their block-diagonal action
-on 3-vector fields is applied componentwise (the 3N forms are these blocks
-tensored with the 3x3 identity).  The magnetization-dependent weighted-mass
-and cross-product matrices are assembled at the 3N level.
+Scalar mass, stiffness and weighted-mass matrices are stored N x N; their
+block-diagonal action on 3-vector fields is applied componentwise (the 3N
+forms are these blocks tensored with the 3x3 identity).  The
+magnetization-dependent cross-product matrix is assembled at the 3N level.
 
 All integrals of polynomial integrands use the exact barycentric moment
 formula, so no quadrature error enters any of the assembled matrices.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,13 @@ def assemble_stiffness(mesh):
     return _scatter_scalar(mesh, vol[:, None, None] * local)
 
 
-def _weighted_scalar_mass(mesh, weights):
+def assemble_weighted_mass(mesh, weights):
+    """N x N weighted mass matrix for a positive piecewise-constant weight.
+
+    The weight multiplies each component identically, so the 3N form is
+    this matrix tensored with the 3x3 identity; with weight 1 it is
+    bit-identical to assemble_mass(mesh).
+    """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (mesh.elem_count,):
         raise AssemblyError(f"need one weight per element, got shape {weights.shape}")
@@ -65,15 +72,37 @@ def _weighted_scalar_mass(mesh, weights):
     return _scatter_scalar(mesh, (weights * vol)[:, None, None] * _LOCAL_MASS[None])
 
 
-def assemble_weighted_mass(mesh, weights):
-    """3N x 3N weighted mass matrix for a positive piecewise-constant weight.
+# Per-mesh index data of assemble_cross, dropped with the mesh.
+_CROSS_PATTERNS = weakref.WeakKeyDictionary()
 
-    The weight multiplies each component identically, so the matrix is the
-    weighted scalar mass tensored with the 3x3 identity; with weight 1 this
-    is bit-identical to assemble_mass(mesh) x I_3.
+
+def _cross_pattern(mesh):
+    """Strictly-upper entries of the element blocks of the cross matrix.
+
+    Entry ((i,p),(j,q)) of element e's block is sign(p,q) times
+    values[a,b,d,e] with d the axis orthogonal to p and q; for p = q it is
+    a zero (sign 0).  Returns the rows and columns of the entries with
+    row < col, in element-block order, the flat index of their value and
+    their sign; the indices are int32 unless the mesh is too large for it.
     """
-    ms = _weighted_scalar_mass(mesh, weights)
-    return sp.kron(ms, sp.identity(3, format="csr"), format="csr")
+    pattern = _CROSS_PATTERNS.get(mesh)
+    if pattern is None:
+        # e_p x e_q = sign[p, q] e_{axis[p, q]}
+        sign = np.array([0, 1, -1, -1, 0, 1, 1, -1, 0], dtype=np.int8)
+        axis = np.array([0, 2, 1, 2, 1, 0, 1, 0, 2])
+        index = np.int32 if max(3 * mesh.N, 48 * mesh.elem_count) < 2**31 else np.int64
+        gi = 3 * mesh.tets.astype(index)
+        shape = (mesh.elem_count, 4, 4, 3, 3)
+        p = np.arange(3, dtype=index)
+        rows = np.broadcast_to(gi[:, :, None, None, None] + p[:, None], shape).ravel()
+        cols = np.broadcast_to(gi[:, None, :, None, None] + p, shape).ravel()
+        keep = np.flatnonzero(rows < cols)
+        pq = keep % 9
+        # flat index into the (4, 4, 3, M) value array of assemble_cross
+        value = ((keep // 9 % 16) * 3 + axis[pq]) * mesh.elem_count + keep // 144
+        pattern = (rows[keep], cols[keep], value.astype(index), sign[pq])
+        _CROSS_PATTERNS[mesh] = pattern
+    return pattern
 
 
 def assemble_cross(mesh, m):
@@ -86,31 +115,17 @@ def assemble_cross(mesh, m):
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (mesh.N, 3):
         raise AssemblyError(f"magnetization must be (N, 3), got {m.shape}")
-    vol = mesh.element_volumes()
-    mloc = m[mesh.tets]  # (M, 4, 3)
-
-    # axis[e,c,p,q] = m_c . (e_p x e_q), antisymmetric in (p, q)
-    axis = np.zeros((mesh.elem_count, 4, 3, 3))
-    axis[:, :, 0, 1] = mloc[:, :, 2]
-    axis[:, :, 1, 0] = -mloc[:, :, 2]
-    axis[:, :, 1, 2] = mloc[:, :, 0]
-    axis[:, :, 2, 1] = -mloc[:, :, 0]
-    axis[:, :, 2, 0] = mloc[:, :, 1]
-    axis[:, :, 0, 2] = -mloc[:, :, 1]
-
-    blocks = np.einsum("abc,ecpq->eabpq", _LOCAL_CUBIC, axis)
-    blocks *= vol[:, None, None, None, None]
-
-    gi = mesh.tets[:, :, None, None, None]
-    gj = mesh.tets[:, None, :, None, None]
-    p = np.arange(3)[None, None, None, :, None]
-    q = np.arange(3)[None, None, None, None, :]
-    rows = np.broadcast_to(3 * gi + p, blocks.shape).ravel()
-    cols = np.broadcast_to(3 * gj + q, blocks.shape).ravel()
-    data = blocks.ravel()
-
-    keep = rows < cols
-    upper = sp.coo_array((data[keep], (rows[keep], cols[keep])), shape=(3 * mesh.N, 3 * mesh.N)).tocsr()
+    rows, cols, value, sign = _cross_pattern(mesh)
+    # values[a,b,d,e] = integral over element e of lambda_a lambda_b m_d,
+    # summed over the local vertices c in order (elements innermost)
+    mloc = m.T[:, mesh.tets.T]  # mloc[d, c, e]: m_d at local vertex c of e
+    values = _LOCAL_CUBIC[:, :, 0, None, None] * mloc[:, 0]
+    for c in range(1, 4):
+        values += _LOCAL_CUBIC[:, :, c, None, None] * mloc[:, c]
+    values *= mesh.element_volumes()
+    data = values.ravel()[value] * sign
+    n3 = 3 * mesh.N
+    upper = sp.coo_array((data, (rows, cols)), shape=(n3, n3)).tocsr()
     return (upper - upper.T).tocsr()
 
 
@@ -139,7 +154,7 @@ def assemble_rhs(mesh, m_n, lh, ell_ex2, mass=None, stiffness=None):
 class AssembledSystem:
     """Per-step linear system data for the tangent plane scheme.
 
-    The 3N system matrix alpha * weighted_mass + beta_k * stiffness (x I_3)
+    The 3N system matrix (alpha * weighted_mass + beta_k * stiffness) (x I_3)
     - cross is never formed explicitly; apply() evaluates its action.
     """
 
@@ -147,7 +162,7 @@ class AssembledSystem:
     beta_k: float
     mass: sp.csr_array
     stiffness: sp.csr_array
-    weighted_mass: sp.csr_array  # 3N x 3N
+    weighted_mass: sp.csr_array  # N x N
     cross: sp.csr_array          # 3N x 3N, skew
     rhs: np.ndarray              # (3N,)
 
@@ -158,21 +173,25 @@ class AssembledSystem:
     def apply(self, v):
         """y = (alpha M_k + beta_k L - S) v on stacked 3N vectors."""
         return (
-            self.alpha * (self.weighted_mass @ v)
+            self.alpha * apply_componentwise(self.weighted_mass, v)
             + self.beta_k * apply_componentwise(self.stiffness, v)
             - self.cross @ v
         )
 
     def dense_matrix(self):
         """Dense 3N x 3N system matrix (test/oracle use only)."""
-        n3 = 3 * self.n_nodes
-        stiff3 = sp.kron(self.stiffness, sp.identity(3, format="csr"), format="csr")
-        full = self.alpha * self.weighted_mass + self.beta_k * stiff3 - self.cross
-        return full.toarray().reshape(n3, n3)
+        eye3 = sp.identity(3, format="csr")
+        full = (self.alpha * sp.kron(self.weighted_mass, eye3, format="csr")
+                + self.beta_k * sp.kron(self.stiffness, eye3, format="csr") - self.cross)
+        return full.toarray()
 
 
 def build_system(mesh, m, alpha, beta_k, weights, lh, ell_ex2, mass=None, stiffness=None):
-    """Assemble all pieces of the per-step system for magnetization m."""
+    """Assemble all pieces of the per-step system for magnetization m.
+
+    weights=None stands for the unit weight: the weighted mass is then the
+    plain mass matrix, and nothing is assembled for it.
+    """
     if mass is None:
         mass = assemble_mass(mesh)
     if stiffness is None:
@@ -182,7 +201,7 @@ def build_system(mesh, m, alpha, beta_k, weights, lh, ell_ex2, mass=None, stiffn
         beta_k=float(beta_k),
         mass=mass,
         stiffness=stiffness,
-        weighted_mass=assemble_weighted_mass(mesh, weights),
+        weighted_mass=mass if weights is None else assemble_weighted_mass(mesh, weights),
         cross=assemble_cross(mesh, m),
         rhs=assemble_rhs(mesh, m, lh, ell_ex2, mass=mass, stiffness=stiffness),
     )

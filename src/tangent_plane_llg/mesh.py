@@ -17,15 +17,15 @@ class MeshError(ValueError):
 
 
 # The six tetrahedra of the Kuhn subdivision of the unit cube, as vertex
-# paths 0 -> e_{s1} -> e_{s1}+e_{s2} -> (1,1,1) for each permutation s.
-_KUHN_PATHS = []
-for _perm in itertools.permutations(range(3)):
-    _path = [np.zeros(3, dtype=np.int64)]
-    for _axis in _perm:
-        _step = _path[-1].copy()
-        _step[_axis] = 1
-        _path.append(_step)
-    _KUHN_PATHS.append(np.array(_path))
+# paths 0 -> e_{s1} -> e_{s1}+e_{s2} -> (1,1,1) for each permutation s:
+# _KUHN_PATHS[s, v] is the (x, y, z) corner offset of vertex v of tet s.
+_KUHN_PATHS = np.array([
+    [np.isin(np.arange(3), perm[:step]) for step in range(4)]
+    for perm in itertools.permutations(range(3))
+], dtype=np.int64)
+
+# Local vertex triples of the four faces of a tetrahedron.
+_LOCAL_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 class Mesh:
@@ -45,9 +45,11 @@ class Mesh:
         if tets.size and (tets.min() < 0 or tets.max() >= n):
             bad = int(np.nonzero((tets < 0).any(axis=1) | (tets >= n).any(axis=1))[0][0])
             raise MeshError(f"element {bad} references a node index outside [0, {n})")
-        for e, t in enumerate(tets):
-            if len(set(t.tolist())) != 4:
-                raise MeshError(f"element {e} has repeated node indices {t.tolist()}")
+        ordered = np.sort(tets, axis=1)
+        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if repeated.any():
+            bad = int(np.argmax(repeated))
+            raise MeshError(f"element {bad} has repeated node indices {tets[bad].tolist()}")
 
         # Normalize orientation: swap two vertices where the signed volume is
         # negative; reject degenerate elements.
@@ -61,13 +63,16 @@ class Mesh:
         if neg.any():
             tets = tets.copy()
             tets[neg, 2], tets[neg, 3] = tets[neg, 3].copy(), tets[neg, 2].copy()
+            vol = _signed_volumes(nodes, tets)
 
         _check_conforming(tets)
 
-        nodes.setflags(write=False)
-        tets.setflags(write=False)
+        for arr in (nodes, tets, vol):
+            arr.setflags(write=False)
         self.nodes = nodes
         self.tets = tets
+        self._volumes = vol
+        self._grad = None
 
     @property
     def N(self):
@@ -78,46 +83,59 @@ class Mesh:
         return len(self.tets)
 
     def element_volumes(self):
-        """Volumes |K| per element (positive by construction)."""
-        return _signed_volumes(self.nodes, self.tets)
+        """Volumes |K| per element (positive by construction, read-only)."""
+        return self._volumes
 
     def element_geometry(self):
         """Per-element volumes and constant hat-function gradients.
 
         Returns (vol, grad) with vol of shape (M,) and grad of shape
         (M, 4, 3): grad[e, a] is the gradient of the barycentric coordinate
-        of local vertex a on element e.
+        of local vertex a on element e.  Both are computed once and
+        read-only.
         """
-        v = self.nodes[self.tets]
-        edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
-        vol = np.linalg.det(edges) / 6.0
-        inv = np.linalg.inv(edges)
-        grad = np.empty((self.elem_count, 4, 3))
-        grad[:, 1:, :] = inv
-        grad[:, 0, :] = -inv.sum(axis=1)
-        return vol, grad
+        if self._grad is None:
+            inv = np.linalg.inv(_edge_matrices(self.nodes, self.tets))
+            grad = np.empty((self.elem_count, 4, 3))
+            grad[:, 1:, :] = inv
+            grad[:, 0, :] = -inv.sum(axis=1)
+            grad.setflags(write=False)
+            self._grad = grad
+        return self._volumes, self._grad
 
     def __repr__(self):
         return f"Mesh(N={self.N}, elems={self.elem_count})"
 
 
-def _signed_volumes(nodes, tets):
+def _edge_matrices(nodes, tets):
     v = nodes[tets]
-    edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
-    return np.linalg.det(edges) / 6.0
+    return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
+
+
+def _signed_volumes(nodes, tets):
+    return np.linalg.det(_edge_matrices(nodes, tets)) / 6.0
 
 
 def _check_conforming(tets):
     # A face shared by two tets must appear as the same node set; any face
-    # appearing more than twice breaks conformity.
-    faces = {}
-    local = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    for e, t in enumerate(tets):
-        for a, b, c in local:
-            key = tuple(sorted((t[a], t[b], t[c])))
-            faces[key] = faces.get(key, 0) + 1
-            if faces[key] > 2:
-                raise MeshError(f"face {key} shared by more than two elements (element {e})")
+    # appearing more than twice breaks conformity.  The error names the
+    # element at which, in element order, some face is seen a third time.
+    faces = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
+    n = int(tets.max()) + 1 if tets.size else 1
+    if n ** 3 < 2 ** 63:
+        keys = (faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2]
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    else:
+        _, inverse, counts = np.unique(faces, axis=0, return_inverse=True,
+                                       return_counts=True)
+    if counts.max(initial=0) <= 2:
+        return
+    # position of the third occurrence of every face seen more than twice
+    order = np.argsort(inverse, kind="stable")
+    first = np.cumsum(counts) - counts
+    third = int(order[first[counts > 2] + 2].min())
+    key = tuple(int(i) for i in faces[third])
+    raise MeshError(f"face {key} shared by more than two elements (element {third // 4})")
 
 
 @dataclass(frozen=True)
@@ -153,17 +171,11 @@ def generate_structured_cube(bounds, n):
     zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     nodes = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
 
-    def nid(ix, iy, iz):
-        return (iz * (ny + 1) + iy) * (nx + 1) + ix
-
-    tets = np.empty((6 * nx * ny * nz, 4), dtype=np.int64)
-    e = 0
-    for iz in range(nz):
-        for iy in range(ny):
-            for ix in range(nx):
-                for path in _KUHN_PATHS:
-                    tets[e] = [nid(ix + p[0], iy + p[1], iz + p[2]) for p in path]
-                    e += 1
+    # the tets of a sub-box are the id of its lower corner plus the id
+    # offsets of the six Kuhn paths; sub-boxes in (z, y, x) order
+    ids = np.arange(len(nodes), dtype=np.int64).reshape(nz + 1, ny + 1, nx + 1)
+    offsets = _KUHN_PATHS @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+    tets = (ids[:-1, :-1, :-1].reshape(-1, 1, 1) + offsets).reshape(-1, 4)
     return Mesh(nodes, tets)
 
 

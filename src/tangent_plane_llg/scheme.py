@@ -358,6 +358,13 @@ class SimulationConfig:
             raise ConfigError("precond.alpha_p must be positive")
         if self.precond["rebuild_every"] < 1:
             raise ConfigError("precond.rebuild_every must be >= 1")
+        if self.mesh["kind"] == "cube":
+            # the checks of generate_structured_cube, made before any mesh is built
+            if any(count < 1 for count in self.mesh["n"]):
+                raise ConfigError(f"mesh.n must be three integers >= 1, got {list(self.mesh['n'])}")
+            if any(hi <= lo for lo, hi in self.mesh["bounds"]):
+                raise ConfigError("mesh.bounds: box must have positive extent in every "
+                                  f"axis, got {[list(axis) for axis in self.mesh['bounds']]}")
         m0 = self.field_cfg["m0"]
         if m0["kind"] == "constant" and not any(m0["value"]):
             raise ConfigError("field.m0.value must be a nonzero vector")
@@ -465,8 +472,8 @@ def tps_step(ctx, state):
         lam = lambda_field(mesh, m, f_plus_pi, coeffs.ell_ex2)
         weights = coeffs.wk(k, lam) / coeffs.alpha
     else:
-        # first-order: W_k is the constant alpha, the weight input is skipped
-        weights = np.ones(mesh.elem_count)
+        # first-order: W_k is the constant alpha, so the weighted mass is the mass
+        weights = None
 
     lh = lh_term(coeffs, m, state.m_nm1, ctx.applied, state.t_n, k, ctx.pi_cfg, mesh)
     system = fem.build_system(mesh, m, coeffs.alpha, ctx.beta_k, weights, lh,

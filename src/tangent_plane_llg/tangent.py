@@ -26,8 +26,6 @@ FIXED_INVOLUTIONS = {
 }
 _ADAPTIVE_ORDER = ["t1+", "t1-", "t2+", "t2-", "t3+", "t3-"]
 
-FRAME_STRATEGIES = ("householder", "signflip", "rotation")
-
 # Below this distance from -e3 the reflection vector w degenerates; use the
 # exact -e3 branch instead.
 _POLE_GUARD = 1e-8
@@ -37,65 +35,77 @@ class FrameError(ValueError):
     pass
 
 
-def _check_unit(m, tol=1e-12):
-    nrm = float(np.linalg.norm(m))
-    if abs(nrm - 1.0) > tol:
-        raise FrameError(f"frame input must be a unit vector, |m| = {nrm}")
+def _row_norms(v):
+    # sqrt of ddot per row: bit-identical to np.linalg.norm of each row alone
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _reflect(w):
+    """First two columns of I - 2 w w^T for each unit row w."""
+    return _E[:, :2] - 2.0 * (w[:, :, None] * w[:, None, :2])
+
+
+def _householder(m):
+    # reflection vector w = (m + e3)/|m + e3|; exact -e3 branch at the pole
+    w = m + _E[:, 2]
+    wn = _row_norms(w)
+    pole = wn < _POLE_GUARD
+    blocks = _reflect(w / np.where(pole, 1.0, wn)[:, None])
+    blocks[pole] = _E[:, :2]
+    return blocks
+
+
+def _signflip(m):
+    sigma = np.where(m[:, 2] >= 0, 1.0, -1.0)
+    w = m + sigma[:, None] * _E[:, 2]
+    return _reflect(w / _row_norms(w)[:, None])
+
+
+def _rotation(m):
+    # rotation about e3 x m carrying e3 onto m; first two columns span m-perp
+    axis = np.cross(_E[:, 2], m)
+    s = _row_norms(axis)
+    pole = s < _POLE_GUARD
+    a = axis / np.where(pole, 1.0, s)[:, None]
+    c = m[:, 2]
+    zero = np.zeros(len(m))
+    # first two columns of the cross-product matrix of a
+    K = np.stack([zero, -a[:, 2], a[:, 2], zero, -a[:, 1], a[:, 0]], axis=1).reshape(-1, 3, 2)
+    blocks = (c[:, None, None] * _E[:, :2] + s[:, None, None] * K
+              + (1 - c)[:, None, None] * (a[:, :, None] * a[:, None, :2]))
+    # the axis degenerates at m = +-e3: fall back to the reflection branch
+    blocks[pole] = _householder(m[pole])
+    return blocks
+
+
+# Batched frame constructions on (N, 3) unit rows, giving (N, 3, 2) blocks.
+_FRAME_BUILDERS = {"householder": _householder, "signflip": _signflip,
+                   "rotation": _rotation}
+FRAME_STRATEGIES = tuple(_FRAME_BUILDERS)
+
+
+def frame_columns(m, strategy="householder"):
+    """3x2 frame of one unit vector m.
+
+    householder: the reflection I - 2 w w^T with w = (m + e3)/|m + e3| maps
+    e3 to -m, so its first two columns are orthonormal and span the plane
+    orthogonal to m; at m = -e3 the limit branch [e1, e2, -e3] applies.
+    signflip: the same reflection about (m + sign(m_3) e3).  rotation: the
+    rotation about e3 x m carrying e3 onto m (householder at m = +-e3).
+    """
+    return build_frame(np.asarray(m, dtype=np.float64)[None], None, strategy).blocks[0]
 
 
 def householder_frame(m):
-    """3x2 frame from the reflection I - 2 w w^T with w = (m + e3)/|m + e3|.
-
-    The reflection maps e3 to -m, so its first two columns are orthonormal
-    and span the plane orthogonal to m.  At m = -e3 the limit branch
-    [e1, e2, -e3] applies.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    _check_unit(m)
-    w = m + _E[:, 2]
-    wn = np.linalg.norm(w)
-    if wn < _POLE_GUARD:
-        return np.column_stack([_E[:, 0], _E[:, 1]])
-    w = w / wn
-    return np.eye(3)[:, :2] - 2.0 * np.outer(w, w[:2])
-
-
-def _signflip_frame(m):
-    sigma = 1.0 if m[2] >= 0 else -1.0
-    w = m + sigma * _E[:, 2]
-    w = w / np.linalg.norm(w)
-    return np.eye(3)[:, :2] - 2.0 * np.outer(w, w[:2])
-
-
-def _rotation_frame(m):
-    # Rotation about e3 x m carrying e3 onto m; first two columns span m-perp.
-    axis = np.cross(_E[:, 2], m)
-    s = np.linalg.norm(axis)
-    if s < _POLE_GUARD:
-        # axis degenerates at m = +-e3: fall back to the reflection branch
-        return householder_frame(m)
-    axis = axis / s
-    c = m[2]
-    K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
-    rot = c * np.eye(3) + s * K + (1 - c) * np.outer(axis, axis)
-    return rot[:, :2]
+    """3x2 Householder frame of one unit vector (see frame_columns)."""
+    return frame_columns(m, "householder")
 
 
 def alt_frame(m, strategy):
     """Alternative frame constructions (sign-flip reflection or rotation)."""
-    m = np.asarray(m, dtype=np.float64)
-    _check_unit(m)
-    if strategy == "signflip":
-        return _signflip_frame(m)
-    if strategy == "rotation":
-        return _rotation_frame(m)
-    raise FrameError(f"unknown frame strategy {strategy!r}")
-
-
-def frame_columns(m, strategy="householder"):
     if strategy == "householder":
-        return householder_frame(m)
-    return alt_frame(m, strategy)
+        raise FrameError(f"unknown frame strategy {strategy!r}")
+    return frame_columns(m, strategy)
 
 
 @dataclass(frozen=True)
@@ -185,13 +195,14 @@ def build_frame(m, T=None, strategy="householder"):
     if strategy not in FRAME_STRATEGIES:
         raise FrameError(f"unknown frame strategy {strategy!r}")
 
-    n = len(m)
-    blocks = np.empty((n, 3, 2))
-    for i in range(n):
-        try:
-            blocks[i] = T @ frame_columns(T @ m[i], strategy)
-        except FrameError as exc:
-            raise FrameError(f"node {i}: {exc}") from exc
+    # with the signed permutations of FIXED_INVOLUTIONS both products are exact
+    mt = m @ T.T
+    nrm = _row_norms(mt)
+    bad = np.abs(nrm - 1.0) > 1e-12
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FrameError(f"node {i}: frame input must be a unit vector, |m| = {float(nrm[i])}")
+    blocks = T @ _FRAME_BUILDERS[strategy](mt)
     return TangentFrame(T=T, blocks=blocks, strategy=strategy)
 
 

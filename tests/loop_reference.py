@@ -1,0 +1,150 @@
+"""Per-node and per-element loop implementations kept as bit-identity oracles.
+
+These are the straightforward loop forms of the batched code in
+tangent_plane_llg: nodal frames built one node at a time, the Kuhn cube
+connectivity and the mesh checks built one element at a time, and the
+cross-product matrix assembled from the full 5-index element tensor.  The
+library's vectorized versions must reproduce their arrays bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+import scipy.sparse as sp
+
+from tangent_plane_llg.fem import _LOCAL_CUBIC
+
+_E = np.eye(3)
+_POLE_GUARD = 1e-8
+
+
+class LoopError(ValueError):
+    pass
+
+
+def _check_unit(m, tol=1e-12):
+    nrm = float(np.linalg.norm(m))
+    if abs(nrm - 1.0) > tol:
+        raise LoopError(f"frame input must be a unit vector, |m| = {nrm}")
+
+
+def householder_frame(m):
+    _check_unit(m)
+    w = m + _E[:, 2]
+    wn = np.linalg.norm(w)
+    if wn < _POLE_GUARD:
+        return np.column_stack([_E[:, 0], _E[:, 1]])
+    w = w / wn
+    return np.eye(3)[:, :2] - 2.0 * np.outer(w, w[:2])
+
+
+def signflip_frame(m):
+    _check_unit(m)
+    sigma = 1.0 if m[2] >= 0 else -1.0
+    w = m + sigma * _E[:, 2]
+    w = w / np.linalg.norm(w)
+    return np.eye(3)[:, :2] - 2.0 * np.outer(w, w[:2])
+
+
+def rotation_frame(m):
+    _check_unit(m)
+    axis = np.cross(_E[:, 2], m)
+    s = np.linalg.norm(axis)
+    if s < _POLE_GUARD:
+        return householder_frame(m)
+    axis = axis / s
+    c = m[2]
+    K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    rot = c * np.eye(3) + s * K + (1 - c) * np.outer(axis, axis)
+    return rot[:, :2]
+
+
+FRAMES = {"householder": householder_frame, "signflip": signflip_frame,
+          "rotation": rotation_frame}
+
+
+def frame_blocks(m, T, strategy):
+    """(N, 3, 2) blocks T frame(T m_i), one node at a time."""
+    m = np.asarray(m, dtype=np.float64)
+    T = np.asarray(T, dtype=np.float64)
+    blocks = np.empty((len(m), 3, 2))
+    for i in range(len(m)):
+        try:
+            blocks[i] = T @ FRAMES[strategy](T @ m[i])
+        except LoopError as exc:
+            raise LoopError(f"node {i}: {exc}") from exc
+    return blocks
+
+
+def _kuhn_paths():
+    paths = []
+    for perm in itertools.permutations(range(3)):
+        path = [np.zeros(3, dtype=np.int64)]
+        for axis in perm:
+            step = path[-1].copy()
+            step[axis] = 1
+            path.append(step)
+        paths.append(np.array(path))
+    return paths
+
+
+def cube_tets(n):
+    """Kuhn connectivity of an n[0] x n[1] x n[2] box, one element at a time."""
+    nx, ny, nz = (int(v) for v in n)
+
+    def nid(ix, iy, iz):
+        return (iz * (ny + 1) + iy) * (nx + 1) + ix
+
+    tets = np.empty((6 * nx * ny * nz, 4), dtype=np.int64)
+    e = 0
+    for iz in range(nz):
+        for iy in range(ny):
+            for ix in range(nx):
+                for path in _kuhn_paths():
+                    tets[e] = [nid(ix + p[0], iy + p[1], iz + p[2]) for p in path]
+                    e += 1
+    return tets
+
+
+def mesh_check_message(tets):
+    """The first repeated-index or conformity error of oriented tets, or None.
+
+    Messages match the library's, with the face printed as plain ints.
+    """
+    for e, t in enumerate(tets):
+        if len(set(t.tolist())) != 4:
+            return f"element {e} has repeated node indices {t.tolist()}"
+    faces = {}
+    for e, t in enumerate(tets):
+        for a, b, c in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]:
+            key = tuple(sorted((int(t[a]), int(t[b]), int(t[c]))))
+            faces[key] = faces.get(key, 0) + 1
+            if faces[key] > 2:
+                return f"face {key} shared by more than two elements (element {e})"
+    return None
+
+
+def assemble_cross(mesh, m):
+    """The cross matrix from the 5-index element tensor over a mostly-zero axis."""
+    vol = mesh.element_volumes()
+    mloc = np.asarray(m, dtype=np.float64)[mesh.tets]
+    axis = np.zeros((mesh.elem_count, 4, 3, 3))
+    axis[:, :, 0, 1] = mloc[:, :, 2]
+    axis[:, :, 1, 0] = -mloc[:, :, 2]
+    axis[:, :, 1, 2] = mloc[:, :, 0]
+    axis[:, :, 2, 1] = -mloc[:, :, 0]
+    axis[:, :, 2, 0] = mloc[:, :, 1]
+    axis[:, :, 0, 2] = -mloc[:, :, 1]
+    blocks = np.einsum("abc,ecpq->eabpq", _LOCAL_CUBIC, axis)
+    blocks *= vol[:, None, None, None, None]
+    gi = mesh.tets[:, :, None, None, None]
+    gj = mesh.tets[:, None, :, None, None]
+    p = np.arange(3)[None, None, None, :, None]
+    q = np.arange(3)[None, None, None, None, :]
+    rows = np.broadcast_to(3 * gi + p, blocks.shape).ravel()
+    cols = np.broadcast_to(3 * gj + q, blocks.shape).ravel()
+    data = blocks.ravel()
+    keep = rows < cols
+    n3 = 3 * mesh.N
+    upper = sp.coo_array((data[keep], (rows[keep], cols[keep])), shape=(n3, n3)).tocsr()
+    return (upper - upper.T).tocsr()

@@ -1,0 +1,75 @@
+"""The program attributes that bench/instrument.py wraps exist and are used.
+
+The benchmark times the program by replacing module and class attributes
+for one round.  A renamed or removed attribute, or a call that no longer
+goes through the wrapped name, would only show when the benchmark runs;
+this test installs the benchmark's own probes, runs a small sweep through
+them and restores them.
+"""
+
+import json
+import pathlib
+import types
+
+import numpy as np
+import pytest
+
+from tangent_plane_llg import cli, fem, gmres, precond, scheme
+
+from conftest import UNIT_BOUNDS
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+# every span of Tracer(layers=True) that a tps2 sweep over practical and
+# theoretical must pass through
+SPANS = ["mesh.build", "mesh.quality", "scheme.setup", "scheme.step", "scheme.run",
+         "scheme.lambda", "scheme.project", "scheme.energy", "tangent.select",
+         "tangent.frame", "tangent.q", "fem.static", "fem.system", "fem.cross",
+         "fem.weighted_mass", "fem.rhs", "precond.build", "precond.factor",
+         "precond.apply", "gmres.solve", "gmres.matvec"]
+
+
+@pytest.fixture
+def instrument(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import instrument
+    return instrument
+
+
+def attribute_ids(owners):
+    return [{name: id(value) for name, value in vars(owner).items()} for owner in owners]
+
+
+def test_benchmark_probes_install_run_and_restore(instrument, tmp_path):
+    pkg = types.SimpleNamespace(cli=cli, scheme=scheme, fem=fem, precond=precond,
+                                gmres=gmres)
+    owners = [cli, scheme, fem, precond, gmres, scheme.SimulationConfig,
+              precond.Preconditioner, gmres.ReducedOperator]
+    before = attribute_ids(owners)
+    doc = {
+        "scheme": "tps2", "alpha": 0.5, "ell_ex2": 10.0, "T": 0.02, "k": 0.01,
+        "mesh": {"kind": "cube", "bounds": UNIT_BOUNDS, "n": [2, 2, 2]},
+        "field": {"m0": {"kind": "spiral", "turns": 1.0}},
+        "sweep": {"precond": ["practical", "theoretical"]},
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+
+    tracer = instrument.Tracer(pkg, layers=True)
+    recorder = instrument.Recorder(pkg, str(out), None, np.random.default_rng(0), tracer)
+    patches = instrument.Patches()
+    try:
+        tracer.install(patches)
+        recorder.install(patches)
+        assert attribute_ids(owners) != before
+        code = cli.run_experiment(str(config), out_dir=str(out))
+    finally:
+        patches.restore()
+    assert attribute_ids(owners) == before
+
+    assert code == 0
+    assert [p.kind for p in recorder.points] == ["practical", "theoretical"]
+    assert [p.failures for p in recorder.points] == [[], []]
+    assert tracer.reconcile() == []
+    assert [name for name in SPANS if tracer.calls[name] == 0] == []

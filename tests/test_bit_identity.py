@@ -1,0 +1,175 @@
+"""The batched frames, mesh build and assembly against their loop forms.
+
+At a GMRES tolerance of 1e-14 the iteration counts react to the last bit of
+the assembled matrices, so the vectorized code must reproduce the loop
+implementations of loop_reference exactly (np.array_equal), not within a
+tolerance.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+
+import loop_reference as ref
+from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, MeshError, assemble_cross,
+                               assemble_mass, assemble_weighted_mass, build_frame,
+                               build_system, generate_structured_cube)
+from tangent_plane_llg.fem import apply_componentwise
+import tangent_plane_llg.mesh as mesh_mod
+from tangent_plane_llg.mesh import _check_conforming
+from tangent_plane_llg.tangent import FRAME_STRATEGIES, FrameError
+
+from conftest import UNIT_BOUNDS, random_unit_field
+
+SIGNED_AXES = np.vstack([np.eye(3), -np.eye(3)])
+E3 = np.array([0.0, 0.0, 1.0])
+
+
+def unit_rows(m):
+    return m / np.linalg.norm(m, axis=1)[:, None]
+
+
+def frame_fields():
+    rng = np.random.default_rng(41)
+    near = SIGNED_AXES[rng.integers(0, 6, 600)] + 1e-9 * rng.standard_normal((600, 3))
+    exact = SIGNED_AXES[rng.integers(0, 6, 60)]
+    return {
+        "random": random_unit_field(2000, seed=42),
+        "signed_axes": np.vstack([SIGNED_AXES, [[-0.0, 0.0, -1.0], [0.0, -0.0, 1.0]]]),
+        "near_axes": np.vstack([exact, unit_rows(near)]),
+    }
+
+
+@pytest.mark.parametrize("strategy", FRAME_STRATEGIES)
+@pytest.mark.parametrize("key", sorted(FIXED_INVOLUTIONS))
+@pytest.mark.parametrize("field", ["random", "signed_axes", "near_axes"])
+def test_frames_match_nodal_loop(strategy, key, field):
+    m = frame_fields()[field]
+    T = FIXED_INVOLUTIONS[key]
+    blocks = build_frame(m, T, strategy).blocks
+    assert np.array_equal(blocks, ref.frame_blocks(m, T, strategy))
+
+
+def test_frame_unit_error_names_first_failing_node():
+    m = random_unit_field(50, seed=43)
+    m[[17, 31]] *= 1.0 + 1e-9
+    with pytest.raises(ref.LoopError) as loop_err:
+        ref.frame_blocks(m, FIXED_INVOLUTIONS["t2+"], "rotation")
+    with pytest.raises(FrameError) as err:
+        build_frame(m, FIXED_INVOLUTIONS["t2+"], "rotation")
+    assert str(err.value) == str(loop_err.value)
+    assert str(err.value).startswith("node 17: ")
+
+
+def _near_axis_vectors():
+    axis = st.sampled_from([tuple(v) for v in SIGNED_AXES])
+    offset = st.tuples(*[st.floats(-1e-9, 1e-9)] * 3)
+    near = st.builds(lambda a, d: np.add(a, d), axis, offset)
+    free = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.dot(v, v) > 1e-6)
+    vec = st.one_of(axis.map(np.array), near, free.map(np.array))
+    return vec.map(lambda v: v / np.linalg.norm(v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_near_axis_vectors(), min_size=1, max_size=12),
+       st.sampled_from(FRAME_STRATEGIES), st.sampled_from(sorted(FIXED_INVOLUTIONS)))
+def test_batched_frames_property(vectors, strategy, key):
+    m = np.array(vectors)
+    T = FIXED_INVOLUTIONS[key]
+    blocks = build_frame(m, T, strategy).blocks
+    gram = np.einsum("npi,npj->nij", blocks, blocks)
+    assert np.abs(gram - np.eye(2)).max() <= 1e-13
+    # tangent to m; the reflection and the rotation lose accuracy as
+    # eps / d within d of the poles, up to the pole guard of 1e-8
+    mt = m @ T.T
+    d = np.minimum(np.linalg.norm(mt + E3, axis=1), np.linalg.norm(mt - E3, axis=1))
+    slack = 0.0 if strategy == "signflip" else 2e-15 / np.maximum(d, 1e-300)
+    assert (np.abs(np.einsum("npi,np->ni", blocks, m)).max(axis=1) <= 1e-13 + slack).all()
+    # pole branch: where T m = -e3 exactly the reflection degenerates and
+    # the frame is T [e1, e2] (the rotation falls back to it at +-e3)
+    pole = np.all(mt == [0.0, 0.0, -1.0], axis=1)
+    if strategy == "rotation":
+        pole |= np.all(mt == [0.0, 0.0, 1.0], axis=1)
+    if strategy != "signflip":
+        assert np.array_equal(blocks[pole], np.broadcast_to(T[:, :2], blocks[pole].shape))
+
+
+@pytest.mark.parametrize("n", [(1, 1, 1), (2, 2, 2), (3, 1, 2), (2, 5, 3), (7, 7, 7)])
+def test_cube_tets_match_element_loop(n, monkeypatch):
+    # the connectivity handed to Mesh, before orientation is normalized
+    built = []
+    monkeypatch.setattr(mesh_mod, "Mesh", lambda nodes, tets: built.append(tets))
+    generate_structured_cube(UNIT_BOUNDS, n)
+    assert built[0].dtype == np.int64
+    assert np.array_equal(built[0], ref.cube_tets(n))
+
+
+def _mesh_error(nodes, tets):
+    try:
+        Mesh(nodes, tets)
+    except MeshError as exc:
+        return str(exc)
+    return None
+
+
+def test_mesh_checks_report_the_loops_first_element():
+    cube = generate_structured_cube(UNIT_BOUNDS, (3, 3, 3))
+    rng = np.random.default_rng(44)
+    for trial in range(60):
+        tets = cube.tets.copy()
+        if trial % 2:
+            # elements repeated at random places: some face is seen three times
+            picks = rng.integers(0, len(tets), rng.integers(1, 4))
+            tets = np.insert(tets, rng.integers(0, len(tets), len(picks)), tets[picks], axis=0)
+        else:
+            bad = rng.integers(0, len(tets), 3)
+            tets[bad, rng.integers(0, 4, 3)] = tets[bad, rng.integers(0, 4, 3)]
+        expected = ref.mesh_check_message(tets)
+        assert _mesh_error(cube.nodes, tets) == expected, trial
+
+
+def test_conformity_check_with_large_node_ids():
+    # beyond 2**21 nodes the scalar face keys would overflow int64
+    tets = generate_structured_cube(UNIT_BOUNDS, (2, 2, 2)).tets + 3_000_000
+    _check_conforming(tets)
+    tets = np.vstack([tets, tets[[9, 30]]])
+    with pytest.raises(MeshError) as err:
+        _check_conforming(tets)
+    assert str(err.value) == ref.mesh_check_message(tets)
+
+
+def _cross_fields(n_nodes):
+    planar = random_unit_field(n_nodes, seed=45)
+    planar[:, 2] = 0.0
+    planar = unit_rows(planar)
+    planar[::3] = [0.0, 0.0, -1.0]
+    return [random_unit_field(n_nodes, seed=46), planar,
+            np.tile([0.0, 0.0, 1.0], (n_nodes, 1))]
+
+
+@pytest.mark.parametrize("n", [(1, 1, 1), (2, 3, 4), (6, 6, 6)])
+def test_cross_csr_arrays_match_element_tensor(n):
+    mesh = generate_structured_cube(UNIT_BOUNDS, n)
+    for m in _cross_fields(mesh.N):
+        new, old = assemble_cross(mesh, m), ref.assemble_cross(mesh, m)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+
+
+def test_tps1_weighted_mass_is_mass_and_applies_like_kron(cube2, rng):
+    mass = assemble_mass(cube2)
+    assert (assemble_weighted_mass(cube2, np.ones(cube2.elem_count)) != mass).nnz == 0
+    m = random_unit_field(cube2.N, seed=47)
+    lh = rng.standard_normal((cube2.N, 3))
+    weights = 0.5 + rng.random(cube2.elem_count)
+    eye3 = sp.identity(3, format="csr")
+    for w in (None, weights):
+        sys_ = build_system(cube2, m, 0.5, 0.1, w, lh, 10.0)
+        wm = mass if w is None else assemble_weighted_mass(cube2, w)
+        kron = sp.kron(wm, eye3, format="csr")
+        v = rng.standard_normal(3 * cube2.N)
+        assert np.array_equal(apply_componentwise(sys_.weighted_mass, v), kron @ v)
+        assert np.array_equal(sys_.apply(v), 0.5 * (kron @ v)
+                              + 0.1 * apply_componentwise(sys_.stiffness, v)
+                              - sys_.cross @ v)

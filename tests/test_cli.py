@@ -191,6 +191,9 @@ EXIT_CODE_ROWS = [
      "field.applied.value"),
     # finite input whose right-hand side overflows: GMRES fails in step 0
     ("field.applied", {"kind": "constant", "value": [1e308, 1e308, 0]}, 3, "step 0"),
+    # cube boxes the mesh generator rejects, caught before any mesh is built
+    ("mesh.n", [4, 0, 4], 2, "mesh.n must be three integers >= 1"),
+    ("mesh.bounds", [[0, 1], [0, 1], [1, 0]], 2, "mesh.bounds"),
 ]
 
 
@@ -226,3 +229,54 @@ def test_bundled_configs_resolve(path, monkeypatch):
     doc = json.loads(path.read_text())
     configs = [_point_config(doc, *point) for point in _sweep_points(doc)]
     assert configs and all(cfg.k == doc["k"] for cfg in configs)
+
+
+def test_bad_box_in_a_later_sweep_point_exits_before_point_0(tmp_path, capsys):
+    doc = json.loads((REPO / "configs" / "academic_lite.json").read_text())
+    doc["T"] = doc["k"]
+    flat = {"kind": "cube", "bounds": [[0, 1], [1, 1], [0, 1]], "n": [4, 4, 4]}
+    doc["sweep"] = {"mesh": [doc["mesh"], flat]}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mesh.bounds") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_build_mesh_once_per_point(tmp_path, monkeypatch):
+    built = []
+    build_mesh = SimulationConfig.build_mesh
+
+    def counting(cfg):
+        built.append(cfg.mesh["n"])
+        return build_mesh(cfg)
+
+    monkeypatch.setattr(SimulationConfig, "build_mesh", counting)
+    doc = academic_sweep_doc(n_levels=(2, 3), preconds=("stationary",))
+    assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+    assert built == [(2, 2, 2), (3, 3, 3)]
+
+
+def test_precond_flag_pins_the_swept_axis(tmp_path):
+    doc = json.loads((REPO / "configs" / "academic_lite.json").read_text())
+    doc["T"] = doc["k"]
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out),
+                 "--precond", "jacobi"]) == 0
+    _, rows = read_summary(out)
+    assert [row["precond"] for row in rows] == ["jacobi"] * len(doc["sweep"]["mesh"])
+
+
+@pytest.mark.parametrize("flag, value, axis, values, column, written", [
+    ("--alpha-p", "2", "alpha_p", [1.0, 0.5], "alpha_p", "2.0"),
+    ("--tn", "t1+", "tn", ["t3-", "adaptive"], "tn_mode", "t1+"),
+])
+def test_run_flags_pin_their_sweep_axis(tmp_path, flag, value, axis, values, column,
+                                        written):
+    doc = academic_sweep_doc(n_levels=(2,), preconds=("stationary",))
+    doc["T"] = doc["k"]
+    doc["sweep"][axis] = values
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out), flag, value]) == 0
+    _, rows = read_summary(out)
+    assert [row[column] for row in rows] == [written]

@@ -52,9 +52,14 @@ def test_stiffness_psd(cube2, rng):
 
 
 def test_weighted_mass_unit_weight_is_kron(cube2):
+    # the N x N weighted mass with unit weight is the mass matrix, so its
+    # 3N form is the mass tensored with the identity, bit for bit
+    mass = assemble_mass(cube2)
     mk = assemble_weighted_mass(cube2, np.ones(cube2.elem_count))
-    kron = sp.kron(assemble_mass(cube2), sp.identity(3, format="csr"), format="csr")
-    assert (mk != kron).nnz == 0
+    assert mk.shape == (cube2.N, cube2.N)
+    assert (mk != mass).nnz == 0
+    eye3 = sp.identity(3, format="csr")
+    assert (sp.kron(mk, eye3, format="csr") != sp.kron(mass, eye3, format="csr")).nnz == 0
 
 
 def test_weighted_mass_linearity(cube2):
@@ -144,7 +149,7 @@ def test_system_positive_definite(cube2, rng):
                         lh=np.zeros((cube2.N, 3)), ell_ex2=10.0)
     for _ in range(100):
         x = rng.standard_normal(3 * cube2.N)
-        sym_part = sys_.alpha * (x @ (sys_.weighted_mass @ x)) \
+        sym_part = sys_.alpha * (x @ apply_componentwise(sys_.weighted_mass, x)) \
             + sys_.beta_k * (x @ apply_componentwise(sys_.stiffness, x))
         assert sym_part > 0
         assert x @ (sys_.apply(x)) > 0

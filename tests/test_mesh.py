@@ -114,6 +114,23 @@ def test_repeated_node_in_element_rejected():
         Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2, 2]])
 
 
+def test_mesh_errors_name_the_first_bad_element(cube1):
+    # the element at which, in element order, a face is seen a third time;
+    # the face is printed as plain ints
+    with pytest.raises(MeshError) as err:
+        Mesh(cube1.nodes, np.vstack([cube1.tets, cube1.tets[[0]]]))
+    assert str(err.value) == "face (0, 1, 7) shared by more than two elements (element 6)"
+    with pytest.raises(MeshError) as err:
+        Mesh(cube1.nodes, np.vstack([cube1.tets[[2]], cube1.tets]))
+    assert str(err.value) == "face (0, 3, 7) shared by more than two elements (element 3)"
+    tets = cube1.tets.copy()
+    tets[4, 3] = tets[4, 1]
+    tets[5, 0] = tets[5, 2]
+    with pytest.raises(MeshError) as err:
+        Mesh(cube1.nodes, tets)
+    assert str(err.value) == "element 4 has repeated node indices [0, 4, 5, 4]"
+
+
 @pytest.mark.parametrize("k", [1, 2, 4])
 @pytest.mark.parametrize("d", [1, 3])
 def test_nodal_l2_scaling_equivalence(k, d):

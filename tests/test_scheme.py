@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from tangent_plane_llg import (SchemeCoefficients, SimulationConfig,
                                lambda_field, lh_term, normalize_update,
@@ -217,12 +216,24 @@ class TestStep:
         residual = np.abs(op.matvec(x) - rhs).max()
         assert residual <= 1e-9 * np.abs(rhs).max()
 
-    def test_tps1_weighted_mass_is_plain_mass(self):
+    def test_tps1_weighted_mass_is_plain_mass(self, monkeypatch):
         import tangent_plane_llg.fem as fem
         ctx = StepContext(SimulationConfig.from_dict(academic_config()))
         mk = fem.assemble_weighted_mass(ctx.mesh, np.ones(ctx.mesh.elem_count))
-        kron = sp.kron(ctx.mass, sp.identity(3, format="csr"), format="csr")
-        assert (mk != kron).nnz == 0
+        assert (mk != ctx.mass).nnz == 0
+        # without weights the system takes the static mass, and a tps1 step
+        # assembles no weighted mass
+        st = ctx.initial_state()
+        sys_ = fem.build_system(ctx.mesh, st.m_n, ctx.coeffs.alpha, ctx.beta_k, None,
+                                np.zeros((ctx.mesh.N, 3)), ctx.coeffs.ell_ex2,
+                                mass=ctx.mass, stiffness=ctx.stiffness)
+        assert sys_.weighted_mass is ctx.mass
+
+        def no_assembly(mesh, weights):
+            raise AssertionError("tps1 step assembled a weighted mass")
+
+        monkeypatch.setattr(fem, "assemble_weighted_mass", no_assembly)
+        tps_step(ctx, st)
 
     def test_projection_free_norms_grow(self):
         cfg = SimulationConfig.from_dict(academic_config(
