@@ -1,15 +1,18 @@
 """Restarted, left-preconditioned GMRES with full residual-history reporting.
 
-Arnoldi with (single-pass) modified Gram-Schmidt and Givens-rotation least
-squares.  Convergence is measured on the preconditioned residual, the
-quantity the iteration minimizes under left preconditioning; the check
-precedes any restart.  Defaults: tolerance 1e-14, restart length 200,
-zero initial guess.
+Arnoldi by classical Gram-Schmidt applied twice (CGS2: as well conditioned as
+modified Gram-Schmidt, in four matrix-vector products; one pass is not
+enough) and Givens-rotation least squares.  Convergence is measured on the
+preconditioned residual, the quantity the iteration minimizes under left
+preconditioning; the check precedes any restart.  Defaults: tolerance
+1e-14, restart length 200, zero initial guess.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .tangent import apply_q, apply_qt
 
@@ -49,8 +52,7 @@ class SolverStats:
     breakdown: bool = False
 
 
-def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000,
-                reorthogonalize=False):
+def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
     """Solve P A x = P b; returns (x, SolverStats).
 
     op provides the action of A (object with .matvec or a callable); precond
@@ -94,15 +96,17 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000,
         return np.zeros(n), stats
     threshold = tol * norm_pb
 
-    basis = np.empty((restart + 1, n))
+    # rows on 64-byte boundaries: Gram-Schmidt cost independent of the heap layout
+    stride = -(-n // 8) * 8
+    raw = np.empty((restart + 1) * stride + 8)
+    basis = raw[(-raw.ctypes.data % 64) // 8:][:(restart + 1) * stride].reshape(-1, stride)[:, :n]
     hess = np.zeros((restart + 1, restart))
-    cs = np.zeros(restart)
-    sn = np.zeros(restart)
 
     while True:
         # explicit preconditioned residual; convergence check precedes restart
-        r = pb.copy() if not x.any() else apply_precond(b - apply_operator(x))
-        if not x.any():
+        zero_start = not x.any()
+        r = pb.copy() if zero_start else apply_precond(b - apply_operator(x))
+        if zero_start:
             stats.op_applies += 1
             stats.precond_applies += 1
         stats.residual_computations += 1
@@ -122,24 +126,19 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000,
             stats.restarts += 1
 
         basis[0] = r / beta
-        g = np.zeros(restart + 1)
-        g[0] = beta
-        hess[:] = 0.0
-        j = -1
+        g = [beta]
+        rotations = []
         happy = False
         for j in range(restart):
             w = apply_precond(apply_operator(basis[j]))
             norm_before = float(np.linalg.norm(w))
-            for i in range(j + 1):
-                hess[i, j] = basis[i] @ w
-                w -= hess[i, j] * basis[i]
-            if reorthogonalize:
-                for i in range(j + 1):
-                    corr = basis[i] @ w
-                    hess[i, j] += corr
-                    w -= corr * basis[i]
+            v = basis[:j + 1]
+            h = v @ w
+            w -= h @ v
+            h2 = v @ w
+            w -= h2 @ v
+            h += h2
             hij = float(np.linalg.norm(w))
-            hess[j + 1, j] = hij
             if not np.isfinite(hij):
                 raise GmresError(f"non-finite Arnoldi vector at iteration {stats.iterations}")
             if hij <= 1e-14 * max(norm_before, 1e-300):
@@ -149,31 +148,31 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000,
                 basis[j + 1] = w / hij
 
             # Givens update of column j and the residual norm estimate
-            for i in range(j):
-                t = cs[i] * hess[i, j] + sn[i] * hess[i + 1, j]
-                hess[i + 1, j] = -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j]
-                hess[i, j] = t
-            denom = np.hypot(hess[j, j], hess[j + 1, j])
+            col = h.tolist()
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], -s * col[i] + c * col[i + 1]
+            denom = math.hypot(col[j], hij)
             if denom == 0.0:
                 raise GmresError(
                     f"singular Hessenberg column at iteration {stats.iterations} "
                     "(operator not positive definite?)"
                 )
-            cs[j] = hess[j, j] / denom
-            sn[j] = hess[j + 1, j] / denom
-            hess[j, j] = denom
-            hess[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
+            c, s = col[j] / denom, hij / denom
+            rotations.append((c, s))
+            col[j] = denom
+            hess[:j + 1, j] = col
+            g.append(-s * g[j])
+            g[j] = c * g[j]
 
             stats.iterations += 1
             stats.residual_history.append(abs(g[j + 1]))
             if happy or abs(g[j + 1]) <= threshold or stats.iterations >= maxit:
                 break
 
-        # update x from the least-squares solution in the current subspace
+        # update x from the least-squares solution in the current subspace;
+        # only the upper triangle of hess is read, and this cycle wrote it
         k = j + 1
-        y = np.linalg.solve(np.triu(hess[:k, :k]), g[:k])
+        y = solve_triangular(hess[:k, :k], g[:k])
         x = x + basis[:k].T @ y
         if happy:
             r = apply_precond(b - apply_operator(x))

@@ -218,7 +218,7 @@ CONFIG_TABLE = {
             "spiral": {"turns": 1.0},
         }),
     },
-    "solver": {"tol": 1e-14, "restart": 200, "maxit": 100000, "reorthogonalize": False},
+    "solver": {"tol": 1e-14, "restart": 200, "maxit": 100000},
     "precond": {"kind": Choice("stationary", precond_mod.PRECONDITIONER_KINDS),
                 "alpha_p": 1.0, "rebuild_every": 1},
     "frame": {"tn": Choice("adaptive", TN_MODES),

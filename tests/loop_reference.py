@@ -1,10 +1,15 @@
-"""Per-node and per-element loop implementations kept as bit-identity oracles.
+"""Per-node and per-element loop implementations kept as oracles.
 
 These are the straightforward loop forms of the batched code in
 tangent_plane_llg: nodal frames built one node at a time, the Kuhn cube
 connectivity and the mesh checks built one element at a time, and the
 cross-product matrix assembled from the full 5-index element tensor.  The
 library's vectorized versions must reproduce their arrays bit for bit.
+
+gmres_solve is the restarted GMRES whose Arnoldi step orthogonalizes one
+basis vector at a time (single-pass modified Gram-Schmidt, or one classical
+Gram-Schmidt pass).  The library's CGS2 sums in another order, so it is
+compared to a tolerance and by iteration count, not bit for bit.
 """
 
 import itertools
@@ -13,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from tangent_plane_llg.fem import _LOCAL_CUBIC
+from tangent_plane_llg.gmres import SolverStats
 
 _E = np.eye(3)
 _POLE_GUARD = 1e-8
@@ -148,3 +154,89 @@ def assemble_cross(mesh, m):
     n3 = 3 * mesh.N
     upper = sp.coo_array((data[keep], (rows[keep], cols[keep])), shape=(n3, n3)).tocsr()
     return (upper - upper.T).tocsr()
+
+
+def mgs(basis, w):
+    """Single-pass modified Gram-Schmidt of w against the rows of basis, in place."""
+    h = np.empty(len(basis))
+    for i in range(len(basis)):
+        h[i] = basis[i] @ w
+        w -= h[i] * basis[i]
+    return h
+
+
+def cgs(basis, w):
+    """One classical Gram-Schmidt pass of w against the rows of basis, in place."""
+    h = basis @ w
+    w -= h @ basis
+    return h
+
+
+def gmres_solve(op, precond, b, tol=1e-14, restart=200, maxit=100000,
+                orthogonalize=mgs):
+    """Restarted left-preconditioned GMRES from a zero initial guess, with the
+    library's stopping rule, happy-breakdown test and explicit-residual
+    restarts; returns (x, SolverStats) with iterations, restarts, converged
+    and final_relative_residual set."""
+    matvec = op.matvec if hasattr(op, "matvec") else op
+    papply = (lambda r: r.copy()) if precond is None else precond.apply
+    b = np.asarray(b, dtype=np.float64)
+    n = b.shape[0]
+    stats = SolverStats()
+    x = np.zeros(n)
+    pb = papply(b)
+    norm_pb = float(np.linalg.norm(pb))
+    threshold = tol * norm_pb
+    basis = np.empty((restart + 1, n))
+    hess = np.zeros((restart + 1, restart))
+    cs = np.zeros(restart)
+    sn = np.zeros(restart)
+    while True:
+        r = pb.copy() if not x.any() else papply(b - matvec(x))
+        stats.residual_computations += 1
+        beta = float(np.linalg.norm(r))
+        stats.final_relative_residual = beta / norm_pb
+        if beta <= threshold:
+            stats.converged = True
+            return x, stats
+        if stats.iterations >= maxit:
+            return x, stats
+        if stats.residual_computations > 1:
+            stats.restarts += 1
+        basis[0] = r / beta
+        g = np.zeros(restart + 1)
+        g[0] = beta
+        hess[:] = 0.0
+        happy = False
+        for j in range(restart):
+            w = papply(matvec(basis[j]))
+            norm_before = float(np.linalg.norm(w))
+            hess[:j + 1, j] = orthogonalize(basis[:j + 1], w)
+            hij = float(np.linalg.norm(w))
+            hess[j + 1, j] = hij
+            if hij <= 1e-14 * max(norm_before, 1e-300):
+                happy = True
+            else:
+                basis[j + 1] = w / hij
+            for i in range(j):
+                t = cs[i] * hess[i, j] + sn[i] * hess[i + 1, j]
+                hess[i + 1, j] = -sn[i] * hess[i, j] + cs[i] * hess[i + 1, j]
+                hess[i, j] = t
+            denom = np.hypot(hess[j, j], hess[j + 1, j])
+            cs[j] = hess[j, j] / denom
+            sn[j] = hess[j + 1, j] / denom
+            hess[j, j] = denom
+            hess[j + 1, j] = 0.0
+            g[j + 1] = -sn[j] * g[j]
+            g[j] = cs[j] * g[j]
+            stats.iterations += 1
+            if happy or abs(g[j + 1]) <= threshold or stats.iterations >= maxit:
+                break
+        k = j + 1
+        x = x + basis[:k].T @ np.linalg.solve(np.triu(hess[:k, :k]), g[:k])
+        if happy:
+            r = papply(b - matvec(x))
+            beta = float(np.linalg.norm(r))
+            stats.final_relative_residual = beta / norm_pb
+            stats.converged = beta <= threshold
+            return x, stats

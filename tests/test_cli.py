@@ -194,6 +194,8 @@ EXIT_CODE_ROWS = [
     # cube boxes the mesh generator rejects, caught before any mesh is built
     ("mesh.n", [4, 0, 4], 2, "mesh.n must be three integers >= 1"),
     ("mesh.bounds", [[0, 1], [0, 1], [1, 0]], 2, "mesh.bounds"),
+    # the Arnoldi step always orthogonalizes twice; the old switch is unknown
+    ("solver.reorthogonalize", True, 2, "solver.reorthogonalize"),
 ]
 
 

@@ -334,15 +334,6 @@ def test_zhang_li_simulation_end_to_end():
     assert np.abs(res.final_state.m_n - res.states[0].m_n).max() > 1e-8
 
 
-def test_solver_reorthogonalize_flag_accepted():
-    cfg = SimulationConfig.from_dict(academic_config(
-        T=0.01, solver={"tol": 1e-14, "restart": 200, "maxit": 100000,
-                        "reorthogonalize": True},
-        field={"m0": {"kind": "spiral", "turns": 1.0}}))
-    res = run_simulation(cfg)
-    assert res.records[0].final_residual <= 1e-13
-
-
 def test_single_step_matches_dense_oracle_step():
     """Full step cross-check: solve the same step system densely, apply the
     same normalization, and compare the advanced field nodally."""
