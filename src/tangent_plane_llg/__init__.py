@@ -21,7 +21,6 @@ from .physics import (AppliedFieldConfig, PiConfig, SIParameters,
                       mumag5_spin_velocity, nondimensionalize, pi_apply)
 from .scheme import (SchemeCoefficients, SimulationConfig, SolverFailure,
                      StepContext, TimeStepState, lambda_field, lh_term,
-                     normalize_update, run_simulation, tps_step, wk_eval)
-from .tangent import (FIXED_INVOLUTIONS, FrameSelection, TangentFrame,
-                      alt_frame, apply_q, apply_qt, build_frame, frame_gamma,
-                      householder_frame, select_tn_adaptive)
+                     normalize_update, run_simulation, tps_step)
+from .tangent import (FIXED_INVOLUTIONS, FrameSelection, TangentFrame, apply_q,
+                      apply_qt, build_frame, frame_gamma, select_tn_adaptive)

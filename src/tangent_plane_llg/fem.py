@@ -1,16 +1,20 @@
 """P1 finite element assembly on tetrahedra.
 
-Scalar mass, stiffness and weighted-mass matrices are stored N x N; their
-block-diagonal action on 3-vector fields is applied componentwise (the 3N
-forms are these blocks tensored with the 3x3 identity).  The
-magnetization-dependent cross-product matrix is assembled at the 3N level.
+Every matrix lives on the N x N node-adjacency pattern of the mesh
+(Mesh.adjacency): an element-assembled matrix is one np.bincount of the
+element contributions over the pattern's slots, so each entry is summed
+element by element in element order.  Mass, stiffness and weighted mass are
+N x N CSR matrices on that pattern.  The cross-product form and the 3N
+system matrix are 3x3-block (BSR) matrices on the same pattern: block
+(i, j) of the cross form is sum_d C_d[ij] E_d, with C_d the mass matrix
+weighted by the P1 function m_d and E_d[p, q] = e_d . (e_p x e_q) a skew
+3x3 generator.
 
 All integrals of polynomial integrands use the exact barycentric moment
 formula, so no quadrature error enters any of the assembled matrices.
 """
 
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,12 +38,23 @@ for _a in range(4):
             _LOCAL_CUBIC[_a, _b, _c] = {3: 1 / 120, 2: 1 / 60, 1: 1 / 20}[reps]
 
 
+# The skew generators of the cross form: _LEVI_CIVITA[d] = E_d with
+# E_d[p, q] = e_d . (e_p x e_q).
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+_LEVI_CIVITA[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_LEVI_CIVITA[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
+
+
+def _scatter(mesh, local_data):
+    """Sum (M,4,4) element contributions onto the mesh pattern, in element order."""
+    _, indices, slot = mesh.adjacency()
+    return np.bincount(slot.ravel(), weights=local_data.ravel(), minlength=len(indices))
+
+
 def _scatter_scalar(mesh, local_data):
     """Assemble (M,4,4) local contributions into a CSR N x N matrix."""
-    rows = np.repeat(mesh.tets, 4, axis=1).ravel()
-    cols = np.tile(mesh.tets, (1, 4)).ravel()
-    mat = sp.coo_array((local_data.ravel(), (rows, cols)), shape=(mesh.N, mesh.N))
-    return mat.tocsr()
+    indptr, indices, _ = mesh.adjacency()
+    return sp.csr_array((_scatter(mesh, local_data), indices, indptr), shape=(mesh.N, mesh.N))
 
 
 def assemble_mass(mesh):
@@ -72,67 +87,28 @@ def assemble_weighted_mass(mesh, weights):
     return _scatter_scalar(mesh, (weights * vol)[:, None, None] * _LOCAL_MASS[None])
 
 
-# Per-mesh index data of assemble_cross, dropped with the mesh.
-_CROSS_PATTERNS = weakref.WeakKeyDictionary()
-
-
-def _cross_pattern(mesh):
-    """Strictly-upper entries of the element blocks of the cross matrix.
-
-    Entry ((i,p),(j,q)) of element e's block is sign(p,q) times
-    values[a,b,d,e] with d the axis orthogonal to p and q; for p = q it is
-    a zero (sign 0).  Returns the rows and columns of the entries with
-    row < col, in element-block order, the flat index of their value and
-    their sign; the indices are int32 unless the mesh is too large for it.
-    """
-    pattern = _CROSS_PATTERNS.get(mesh)
-    if pattern is None:
-        # e_p x e_q = sign[p, q] e_{axis[p, q]}
-        sign = np.array([0, 1, -1, -1, 0, 1, 1, -1, 0], dtype=np.int8)
-        axis = np.array([0, 2, 1, 2, 1, 0, 1, 0, 2])
-        index = np.int32 if max(3 * mesh.N, 48 * mesh.elem_count) < 2**31 else np.int64
-        gi = 3 * mesh.tets.astype(index)
-        shape = (mesh.elem_count, 4, 4, 3, 3)
-        p = np.arange(3, dtype=index)
-        rows = np.broadcast_to(gi[:, :, None, None, None] + p[:, None], shape).ravel()
-        cols = np.broadcast_to(gi[:, None, :, None, None] + p, shape).ravel()
-        keep = np.flatnonzero(rows < cols)
-        pq = keep % 9
-        # flat index into the (4, 4, 3, M) value array of assemble_cross
-        value = ((keep // 9 % 16) * 3 + axis[pq]) * mesh.elem_count + keep // 144
-        pattern = (rows[keep], cols[keep], value.astype(index), sign[pq])
-        _CROSS_PATTERNS[mesh] = pattern
-    return pattern
-
-
 def assemble_cross(mesh, m):
-    """Skew-symmetric 3N x 3N matrix of the cross-product form.
+    """Skew-symmetric 3N x 3N matrix of the cross-product form, 3x3 blocks.
 
     Entry ((i,p),(j,q)) integrates (m x phi_i e_p) . (phi_j e_q) exactly
-    (degree-3 integrand).  Only strictly-upper entries are accumulated and
-    mirrored with negation, so the skew-symmetry is bit-exact.
+    (degree-3 integrand), so block (i, j) is sum_d C_d[ij] E_d.  C_d[ij] and
+    C_d[ji] sum the same terms in the same order, and E_d is skew, so the
+    skew-symmetry is bit-exact.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (mesh.N, 3):
         raise AssemblyError(f"magnetization must be (N, 3), got {m.shape}")
-    rows, cols, value, sign = _cross_pattern(mesh)
-    # values[a,b,d,e] = integral over element e of lambda_a lambda_b m_d,
-    # summed over the local vertices c in order (elements innermost)
-    mloc = m.T[:, mesh.tets.T]  # mloc[d, c, e]: m_d at local vertex c of e
-    values = _LOCAL_CUBIC[:, :, 0, None, None] * mloc[:, 0]
+    # values[d, e, a, b] = integral over element e of lambda_a lambda_b m_d,
+    # summed over the local vertices c in order
+    mloc = m.T[:, mesh.tets]  # mloc[d, e, c]: m_d at local vertex c of e
+    values = mloc[:, :, 0, None, None] * _LOCAL_CUBIC[:, :, 0]
     for c in range(1, 4):
-        values += _LOCAL_CUBIC[:, :, c, None, None] * mloc[:, c]
-    values *= mesh.element_volumes()
-    data = values.ravel()[value] * sign
-    n3 = 3 * mesh.N
-    upper = sp.coo_array((data, (rows, cols)), shape=(n3, n3)).tocsr()
-    return (upper - upper.T).tocsr()
-
-
-def apply_componentwise(scalar_mat, v):
-    """Apply a scalar N x N matrix blockwise to a stacked 3N vector."""
-    n = scalar_mat.shape[0]
-    return (scalar_mat @ np.asarray(v).reshape(n, 3)).ravel()
+        values += mloc[:, :, c, None, None] * _LOCAL_CUBIC[:, :, c]
+    values *= mesh.element_volumes()[:, None, None]
+    moments = np.stack([_scatter(mesh, values[d]) for d in range(3)])
+    indptr, indices, _ = mesh.adjacency()
+    blocks = np.einsum("dk,dpq->kpq", moments, _LEVI_CIVITA)
+    return sp.bsr_array((blocks, indices, indptr), shape=(3 * mesh.N, 3 * mesh.N))
 
 
 def assemble_rhs(mesh, m_n, lh, ell_ex2, mass=None, stiffness=None):
@@ -154,17 +130,26 @@ def assemble_rhs(mesh, m_n, lh, ell_ex2, mass=None, stiffness=None):
 class AssembledSystem:
     """Per-step linear system data for the tangent plane scheme.
 
-    The 3N system matrix (alpha * weighted_mass + beta_k * stiffness) (x I_3)
-    - cross is never formed explicitly; apply() evaluates its action.
+    The 3N system matrix is one 3x3-block (BSR) matrix on the mesh pattern:
+    block (i, j) is (alpha M_k + beta_k L)_ij I_3 - S_ij, with M_k the
+    weighted mass, L the stiffness and S the cross form, each summed in
+    element order.  apply() is one sparse matrix-vector product with it.
     """
 
     alpha: float
     beta_k: float
     mass: sp.csr_array
     stiffness: sp.csr_array
-    weighted_mass: sp.csr_array  # N x N
-    cross: sp.csr_array          # 3N x 3N, skew
+    weighted_mass: sp.csr_array  # N x N, on the pattern of stiffness
+    cross: sp.bsr_array          # 3N x 3N, skew, 3x3 blocks on the same pattern
     rhs: np.ndarray              # (3N,)
+    matrix: sp.bsr_array = field(init=False)
+
+    def __post_init__(self):
+        scalar = self.alpha * self.weighted_mass.data + self.beta_k * self.stiffness.data
+        blocks = scalar[:, None, None] * np.eye(3) - self.cross.data
+        self.matrix = sp.bsr_array((blocks, self.cross.indices, self.cross.indptr),
+                                   shape=self.cross.shape)
 
     @property
     def n_nodes(self):
@@ -172,18 +157,11 @@ class AssembledSystem:
 
     def apply(self, v):
         """y = (alpha M_k + beta_k L - S) v on stacked 3N vectors."""
-        return (
-            self.alpha * apply_componentwise(self.weighted_mass, v)
-            + self.beta_k * apply_componentwise(self.stiffness, v)
-            - self.cross @ v
-        )
+        return self.matrix @ v
 
     def dense_matrix(self):
         """Dense 3N x 3N system matrix (test/oracle use only)."""
-        eye3 = sp.identity(3, format="csr")
-        full = (self.alpha * sp.kron(self.weighted_mass, eye3, format="csr")
-                + self.beta_k * sp.kron(self.stiffness, eye3, format="csr") - self.cross)
-        return full.toarray()
+        return self.matrix.toarray()
 
 
 def build_system(mesh, m, alpha, beta_k, weights, lh, ell_ex2, mass=None, stiffness=None):

@@ -73,6 +73,7 @@ class Mesh:
         self.tets = tets
         self._volumes = vol
         self._grad = None
+        self._adjacency = None
 
     @property
     def N(self):
@@ -102,6 +103,28 @@ class Mesh:
             grad.setflags(write=False)
             self._grad = grad
         return self._volumes, self._grad
+
+    def adjacency(self):
+        """The N x N node-adjacency pattern every assembled matrix lives on.
+
+        Returns (indptr, indices, slot): the CSR row pointers and sorted
+        column indices of the node pairs that share an element, diagonal
+        included, and slot of shape (M, 4, 4), where slot[e, a, b] is the
+        position in indices of the pair (tets[e, a], tets[e, b]).  Computed
+        once and read-only.
+        """
+        if self._adjacency is None:
+            n = self.N
+            keys = self.tets[:, :, None] * n + self.tets[:, None, :]
+            pairs, slot = np.unique(keys.ravel(), return_inverse=True)
+            index = np.int32 if len(pairs) < 2**31 else np.int64
+            indptr = np.searchsorted(pairs, np.arange(n + 1) * n).astype(index)
+            indices = (pairs % n).astype(index)
+            slot = slot.reshape(keys.shape)
+            for arr in (indptr, indices, slot):
+                arr.setflags(write=False)
+            self._adjacency = (indptr, indices, slot)
+        return self._adjacency
 
     def __repr__(self):
         return f"Mesh(N={self.N}, elems={self.elem_count})"

@@ -66,21 +66,27 @@ def build_none(n_nodes=None):
 def build_theoretical(frame, mass, stiffness, alpha_P, beta_k):
     """Inverse of the frame-congruent SPD matrix Q^T (a_P M + bk L) Q.
 
-    The 2N x 2N matrix is assembled and factored once per build; the frame
-    may be kept stale for several steps (rebuild cadence is the caller's
-    knob).
+    With K = a_P M + bk L, block (i, j) of the 2N x 2N matrix is the 2x2
+    block K_ij Q_i^T Q_j on the pattern of K.  It is assembled and factored
+    once per build; the frame may be kept stale for several steps (rebuild
+    cadence is the caller's knob).
     """
     if alpha_P <= 0:
         raise PreconditionerError(f"alpha_P must be positive, got {alpha_P}")
-    scalar = alpha_P * mass + beta_k * stiffness
-    q = frame.as_sparse()
-    inner = (q.T @ sp.kron(scalar, sp.identity(3, format="csr"), format="csr") @ q).tocsc()
+    scalar = (alpha_P * mass + beta_k * stiffness).tocsr()
+    n = frame.n_nodes
+    rows = np.repeat(np.arange(n), np.diff(scalar.indptr))
+    blocks = np.einsum("k,kpa,kpb->kab", scalar.data, frame.blocks[rows],
+                       frame.blocks[scalar.indices])
+    inner = sp.bsr_array((blocks, scalar.indices, scalar.indptr), shape=(2 * n, 2 * n)).tocsc()
+    # exact zeros (Q_i^T Q_j = I where the frame is uniform) only add fill
+    inner.eliminate_zeros()
     try:
         lu = splu(inner)
     except RuntimeError as exc:
         raise PreconditionerError(
             f"theoretical preconditioner factorization failed (SPD lost?): {exc}") from exc
-    return Preconditioner("theoretical", frame.n_nodes, lu.solve)
+    return Preconditioner("theoretical", n, lu.solve)
 
 
 def build_stationary_2d(mass, stiffness, alpha_P, beta_k, scalar_factor=None):

@@ -85,13 +85,6 @@ class SchemeCoefficients:
         return np.where(s >= 0.0, pos, neg)
 
 
-def wk_eval(coeffs, k, s):
-    """Evaluate the mass weight W_k(s); rejects invalid k for the variant."""
-    coeffs.check_timestep(k)
-    out = coeffs.wk(k, s)
-    return float(out) if np.isscalar(s) else out
-
-
 def lambda_field(mesh, m, f_plus_pi, ell_ex2):
     """Per-element weight input: -ell_ex2 |grad m|^2 + avg((f + pi(m)) . m).
 
@@ -365,6 +358,8 @@ class SimulationConfig:
             if any(hi <= lo for lo, hi in self.mesh["bounds"]):
                 raise ConfigError("mesh.bounds: box must have positive extent in every "
                                   f"axis, got {[list(axis) for axis in self.mesh['bounds']]}")
+        elif not (os.path.isfile(self.mesh["path"]) and os.access(self.mesh["path"], os.R_OK)):
+            raise ConfigError(f"mesh.path: {self.mesh['path']!r} is not a readable file")
         m0 = self.field_cfg["m0"]
         if m0["kind"] == "constant" and not any(m0["value"]):
             raise ConfigError("field.m0.value must be a nonzero vector")

@@ -84,30 +84,6 @@ _FRAME_BUILDERS = {"householder": _householder, "signflip": _signflip,
 FRAME_STRATEGIES = tuple(_FRAME_BUILDERS)
 
 
-def frame_columns(m, strategy="householder"):
-    """3x2 frame of one unit vector m.
-
-    householder: the reflection I - 2 w w^T with w = (m + e3)/|m + e3| maps
-    e3 to -m, so its first two columns are orthonormal and span the plane
-    orthogonal to m; at m = -e3 the limit branch [e1, e2, -e3] applies.
-    signflip: the same reflection about (m + sign(m_3) e3).  rotation: the
-    rotation about e3 x m carrying e3 onto m (householder at m = +-e3).
-    """
-    return build_frame(np.asarray(m, dtype=np.float64)[None], None, strategy).blocks[0]
-
-
-def householder_frame(m):
-    """3x2 Householder frame of one unit vector (see frame_columns)."""
-    return frame_columns(m, "householder")
-
-
-def alt_frame(m, strategy):
-    """Alternative frame constructions (sign-flip reflection or rotation)."""
-    if strategy == "householder":
-        raise FrameError(f"unknown frame strategy {strategy!r}")
-    return frame_columns(m, strategy)
-
-
 @dataclass(frozen=True)
 class FrameSelection:
     """Outcome of the adaptive axis-involution choice."""
@@ -169,20 +145,21 @@ class TangentFrame:
         """Block-diagonal 3N x 2N CSR matrix of the frame."""
         if self._sparse is None:
             n = self.n_nodes
-            rows = (3 * np.arange(n)[:, None, None] + np.arange(3)[None, :, None])
-            cols = (2 * np.arange(n)[:, None, None] + np.arange(2)[None, None, :])
-            rows = np.broadcast_to(rows, (n, 3, 2)).ravel()
-            cols = np.broadcast_to(cols, (n, 3, 2)).ravel()
-            self._sparse = sp.coo_array(
-                (self.blocks.ravel(), (rows, cols)), shape=(3 * n, 2 * n)
-            ).tocsr()
+            self._sparse = sp.bsr_array((self.blocks, np.arange(n), np.arange(n + 1)),
+                                        shape=(3 * n, 2 * n)).tocsr()
         return self._sparse
 
 
 def build_frame(m, T=None, strategy="householder"):
     """Build the nodal frame field: block i = T frame(T m(z_i)).
 
-    T must be a symmetric involution (defaults to the identity).
+    T must be a symmetric involution (defaults to the identity).  The 3x2
+    frame of a unit vector m, by strategy:
+    householder: the reflection I - 2 w w^T with w = (m + e3)/|m + e3| maps
+    e3 to -m, so its first two columns are orthonormal and span the plane
+    orthogonal to m; at m = -e3 the limit branch [e1, e2, -e3] applies.
+    signflip: the same reflection about (m + sign(m_3) e3).  rotation: the
+    rotation about e3 x m carrying e3 onto m (householder at m = +-e3).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != 3:

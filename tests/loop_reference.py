@@ -3,8 +3,9 @@
 These are the straightforward loop forms of the batched code in
 tangent_plane_llg: nodal frames built one node at a time, the Kuhn cube
 connectivity and the mesh checks built one element at a time, and the
-cross-product matrix assembled from the full 5-index element tensor.  The
-library's vectorized versions must reproduce their arrays bit for bit.
+3x3 blocks of the cross-product matrix summed from the full 5-index element
+tensor one element at a time.  The library's vectorized versions must
+reproduce their arrays bit for bit.
 
 gmres_solve is the restarted GMRES whose Arnoldi step orthogonalizes one
 basis vector at a time (single-pass modified Gram-Schmidt, or one classical
@@ -15,7 +16,6 @@ compared to a tolerance and by iteration count, not bit for bit.
 import itertools
 
 import numpy as np
-import scipy.sparse as sp
 
 from tangent_plane_llg.fem import _LOCAL_CUBIC
 from tangent_plane_llg.gmres import SolverStats
@@ -131,7 +131,12 @@ def mesh_check_message(tets):
 
 
 def assemble_cross(mesh, m):
-    """The cross matrix from the 5-index element tensor over a mostly-zero axis."""
+    """The cross matrix from the 5-index element tensor over a mostly-zero axis.
+
+    The 3x3 element blocks are summed into their node pair one element at a
+    time, in element order.  Returns the BSR arrays (indptr, indices, blocks)
+    with the node pairs in row-major order.
+    """
     vol = mesh.element_volumes()
     mloc = np.asarray(m, dtype=np.float64)[mesh.tets]
     axis = np.zeros((mesh.elem_count, 4, 3, 3))
@@ -143,17 +148,18 @@ def assemble_cross(mesh, m):
     axis[:, :, 0, 2] = -mloc[:, :, 1]
     blocks = np.einsum("abc,ecpq->eabpq", _LOCAL_CUBIC, axis)
     blocks *= vol[:, None, None, None, None]
-    gi = mesh.tets[:, :, None, None, None]
-    gj = mesh.tets[:, None, :, None, None]
-    p = np.arange(3)[None, None, None, :, None]
-    q = np.arange(3)[None, None, None, None, :]
-    rows = np.broadcast_to(3 * gi + p, blocks.shape).ravel()
-    cols = np.broadcast_to(3 * gj + q, blocks.shape).ravel()
-    data = blocks.ravel()
-    keep = rows < cols
-    n3 = 3 * mesh.N
-    upper = sp.coo_array((data[keep], (rows[keep], cols[keep])), shape=(n3, n3)).tocsr()
-    return (upper - upper.T).tocsr()
+    summed = {}
+    for e, tet in enumerate(mesh.tets.tolist()):
+        for a, i in enumerate(tet):
+            for b, j in enumerate(tet):
+                if (i, j) in summed:
+                    summed[i, j] = summed[i, j] + blocks[e, a, b]
+                else:
+                    summed[i, j] = blocks[e, a, b]
+    pairs = sorted(summed)
+    indptr = np.searchsorted([i for i, _ in pairs], np.arange(mesh.N + 1))
+    indices = np.array([j for _, j in pairs])
+    return indptr, indices, np.array([summed[pair] for pair in pairs])
 
 
 def mgs(basis, w):

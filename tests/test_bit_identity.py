@@ -3,8 +3,15 @@
 At a GMRES tolerance of 1e-14 the iteration counts react to the last bit of
 the assembled matrices, so the vectorized code must reproduce the loop
 implementations of loop_reference exactly (np.array_equal), not within a
-tolerance.
+tolerance.  Assembly sums every entry of the mesh's node-adjacency pattern
+element by element in element order, so the 3x3 blocks of the cross form
+equal the 5-index element tensor summed one element at a time, and the
+3x3-block system matrix equals its kron form bit for bit.  The block layout
+is also checked on a mesh whose node ids, element order and orientations
+are shuffled.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -12,11 +19,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import loop_reference as ref
-from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, MeshError, assemble_cross,
-                               assemble_mass, assemble_weighted_mass, build_frame,
-                               build_system, generate_structured_cube)
-from tangent_plane_llg.fem import apply_componentwise
+from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, MeshError, SimulationConfig,
+                               StepContext, assemble_cross, assemble_mass,
+                               assemble_stiffness, assemble_weighted_mass, build_frame,
+                               build_system, build_theoretical, generate_structured_cube,
+                               load_mesh, save_mesh, tps_step)
+from tangent_plane_llg.diagnostics import dense_oracle_solve
 import tangent_plane_llg.mesh as mesh_mod
+import tangent_plane_llg.precond as precond_mod
+import tangent_plane_llg.scheme as scheme_mod
 from tangent_plane_llg.mesh import _check_conforming
 from tangent_plane_llg.tangent import FRAME_STRATEGIES, FrameError
 
@@ -152,9 +163,18 @@ def _cross_fields(n_nodes):
 def test_cross_csr_arrays_match_element_tensor(n):
     mesh = generate_structured_cube(UNIT_BOUNDS, n)
     for m in _cross_fields(mesh.N):
-        new, old = assemble_cross(mesh, m), ref.assemble_cross(mesh, m)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+        new = assemble_cross(mesh, m)
+        for name, old in zip(("indptr", "indices", "data"), ref.assemble_cross(mesh, m)):
+            assert np.array_equal(getattr(new, name), old), name
+
+
+def _kron_form(mesh, m, alpha, beta_k, weights):
+    """alpha (M_k x I_3) + beta_k (L x I_3) - S from separately assembled parts."""
+    eye3 = sp.identity(3, format="csr")
+    mk = assemble_mass(mesh) if weights is None else assemble_weighted_mass(mesh, weights)
+    return (alpha * sp.kron(mk, eye3, format="csr")
+            + beta_k * sp.kron(assemble_stiffness(mesh), eye3, format="csr")
+            - assemble_cross(mesh, m)).toarray()
 
 
 def test_tps1_weighted_mass_is_mass_and_applies_like_kron(cube2, rng):
@@ -163,13 +183,81 @@ def test_tps1_weighted_mass_is_mass_and_applies_like_kron(cube2, rng):
     m = random_unit_field(cube2.N, seed=47)
     lh = rng.standard_normal((cube2.N, 3))
     weights = 0.5 + rng.random(cube2.elem_count)
-    eye3 = sp.identity(3, format="csr")
     for w in (None, weights):
         sys_ = build_system(cube2, m, 0.5, 0.1, w, lh, 10.0)
-        wm = mass if w is None else assemble_weighted_mass(cube2, w)
-        kron = sp.kron(wm, eye3, format="csr")
+        dense = sys_.dense_matrix()
+        assert np.array_equal(dense, _kron_form(cube2, m, 0.5, 0.1, w))
         v = rng.standard_normal(3 * cube2.N)
-        assert np.array_equal(apply_componentwise(sys_.weighted_mass, v), kron @ v)
-        assert np.array_equal(sys_.apply(v), 0.5 * (kron @ v)
-                              + 0.1 * apply_componentwise(sys_.stiffness, v)
-                              - sys_.cross @ v)
+        assert np.abs(sys_.apply(v) - dense @ v).max() <= 1e-14 * np.abs(dense @ v).max()
+
+
+@pytest.fixture(scope="module")
+def shuffled_cube():
+    """A 3x3x3 cube read back from JSON with shuffled node ids, shuffled
+    element order and about a third of its tets negatively oriented."""
+    doc = json.loads(save_mesh(generate_structured_cube(UNIT_BOUNDS, (3, 3, 3))))
+    rng = np.random.default_rng(48)
+    nodes, tets = np.array(doc["nodes"]), np.array(doc["tets"])
+    ids = rng.permutation(len(nodes))  # new id of every node
+    shuffled = np.empty_like(nodes)
+    shuffled[ids] = nodes
+    tets = ids[tets][rng.permutation(len(tets))]
+    flip = rng.random(len(tets)) < 0.3
+    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
+    mesh = load_mesh(json.dumps({"nodes": shuffled.tolist(), "tets": tets.tolist()}))
+    # the mesh re-orients exactly the flipped tets, and stays shuffled
+    assert np.array_equal((mesh.tets != tets).any(axis=1), flip) and flip.any()
+    assert (np.diff(mesh.tets[:, 0]) < 0).any()
+    return mesh
+
+
+def test_shuffled_mesh_cross_matches_element_tensor(shuffled_cube):
+    for m in _cross_fields(shuffled_cube.N):
+        new = assemble_cross(shuffled_cube, m)
+        assert (new + new.T).nnz == 0
+        for name, old in zip(("indptr", "indices", "data"),
+                             ref.assemble_cross(shuffled_cube, m)):
+            assert np.array_equal(getattr(new, name), old), name
+
+
+def test_shuffled_mesh_system_matrix_is_kron_form(shuffled_cube, rng):
+    m = random_unit_field(shuffled_cube.N, seed=49)
+    weights = 0.5 + rng.random(shuffled_cube.elem_count)
+    sys_ = build_system(shuffled_cube, m, 0.5, 0.1, weights,
+                        np.zeros((shuffled_cube.N, 3)), 10.0)
+    assert np.array_equal(sys_.dense_matrix(), _kron_form(shuffled_cube, m, 0.5, 0.1, weights))
+
+
+def test_shuffled_mesh_theoretical_blocks_match_kron(shuffled_cube, monkeypatch):
+    factored = []
+    splu = precond_mod.splu
+    monkeypatch.setattr(precond_mod, "splu", lambda a: factored.append(a) or splu(a))
+    mass, stiffness = assemble_mass(shuffled_cube), assemble_stiffness(shuffled_cube)
+    m = random_unit_field(shuffled_cube.N, seed=50)
+    frame = build_frame(m, FIXED_INVOLUTIONS["t2-"])
+    build_theoretical(frame, mass, stiffness, 1.0, 0.1)
+    q = frame.as_sparse()
+    kron = sp.kron(1.0 * mass + 0.1 * stiffness, sp.identity(3, format="csr"))
+    expected = (q.T @ kron @ q).toarray()
+    assert np.abs(factored[0].toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_shuffled_mesh_tps2_step_matches_dense_oracle(shuffled_cube, monkeypatch):
+    solves = []
+    gmres_solve = scheme_mod.gmres_solve
+
+    def capture(op, precond, b, **kwargs):
+        x, stats = gmres_solve(op, precond, b, **kwargs)
+        solves.append((op, x))
+        return x, stats
+
+    monkeypatch.setattr(scheme_mod, "gmres_solve", capture)
+    cfg = SimulationConfig.from_dict({
+        "scheme": "tps2", "T": 0.01, "k": 0.01,
+        "field": {"m0": {"kind": "spiral", "turns": 0.5}},
+        "precond": {"kind": "theoretical"}})
+    ctx = StepContext(cfg, mesh=shuffled_cube)
+    tps_step(ctx, ctx.initial_state())
+    op, x = solves[0]
+    x_dense, _ = dense_oracle_solve(op.system, op.frame)
+    assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)

@@ -196,6 +196,8 @@ EXIT_CODE_ROWS = [
     ("mesh.bounds", [[0, 1], [0, 1], [1, 0]], 2, "mesh.bounds"),
     # the Arnoldi step always orthogonalizes twice; the old switch is unknown
     ("solver.reorthogonalize", True, 2, "solver.reorthogonalize"),
+    # a mesh file that cannot be read, caught before any output is written
+    ("mesh", {"kind": "file", "path": "no/such/mesh.json"}, 2, "mesh.path"),
 ]
 
 

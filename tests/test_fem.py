@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from tangent_plane_llg import (Mesh, assemble_cross, assemble_mass,
                                assemble_rhs, assemble_stiffness,
                                assemble_weighted_mass, build_system)
-from tangent_plane_llg.fem import AssemblyError, apply_componentwise
+from tangent_plane_llg.fem import AssemblyError
 
 from conftest import random_unit_field
 
@@ -132,14 +132,18 @@ def test_rhs_zero_exchange_is_mass_apply(cube2, rng):
     lh = rng.standard_normal((cube2.N, 3))
     b = assemble_rhs(cube2, m, lh, ell_ex2=0.0)
     mass = assemble_mass(cube2)
-    assert np.array_equal(b, apply_componentwise(mass, lh.ravel()))
+    assert np.array_equal(b, (mass @ lh).ravel())
 
 
 def test_block_form_componentwise_equals_kron(cube2, rng):
+    # with beta_k = 0 the diagonal of each 3x3 block of the system matrix is
+    # the mass entry and the rest is the cross form: adding the cross back
+    # gives the mass tensored with the identity, bit for bit
     mass = assemble_mass(cube2)
+    sys_ = build_system(cube2, random_unit_field(cube2.N, seed=11), 1.0, 0.0, None,
+                        np.zeros((cube2.N, 3)), 10.0)
     kron = sp.kron(mass, sp.identity(3, format="csr"), format="csr")
-    v = rng.standard_normal(3 * cube2.N)
-    assert np.array_equal(apply_componentwise(mass, v), kron @ v)
+    assert np.array_equal(sys_.dense_matrix() + sys_.cross.toarray(), kron.toarray())
 
 
 def test_system_positive_definite(cube2, rng):
@@ -149,8 +153,9 @@ def test_system_positive_definite(cube2, rng):
                         lh=np.zeros((cube2.N, 3)), ell_ex2=10.0)
     for _ in range(100):
         x = rng.standard_normal(3 * cube2.N)
-        sym_part = sys_.alpha * (x @ apply_componentwise(sys_.weighted_mass, x)) \
-            + sys_.beta_k * (x @ apply_componentwise(sys_.stiffness, x))
+        xn = x.reshape(cube2.N, 3)
+        sym_part = sys_.alpha * np.vdot(xn, sys_.weighted_mass @ xn) \
+            + sys_.beta_k * np.vdot(xn, sys_.stiffness @ xn)
         assert sym_part > 0
         assert x @ (sys_.apply(x)) > 0
 

@@ -5,7 +5,7 @@ import pytest
 
 from tangent_plane_llg import (SchemeCoefficients, SimulationConfig,
                                lambda_field, lh_term, normalize_update,
-                               run_simulation, tps_step, wk_eval)
+                               run_simulation, tps_step)
 from tangent_plane_llg.physics import AppliedFieldConfig, PiConfig
 from tangent_plane_llg.scheme import (ConfigError, StepContext,
                                       assert_unit_nodal, exchange_energy)
@@ -33,25 +33,27 @@ class TestCoefficients:
     def test_tps1_constants(self):
         c = SchemeCoefficients("tps1", alpha=0.5, ell_ex2=10.0, theta=0.7)
         assert c.beta(0.01) == 10.0 * 0.7
-        assert wk_eval(c, 0.01, 3.7) == 0.5
-        assert wk_eval(c, 0.01, -123.0) == 0.5
+        c.check_timestep(0.01)
+        assert c.wk(0.01, 3.7) == 0.5
+        assert c.wk(0.01, -123.0) == 0.5
 
     def test_tps2_values(self):
         c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=10.0)
         k = 0.01
+        c.check_timestep(k)
         rho = abs(k * math.log(k))
         assert c.rho(k) == pytest.approx(rho, rel=1e-15)
         assert c.beta(k) == pytest.approx(5.0 * (1 + rho), rel=1e-15)
         # both branches give alpha at s = 0
-        assert wk_eval(c, k, 0.0) == 0.5
-        assert wk_eval(c, k, -1e-300) == pytest.approx(0.5, rel=1e-12)
+        assert c.wk(k, 0.0) == 0.5
+        assert c.wk(k, -1e-300) == pytest.approx(0.5, rel=1e-12)
         # capped branches
         cap = 1.0 / rho
         expect_hi = 0.5 + 1.0 / (2.0 * abs(math.log(k)))
-        assert wk_eval(c, k, cap) == pytest.approx(expect_hi, rel=1e-14)
-        assert wk_eval(c, k, 10 * cap) == pytest.approx(expect_hi, rel=1e-14)
+        assert c.wk(k, cap) == pytest.approx(expect_hi, rel=1e-14)
+        assert c.wk(k, 10 * cap) == pytest.approx(expect_hi, rel=1e-14)
         expect_lo = 0.5 / (1.0 + 1.0 / (2 * 0.5 * abs(math.log(k))))
-        assert wk_eval(c, k, -1e12) == pytest.approx(expect_lo, rel=1e-14)
+        assert c.wk(k, -1e12) == pytest.approx(expect_lo, rel=1e-14)
 
     def test_tps2_weight_lower_bound_on_grid(self):
         # alpha = 0.5, k = 0.01 satisfies the uniform lower bound alpha/2
@@ -64,7 +66,7 @@ class TestCoefficients:
     def test_tps2_rejects_large_k(self):
         c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=10.0)
         with pytest.raises(ConfigError):
-            wk_eval(c, 1.0, 0.0)
+            c.check_timestep(1.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
