@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import (CheckReport, check_bounded_ratio, check_inverse_bounds,
                           check_mapping_identities, energy_norm)
-from .mesh import MeshError, generate_structured_cube, mesh_quality
+from .mesh import MeshError, generate_structured_cube, load_mesh, mesh_quality
 from .precond import PRECONDITIONER_KINDS
 from .scheme import (TN_MODES, ConfigError, SimulationConfig, SolverFailure,
                      _fmt, config_schema, run_simulation)
@@ -92,6 +92,8 @@ def run_experiment(config_path, out_dir=None, overrides=None):
             doc["sweep"] = {axis: values for axis, values in doc["sweep"].items()
                             if SWEEP_KEYS.get(axis) not in overrides}
         configs = [_point_config(doc, *point) for point in _sweep_points(doc)]
+        for path in sorted({cfg.mesh["path"] for cfg in configs if cfg.mesh["kind"] == "file"}):
+            _check_mesh_file(path)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -132,6 +134,16 @@ def run_experiment(config_path, out_dir=None, overrides=None):
             print(f"[{idx + 1}/{len(configs)}] {pkind:12s} alpha_p={alpha_p:<8g} "
                   f"tn={tn:8s} h={h:.4g} avg_it={result.average_iterations():.1f}")
     return code
+
+
+def _check_mesh_file(path):
+    """Parse and check a mesh file before any sweep point runs; the points
+    read it again when they build their mesh."""
+    try:
+        with open(path, "rb") as fh:
+            load_mesh(fh)
+    except (ValueError, TypeError) as exc:  # MeshError is a ValueError
+        raise ConfigError(f"mesh.path: {path!r}: {exc}") from exc
 
 
 def _apply_overrides(doc, overrides):

@@ -7,6 +7,14 @@ practical variants share one scalar N x N factorization (the practical one
 only adds frame applications), while the frame-dependent theoretical
 variant factors its own 2N x 2N matrix and must be rebuilt whenever the
 frame it was built from should follow the magnetization.
+
+Both factored matrices are SPD, so Gaussian elimination is stable in any
+symmetric order without pivoting.  They are factored by SuperLU in the
+nested-dissection order of the mesh (Mesh.dissection_order) and in its
+symmetric mode: the rows and columns are permuted once by that order, and
+the diagonal is taken as pivot (diag_pivot_thresh = 0), so the factor fills
+only as that order predicts.  The solves permute the right-hand side and
+un-permute the result.
 """
 
 import numpy as np
@@ -16,30 +24,47 @@ from scipy.sparse.linalg import splu
 from .tangent import apply_q, apply_qt
 
 PRECONDITIONER_KINDS = ("theoretical", "stationary", "practical", "jacobi", "none")
+# the kinds that factor an SPD matrix in the elimination order of the mesh
+FACTORED_KINDS = ("theoretical", "stationary", "practical")
 
 
 class PreconditionerError(RuntimeError):
     pass
 
 
-class ScalarFactorization:
-    """Cached direct factorization of alpha_P * M + beta_k * L (N x N SPD)."""
+def _factor_spd(matrix, what):
+    """SuperLU factors of an SPD matrix already in elimination order."""
+    try:
+        return splu(matrix.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise PreconditionerError(f"{what} factorization failed (SPD lost?): {exc}") from exc
 
-    def __init__(self, mass, stiffness, alpha_P, beta_k):
+
+class ScalarFactorization:
+    """Cached factorization of alpha_P * M + beta_k * L (N x N SPD).
+
+    The matrix is factored as P^T (alpha_P M + beta_k L) P, with P the
+    permutation of order (node order[i] is eliminated i-th), in SuperLU's
+    symmetric mode without pivoting; solve applies P on both sides.
+    """
+
+    def __init__(self, mass, stiffness, alpha_P, beta_k, order):
         if alpha_P <= 0:
             raise PreconditionerError(f"alpha_P must be positive, got {alpha_P}")
         if beta_k < 0:
             raise PreconditionerError(f"beta_k must be nonnegative, got {beta_k}")
         self.alpha_P = float(alpha_P)
         self.beta_k = float(beta_k)
-        self.matrix = (alpha_P * mass + beta_k * stiffness).tocsc()
-        try:
-            self._lu = splu(self.matrix)
-        except RuntimeError as exc:
-            raise PreconditionerError(f"scalar operator factorization failed: {exc}") from exc
+        self._order = order
+        self._inverse = np.argsort(order)
+        scalar = (alpha_P * mass + beta_k * stiffness).tocsr()
+        self._lu = _factor_spd(scalar[order][:, order], "scalar operator")
 
     def solve(self, rhs):
-        return self._lu.solve(rhs)
+        """(alpha_P M + beta_k L)^{-1} rhs for rhs of shape (N,) or (N, k)."""
+        # take: a row gather several times faster than fancy indexing
+        return self._lu.solve(rhs.take(self._order, axis=0)).take(self._inverse, axis=0)
 
 
 class Preconditioner:
@@ -63,40 +88,45 @@ def build_none(n_nodes=None):
     return Preconditioner("none", n_nodes, lambda r: r.copy())
 
 
-def build_theoretical(frame, mass, stiffness, alpha_P, beta_k):
+def build_theoretical(frame, mass, stiffness, alpha_P, beta_k, order):
     """Inverse of the frame-congruent SPD matrix Q^T (a_P M + bk L) Q.
 
     With K = a_P M + bk L, block (i, j) of the 2N x 2N matrix is the 2x2
-    block K_ij Q_i^T Q_j on the pattern of K.  It is assembled and factored
-    once per build; the frame may be kept stale for several steps (rebuild
-    cadence is the caller's knob).
+    block K_ij Q_i^T Q_j on the pattern of K.  It is assembled in the node
+    order of order (the 2x2 blocks of node order[i] at rows 2i, 2i+1) and
+    factored in SuperLU's symmetric mode without pivoting, once per build;
+    the frame may be kept stale for several steps (rebuild cadence is the
+    caller's knob).
     """
     if alpha_P <= 0:
         raise PreconditionerError(f"alpha_P must be positive, got {alpha_P}")
-    scalar = (alpha_P * mass + beta_k * stiffness).tocsr()
+    scalar = (alpha_P * mass + beta_k * stiffness).tocsr()[order][:, order]
     n = frame.n_nodes
+    q = frame.blocks[order]
     rows = np.repeat(np.arange(n), np.diff(scalar.indptr))
-    blocks = np.einsum("k,kpa,kpb->kab", scalar.data, frame.blocks[rows],
-                       frame.blocks[scalar.indices])
+    blocks = np.einsum("k,kpa,kpb->kab", scalar.data, q[rows], q[scalar.indices])
     inner = sp.bsr_array((blocks, scalar.indices, scalar.indptr), shape=(2 * n, 2 * n)).tocsc()
     # exact zeros (Q_i^T Q_j = I where the frame is uniform) only add fill
     inner.eliminate_zeros()
-    try:
-        lu = splu(inner)
-    except RuntimeError as exc:
-        raise PreconditionerError(
-            f"theoretical preconditioner factorization failed (SPD lost?): {exc}") from exc
-    return Preconditioner("theoretical", n, lu.solve)
+    lu = _factor_spd(inner, "theoretical preconditioner")
+    inverse = np.argsort(order)
+
+    def apply_fn(r):
+        y = lu.solve(r.reshape(n, 2).take(order, axis=0).ravel())
+        return y.reshape(n, 2).take(inverse, axis=0).ravel()
+
+    return Preconditioner("theoretical", n, apply_fn)
 
 
-def build_stationary_2d(mass, stiffness, alpha_P, beta_k, scalar_factor=None):
+def build_stationary_2d(mass, stiffness, alpha_P, beta_k, order, scalar_factor=None):
     """Frame-independent preconditioner: scalar solve on both components.
 
     Equals the inverse of the nodal 2D-basis matrix a_P M2D + bk L2D, whose
     block form reduces to the scalar N x N matrix applied componentwise.
+    The scalar matrix is factored in order, unless scalar_factor is shared.
     """
     if scalar_factor is None:
-        scalar_factor = ScalarFactorization(mass, stiffness, alpha_P, beta_k)
+        scalar_factor = ScalarFactorization(mass, stiffness, alpha_P, beta_k, order)
     elif scalar_factor.alpha_P != alpha_P or scalar_factor.beta_k != beta_k:
         raise PreconditionerError("shared scalar factorization has mismatched coefficients")
     n = mass.shape[0]
@@ -107,14 +137,15 @@ def build_stationary_2d(mass, stiffness, alpha_P, beta_k, scalar_factor=None):
     return Preconditioner("stationary", n, apply_fn, scalar_factor=scalar_factor)
 
 
-def build_practical(frame, mass, stiffness, alpha_P, beta_k, scalar_factor=None):
+def build_practical(frame, mass, stiffness, alpha_P, beta_k, order, scalar_factor=None):
     """Q^T (a_P M + bk L)^{-1} Q, reusing the scalar factorization blockwise.
 
     Only meaningful with the frame of the current magnetization; the frame
-    application is the only per-step work.
+    application is the only per-step work.  The scalar matrix is factored
+    in order, unless scalar_factor is shared.
     """
     if scalar_factor is None:
-        scalar_factor = ScalarFactorization(mass, stiffness, alpha_P, beta_k)
+        scalar_factor = ScalarFactorization(mass, stiffness, alpha_P, beta_k, order)
     elif scalar_factor.alpha_P != alpha_P or scalar_factor.beta_k != beta_k:
         raise PreconditionerError("shared scalar factorization has mismatched coefficients")
     n = frame.n_nodes
@@ -144,20 +175,24 @@ def build_jacobi(mass, stiffness, alpha_P, beta_k):
     return Preconditioner("jacobi", n, apply_fn)
 
 
-def make_preconditioner(kind, mass, stiffness, alpha_P, beta_k, frame=None,
+def make_preconditioner(kind, mass, stiffness, alpha_P, beta_k, order=None, frame=None,
                         scalar_factor=None):
-    """The one map from a preconditioner kind to its builder; theoretical
-    and practical need the frame of the step."""
+    """The one map from a preconditioner kind to its builder.  The kinds
+    that factor need the elimination order of the mesh (order, see
+    Mesh.dissection_order); theoretical and practical need the frame of
+    the step."""
     if frame is None and kind in ("theoretical", "practical"):
         raise PreconditionerError(f"{kind} preconditioner needs a frame")
+    if order is None and kind in FACTORED_KINDS:
+        raise PreconditionerError(f"{kind} preconditioner needs an elimination order")
     if kind == "none":
         return build_none(mass.shape[0])
     if kind == "jacobi":
         return build_jacobi(mass, stiffness, alpha_P, beta_k)
     if kind == "stationary":
-        return build_stationary_2d(mass, stiffness, alpha_P, beta_k, scalar_factor)
+        return build_stationary_2d(mass, stiffness, alpha_P, beta_k, order, scalar_factor)
     if kind == "practical":
-        return build_practical(frame, mass, stiffness, alpha_P, beta_k, scalar_factor)
+        return build_practical(frame, mass, stiffness, alpha_P, beta_k, order, scalar_factor)
     if kind == "theoretical":
-        return build_theoretical(frame, mass, stiffness, alpha_P, beta_k)
+        return build_theoretical(frame, mass, stiffness, alpha_P, beta_k, order)
     raise PreconditionerError(f"unknown preconditioner kind {kind!r}")

@@ -417,12 +417,16 @@ class StepContext:
         self.alpha_p = config.precond["alpha_p"]
         self.precond_kind = config.precond["kind"]
 
+        # the kinds that factor use the mesh's nested-dissection order;
         # stationary and practical share one scalar factorization, built
         # here so that it counts as set-up, not as a step
+        self.order = None
+        if self.precond_kind in precond_mod.FACTORED_KINDS:
+            self.order = self.mesh.dissection_order()
         self._scalar_factor = None
         if self.precond_kind in ("stationary", "practical"):
             self._scalar_factor = precond_mod.ScalarFactorization(
-                self.mass, self.stiffness, self.alpha_p, self.beta_k)
+                self.mass, self.stiffness, self.alpha_p, self.beta_k, self.order)
         self._precond = None
         self.precond_builds = 0
 
@@ -435,7 +439,7 @@ class StepContext:
                 kind == "theoretical" and step % self.config.precond["rebuild_every"] == 0)):
             self._precond = precond_mod.make_preconditioner(
                 kind, self.mass, self.stiffness, self.alpha_p, self.beta_k,
-                frame=frame, scalar_factor=self._scalar_factor)
+                order=self.order, frame=frame, scalar_factor=self._scalar_factor)
             self.precond_builds += kind == "theoretical"
         return self._precond
 

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from tangent_plane_llg import (assemble_mass, assemble_stiffness,
-                               generate_structured_cube)
+                               generate_structured_cube, load_mesh, save_mesh)
 
 UNIT_BOUNDS = [[0, 1], [0, 1], [0, 1]]
 
@@ -21,6 +23,26 @@ def cube2():
 @pytest.fixture(scope="session")
 def cube2_matrices(cube2):
     return assemble_mass(cube2), assemble_stiffness(cube2)
+
+
+@pytest.fixture(scope="session")
+def shuffled_cube():
+    """A 3x3x3 cube read back from JSON with shuffled node ids, shuffled
+    element order and about a third of its tets negatively oriented."""
+    doc = json.loads(save_mesh(generate_structured_cube(UNIT_BOUNDS, (3, 3, 3))))
+    rng = np.random.default_rng(48)
+    nodes, tets = np.array(doc["nodes"]), np.array(doc["tets"])
+    ids = rng.permutation(len(nodes))  # new id of every node
+    shuffled = np.empty_like(nodes)
+    shuffled[ids] = nodes
+    tets = ids[tets][rng.permutation(len(tets))]
+    flip = rng.random(len(tets)) < 0.3
+    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
+    mesh = load_mesh(json.dumps({"nodes": shuffled.tolist(), "tets": tets.tolist()}))
+    # the mesh re-orients exactly the flipped tets, and stays shuffled
+    assert np.array_equal((mesh.tets != tets).any(axis=1), flip) and flip.any()
+    assert (np.diff(mesh.tets[:, 0]) < 0).any()
+    return mesh
 
 
 def random_unit_field(n, seed=0):

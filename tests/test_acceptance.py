@@ -119,8 +119,8 @@ def test_criterion_01_oracle_equivalence(cube27):
             op = ReducedOperator(system, frame)
             rhs = op.reduced_rhs()
             for kind in ALL_PRECONDS:
-                pc = make_preconditioner(kind, system.mass, system.stiffness,
-                                         1.0, beta_k, frame=frame)
+                pc = make_preconditioner(kind, system.mass, system.stiffness, 1.0, beta_k,
+                                         order=cube27.dissection_order(), frame=frame)
                 x, stats = gmres_solve(op, pc, rhs, tol=1e-14)
                 ok &= stats.converged
                 rel = np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref)
@@ -163,8 +163,9 @@ def test_criterion_03_constant_field_identity(cube27):
         t = FIXED_INVOLUTIONS[key]
         mu = np.tile(t[:, 2], (cube27.N, 1))
         frame = build_frame(mu, t)
-        theo = build_theoretical(frame, mass, stiffness, 1.0, 0.1)
-        stat = build_stationary_2d(mass, stiffness, 1.0, 0.1)
+        order = cube27.dissection_order()
+        theo = build_theoretical(frame, mass, stiffness, 1.0, 0.1, order)
+        stat = build_stationary_2d(mass, stiffness, 1.0, 0.1, order)
         for i in range(2 * cube27.N):
             e = np.zeros(2 * cube27.N)
             e[i] = 1.0

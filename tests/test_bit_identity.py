@@ -8,10 +8,8 @@ element by element in element order, so the 3x3 blocks of the cross form
 equal the 5-index element tensor summed one element at a time, and the
 3x3-block system matrix equals its kron form bit for bit.  The block layout
 is also checked on a mesh whose node ids, element order and orientations
-are shuffled.
+are shuffled (the shuffled_cube fixture of conftest).
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -23,7 +21,7 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, MeshError, SimulationCon
                                StepContext, assemble_cross, assemble_mass,
                                assemble_stiffness, assemble_weighted_mass, build_frame,
                                build_system, build_theoretical, generate_structured_cube,
-                               load_mesh, save_mesh, tps_step)
+                               tps_step)
 from tangent_plane_llg.diagnostics import dense_oracle_solve
 import tangent_plane_llg.mesh as mesh_mod
 import tangent_plane_llg.precond as precond_mod
@@ -191,26 +189,6 @@ def test_tps1_weighted_mass_is_mass_and_applies_like_kron(cube2, rng):
         assert np.abs(sys_.apply(v) - dense @ v).max() <= 1e-14 * np.abs(dense @ v).max()
 
 
-@pytest.fixture(scope="module")
-def shuffled_cube():
-    """A 3x3x3 cube read back from JSON with shuffled node ids, shuffled
-    element order and about a third of its tets negatively oriented."""
-    doc = json.loads(save_mesh(generate_structured_cube(UNIT_BOUNDS, (3, 3, 3))))
-    rng = np.random.default_rng(48)
-    nodes, tets = np.array(doc["nodes"]), np.array(doc["tets"])
-    ids = rng.permutation(len(nodes))  # new id of every node
-    shuffled = np.empty_like(nodes)
-    shuffled[ids] = nodes
-    tets = ids[tets][rng.permutation(len(tets))]
-    flip = rng.random(len(tets)) < 0.3
-    tets[flip] = tets[flip][:, [0, 1, 3, 2]]
-    mesh = load_mesh(json.dumps({"nodes": shuffled.tolist(), "tets": tets.tolist()}))
-    # the mesh re-orients exactly the flipped tets, and stays shuffled
-    assert np.array_equal((mesh.tets != tets).any(axis=1), flip) and flip.any()
-    assert (np.diff(mesh.tets[:, 0]) < 0).any()
-    return mesh
-
-
 def test_shuffled_mesh_cross_matches_element_tensor(shuffled_cube):
     for m in _cross_fields(shuffled_cube.N):
         new = assemble_cross(shuffled_cube, m)
@@ -231,14 +209,18 @@ def test_shuffled_mesh_system_matrix_is_kron_form(shuffled_cube, rng):
 def test_shuffled_mesh_theoretical_blocks_match_kron(shuffled_cube, monkeypatch):
     factored = []
     splu = precond_mod.splu
-    monkeypatch.setattr(precond_mod, "splu", lambda a: factored.append(a) or splu(a))
+    monkeypatch.setattr(precond_mod, "splu",
+                        lambda a, **options: factored.append(a) or splu(a, **options))
     mass, stiffness = assemble_mass(shuffled_cube), assemble_stiffness(shuffled_cube)
     m = random_unit_field(shuffled_cube.N, seed=50)
     frame = build_frame(m, FIXED_INVOLUTIONS["t2-"])
-    build_theoretical(frame, mass, stiffness, 1.0, 0.1)
+    order = shuffled_cube.dissection_order()
+    build_theoretical(frame, mass, stiffness, 1.0, 0.1, order)
     q = frame.as_sparse()
     kron = sp.kron(1.0 * mass + 0.1 * stiffness, sp.identity(3, format="csr"))
-    expected = (q.T @ kron @ q).toarray()
+    # P^T (q^T kron q) P, P the node order on the 2x2 node blocks (2p, 2p + 1)
+    dofs = (2 * order[:, None] + np.arange(2)).ravel()
+    expected = (q.T @ kron @ q).toarray()[np.ix_(dofs, dofs)]
     assert np.abs(factored[0].toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
 
 

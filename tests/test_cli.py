@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from tangent_plane_llg import generate_structured_cube
 from tangent_plane_llg.cli import (_apply_overrides, _point_config, _sweep_points,
                                    main, print_config_schema, run_checks)
 from tangent_plane_llg.scheme import SimulationConfig
@@ -196,9 +197,23 @@ EXIT_CODE_ROWS = [
     ("mesh.bounds", [[0, 1], [0, 1], [1, 0]], 2, "mesh.bounds"),
     # the Arnoldi step always orthogonalizes twice; the old switch is unknown
     ("solver.reorthogonalize", True, 2, "solver.reorthogonalize"),
-    # a mesh file that cannot be read, caught before any output is written
+    # mesh files (MESH_FILES, paths under the test's directory) that cannot
+    # be read, do not parse or fail the mesh checks: caught before any output
     ("mesh", {"kind": "file", "path": "no/such/mesh.json"}, 2, "mesh.path"),
+    ("mesh", {"kind": "file", "path": "unparsable.json"}, 2, "mesh JSON parse error"),
+    ("mesh", {"kind": "file", "path": "nonconforming.json"}, 2,
+     "shared by more than two elements"),
+    ("mesh", {"kind": "file", "path": "object_nodes.json"}, 2, "float() argument"),
 ]
+
+_CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))
+MESH_FILES = {
+    "unparsable.json": "not a mesh",
+    # the first tet twice: its faces are shared by three elements
+    "nonconforming.json": json.dumps({"nodes": _CUBE1.nodes.tolist(),
+                                      "tets": _CUBE1.tets[[0, *range(6)]].tolist()}),
+    "object_nodes.json": json.dumps({"nodes": {"x": 0}, "tets": []}),
+}
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -207,6 +222,10 @@ def test_exit_code_contract(tmp_path, capsys, key, value, code, fragment):
     doc = json.loads((REPO / "configs" / "academic_lite.json").read_text())
     del doc["sweep"]
     doc["T"] = doc["k"]
+    if key == "mesh" and value["kind"] == "file":
+        for name, text in MESH_FILES.items():
+            (tmp_path / name).write_text(text)
+        value = {**value, "path": str(tmp_path / value["path"])}
     doc = _apply_overrides(doc, {key: value})
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == code
@@ -244,6 +263,21 @@ def test_bad_box_in_a_later_sweep_point_exits_before_point_0(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: mesh.bounds") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bad_mesh_file_in_a_later_sweep_point_exits_before_point_0(tmp_path, capsys):
+    doc = json.loads((REPO / "configs" / "academic_lite.json").read_text())
+    doc["T"] = doc["k"]
+    (tmp_path / "bad.json").write_text("not a mesh")
+    doc["sweep"] = {"mesh": [{"kind": "cube", "n": [2, 2, 2]},
+                             {"kind": "file", "path": str(tmp_path / "bad.json")}]}
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out),
+                 "--precond", "jacobi"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mesh.path") and err.count("\n") == 1
+    assert "mesh JSON parse error" in err
     assert not out.exists()
 
 

@@ -49,7 +49,8 @@ class TestDenseOracle:
         frame = build_frame(m, select_tn_adaptive(m).chosen_T)
         xd, _ = dense_oracle_solve(sys_, frame)
         op = ReducedOperator(sys_, frame)
-        pc = build_stationary_2d(sys_.mass, sys_.stiffness, 1.0, sys_.beta_k)
+        pc = build_stationary_2d(sys_.mass, sys_.stiffness, 1.0, sys_.beta_k,
+                                 cube2.dissection_order())
         xg, stats = gmres_solve(op, pc, op.reduced_rhs())
         assert stats.converged
         assert np.linalg.norm(xg - xd) <= 1e-9 * np.linalg.norm(xd)
@@ -286,8 +287,8 @@ def test_early_contraction_fit_predicts_uniform_rate(cube2):
         frame = build_frame(m, select_tn_adaptive(m).chosen_T)
         op = ReducedOperator(sys_, frame)
         for kind in ("theoretical", "stationary", "practical"):
-            pc = make_preconditioner(kind, sys_.mass, sys_.stiffness, 1.0,
-                                     sys_.beta_k, frame=frame)
+            pc = make_preconditioner(kind, sys_.mass, sys_.stiffness, 1.0, sys_.beta_k,
+                                     order=cube2.dissection_order(), frame=frame)
             _, stats = gmres_solve(op, pc, op.reduced_rhs())
             hist = np.array(stats.residual_history)
             assert stats.converged and len(hist) >= 3

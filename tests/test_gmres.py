@@ -234,21 +234,24 @@ def test_arnoldi_basis_rows_are_cache_line_aligned(n):
 
 
 # iterations of step 0 of configs/academic_lite.json (cube n = 4) per
-# preconditioner with single-pass MGS; a numerics change must not raise them
+# preconditioner with single-pass MGS, and of the same config on the cube
+# n = 8 with COLAMD-ordered factorizations; a numerics change must not
+# raise them
 ACADEMIC_LITE_STEP0_ITERATIONS = {
     "theoretical": 20, "stationary": 20, "practical": 20, "jacobi": 58, "none": 86,
 }
+CUBE8_STEP0_ITERATIONS = {"theoretical": 19, "stationary": 19, "practical": 19}
 
 
-@pytest.fixture(scope="module")
-def academic_lite_step0():
+def step0_solves(n, kinds):
     """Per preconditioner: the reduced operator, preconditioner and
     right-hand side tps_step hands to gmres_solve in step 0 of
-    configs/academic_lite.json, and the step's record."""
+    configs/academic_lite.json on the cube n, and the step's record."""
     doc = json.loads((REPO / "configs" / "academic_lite.json").read_text())
     del doc["sweep"]
+    doc["mesh"]["n"] = [n, n, n]
     steps = {}
-    for kind in PRECONDITIONER_KINDS:
+    for kind in kinds:
         doc["precond"]["kind"] = kind
         ctx = scheme.StepContext(scheme.SimulationConfig.from_dict(doc))
         calls = []
@@ -264,10 +267,27 @@ def academic_lite_step0():
     return steps
 
 
-@pytest.mark.parametrize("kind", PRECONDITIONER_KINDS)
-def test_step_iterations_do_not_rise(academic_lite_step0, kind):
-    record = academic_lite_step0[kind][-1]
-    assert record.gmres_iterations <= ACADEMIC_LITE_STEP0_ITERATIONS[kind]
+@pytest.fixture(scope="module")
+def academic_lite_step0():
+    return step0_solves(4, PRECONDITIONER_KINDS)
+
+
+@pytest.fixture(scope="module")
+def cube8_step0():
+    return step0_solves(8, CUBE8_STEP0_ITERATIONS)
+
+
+@pytest.mark.parametrize("cube8, kind", [
+    *[pytest.param(False, kind, id=kind) for kind in PRECONDITIONER_KINDS],
+    *[pytest.param(True, kind, id=f"cube8-{kind}") for kind in CUBE8_STEP0_ITERATIONS],
+])
+def test_step_iterations_do_not_rise(request, cube8, kind):
+    if cube8:
+        record = request.getfixturevalue("cube8_step0")[kind][-1]
+        assert record.gmres_iterations <= CUBE8_STEP0_ITERATIONS[kind]
+    else:
+        record = request.getfixturevalue("academic_lite_step0")[kind][-1]
+        assert record.gmres_iterations <= ACADEMIC_LITE_STEP0_ITERATIONS[kind]
 
 
 @pytest.mark.parametrize("kind", PRECONDITIONER_KINDS)

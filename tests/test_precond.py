@@ -5,12 +5,15 @@ import scipy.sparse as sp
 from tangent_plane_llg import (FIXED_INVOLUTIONS, build_frame, build_jacobi,
                                build_none, build_practical,
                                build_stationary_2d, build_theoretical,
-                               make_preconditioner, select_tn_adaptive)
+                               generate_structured_cube, make_preconditioner,
+                               select_tn_adaptive)
 from tangent_plane_llg.precond import PreconditionerError, ScalarFactorization
 
-from conftest import random_unit_field
+from conftest import UNIT_BOUNDS, random_unit_field
 
 ALPHA_P, BETA_K = 1.0, 0.1
+# the nested-dissection order of the 27-node cube of the setup fixture
+ORDER = generate_structured_cube(UNIT_BOUNDS, (2, 2, 2)).dissection_order()
 
 
 def kron3(scalar):
@@ -32,7 +35,7 @@ def setup(cube2, cube2_matrices):
 class TestTheoretical:
     def test_inverse_consistency(self, setup, rng):
         mesh, mass, stiffness, m, frame = setup
-        pc = build_theoretical(frame, mass, stiffness, ALPHA_P, BETA_K)
+        pc = build_theoretical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER)
         q = frame.as_sparse()
         inner = (q.T @ kron3(ALPHA_P * mass + BETA_K * stiffness) @ q).tocsr()
         for _ in range(5):
@@ -53,8 +56,8 @@ class TestTheoretical:
             t = FIXED_INVOLUTIONS[key]
             mu = np.tile(t[:, 2], (mesh.N, 1))
             frame = build_frame(mu, t)
-            theo = build_theoretical(frame, mass, stiffness, ALPHA_P, BETA_K)
-            stat = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K)
+            theo = build_theoretical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER)
+            stat = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, ORDER)
             worst = 0.0
             for i in range(2 * mesh.N):
                 e = np.zeros(2 * mesh.N)
@@ -65,13 +68,13 @@ class TestTheoretical:
     def test_rejects_nonpositive_alpha_p(self, setup):
         mesh, mass, stiffness, m, frame = setup
         with pytest.raises(PreconditionerError):
-            build_theoretical(frame, mass, stiffness, 0.0, BETA_K)
+            build_theoretical(frame, mass, stiffness, 0.0, BETA_K, ORDER)
 
 
 class TestStationary:
     def test_matches_dense_2d_inverse(self, setup, rng):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K)
+        pc = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, ORDER)
         dense = np.linalg.inv(kron2(ALPHA_P * mass + BETA_K * stiffness).toarray())
         for _ in range(5):
             r = rng.standard_normal(2 * mesh.N)
@@ -79,14 +82,14 @@ class TestStationary:
 
     def test_mass_inverse_recovery(self, setup, rng):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_stationary_2d(mass, stiffness, ALPHA_P, beta_k=0.0)
+        pc = build_stationary_2d(mass, stiffness, ALPHA_P, 0.0, ORDER)
         r = rng.standard_normal((mesh.N, 2))
         w = ALPHA_P * (mass @ r)
         assert np.abs(pc.apply(w.ravel()).reshape(mesh.N, 2) - r).max() <= 1e-12
 
     def test_stateless_reuse(self, setup, rng):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K)
+        pc = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, ORDER)
         r = rng.standard_normal(2 * mesh.N)
         assert np.array_equal(pc.apply(r), pc.apply(r))
 
@@ -94,7 +97,7 @@ class TestStationary:
 class TestPractical:
     def test_symmetry_and_positivity(self, setup, rng):
         mesh, mass, stiffness, m, frame = setup
-        pc = build_practical(frame, mass, stiffness, ALPHA_P, BETA_K)
+        pc = build_practical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER)
         for _ in range(100):
             r1 = rng.standard_normal(2 * mesh.N)
             r2 = rng.standard_normal(2 * mesh.N)
@@ -117,16 +120,18 @@ class TestPractical:
 
     def test_shared_scalar_factorization(self, setup):
         mesh, mass, stiffness, m, frame = setup
-        factor = ScalarFactorization(mass, stiffness, ALPHA_P, BETA_K)
-        stat = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, scalar_factor=factor)
-        prac = build_practical(frame, mass, stiffness, ALPHA_P, BETA_K, scalar_factor=factor)
+        factor = ScalarFactorization(mass, stiffness, ALPHA_P, BETA_K, ORDER)
+        stat = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, ORDER,
+                                   scalar_factor=factor)
+        prac = build_practical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER,
+                               scalar_factor=factor)
         assert stat.scalar_factor is prac.scalar_factor
 
     def test_mismatched_factor_rejected(self, setup):
         mesh, mass, stiffness, m, frame = setup
-        factor = ScalarFactorization(mass, stiffness, ALPHA_P, BETA_K)
+        factor = ScalarFactorization(mass, stiffness, ALPHA_P, BETA_K, ORDER)
         with pytest.raises(PreconditionerError):
-            build_practical(frame, mass, stiffness, 2.0, BETA_K, scalar_factor=factor)
+            build_practical(frame, mass, stiffness, 2.0, BETA_K, ORDER, scalar_factor=factor)
 
 
 class TestJacobi:
@@ -179,8 +184,8 @@ class TestApplyDispatch:
 
     def test_linearity(self, setup, rng):
         mesh, mass, stiffness, m, frame = setup
-        for pc in (build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K),
-                   build_practical(frame, mass, stiffness, ALPHA_P, BETA_K),
+        for pc in (build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, ORDER),
+                   build_practical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER),
                    build_jacobi(mass, stiffness, ALPHA_P, BETA_K)):
             r1 = rng.standard_normal(2 * mesh.N)
             r2 = rng.standard_normal(2 * mesh.N)
@@ -193,7 +198,8 @@ class TestApplyDispatch:
         mass, stiffness = assemble_mass(cube1), assemble_stiffness(cube1)
         m = random_unit_field(cube1.N, seed=81)
         frame = build_frame(m, np.eye(3))
-        pc = build_theoretical(frame, mass, stiffness, ALPHA_P, BETA_K)
+        pc = build_theoretical(frame, mass, stiffness, ALPHA_P, BETA_K,
+                               cube1.dissection_order())
         q = frame.as_sparse().toarray()
         dense = np.linalg.inv(q.T @ kron3(ALPHA_P * mass + BETA_K * stiffness).toarray() @ q)
         r = rng.standard_normal(2 * cube1.N)
@@ -207,14 +213,21 @@ class TestApplyDispatch:
 
     def test_make_preconditioner_dispatch(self, setup):
         mesh, mass, stiffness, m, frame = setup
-        for kind in ("none", "jacobi", "stationary"):
+        for kind in ("none", "jacobi"):
             pc = make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K)
             assert pc.kind == kind
+        pc = make_preconditioner("stationary", mass, stiffness, ALPHA_P, BETA_K, order=ORDER)
+        assert pc.kind == "stationary"
+        with pytest.raises(PreconditionerError, match="elimination order"):
+            make_preconditioner("stationary", mass, stiffness, ALPHA_P, BETA_K)
         for kind in ("practical", "theoretical"):
-            pc = make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K, frame=frame)
+            pc = make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K,
+                                     order=ORDER, frame=frame)
             assert pc.kind == kind
-            with pytest.raises(PreconditionerError):
-                make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K)
+            with pytest.raises(PreconditionerError, match="needs a frame"):
+                make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K, order=ORDER)
+            with pytest.raises(PreconditionerError, match="elimination order"):
+                make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K, frame=frame)
         with pytest.raises(PreconditionerError):
             make_preconditioner("ilu", mass, stiffness, ALPHA_P, BETA_K)
 
@@ -231,10 +244,10 @@ def test_theoretical_with_stale_frame_still_solves(setup, rng):
     op = ReducedOperator(sys_, frame)
     rhs = op.reduced_rhs()
     x_fresh, s_fresh = gmres_solve(op, build_theoretical(frame, mass, stiffness,
-                                                         ALPHA_P, BETA_K), rhs)
+                                                         ALPHA_P, BETA_K, ORDER), rhs)
     stale_field = random_unit_field(mesh.N, seed=999)
     stale_frame = build_frame(stale_field, select_tn_adaptive(stale_field).chosen_T)
-    stale = build_theoretical(stale_frame, mass, stiffness, ALPHA_P, BETA_K)
+    stale = build_theoretical(stale_frame, mass, stiffness, ALPHA_P, BETA_K, ORDER)
     x_stale, s_stale = gmres_solve(op, stale, rhs)
     assert s_fresh.converged and s_stale.converged
     assert np.linalg.norm(x_stale - x_fresh) <= 1e-9 * np.linalg.norm(x_fresh)
