@@ -14,7 +14,8 @@ All integrals of polynomial integrands use the exact barycentric moment
 formula, so no quadrature error enters any of the assembled matrices.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,10 +131,12 @@ def assemble_rhs(mesh, m_n, lh, ell_ex2, mass=None, stiffness=None):
 class AssembledSystem:
     """Per-step linear system data for the tangent plane scheme.
 
-    The 3N system matrix is one 3x3-block (BSR) matrix on the mesh pattern:
-    block (i, j) is (alpha M_k + beta_k L)_ij I_3 - S_ij, with M_k the
-    weighted mass, L the stiffness and S the cross form, each summed in
-    element order.  apply() is one sparse matrix-vector product with it.
+    The 3N system matrix has 3x3 blocks on the mesh pattern: block (i, j) is
+    (alpha M_k + beta_k L)_ij I_3 - S_ij, with M_k the weighted mass, L the
+    stiffness and S the cross form, each summed in element order.  A step
+    solves with the reduced 2N matrix formed from blocks() (ReducedOperator),
+    so the 3N matrix itself is built only on demand, on the first use of
+    matrix, apply() or dense_matrix(): by checks and oracles.
     """
 
     alpha: float
@@ -143,17 +146,21 @@ class AssembledSystem:
     weighted_mass: sp.csr_array  # N x N, on the pattern of stiffness
     cross: sp.bsr_array          # 3N x 3N, skew, 3x3 blocks on the same pattern
     rhs: np.ndarray              # (3N,)
-    matrix: sp.bsr_array = field(init=False)
-
-    def __post_init__(self):
-        scalar = self.alpha * self.weighted_mass.data + self.beta_k * self.stiffness.data
-        blocks = scalar[:, None, None] * np.eye(3) - self.cross.data
-        self.matrix = sp.bsr_array((blocks, self.cross.indices, self.cross.indptr),
-                                   shape=self.cross.shape)
 
     @property
     def n_nodes(self):
         return self.mass.shape[0]
+
+    def blocks(self):
+        """The (nnz, 3, 3) blocks of the system matrix on the cross form's pattern."""
+        scalar = self.alpha * self.weighted_mass.data + self.beta_k * self.stiffness.data
+        return scalar[:, None, None] * np.eye(3) - self.cross.data
+
+    @cached_property
+    def matrix(self):
+        """The 3N x 3N system matrix as BSR, built on first use."""
+        return sp.bsr_array((self.blocks(), self.cross.indices, self.cross.indptr),
+                            shape=self.cross.shape)
 
     def apply(self, v):
         """y = (alpha M_k + beta_k L - S) v on stacked 3N vectors."""

@@ -6,6 +6,15 @@ enough) and Givens-rotation least squares.  Convergence is measured on the
 preconditioned residual, the quantity the iteration minimizes under left
 preconditioning; the check precedes any restart.  Defaults: tolerance
 1e-14, restart length 200, zero initial guess.
+
+The operator of a step is the reduced matrix Q^T A Q, formed explicitly once
+per step as a 2N x 2N CSR matrix (ReducedOperator, which says why), so each
+iteration applies it with one sparse matrix-vector product.
+
+The Givens rotations of a cycle are carried as one open row omega of their
+product: entry j of rotated column j is omega . h, a dot product, and the
+finished rows give the triangle of the least-squares problem with one
+matrix product at the end of the cycle.
 """
 
 import math
@@ -14,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .tangent import apply_q, apply_qt
+# apply_q stays importable from this module: bench/instrument.py wraps it here
+from .tangent import apply_q, apply_qt, reduce_blocks
 
 
 class GmresError(RuntimeError):
@@ -23,17 +33,32 @@ class GmresError(RuntimeError):
 
 @dataclass
 class ReducedOperator:
-    """Action of the tangent-space reduced system matrix on 2N vectors."""
+    """The tangent-space reduced system matrix R = Q^T A Q on 2N vectors.
+
+    R is formed once, at construction, as a 2N x 2N CSR matrix on the mesh
+    pattern with 2x2 blocks Q_i^T B_ij Q_j, B_ij the 3x3 blocks of the
+    system matrix A (tangent.reduce_blocks).  One BLAS thread, 2-core host:
+    forming R costs 11 to 16 matrix-free applies Q^T (A (Q x)), and a
+    product with R a quarter to a fifth of one (11 against 41 us at
+    N = 252, 0.37 against 1.78 ms at N = 9261), so R pays for itself within
+    13 to 21 iterations.  Steps of the bundled configs take 18 or more, the
+    cube ones about 22, so there is no matrix-free route.
+    """
 
     system: object        # AssembledSystem
     frame: object         # TangentFrame
+
+    def __post_init__(self):
+        cross = self.system.cross
+        self.matrix = reduce_blocks(self.frame.blocks, cross.indptr, cross.indices,
+                                    self.system.blocks())
 
     @property
     def n(self):
         return 2 * self.frame.n_nodes
 
     def matvec(self, x):
-        return apply_qt(self.frame, self.system.apply(apply_q(self.frame, x)))
+        return self.matrix @ x
 
     def reduced_rhs(self):
         return apply_qt(self.frame, self.system.rhs)
@@ -96,11 +121,18 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
         return np.zeros(n), stats
     threshold = tol * norm_pb
 
+    # a cycle uses at most n Arnoldi vectors: with n of them CGS2 leaves the
+    # next at rounding level, and the happy-breakdown test ends the cycle
+    cycle = min(restart, n)
     # rows on 64-byte boundaries: Gram-Schmidt cost independent of the heap layout
     stride = -(-n // 8) * 8
-    raw = np.empty((restart + 1) * stride + 8)
-    basis = raw[(-raw.ctypes.data % 64) // 8:][:(restart + 1) * stride].reshape(-1, stride)[:, :n]
-    hess = np.zeros((restart + 1, restart))
+    raw = np.empty((cycle + 1) * stride + 8)
+    basis = raw[(-raw.ctypes.data % 64) // 8:][:(cycle + 1) * stride].reshape(-1, stride)[:, :n]
+    # hess: the Hessenberg matrix of the cycle; rows[i]: row i of the product
+    # Omega of its Givens rotations, final once rotation i is applied
+    hess = np.zeros((cycle + 1, cycle))
+    rows = np.zeros((cycle, cycle + 1))
+    omega = np.empty(cycle + 1)
 
     while True:
         # explicit preconditioned residual; convergence check precedes restart
@@ -127,9 +159,10 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
 
         basis[0] = r / beta
         g = [beta]
-        rotations = []
+        # omega: the last, still open row of Omega
+        omega[0] = 1.0
         happy = False
-        for j in range(restart):
+        for j in range(cycle):
             w = apply_precond(apply_operator(basis[j]))
             norm_before = float(np.linalg.norm(w))
             v = basis[:j + 1]
@@ -146,21 +179,24 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
                 happy = True
             else:
                 basis[j + 1] = w / hij
+            hess[:j + 1, j] = h
+            hess[j + 1, j] = hij
 
-            # Givens update of column j and the residual norm estimate
-            col = h.tolist()
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], -s * col[i] + c * col[i + 1]
-            denom = math.hypot(col[j], hij)
+            # Givens rotation j: the earlier ones leave omega . h in entry j
+            # of column j, and rotation j maps (omega, 0), (0, 1) to the
+            # finished row (c omega, s) and the open row (-s omega, c)
+            rotated = float(omega[:j + 1] @ h)
+            denom = math.hypot(rotated, hij)
             if denom == 0.0:
                 raise GmresError(
                     f"singular Hessenberg column at iteration {stats.iterations} "
                     "(operator not positive definite?)"
                 )
-            c, s = col[j] / denom, hij / denom
-            rotations.append((c, s))
-            col[j] = denom
-            hess[:j + 1, j] = col
+            c, s = rotated / denom, hij / denom
+            np.multiply(omega[:j + 1], c, out=rows[j, :j + 1])
+            rows[j, j + 1] = s
+            omega[:j + 1] *= -s
+            omega[j + 1] = c
             g.append(-s * g[j])
             g[j] = c * g[j]
 
@@ -169,10 +205,10 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
             if happy or abs(g[j + 1]) <= threshold or stats.iterations >= maxit:
                 break
 
-        # update x from the least-squares solution in the current subspace;
-        # only the upper triangle of hess is read, and this cycle wrote it
+        # update x from the least-squares solution in the current subspace:
+        # the triangle Omega H, of which only the upper part is read
         k = j + 1
-        y = solve_triangular(hess[:k, :k], g[:k])
+        y = solve_triangular(rows[:k, :k + 1] @ hess[:k + 1, :k], g[:k])
         x = x + basis[:k].T @ y
         if happy:
             r = apply_precond(b - apply_operator(x))

@@ -18,10 +18,9 @@ un-permute the result.
 """
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .tangent import apply_q, apply_qt
+from .tangent import apply_q, apply_qt, reduce_blocks
 
 PRECONDITIONER_KINDS = ("theoretical", "stationary", "practical", "jacobi", "none")
 # the kinds that factor an SPD matrix in the elimination order of the mesh
@@ -92,20 +91,19 @@ def build_theoretical(frame, mass, stiffness, alpha_P, beta_k, order):
     """Inverse of the frame-congruent SPD matrix Q^T (a_P M + bk L) Q.
 
     With K = a_P M + bk L, block (i, j) of the 2N x 2N matrix is the 2x2
-    block K_ij Q_i^T Q_j on the pattern of K.  It is assembled in the node
-    order of order (the 2x2 blocks of node order[i] at rows 2i, 2i+1) and
-    factored in SuperLU's symmetric mode without pivoting, once per build;
-    the frame may be kept stale for several steps (rebuild cadence is the
-    caller's knob).
+    block K_ij Q_i^T Q_j on the pattern of K: tangent.reduce_blocks of the
+    3x3 blocks K_ij I_3, the congruence that forms the reduced system
+    matrix.  It is assembled in the node order of order (the 2x2 blocks of
+    node order[i] at rows 2i, 2i+1) and factored in SuperLU's symmetric
+    mode without pivoting, once per build; the frame may be kept stale for
+    several steps (rebuild cadence is the caller's knob).
     """
     if alpha_P <= 0:
         raise PreconditionerError(f"alpha_P must be positive, got {alpha_P}")
     scalar = (alpha_P * mass + beta_k * stiffness).tocsr()[order][:, order]
     n = frame.n_nodes
-    q = frame.blocks[order]
-    rows = np.repeat(np.arange(n), np.diff(scalar.indptr))
-    blocks = np.einsum("k,kpa,kpb->kab", scalar.data, q[rows], q[scalar.indices])
-    inner = sp.bsr_array((blocks, scalar.indices, scalar.indptr), shape=(2 * n, 2 * n)).tocsc()
+    inner = reduce_blocks(frame.blocks[order], scalar.indptr, scalar.indices,
+                          scalar.data[:, None, None] * np.eye(3)).tocsc()
     # exact zeros (Q_i^T Q_j = I where the frame is uniform) only add fill
     inner.eliminate_zeros()
     lu = _factor_spd(inner, "theoretical preconditioner")

@@ -183,6 +183,21 @@ def build_frame(m, T=None, strategy="householder"):
     return TangentFrame(T=T, blocks=blocks, strategy=strategy)
 
 
+def reduce_blocks(q, indptr, indices, blocks):
+    """The 2N x 2N congruence Q^T B Q of a 3x3-block matrix B, as CSR.
+
+    B has the 3x3 blocks blocks[k] at the block pattern (indptr, indices)
+    of an N x N matrix, and q holds the (N, 3, 2) frame blocks in the same
+    node order.  Block (i, j) of the result is the 2x2 matrix Q_i^T B_ij Q_j,
+    formed by two batched matrix products over all slots; the result keeps
+    the pattern of B, explicit zeros included.
+    """
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    reduced = q[rows].transpose(0, 2, 1) @ blocks @ q[indices]
+    return sp.bsr_array((reduced, indices, indptr), shape=(2 * n, 2 * n)).tocsr()
+
+
 def apply_q(frame, x):
     """Lift tangent coefficients (2N,) to a stacked vector field (3N,)."""
     n = frame.n_nodes

@@ -204,6 +204,8 @@ EXIT_CODE_ROWS = [
     ("mesh", {"kind": "file", "path": "nonconforming.json"}, 2,
      "shared by more than two elements"),
     ("mesh", {"kind": "file", "path": "object_nodes.json"}, 2, "float() argument"),
+    # a restart longer than the system is valid: a cycle stops at 2N vectors
+    ("solver.restart", 10**9, 0, ""),
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))
@@ -236,7 +238,7 @@ def test_exit_code_contract(tmp_path, capsys, key, value, code, fragment):
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
     else:
-        # the failing point keeps its partial outputs
+        # the point keeps its outputs (partial ones if it failed)
         assert (out / "summary.csv").exists()
         assert any(p.startswith("steps_") for p in os.listdir(out))
 

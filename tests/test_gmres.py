@@ -159,6 +159,19 @@ def test_invalid_arguments():
         gmres_solve(MatOp(np.eye(3)), None, np.ones(3), restart=0)
 
 
+def test_restart_longer_than_the_system_is_capped():
+    """A cycle cannot use more Arnoldi vectors than the dimension, so a
+    restart of 1e9 on a 40-dimensional system allocates and solves as
+    restart = 40 does; this one takes all 40."""
+    a, rng = random_nonnormal(40, 0, 100.0)
+    b = rng.standard_normal(40)
+    x, stats = gmres_solve(MatOp(a), None, b, restart=40)
+    x_big, stats_big = gmres_solve(MatOp(a), None, b, restart=10**9)
+    assert stats.converged and stats.iterations == 40
+    assert np.array_equal(x_big, x)
+    assert stats_big == stats
+
+
 # (n, seed, eigenvalue spread, restart, allowed extra iterations)
 REFERENCE_CASES = [
     (150, 1, 100.0, 200, 0),
@@ -234,22 +247,27 @@ def test_arnoldi_basis_rows_are_cache_line_aligned(n):
 
 
 # iterations of step 0 of configs/academic_lite.json (cube n = 4) per
-# preconditioner with single-pass MGS, and of the same config on the cube
-# n = 8 with COLAMD-ordered factorizations; a numerics change must not
-# raise them
+# preconditioner with single-pass MGS, of the same config on the cube n = 8
+# with COLAMD-ordered factorizations, and of configs/mumag4_like.json
+# (alpha_P = 1) with the matrix-free reduced operator; a numerics change
+# must not raise them
 ACADEMIC_LITE_STEP0_ITERATIONS = {
     "theoretical": 20, "stationary": 20, "practical": 20, "jacobi": 58, "none": 86,
 }
 CUBE8_STEP0_ITERATIONS = {"theoretical": 19, "stationary": 19, "practical": 19}
+MUMAG4_STEP0_ITERATIONS = {
+    "theoretical": 80, "stationary": 94, "practical": 80, "jacobi": 136, "none": 202,
+}
 
 
-def step0_solves(n, kinds):
+def step0_solves(config, kinds, n=None):
     """Per preconditioner: the reduced operator, preconditioner and
     right-hand side tps_step hands to gmres_solve in step 0 of
-    configs/academic_lite.json on the cube n, and the step's record."""
-    doc = json.loads((REPO / "configs" / "academic_lite.json").read_text())
+    configs/<config> (on the cube n, if given), and the step's record."""
+    doc = json.loads((REPO / "configs" / config).read_text())
     del doc["sweep"]
-    doc["mesh"]["n"] = [n, n, n]
+    if n is not None:
+        doc["mesh"]["n"] = [n, n, n]
     steps = {}
     for kind in kinds:
         doc["precond"]["kind"] = kind
@@ -269,25 +287,33 @@ def step0_solves(n, kinds):
 
 @pytest.fixture(scope="module")
 def academic_lite_step0():
-    return step0_solves(4, PRECONDITIONER_KINDS)
+    return step0_solves("academic_lite.json", PRECONDITIONER_KINDS, n=4)
 
 
 @pytest.fixture(scope="module")
 def cube8_step0():
-    return step0_solves(8, CUBE8_STEP0_ITERATIONS)
+    return step0_solves("academic_lite.json", CUBE8_STEP0_ITERATIONS, n=8)
 
 
-@pytest.mark.parametrize("cube8, kind", [
-    *[pytest.param(False, kind, id=kind) for kind in PRECONDITIONER_KINDS],
-    *[pytest.param(True, kind, id=f"cube8-{kind}") for kind in CUBE8_STEP0_ITERATIONS],
+@pytest.fixture(scope="module")
+def mumag4_step0():
+    return step0_solves("mumag4_like.json", MUMAG4_STEP0_ITERATIONS)
+
+
+ITERATION_BOUNDS = {"academic_lite_step0": ACADEMIC_LITE_STEP0_ITERATIONS,
+                    "cube8_step0": CUBE8_STEP0_ITERATIONS,
+                    "mumag4_step0": MUMAG4_STEP0_ITERATIONS}
+
+
+@pytest.mark.parametrize("steps, kind", [
+    *[pytest.param("academic_lite_step0", kind, id=kind) for kind in PRECONDITIONER_KINDS],
+    *[pytest.param("cube8_step0", kind, id=f"cube8-{kind}") for kind in CUBE8_STEP0_ITERATIONS],
+    *[pytest.param("mumag4_step0", kind, id=f"mumag4-{kind}")
+      for kind in MUMAG4_STEP0_ITERATIONS],
 ])
-def test_step_iterations_do_not_rise(request, cube8, kind):
-    if cube8:
-        record = request.getfixturevalue("cube8_step0")[kind][-1]
-        assert record.gmres_iterations <= CUBE8_STEP0_ITERATIONS[kind]
-    else:
-        record = request.getfixturevalue("academic_lite_step0")[kind][-1]
-        assert record.gmres_iterations <= ACADEMIC_LITE_STEP0_ITERATIONS[kind]
+def test_step_iterations_do_not_rise(request, steps, kind):
+    record = request.getfixturevalue(steps)[kind][-1]
+    assert record.gmres_iterations <= ITERATION_BOUNDS[steps][kind]
 
 
 @pytest.mark.parametrize("kind", PRECONDITIONER_KINDS)
