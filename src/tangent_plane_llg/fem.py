@@ -8,10 +8,14 @@ N x N CSR matrices on that pattern.  The cross-product form and the 3N
 system matrix are 3x3-block (BSR) matrices on the same pattern: block
 (i, j) of the cross form is sum_d C_d[ij] E_d, with C_d the mass matrix
 weighted by the P1 function m_d and E_d[p, q] = e_d . (e_p x e_q) a skew
-3x3 generator.
+3x3 generator.  The moments C_d need no element tensor: the exact cubic
+moments reduce them to two sums over the elements of each node pair, taken
+by one product with the mesh's pair incidence (Mesh.pair_incidence).
 
-All integrals of polynomial integrands use the exact barycentric moment
-formula, so no quadrature error enters any of the assembled matrices.
+All integrals of polynomial integrands are exact (barycentric moment
+formulas), so no quadrature error enters any of the assembled matrices.
+The element kernels work on (component, element) arrays, not on stacks of
+small matrices.
 """
 
 from dataclasses import dataclass
@@ -29,21 +33,10 @@ class AssemblyError(ValueError):
 # integral of lambda_a * lambda_b = |K| (1 + delta_ab) / 20.
 _LOCAL_MASS = (np.ones((4, 4)) + np.eye(4)) / 20.0
 
-# Cubic moments: integral of lambda_a lambda_b lambda_c = |K| * _LOCAL_CUBIC[a,b,c]
-# (1/120 all distinct, 1/60 for one repeated pair, 1/20 for a=b=c).
-_LOCAL_CUBIC = np.empty((4, 4, 4))
-for _a in range(4):
-    for _b in range(4):
-        for _c in range(4):
-            reps = len({_a, _b, _c})
-            _LOCAL_CUBIC[_a, _b, _c] = {3: 1 / 120, 2: 1 / 60, 1: 1 / 20}[reps]
-
-
-# The skew generators of the cross form: _LEVI_CIVITA[d] = E_d with
-# E_d[p, q] = e_d . (e_p x e_q).
-_LEVI_CIVITA = np.zeros((3, 3, 3))
-_LEVI_CIVITA[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
-_LEVI_CIVITA[[0, 1, 2], [2, 0, 1], [1, 2, 0]] = -1.0
+# The entries of a 3x3 block sum_d C_d E_d, E_d[p, q] = e_d . (e_p x e_q),
+# as columns of (C_0, C_1, C_2, -C_0, -C_1, -C_2, 0): E_d[d+1, d+2] = 1 =
+# -E_d[d+2, d+1], indices mod 3, and zero elsewhere.
+_CROSS_BLOCK = np.array([6, 2, 4, 5, 6, 0, 1, 3, 6])
 
 
 def _scatter(mesh, local_data):
@@ -65,10 +58,15 @@ def assemble_mass(mesh):
 
 
 def assemble_stiffness(mesh):
-    """Scalar P1 stiffness matrix from constant element gradients."""
-    vol, grad = mesh.element_geometry()
-    local = np.einsum("ead,ebd->eab", grad, grad)
-    return _scatter_scalar(mesh, vol[:, None, None] * local)
+    """Scalar P1 stiffness matrix from constant element gradients:
+    element entry |K| grad_a . grad_b."""
+    vol, grad = mesh.element_volumes(), mesh.gradient_components()
+    local = np.empty((mesh.elem_count, 4, 4))
+    for a in range(4):
+        for b in range(a, 4):
+            dot = grad[a, 0] * grad[b, 0] + grad[a, 1] * grad[b, 1] + grad[a, 2] * grad[b, 2]
+            local[:, a, b] = local[:, b, a] = vol * dot
+    return _scatter_scalar(mesh, local)
 
 
 def assemble_weighted_mass(mesh, weights):
@@ -92,23 +90,34 @@ def assemble_cross(mesh, m):
     """Skew-symmetric 3N x 3N matrix of the cross-product form, 3x3 blocks.
 
     Entry ((i,p),(j,q)) integrates (m x phi_i e_p) . (phi_j e_q) exactly
-    (degree-3 integrand), so block (i, j) is sum_d C_d[ij] E_d.  C_d[ij] and
-    C_d[ji] sum the same terms in the same order, and E_d is skew, so the
-    skew-symmetry is bit-exact.
+    (degree-3 integrand), so block (i, j) is sum_d C_d[ij] E_d with C_d[ij]
+    the integral of phi_i phi_j m_d.  On an element K, with S_K the sum of
+    m over its vertices, the cubic moments give |K| (S_K + m_i + m_j) / 120
+    for i != j and |K| (S_K + 2 m_i) / 60 for i = j, so
+
+        C[ij] = (sum_K |K| S_K + (m_i + m_j) sum_K |K|) / (120 or 60),
+
+    both sums over the elements K of the pair, in element order, by one
+    product with the pair incidence of the mesh.  The slots (i, j) and
+    (j, i) take the same moments and E_d is skew, so the skew-symmetry is
+    bit-exact.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (mesh.N, 3):
         raise AssemblyError(f"magnetization must be (N, 3), got {m.shape}")
-    # values[d, e, a, b] = integral over element e of lambda_a lambda_b m_d,
-    # summed over the local vertices c in order
-    mloc = m.T[:, mesh.tets]  # mloc[d, e, c]: m_d at local vertex c of e
-    values = mloc[:, :, 0, None, None] * _LOCAL_CUBIC[:, :, 0]
-    for c in range(1, 4):
-        values += mloc[:, :, c, None, None] * _LOCAL_CUBIC[:, :, c]
-    values *= mesh.element_volumes()[:, None, None]
-    moments = np.stack([_scatter(mesh, values[d]) for d in range(3)])
+    incidence, (i, j), mirror = mesh.pair_incidence()
+    vol = mesh.element_volumes()
+    mloc = np.take(m.T, mesh.tets.T, axis=1)  # mloc[d, a, e]: m_d at local vertex a of e
+    weighted = np.empty((mesh.elem_count, 4))
+    weighted[:, :3] = (vol * (mloc[:, 0] + mloc[:, 1] + mloc[:, 2] + mloc[:, 3])).T
+    weighted[:, 3] = vol
+    sums = incidence @ weighted
+    moments = ((sums[:, :3] + (np.take(m, i, axis=0) + np.take(m, j, axis=0)) * sums[:, 3:])
+               / np.where(i == j, 60.0, 120.0)[:, None])
+    # block (i, j) of the pair's slots, from the columns (C, -C, 0)
+    signed = np.concatenate([moments, -moments, np.zeros((len(moments), 1))], axis=1)
+    blocks = signed.take(_CROSS_BLOCK, axis=1).take(mirror, axis=0).reshape(-1, 3, 3)
     indptr, indices, _ = mesh.adjacency()
-    blocks = np.einsum("dk,dpq->kpq", moments, _LEVI_CIVITA)
     return sp.bsr_array((blocks, indices, indptr), shape=(3 * mesh.N, 3 * mesh.N))
 
 
@@ -134,9 +143,10 @@ class AssembledSystem:
     The 3N system matrix has 3x3 blocks on the mesh pattern: block (i, j) is
     (alpha M_k + beta_k L)_ij I_3 - S_ij, with M_k the weighted mass, L the
     stiffness and S the cross form, each summed in element order.  A step
-    solves with the reduced 2N matrix formed from blocks() (ReducedOperator),
-    so the 3N matrix itself is built only on demand, on the first use of
-    matrix, apply() or dense_matrix(): by checks and oracles.
+    solves with the reduced 2N matrix formed from scalar() and moments()
+    (ReducedOperator), so the 3N matrix itself is built only on demand, on
+    the first use of matrix, apply() or dense_matrix(): by checks and
+    oracles.
     """
 
     alpha: float
@@ -151,15 +161,19 @@ class AssembledSystem:
     def n_nodes(self):
         return self.mass.shape[0]
 
-    def blocks(self):
-        """The (nnz, 3, 3) blocks of the system matrix on the cross form's pattern."""
-        scalar = self.alpha * self.weighted_mass.data + self.beta_k * self.stiffness.data
-        return scalar[:, None, None] * np.eye(3) - self.cross.data
+    def scalar(self):
+        """The (nnz,) values of alpha M_k + beta_k L on the cross form's pattern."""
+        return self.alpha * self.weighted_mass.data + self.beta_k * self.stiffness.data
+
+    def moments(self):
+        """The (3, nnz) cross moments C_d: entry (d + 1, d + 2) of each block."""
+        return self.cross.data.reshape(-1, 9).T[[5, 6, 1]]
 
     @cached_property
     def matrix(self):
         """The 3N x 3N system matrix as BSR, built on first use."""
-        return sp.bsr_array((self.blocks(), self.cross.indices, self.cross.indptr),
+        blocks = self.scalar()[:, None, None] * np.eye(3) - self.cross.data
+        return sp.bsr_array((blocks, self.cross.indices, self.cross.indptr),
                             shape=self.cross.shape)
 
     def apply(self, v):

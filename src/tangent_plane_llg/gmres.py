@@ -37,12 +37,13 @@ class ReducedOperator:
 
     R is formed once, at construction, as a 2N x 2N CSR matrix on the mesh
     pattern with 2x2 blocks Q_i^T B_ij Q_j, B_ij the 3x3 blocks of the
-    system matrix A (tangent.reduce_blocks).  One BLAS thread, 2-core host:
-    forming R costs 11 to 16 matrix-free applies Q^T (A (Q x)), and a
-    product with R a quarter to a fifth of one (11 against 41 us at
-    N = 252, 0.37 against 1.78 ms at N = 9261), so R pays for itself within
-    13 to 21 iterations.  Steps of the bundled configs take 18 or more, the
-    cube ones about 22, so there is no matrix-free route.
+    system matrix A: tangent.reduce_blocks of the scalar part and the cross
+    moments of A.  One BLAS thread, 2-core host: forming R costs 8 to 12
+    matrix-free applies Q^T (A (Q x)), and a product with R a quarter to a
+    fifth of one (12 to 15 against 53 to 67 us at N = 252, 0.43 to 0.54
+    against 2.1 to 2.7 ms at N = 9261), so R pays for itself within 9 to 16
+    iterations.  Steps of the bundled configs take 18 or more, the cube
+    ones about 22, so there is no matrix-free route.
     """
 
     system: object        # AssembledSystem
@@ -51,7 +52,7 @@ class ReducedOperator:
     def __post_init__(self):
         cross = self.system.cross
         self.matrix = reduce_blocks(self.frame.blocks, cross.indptr, cross.indices,
-                                    self.system.blocks())
+                                    self.system.scalar(), self.system.moments())
 
     @property
     def n(self):
@@ -83,10 +84,15 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
     op provides the action of A (object with .matvec or a callable); precond
     provides P via .apply (None means no preconditioning).  Terminates when
     ||P(b - A x)||_2 <= tol * ||P b||_2 or maxit total inner iterations are
-    exhausted.  op_applies and precond_applies book one of each per inner
-    iteration and per explicit residual (start, restarts, verifications),
-    precond_applies one more for P b; from a zero initial guess the start
-    residual is P b, so its two applies are booked but not performed.
+    exhausted.  A happy breakdown (the Krylov space is invariant) ends a
+    cycle, and its explicit residual checks the solution; where rounding
+    left that residual above the threshold it starts the next cycle, and
+    where it did not fall below the cycle's start residual the solve ends
+    with breakdown set.  op_applies and precond_applies book one of each per
+    inner iteration and per explicit residual (start, restarts,
+    verifications), precond_applies one more for P b; from a zero initial
+    guess the start residual is P b, so its two applies are booked but not
+    performed.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -134,20 +140,29 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
     rows = np.zeros((cycle, cycle + 1))
     omega = np.empty(cycle + 1)
 
+    r = None
+    happy = False
     while True:
-        # explicit preconditioned residual; convergence check precedes restart
-        zero_start = not x.any()
-        r = pb.copy() if zero_start else apply_precond(b - apply_operator(x))
-        if zero_start:
-            stats.op_applies += 1
-            stats.precond_applies += 1
-        stats.residual_computations += 1
+        # explicit preconditioned residual; convergence check precedes restart.
+        # After a happy breakdown it is already computed, as the cycle's check.
+        if r is None:
+            zero_start = not x.any()
+            r = pb.copy() if zero_start else apply_precond(b - apply_operator(x))
+            if zero_start:
+                stats.op_applies += 1
+                stats.precond_applies += 1
+            stats.residual_computations += 1
         beta = float(np.linalg.norm(r))
         if not np.isfinite(beta):
             raise GmresError(f"non-finite residual after {stats.iterations} iterations")
         stats.final_relative_residual = beta / norm_pb
         if beta <= threshold:
             stats.converged = True
+            return x, stats
+        if happy and beta >= start:
+            # the space was invariant, yet the explicit residual did not fall:
+            # another cycle would repeat this one
+            stats.breakdown = True
             return x, stats
         if stats.iterations >= maxit:
             return x, stats
@@ -156,11 +171,13 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
         stats.residual_history.append(beta)
         if stats.residual_computations > 1:
             stats.restarts += 1
+        start = beta
 
         basis[0] = r / beta
         g = [beta]
         # omega: the last, still open row of Omega
         omega[0] = 1.0
+        r = None
         happy = False
         for j in range(cycle):
             w = apply_precond(apply_operator(basis[j]))
@@ -211,10 +228,7 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
         y = solve_triangular(rows[:k, :k + 1] @ hess[:k + 1, :k], g[:k])
         x = x + basis[:k].T @ y
         if happy:
+            # the solution is exact in exact arithmetic: check it, and restart
+            # from this residual where rounding left it above the threshold
             r = apply_precond(b - apply_operator(x))
             stats.residual_computations += 1
-            beta = float(np.linalg.norm(r))
-            stats.final_relative_residual = beta / norm_pb
-            stats.converged = beta <= threshold
-            stats.breakdown = not stats.converged
-            return x, stats

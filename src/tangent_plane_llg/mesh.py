@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class MeshError(ValueError):
@@ -51,9 +52,13 @@ class Mesh:
             bad = int(np.argmax(repeated))
             raise MeshError(f"element {bad} has repeated node indices {tets[bad].tolist()}")
 
-        # Normalize orientation: swap two vertices where the signed volume is
-        # negative; reject degenerate elements.
-        vol = _signed_volumes(nodes, tets)
+        # The signed volume is the triple product e1 . (e2 x e3) / 6.  Swapping
+        # vertices 2 and 3 negates every component of e2 x e3 exactly, so it
+        # negates the volume bit for bit: where the volume is negative the
+        # swap orients the element and abs gives its volume.  Degenerate
+        # elements are rejected.
+        e1, e2, e3 = _edge_components(nodes, tets)
+        vol = _dot(e1, _cross(e2, e3)) / 6.0
         scale = np.abs(nodes).max() if len(nodes) else 1.0
         degenerate = np.abs(vol) <= 1e-14 * max(scale, 1.0) ** 3
         if degenerate.any():
@@ -63,7 +68,7 @@ class Mesh:
         if neg.any():
             tets = tets.copy()
             tets[neg, 2], tets[neg, 3] = tets[neg, 3].copy(), tets[neg, 2].copy()
-            vol = _signed_volumes(nodes, tets)
+            vol = np.abs(vol)
 
         _check_conforming(tets)
 
@@ -74,6 +79,7 @@ class Mesh:
         self._volumes = vol
         self._grad = None
         self._adjacency = None
+        self._pairs = None
         self._dissection = None
 
     @property
@@ -93,17 +99,28 @@ class Mesh:
 
         Returns (vol, grad) with vol of shape (M,) and grad of shape
         (M, 4, 3): grad[e, a] is the gradient of the barycentric coordinate
-        of local vertex a on element e.  Both are computed once and
-        read-only.
+        of local vertex a on element e.  grad is a view of
+        gradient_components(); both are computed once and read-only.
+        """
+        return self._volumes, self.gradient_components().transpose(2, 0, 1)
+
+    def gradient_components(self):
+        """The hat-function gradients as (4, 3, M) component arrays:
+        [a, d] holds component d of the gradient of local vertex a over the
+        elements.  With the edges e_a = x_a - x_0 and det = e_1 . (e_2 x e_3),
+        the gradients of vertices 1, 2, 3 are the rows of the inverse edge
+        matrix, (e_2 x e_3, e_3 x e_1, e_1 x e_2) / det, and vertex 0 takes
+        minus their sum.  Computed once and read-only.
         """
         if self._grad is None:
-            inv = np.linalg.inv(_edge_matrices(self.nodes, self.tets))
-            grad = np.empty((self.elem_count, 4, 3))
-            grad[:, 1:, :] = inv
-            grad[:, 0, :] = -inv.sum(axis=1)
+            e1, e2, e3 = _edge_components(self.nodes, self.tets)
+            grad = np.empty((4, 3, self.elem_count))
+            grad[1], grad[2], grad[3] = _cross(e2, e3), _cross(e3, e1), _cross(e1, e2)
+            grad[1:] /= _dot(e1, grad[1])
+            grad[0] = -(grad[1] + grad[2] + grad[3])
             grad.setflags(write=False)
             self._grad = grad
-        return self._volumes, self._grad
+        return self._grad
 
     def adjacency(self):
         """The N x N node-adjacency pattern every assembled matrix lives on.
@@ -126,6 +143,42 @@ class Mesh:
                 arr.setflags(write=False)
             self._adjacency = (indptr, indices, slot)
         return self._adjacency
+
+    def pair_incidence(self):
+        """The node pairs {i, j} that share an element, and their elements.
+
+        Returns (incidence, pairs, mirror): pairs (2, P) holds the node ids
+        i <= j of each pair, in the order of the slots of adjacency() with
+        i <= j; incidence is the P x M CSR matrix with a one where pair p
+        belongs to element e, columns in element order, so incidence @ x
+        sums x over the elements of every pair in element order; mirror[s]
+        is the pair of slot s, the same for the slots (i, j) and (j, i).
+        Computed once and read-only.
+        """
+        if self._pairs is None:
+            indptr, indices, slot = self.adjacency()
+            n = self.N
+            rows = np.repeat(np.arange(n), np.diff(indptr))
+            cols = indices.astype(np.int64)
+            # the slot (i, j) with i <= j of each slot, numbered in slot order
+            transpose = np.searchsorted(rows * n + cols, cols * n + rows)
+            is_upper = rows <= cols
+            upper = np.minimum(np.arange(len(cols)), transpose)
+            mirror = (np.cumsum(is_upper) - 1)[upper].astype(indptr.dtype)
+            pairs = np.stack([rows[is_upper], cols[is_upper]]).astype(indptr.dtype)
+            n_pairs = pairs.shape[1]
+            # the ten local pairs a <= b of every element, element by element
+            a, b = np.triu_indices(4)
+            pair = mirror[slot[:, a, b]].ravel()
+            index = np.int32 if len(pair) < 2**31 else np.int64
+            elements = (np.argsort(pair, kind="stable") // 10).astype(index)
+            ptr = np.concatenate([[0], np.cumsum(np.bincount(pair, minlength=n_pairs))])
+            incidence = sp.csr_array((np.ones(len(pair)), elements, ptr.astype(index)),
+                                     shape=(n_pairs, self.elem_count))
+            for arr in (incidence.data, incidence.indices, incidence.indptr, pairs, mirror):
+                arr.setflags(write=False)
+            self._pairs = (incidence, pairs, mirror)
+        return self._pairs
 
     def dissection_order(self):
         """A nested-dissection elimination order of the nodes.
@@ -155,21 +208,41 @@ class Mesh:
         return f"Mesh(N={self.N}, elems={self.elem_count})"
 
 
-def _edge_matrices(nodes, tets):
-    v = nodes[tets]
-    return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
+def _edge_components(nodes, tets):
+    """The edges x_a - x_0, a = 1, 2, 3, of every element as (3, 3, M)
+    component arrays: [a - 1, d] holds component d over the elements."""
+    x = np.take(nodes.T, tets.T, axis=1)  # x[d, a, e]
+    return (x[:, 1:] - x[:, :1]).transpose(1, 0, 2)
 
 
-def _signed_volumes(nodes, tets):
-    return np.linalg.det(_edge_matrices(nodes, tets)) / 6.0
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return np.array([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
 
 
 def _check_conforming(tets):
     # A face shared by two tets must appear as the same node set; any face
-    # appearing more than twice breaks conformity.  The error names the
-    # element at which, in element order, some face is seen a third time.
-    faces = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
+    # appearing more than twice breaks conformity.  The faces of the sorted
+    # rows are sorted triples, and a face seen three times gives three equal
+    # neighbours among the sorted face keys.
     n = int(tets.max()) + 1 if tets.size else 1
+    if n ** 3 < 2 ** 63:
+        faces = np.sort(tets, axis=1)[:, _LOCAL_FACES]
+        keys = np.sort(((faces[..., 0] * n + faces[..., 1]) * n + faces[..., 2]).ravel())
+        if not (keys[2:] == keys[:-2]).any():
+            return
+    _raise_on_third_face(tets, n)
+
+
+def _raise_on_third_face(tets, n):
+    # The error names the element at which, in element order, some face is
+    # seen a third time.
+    faces = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
     if n ** 3 < 2 ** 63:
         keys = (faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2]
         _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)

@@ -92,18 +92,19 @@ def build_theoretical(frame, mass, stiffness, alpha_P, beta_k, order):
 
     With K = a_P M + bk L, block (i, j) of the 2N x 2N matrix is the 2x2
     block K_ij Q_i^T Q_j on the pattern of K: tangent.reduce_blocks of the
-    3x3 blocks K_ij I_3, the congruence that forms the reduced system
-    matrix.  It is assembled in the node order of order (the 2x2 blocks of
-    node order[i] at rows 2i, 2i+1) and factored in SuperLU's symmetric
-    mode without pivoting, once per build; the frame may be kept stale for
-    several steps (rebuild cadence is the caller's knob).
+    scalar values K_ij with no cross moments, the kernel that forms the
+    reduced system matrix.  It is assembled in the node order of order
+    (the 2x2 blocks of node order[i] at rows 2i, 2i+1) and factored in
+    SuperLU's symmetric mode without pivoting, once per build; the frame
+    may be kept stale for several steps (rebuild cadence is the caller's
+    knob).
     """
     if alpha_P <= 0:
         raise PreconditionerError(f"alpha_P must be positive, got {alpha_P}")
     scalar = (alpha_P * mass + beta_k * stiffness).tocsr()[order][:, order]
     n = frame.n_nodes
     inner = reduce_blocks(frame.blocks[order], scalar.indptr, scalar.indices,
-                          scalar.data[:, None, None] * np.eye(3)).tocsc()
+                          scalar.data).tocsc()
     # exact zeros (Q_i^T Q_j = I where the frame is uniform) only add fill
     inner.eliminate_zeros()
     lu = _factor_spd(inner, "theoretical preconditioner")

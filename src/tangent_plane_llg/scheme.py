@@ -8,6 +8,7 @@ second-order variant weights the mass term through a capped function of
 the local field strength.
 """
 
+import functools
 import math
 import os
 from collections import namedtuple
@@ -92,9 +93,15 @@ def lambda_field(mesh, m, f_plus_pi, ell_ex2):
     the barycenter value of the P1 interpolant of the nodal product.
     """
     m = np.asarray(m, dtype=np.float64).reshape(mesh.N, 3)
-    vol, grad = mesh.element_geometry()
-    grad_m = np.einsum("ead,eac->edc", grad, m[mesh.tets])
-    frob2 = np.einsum("edc,edc->e", grad_m, grad_m)
+    grad = mesh.gradient_components()
+    mloc = np.take(m.T, mesh.tets.T, axis=1)  # mloc[c, a, e]: m_c at local vertex a of e
+    frob2 = np.zeros(mesh.elem_count)
+    for d in range(3):
+        for c in range(3):
+            # d m_c / d x_d on each element
+            dm = (grad[0, d] * mloc[c, 0] + grad[1, d] * mloc[c, 1]
+                  + grad[2, d] * mloc[c, 2] + grad[3, d] * mloc[c, 3])
+            frob2 += dm * dm
     nodal = np.einsum("nc,nc->n", np.asarray(f_plus_pi, dtype=np.float64), m)
     lower = nodal[mesh.tets].mean(axis=1)
     return -ell_ex2 * frob2 + lower
@@ -302,6 +309,13 @@ def config_schema():
     return {"enums": enums, "kinds": kinds, "defaults": plain("", CONFIG_TABLE)}
 
 
+@functools.lru_cache(maxsize=1)
+def _cube_mesh(bounds, n):
+    """The cube mesh of the last (bounds, n) asked for: a Mesh is immutable,
+    so sweep points on the same cube can share it and what it caches."""
+    return generate_structured_cube(bounds, n)
+
+
 @dataclass
 class SimulationConfig:
     """A resolved config: every key of CONFIG_TABLE present and checked."""
@@ -377,8 +391,10 @@ class SimulationConfig:
         return int(round(self.T / self.k))
 
     def build_mesh(self):
+        """The mesh of the config: a file mesh is read on every call, a cube
+        mesh comes from a one-entry memo keyed by its bounds and n."""
         if self.mesh["kind"] == "cube":
-            return generate_structured_cube(self.mesh["bounds"], self.mesh["n"])
+            return _cube_mesh(self.mesh["bounds"], self.mesh["n"])
         with open(self.mesh["path"], "rb") as fh:
             return load_mesh(fh)
 

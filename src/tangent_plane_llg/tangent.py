@@ -183,18 +183,35 @@ def build_frame(m, T=None, strategy="householder"):
     return TangentFrame(T=T, blocks=blocks, strategy=strategy)
 
 
-def reduce_blocks(q, indptr, indices, blocks):
-    """The 2N x 2N congruence Q^T B Q of a 3x3-block matrix B, as CSR.
+def reduce_blocks(q, indptr, indices, scalar, moments=None):
+    """The 2N x 2N congruence R = Q^T B Q of a 3x3-block matrix B, as CSR.
 
-    B has the 3x3 blocks blocks[k] at the block pattern (indptr, indices)
-    of an N x N matrix, and q holds the (N, 3, 2) frame blocks in the same
-    node order.  Block (i, j) of the result is the 2x2 matrix Q_i^T B_ij Q_j,
-    formed by two batched matrix products over all slots; the result keeps
-    the pattern of B, explicit zeros included.
+    B has the blocks B_ij = s_ij I_3 - sum_d c_ij,d E_d at the block
+    pattern (indptr, indices) of an N x N matrix, with s = scalar (nnz,)
+    and c = moments (3, nnz), or c = 0 when moments is None; q holds the
+    (N, 3, 2) frame blocks in the same node order.  Entry (a, b) of block
+    (i, j) is
+
+        q_ia . B_ij q_jb = s_ij (q_ia . q_jb) - c_ij . (q_ia x q_jb),
+
+    evaluated on (component, slot) arrays.  The 2x2 blocks keep the
+    pattern of B, explicit zeros included, and are converted to CSR.
     """
     n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    reduced = q[rows].transpose(0, 2, 1) @ blocks @ q[indices]
+    frame = np.ascontiguousarray(q.transpose(2, 1, 0))  # frame[a, p]: component p of q_a
+    left = np.repeat(frame, np.diff(indptr), axis=2)    # q_ia over the slots
+    right = np.take(frame, indices, axis=2)             # q_jb over the slots
+    reduced = np.empty((len(indices), 2, 2))
+    for a in range(2):
+        x = left[a]
+        for b in range(2):
+            y = right[b]
+            entry = scalar * (x[0] * y[0] + x[1] * y[1] + x[2] * y[2])
+            if moments is not None:
+                entry -= (moments[0] * (x[1] * y[2] - x[2] * y[1])
+                          + moments[1] * (x[2] * y[0] - x[0] * y[2])
+                          + moments[2] * (x[0] * y[1] - x[1] * y[0]))
+            reduced[:, a, b] = entry
     return sp.bsr_array((reduced, indices, indptr), shape=(2 * n, 2 * n)).tocsr()
 
 

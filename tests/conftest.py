@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tangent_plane_llg import (assemble_mass, assemble_stiffness,
+from tangent_plane_llg import (Mesh, assemble_mass, assemble_stiffness,
                                generate_structured_cube, load_mesh, save_mesh)
 
 UNIT_BOUNDS = [[0, 1], [0, 1], [0, 1]]
@@ -43,6 +43,15 @@ def shuffled_cube():
     assert np.array_equal((mesh.tets != tets).any(axis=1), flip) and flip.any()
     assert (np.diff(mesh.tets[:, 0]) < 0).any()
     return mesh
+
+
+@pytest.fixture(scope="session")
+def perturbed_cube():
+    """A 4x4x4 cube with every node moved by up to a fifth of the mesh size
+    in each coordinate: elements of unequal volume and shape."""
+    cube = generate_structured_cube(UNIT_BOUNDS, (4, 4, 4))
+    rng = np.random.default_rng(52)
+    return Mesh(cube.nodes + 0.05 * rng.uniform(-1.0, 1.0, cube.nodes.shape), cube.tets)
 
 
 def random_unit_field(n, seed=0):

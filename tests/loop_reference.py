@@ -3,9 +3,13 @@
 These are the straightforward loop forms of the batched code in
 tangent_plane_llg: nodal frames built one node at a time, the Kuhn cube
 connectivity and the mesh checks built one element at a time, and the
-3x3 blocks of the cross-product matrix summed from the full 5-index element
-tensor one element at a time.  The library's vectorized versions must
+3x3 blocks of the cross-product matrix from the closed-form cubic moments,
+summed one element at a time.  The library's vectorized versions must
 reproduce their arrays bit for bit.
+
+assemble_cross_tensor integrates the cross form from the full 5-index
+element tensor of the cubic moments instead.  It sums in another order, so
+it checks the closed form to rounding, not bit for bit.
 
 gmres_solve is the restarted GMRES whose Arnoldi step orthogonalizes one
 basis vector at a time (single-pass modified Gram-Schmidt, or one classical
@@ -17,7 +21,6 @@ import itertools
 
 import numpy as np
 
-from tangent_plane_llg.fem import _LOCAL_CUBIC
 from tangent_plane_llg.gmres import SolverStats
 
 _E = np.eye(3)
@@ -131,6 +134,41 @@ def mesh_check_message(tets):
 
 
 def assemble_cross(mesh, m):
+    """The cross matrix from the closed-form cubic moments, element by element.
+
+    Each element K, in element order, adds |K| S_K (S_K the sum of m over
+    its vertices, in local order) and |K| to the two sums of every node
+    pair (i, j) it holds; then C[ij] = (sum |K| S_K + (m_i + m_j) sum |K|)
+    / (60 if i == j else 120) and block (i, j) is sum_d C_d[ij] E_d.
+    Returns the BSR arrays (indptr, indices, blocks) with the node pairs in
+    row-major order.
+    """
+    vol = mesh.element_volumes()
+    m = np.asarray(m, dtype=np.float64)
+    weighted, volume = {}, {}
+    for e, tet in enumerate(mesh.tets.tolist()):
+        s_k = vol[e] * (m[tet[0]] + m[tet[1]] + m[tet[2]] + m[tet[3]])
+        for i in tet:
+            for j in tet:
+                weighted[i, j] = weighted.get((i, j), 0.0) + s_k
+                volume[i, j] = volume.get((i, j), 0.0) + vol[e]
+    pairs = sorted(weighted)
+    blocks = []
+    for i, j in pairs:
+        c = (weighted[i, j] + (m[i] + m[j]) * volume[i, j]) / (60.0 if i == j else 120.0)
+        blocks.append([[0.0, c[2], -c[1]], [-c[2], 0.0, c[0]], [c[1], -c[0], 0.0]])
+    indptr = np.searchsorted([i for i, _ in pairs], np.arange(mesh.N + 1))
+    indices = np.array([j for _, j in pairs])
+    return indptr, indices, np.array(blocks)
+
+
+# Cubic moments: integral of lambda_a lambda_b lambda_c = |K| * _LOCAL_CUBIC[a,b,c]
+# (1/120 all distinct, 1/60 for one repeated pair, 1/20 for a=b=c).
+_LOCAL_CUBIC = np.array([[[{3: 1 / 120, 2: 1 / 60, 1: 1 / 20}[len({a, b, c})]
+                           for c in range(4)] for b in range(4)] for a in range(4)])
+
+
+def assemble_cross_tensor(mesh, m):
     """The cross matrix from the 5-index element tensor over a mostly-zero axis.
 
     The 3x3 element blocks are summed into their node pair one element at a

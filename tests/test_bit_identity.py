@@ -5,10 +5,12 @@ the assembled matrices, so the vectorized code must reproduce the loop
 implementations of loop_reference exactly (np.array_equal), not within a
 tolerance.  Assembly sums every entry of the mesh's node-adjacency pattern
 element by element in element order, so the 3x3 blocks of the cross form
-equal the 5-index element tensor summed one element at a time, and the
-3x3-block system matrix equals its kron form bit for bit.  The block layout
-is also checked on a mesh whose node ids, element order and orientations
-are shuffled (the shuffled_cube fixture of conftest).
+equal the closed-form cubic moments summed one element at a time, and the
+3x3-block system matrix equals its kron form bit for bit.  The closed form
+itself is checked against the 5-index element tensor of the cubic moments,
+to rounding.  The block layout is also checked on a mesh whose node ids,
+element order and orientations are shuffled (the shuffled_cube fixture of
+conftest).
 """
 
 import numpy as np
@@ -164,6 +166,26 @@ def test_cross_csr_arrays_match_element_tensor(n):
         new = assemble_cross(mesh, m)
         for name, old in zip(("indptr", "indices", "data"), ref.assemble_cross(mesh, m)):
             assert np.array_equal(getattr(new, name), old), name
+
+
+def test_perturbed_mesh_cross_matches_element_loop(perturbed_cube):
+    # elements of unequal volume: the volume sums of the node pairs differ
+    for m in _cross_fields(perturbed_cube.N):
+        new = assemble_cross(perturbed_cube, m)
+        assert (new + new.T).nnz == 0
+        for name, old in zip(("indptr", "indices", "data"),
+                             ref.assemble_cross(perturbed_cube, m)):
+            assert np.array_equal(getattr(new, name), old), name
+
+
+@pytest.mark.parametrize("name", ["cube2", "shuffled_cube", "perturbed_cube"])
+def test_cross_closed_form_matches_cubic_moment_tensor(request, name):
+    mesh = request.getfixturevalue(name)
+    for m in _cross_fields(mesh.N):
+        new = assemble_cross(mesh, m)
+        indptr, indices, blocks = ref.assemble_cross_tensor(mesh, m)
+        assert np.array_equal(new.indptr, indptr) and np.array_equal(new.indices, indices)
+        assert np.abs(new.data - blocks).max() <= 2e-15 * np.abs(blocks).max()
 
 
 def _kron_form(mesh, m, alpha, beta_k, weights):

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from tangent_plane_llg import generate_structured_cube
+from tangent_plane_llg import generate_structured_cube, save_mesh
 from tangent_plane_llg.cli import (_apply_overrides, _point_config, _sweep_points,
                                    main, print_config_schema, run_checks)
 from tangent_plane_llg.scheme import SimulationConfig
@@ -295,6 +295,24 @@ def test_build_mesh_once_per_point(tmp_path, monkeypatch):
     doc = academic_sweep_doc(n_levels=(2, 3), preconds=("stationary",))
     assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
     assert built == [(2, 2, 2), (3, 3, 3)]
+
+
+def test_points_on_the_same_cube_share_one_mesh(tmp_path, monkeypatch):
+    """build_mesh runs once per point; consecutive points on one cube get
+    the same Mesh, another cube a new one, and a file mesh is read anew."""
+    meshes = []
+    build_mesh = SimulationConfig.build_mesh
+    monkeypatch.setattr(SimulationConfig, "build_mesh",
+                        lambda cfg: meshes.append(build_mesh(cfg)) or meshes[-1])
+    doc = academic_sweep_doc(n_levels=(2, 2, 3, 3), preconds=("stationary", "jacobi"))
+    doc["T"] = doc["k"]
+    assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+    assert [mesh.N for mesh in meshes] == [27] * 4 + [64] * 4
+    assert len({id(mesh) for mesh in meshes}) == 2
+    path = tmp_path / "cube.json"
+    path.write_bytes(save_mesh(meshes[0]))
+    cfg = SimulationConfig.from_dict({"mesh": {"kind": "file", "path": str(path)}})
+    assert cfg.build_mesh() is not cfg.build_mesh()
 
 
 def test_precond_flag_pins_the_swept_axis(tmp_path):

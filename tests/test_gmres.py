@@ -172,6 +172,23 @@ def test_restart_longer_than_the_system_is_capped():
     assert stats_big == stats
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_happy_breakdown_above_tol_restarts(seed):
+    """A cycle over the whole 40-dimensional space ends in a happy
+    breakdown with its explicit residual at 1.3e-14 to 2.2e-14, above the
+    1e-14 threshold: the solve restarts from that residual instead of
+    reporting a breakdown, and the restarts still number the residual
+    computations less two."""
+    a, rng = random_nonnormal(40, seed, 1e3)
+    b = rng.standard_normal(40)
+    x, stats = gmres_solve(MatOp(a), None, b, restart=40)
+    assert stats.converged and not stats.breakdown
+    assert 1 <= stats.restarts == stats.residual_computations - 2
+    assert stats.final_relative_residual <= 1e-14
+    x_ref = np.linalg.solve(a, b)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
 # (n, seed, eigenvalue spread, restart, allowed extra iterations)
 REFERENCE_CASES = [
     (150, 1, 100.0, 200, 0),
@@ -258,14 +275,19 @@ CUBE8_STEP0_ITERATIONS = {"theoretical": 19, "stationary": 19, "practical": 19}
 MUMAG4_STEP0_ITERATIONS = {
     "theoretical": 80, "stationary": 94, "practical": 80, "jacobi": 136, "none": 202,
 }
+# the benchmark's cube workloads: cube_tps2_theoretical (n = 16) and
+# cube_ladder on its n = 12 rung
+CUBE_TPS2_STEP0_ITERATIONS = {"theoretical": 20}
+CUBE_LADDER12_STEP0_ITERATIONS = {"practical": 24}
 
 
 def step0_solves(config, kinds, n=None):
     """Per preconditioner: the reduced operator, preconditioner and
-    right-hand side tps_step hands to gmres_solve in step 0 of
-    configs/<config> (on the cube n, if given), and the step's record."""
-    doc = json.loads((REPO / "configs" / config).read_text())
-    del doc["sweep"]
+    right-hand side tps_step hands to gmres_solve in step 0 of the config
+    file <config> of the repository (on the cube n, if given), and the
+    step's record."""
+    doc = json.loads((REPO / config).read_text())
+    doc.pop("sweep", None)
     if n is not None:
         doc["mesh"]["n"] = [n, n, n]
     steps = {}
@@ -287,22 +309,34 @@ def step0_solves(config, kinds, n=None):
 
 @pytest.fixture(scope="module")
 def academic_lite_step0():
-    return step0_solves("academic_lite.json", PRECONDITIONER_KINDS, n=4)
+    return step0_solves("configs/academic_lite.json", PRECONDITIONER_KINDS, n=4)
 
 
 @pytest.fixture(scope="module")
 def cube8_step0():
-    return step0_solves("academic_lite.json", CUBE8_STEP0_ITERATIONS, n=8)
+    return step0_solves("configs/academic_lite.json", CUBE8_STEP0_ITERATIONS, n=8)
 
 
 @pytest.fixture(scope="module")
 def mumag4_step0():
-    return step0_solves("mumag4_like.json", MUMAG4_STEP0_ITERATIONS)
+    return step0_solves("configs/mumag4_like.json", MUMAG4_STEP0_ITERATIONS)
+
+
+@pytest.fixture(scope="module")
+def cube_tps2_step0():
+    return step0_solves("bench/configs/cube_tps2_theoretical.json", CUBE_TPS2_STEP0_ITERATIONS)
+
+
+@pytest.fixture(scope="module")
+def cube_ladder12_step0():
+    return step0_solves("bench/configs/cube_ladder.json", CUBE_LADDER12_STEP0_ITERATIONS, n=12)
 
 
 ITERATION_BOUNDS = {"academic_lite_step0": ACADEMIC_LITE_STEP0_ITERATIONS,
                     "cube8_step0": CUBE8_STEP0_ITERATIONS,
-                    "mumag4_step0": MUMAG4_STEP0_ITERATIONS}
+                    "mumag4_step0": MUMAG4_STEP0_ITERATIONS,
+                    "cube_tps2_step0": CUBE_TPS2_STEP0_ITERATIONS,
+                    "cube_ladder12_step0": CUBE_LADDER12_STEP0_ITERATIONS}
 
 
 @pytest.mark.parametrize("steps, kind", [
@@ -310,6 +344,8 @@ ITERATION_BOUNDS = {"academic_lite_step0": ACADEMIC_LITE_STEP0_ITERATIONS,
     *[pytest.param("cube8_step0", kind, id=f"cube8-{kind}") for kind in CUBE8_STEP0_ITERATIONS],
     *[pytest.param("mumag4_step0", kind, id=f"mumag4-{kind}")
       for kind in MUMAG4_STEP0_ITERATIONS],
+    pytest.param("cube_tps2_step0", "theoretical", id="bench-cube_tps2-theoretical"),
+    pytest.param("cube_ladder12_step0", "practical", id="bench-cube_ladder12-practical"),
 ])
 def test_step_iterations_do_not_rise(request, steps, kind):
     record = request.getfixturevalue(steps)[kind][-1]

@@ -7,6 +7,7 @@ import pytest
 from tangent_plane_llg import (Mesh, MeshError, generate_structured_cube,
                                load_mesh, mesh_quality, save_mesh)
 from tangent_plane_llg.fem import assemble_mass
+from tangent_plane_llg.mesh import _cross, _dot, _edge_components
 
 from conftest import UNIT_BOUNDS
 
@@ -37,6 +38,43 @@ def test_generator_rejects_bad_input():
         generate_structured_cube(UNIT_BOUNDS, (0, 1, 1))
     with pytest.raises(MeshError):
         generate_structured_cube([[0, 0], [0, 1], [0, 1]], (1, 1, 1))
+
+
+@pytest.mark.parametrize("name", ["shuffled_cube", "perturbed_cube"])
+def test_closed_form_geometry_matches_det_and_inv(request, name):
+    """Volumes from the triple product and gradients from the cross products
+    of the edges, against LAPACK's determinant and inverse of the edge
+    matrix, element by element."""
+    mesh = request.getfixturevalue(name)
+    v = mesh.nodes[mesh.tets]
+    edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
+    det_vol = np.linalg.det(edges) / 6.0
+    inv = np.linalg.inv(edges)
+    inv_grad = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+    vol, grad = mesh.element_geometry()
+    assert (np.abs(vol - det_vol) <= 1e-13 * det_vol).all()
+    scale = np.abs(inv_grad).max(axis=(1, 2))
+    assert (np.abs(grad - inv_grad).max(axis=(1, 2)) <= 1e-13 * scale).all()
+    assert np.shares_memory(grad, mesh.gradient_components())
+
+
+def test_swapping_vertices_2_and_3_negates_the_volume_exactly(perturbed_cube):
+    mesh = perturbed_cube
+    flip = np.random.default_rng(53).random(mesh.elem_count) < 0.5
+    tets = mesh.tets.copy()
+    tets[flip, 2], tets[flip, 3] = mesh.tets[flip, 3], mesh.tets[flip, 2]
+
+    def triple(tets):
+        e1, e2, e3 = _edge_components(mesh.nodes, tets)
+        return _dot(e1, _cross(e2, e3))
+
+    oriented = triple(mesh.tets)
+    assert (oriented > 0).all()
+    assert np.array_equal(triple(tets), np.where(flip, -oriented, oriented))
+    # the mesh swaps them back, and the volumes stay bit for bit
+    again = Mesh(mesh.nodes, tets)
+    assert np.array_equal(again.tets, mesh.tets)
+    assert np.array_equal(again.element_volumes(), mesh.element_volumes())
 
 
 def test_quality_reference_tet():
