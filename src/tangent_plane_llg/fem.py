@@ -4,13 +4,17 @@ Every matrix lives on the N x N node-adjacency pattern of the mesh
 (Mesh.adjacency): an element-assembled matrix is one np.bincount of the
 element contributions over the pattern's slots, so each entry is summed
 element by element in element order.  Mass, stiffness and weighted mass are
-N x N CSR matrices on that pattern.  The cross-product form and the 3N
-system matrix are 3x3-block (BSR) matrices on the same pattern: block
-(i, j) of the cross form is sum_d C_d[ij] E_d, with C_d the mass matrix
-weighted by the P1 function m_d and E_d[p, q] = e_d . (e_p x e_q) a skew
-3x3 generator.  The moments C_d need no element tensor: the exact cubic
-moments reduce them to two sums over the elements of each node pair, taken
-by one product with the mesh's pair incidence (Mesh.pair_incidence).
+N x N CSR matrices on that pattern.  The cross-product form is kept as its
+moments: C_d[ij], the mass matrix weighted by the P1 function m_d, one
+(3, nnz) array on the same slots.  Block (i, j) of the 3N cross form is
+sum_d C_d[ij] E_d, with E_d[p, q] = e_d . (e_p x e_q) a skew 3x3
+generator.  The moments need no element tensor: the exact cubic moments
+reduce them to two sums over the elements of each node pair, taken by one
+product with the mesh's pair incidence (Mesh.pair_incidence).
+
+A step's system is the scalar values s = alpha M_k + beta_k L, the moments
+and the right-hand side (AssembledSystem); the 3x3 blocks of the 3N matrix
+are expanded from (s, C) only where a check asks for them (block_matrix).
 
 All integrals of polynomial integrands are exact (barycentric moment
 formulas), so no quadrature error enters any of the assembled matrices.
@@ -32,11 +36,6 @@ class AssemblyError(ValueError):
 # Local P1 mass matrix over an element, divided by |K|:
 # integral of lambda_a * lambda_b = |K| (1 + delta_ab) / 20.
 _LOCAL_MASS = (np.ones((4, 4)) + np.eye(4)) / 20.0
-
-# The entries of a 3x3 block sum_d C_d E_d, E_d[p, q] = e_d . (e_p x e_q),
-# as columns of (C_0, C_1, C_2, -C_0, -C_1, -C_2, 0): E_d[d+1, d+2] = 1 =
-# -E_d[d+2, d+1], indices mod 3, and zero elsewhere.
-_CROSS_BLOCK = np.array([6, 2, 4, 5, 6, 0, 1, 3, 6])
 
 
 def _scatter(mesh, local_data):
@@ -87,20 +86,22 @@ def assemble_weighted_mass(mesh, weights):
 
 
 def assemble_cross(mesh, m):
-    """Skew-symmetric 3N x 3N matrix of the cross-product form, 3x3 blocks.
+    """The (3, nnz) cross moments C_d on the slots of the mesh pattern.
 
-    Entry ((i,p),(j,q)) integrates (m x phi_i e_p) . (phi_j e_q) exactly
-    (degree-3 integrand), so block (i, j) is sum_d C_d[ij] E_d with C_d[ij]
-    the integral of phi_i phi_j m_d.  On an element K, with S_K the sum of
-    m over its vertices, the cubic moments give |K| (S_K + m_i + m_j) / 120
-    for i != j and |K| (S_K + 2 m_i) / 60 for i = j, so
+    Entry ((i,p),(j,q)) of the cross form S integrates (m x phi_i e_p) .
+    (phi_j e_q) exactly (degree-3 integrand), so block (i, j) of S is
+    sum_d C_d[ij] E_d with C_d[ij] the integral of phi_i phi_j m_d, and
+    column s of the result holds C[ij] of slot s of Mesh.adjacency().  On
+    an element K, with S_K the sum of m over its vertices, the cubic
+    moments give |K| (S_K + m_i + m_j) / 120 for i != j and
+    |K| (S_K + 2 m_i) / 60 for i = j, so
 
         C[ij] = (sum_K |K| S_K + (m_i + m_j) sum_K |K|) / (120 or 60),
 
     both sums over the elements K of the pair, in element order, by one
     product with the pair incidence of the mesh.  The slots (i, j) and
-    (j, i) take the same moments and E_d is skew, so the skew-symmetry is
-    bit-exact.
+    (j, i) take the moments of the same pair and E_d is skew, so S is
+    skew-symmetric bit for bit.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (mesh.N, 3):
@@ -111,70 +112,64 @@ def assemble_cross(mesh, m):
     weighted = np.empty((mesh.elem_count, 4))
     weighted[:, :3] = (vol * (mloc[:, 0] + mloc[:, 1] + mloc[:, 2] + mloc[:, 3])).T
     weighted[:, 3] = vol
-    sums = incidence @ weighted
-    moments = ((sums[:, :3] + (np.take(m, i, axis=0) + np.take(m, j, axis=0)) * sums[:, 3:])
-               / np.where(i == j, 60.0, 120.0)[:, None])
-    # block (i, j) of the pair's slots, from the columns (C, -C, 0)
-    signed = np.concatenate([moments, -moments, np.zeros((len(moments), 1))], axis=1)
-    blocks = signed.take(_CROSS_BLOCK, axis=1).take(mirror, axis=0).reshape(-1, 3, 3)
-    indptr, indices, _ = mesh.adjacency()
-    return sp.bsr_array((blocks, indices, indptr), shape=(3 * mesh.N, 3 * mesh.N))
+    sums = (incidence @ weighted).T
+    moments = ((sums[:3] + (np.take(m.T, i, axis=1) + np.take(m.T, j, axis=1)) * sums[3])
+               / np.where(i == j, 60.0, 120.0))
+    return moments.take(mirror, axis=1)
 
 
-def assemble_rhs(mesh, m_n, lh, ell_ex2, mass=None, stiffness=None):
+def assemble_rhs(mesh, m_n, lh, ell_ex2, mass, stiffness):
     """Right-hand side: -ell_ex2 (grad m, grad phi_j) + (lh, phi_j).
 
     The exchange part is exact (piecewise-constant gradients); the
     lower-order part applies the mass matrix to the P1 interpolant lh.
     """
-    if mass is None:
-        mass = assemble_mass(mesh)
-    if stiffness is None:
-        stiffness = assemble_stiffness(mesh)
     m_n = np.asarray(m_n, dtype=np.float64).reshape(mesh.N, 3)
     lh = np.asarray(lh, dtype=np.float64).reshape(mesh.N, 3)
     return (-ell_ex2 * (stiffness @ m_n) + mass @ lh).ravel()
 
 
+def block_matrix(indptr, indices, scalar, moments):
+    """The 3N x 3N BSR matrix with blocks s_ij I_3 - sum_d c_ij,d E_d.
+
+    scalar (nnz,) and moments (3, nnz) lie on the pattern (indptr, indices);
+    E_d[p, q] = e_d . (e_p x e_q), so the cross form S itself is the negated
+    matrix of zero scalar part.  For checks, oracles and tests: a step never
+    expands the blocks.
+    """
+    c0, c1, c2 = moments
+    blocks = np.empty((len(indices), 3, 3))
+    blocks[:, 0, 0] = blocks[:, 1, 1] = blocks[:, 2, 2] = scalar
+    blocks[:, 1, 2], blocks[:, 2, 1] = -c0, c0
+    blocks[:, 2, 0], blocks[:, 0, 2] = -c1, c1
+    blocks[:, 0, 1], blocks[:, 1, 0] = -c2, c2
+    n = 3 * (len(indptr) - 1)
+    return sp.bsr_array((blocks, indices, indptr), shape=(n, n))
+
+
 @dataclass
 class AssembledSystem:
-    """Per-step linear system data for the tangent plane scheme.
+    """Per-step linear system data for the tangent plane scheme, on the mesh
+    pattern (indptr, indices).
 
-    The 3N system matrix has 3x3 blocks on the mesh pattern: block (i, j) is
-    (alpha M_k + beta_k L)_ij I_3 - S_ij, with M_k the weighted mass, L the
-    stiffness and S the cross form, each summed in element order.  A step
-    solves with the reduced 2N matrix formed from scalar() and moments()
-    (ReducedOperator), so the 3N matrix itself is built only on demand, on
-    the first use of matrix, apply() or dense_matrix(): by checks and
-    oracles.
+    The 3N system matrix A has the 3x3 blocks s_ij I_3 - S_ij: s is the
+    scalar part alpha M_k + beta_k L, with M_k the weighted mass and L the
+    stiffness, and S the cross form of the moments (assemble_cross), each
+    summed in element order.  A step forms the reduced 2N matrix from s and
+    the moments (ReducedOperator); the blocks of A are expanded only on the
+    first use of matrix, apply() or dense_matrix(): by checks and oracles.
     """
 
-    alpha: float
-    beta_k: float
-    mass: sp.csr_array
-    stiffness: sp.csr_array
-    weighted_mass: sp.csr_array  # N x N, on the pattern of stiffness
-    cross: sp.bsr_array          # 3N x 3N, skew, 3x3 blocks on the same pattern
-    rhs: np.ndarray              # (3N,)
-
-    @property
-    def n_nodes(self):
-        return self.mass.shape[0]
-
-    def scalar(self):
-        """The (nnz,) values of alpha M_k + beta_k L on the cross form's pattern."""
-        return self.alpha * self.weighted_mass.data + self.beta_k * self.stiffness.data
-
-    def moments(self):
-        """The (3, nnz) cross moments C_d: entry (d + 1, d + 2) of each block."""
-        return self.cross.data.reshape(-1, 9).T[[5, 6, 1]]
+    indptr: np.ndarray
+    indices: np.ndarray
+    scalar: np.ndarray   # (nnz,)
+    moments: np.ndarray  # (3, nnz)
+    rhs: np.ndarray      # (3N,)
 
     @cached_property
     def matrix(self):
         """The 3N x 3N system matrix as BSR, built on first use."""
-        blocks = self.scalar()[:, None, None] * np.eye(3) - self.cross.data
-        return sp.bsr_array((blocks, self.cross.indices, self.cross.indptr),
-                            shape=self.cross.shape)
+        return block_matrix(self.indptr, self.indices, self.scalar, self.moments)
 
     def apply(self, v):
         """y = (alpha M_k + beta_k L - S) v on stacked 3N vectors."""
@@ -185,22 +180,19 @@ class AssembledSystem:
         return self.matrix.toarray()
 
 
-def build_system(mesh, m, alpha, beta_k, weights, lh, ell_ex2, mass=None, stiffness=None):
-    """Assemble all pieces of the per-step system for magnetization m.
+def build_system(mesh, m, alpha, beta_k, weights, lh, ell_ex2, mass, stiffness):
+    """Assemble the per-step system for magnetization m from the static mass
+    and stiffness of the mesh.
 
     weights=None stands for the unit weight: the weighted mass is then the
     plain mass matrix, and nothing is assembled for it.
     """
-    if mass is None:
-        mass = assemble_mass(mesh)
-    if stiffness is None:
-        stiffness = assemble_stiffness(mesh)
+    weighted_mass = mass if weights is None else assemble_weighted_mass(mesh, weights)
+    indptr, indices, _ = mesh.adjacency()
     return AssembledSystem(
-        alpha=float(alpha),
-        beta_k=float(beta_k),
-        mass=mass,
-        stiffness=stiffness,
-        weighted_mass=mass if weights is None else assemble_weighted_mass(mesh, weights),
-        cross=assemble_cross(mesh, m),
-        rhs=assemble_rhs(mesh, m, lh, ell_ex2, mass=mass, stiffness=stiffness),
+        indptr=indptr,
+        indices=indices,
+        scalar=float(alpha) * weighted_mass.data + float(beta_k) * stiffness.data,
+        moments=assemble_cross(mesh, m),
+        rhs=assemble_rhs(mesh, m, lh, ell_ex2, mass, stiffness),
     )

@@ -37,8 +37,9 @@ class ReducedOperator:
 
     R is formed once, at construction, as a 2N x 2N CSR matrix on the mesh
     pattern with 2x2 blocks Q_i^T B_ij Q_j, B_ij the 3x3 blocks of the
-    system matrix A: tangent.reduce_blocks of the scalar part and the cross
-    moments of A.  One BLAS thread, 2-core host: forming R costs 8 to 12
+    system matrix A: tangent.reduce_blocks of the system's scalar values
+    and cross moments, read as they were assembled, so the blocks of A are
+    never expanded.  One BLAS thread, 2-core host: forming R costs 8 to 12
     matrix-free applies Q^T (A (Q x)), and a product with R a quarter to a
     fifth of one (12 to 15 against 53 to 67 us at N = 252, 0.43 to 0.54
     against 2.1 to 2.7 ms at N = 9261), so R pays for itself within 9 to 16
@@ -50,9 +51,9 @@ class ReducedOperator:
     frame: object         # TangentFrame
 
     def __post_init__(self):
-        cross = self.system.cross
-        self.matrix = reduce_blocks(self.frame.blocks, cross.indptr, cross.indices,
-                                    self.system.scalar(), self.system.moments())
+        s = self.system
+        self.matrix = reduce_blocks(self.frame.blocks, s.indptr, s.indices, s.scalar,
+                                    s.moments)
 
     @property
     def n(self):

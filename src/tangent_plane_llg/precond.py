@@ -53,8 +53,7 @@ class ScalarFactorization:
             raise PreconditionerError(f"alpha_P must be positive, got {alpha_P}")
         if beta_k < 0:
             raise PreconditionerError(f"beta_k must be nonnegative, got {beta_k}")
-        self.alpha_P = float(alpha_P)
-        self.beta_k = float(beta_k)
+        self.n_nodes = len(order)
         self._order = order
         self._inverse = np.argsort(order)
         scalar = (alpha_P * mass + beta_k * stiffness).tocsr()
@@ -69,21 +68,20 @@ class ScalarFactorization:
 class Preconditioner:
     """Apply-action wrapper; kind in {theoretical, stationary, practical, jacobi, none}."""
 
-    def __init__(self, kind, n_nodes, apply_fn, scalar_factor=None):
+    def __init__(self, kind, n_nodes, apply_fn):
         self.kind = kind
         self.n_nodes = n_nodes
-        self.scalar_factor = scalar_factor
         self._apply = apply_fn
 
     def apply(self, r):
         r = np.asarray(r, dtype=np.float64)
-        if self.n_nodes is not None and r.shape != (2 * self.n_nodes,):
+        if r.shape != (2 * self.n_nodes,):
             raise PreconditionerError(
                 f"expected ({2 * self.n_nodes},) residual, got {r.shape}")
         return self._apply(r)
 
 
-def build_none(n_nodes=None):
+def build_none(n_nodes):
     return Preconditioner("none", n_nodes, lambda r: r.copy())
 
 
@@ -117,43 +115,34 @@ def build_theoretical(frame, mass, stiffness, alpha_P, beta_k, order):
     return Preconditioner("theoretical", n, apply_fn)
 
 
-def build_stationary_2d(mass, stiffness, alpha_P, beta_k, order, scalar_factor=None):
+def build_stationary_2d(scalar_factor):
     """Frame-independent preconditioner: scalar solve on both components.
 
     Equals the inverse of the nodal 2D-basis matrix a_P M2D + bk L2D, whose
-    block form reduces to the scalar N x N matrix applied componentwise.
-    The scalar matrix is factored in order, unless scalar_factor is shared.
+    block form reduces to the scalar N x N matrix applied componentwise:
+    the shared ScalarFactorization of a_P M + bk L.
     """
-    if scalar_factor is None:
-        scalar_factor = ScalarFactorization(mass, stiffness, alpha_P, beta_k, order)
-    elif scalar_factor.alpha_P != alpha_P or scalar_factor.beta_k != beta_k:
-        raise PreconditionerError("shared scalar factorization has mismatched coefficients")
-    n = mass.shape[0]
+    n = scalar_factor.n_nodes
 
     def apply_fn(r):
         return scalar_factor.solve(r.reshape(n, 2)).ravel()
 
-    return Preconditioner("stationary", n, apply_fn, scalar_factor=scalar_factor)
+    return Preconditioner("stationary", n, apply_fn)
 
 
-def build_practical(frame, mass, stiffness, alpha_P, beta_k, order, scalar_factor=None):
-    """Q^T (a_P M + bk L)^{-1} Q, reusing the scalar factorization blockwise.
+def build_practical(frame, scalar_factor):
+    """Q^T (a_P M + bk L)^{-1} Q, on the shared ScalarFactorization.
 
     Only meaningful with the frame of the current magnetization; the frame
-    application is the only per-step work.  The scalar matrix is factored
-    in order, unless scalar_factor is shared.
+    application is the only per-step work.
     """
-    if scalar_factor is None:
-        scalar_factor = ScalarFactorization(mass, stiffness, alpha_P, beta_k, order)
-    elif scalar_factor.alpha_P != alpha_P or scalar_factor.beta_k != beta_k:
-        raise PreconditionerError("shared scalar factorization has mismatched coefficients")
     n = frame.n_nodes
 
     def apply_fn(r):
         lifted = apply_q(frame, r).reshape(n, 3)
         return apply_qt(frame, scalar_factor.solve(lifted).ravel())
 
-    return Preconditioner("practical", n, apply_fn, scalar_factor=scalar_factor)
+    return Preconditioner("practical", n, apply_fn)
 
 
 def build_jacobi(mass, stiffness, alpha_P, beta_k):
@@ -178,20 +167,23 @@ def make_preconditioner(kind, mass, stiffness, alpha_P, beta_k, order=None, fram
                         scalar_factor=None):
     """The one map from a preconditioner kind to its builder.  The kinds
     that factor need the elimination order of the mesh (order, see
-    Mesh.dissection_order); theoretical and practical need the frame of
-    the step."""
+    Mesh.dissection_order); stationary and practical solve with the shared
+    ScalarFactorization of alpha_P M + beta_k L (scalar_factor), and
+    theoretical and practical need the frame of the step."""
     if frame is None and kind in ("theoretical", "practical"):
         raise PreconditionerError(f"{kind} preconditioner needs a frame")
     if order is None and kind in FACTORED_KINDS:
         raise PreconditionerError(f"{kind} preconditioner needs an elimination order")
+    if scalar_factor is None and kind in ("stationary", "practical"):
+        raise PreconditionerError(f"{kind} preconditioner needs the scalar factorization")
     if kind == "none":
         return build_none(mass.shape[0])
     if kind == "jacobi":
         return build_jacobi(mass, stiffness, alpha_P, beta_k)
     if kind == "stationary":
-        return build_stationary_2d(mass, stiffness, alpha_P, beta_k, order, scalar_factor)
+        return build_stationary_2d(scalar_factor)
     if kind == "practical":
-        return build_practical(frame, mass, stiffness, alpha_P, beta_k, order, scalar_factor)
+        return build_practical(frame, scalar_factor)
     if kind == "theoretical":
         return build_theoretical(frame, mass, stiffness, alpha_P, beta_k, order)
     raise PreconditionerError(f"unknown preconditioner kind {kind!r}")

@@ -118,7 +118,7 @@ def lh_term(coeffs, m_n, m_nm1, applied, t_n, k, pi_cfg, mesh):
 
 def assert_unit_nodal(m, tol=1e-14):
     worst = float(np.abs(np.linalg.norm(m, axis=1) - 1.0).max())
-    if worst > tol:
+    if not worst <= tol:  # NaN fails too
         raise ValueError(f"field leaves the unit sphere by {worst:.3e} at some node")
     return worst
 
@@ -377,6 +377,8 @@ class SimulationConfig:
         m0 = self.field_cfg["m0"]
         if m0["kind"] == "constant" and not any(m0["value"]):
             raise ConfigError("field.m0.value must be a nonzero vector")
+        if m0["kind"] == "spiral" and not np.isfinite(2.0 * np.pi * m0["turns"]):
+            raise ConfigError(f"field.m0.turns: 2 pi turns is not finite, got {m0['turns']!r}")
         try:
             PiConfig(**self.field_cfg["pi"])
         except FieldConfigError as exc:
@@ -403,6 +405,8 @@ def initial_magnetization(cfg, mesh):
     """Nodal unit field from the resolved m0 config section."""
     if cfg["kind"] == "constant":
         value = np.asarray(cfg["value"], dtype=np.float64)
+        # scaled first, so that the norm neither overflows nor underflows
+        value = value / np.abs(value).max()
         value = value / np.linalg.norm(value)
         return np.tile(value, (mesh.N, 1))
     # spiral: unit field winding in the (1,2)-plane along the first axis
@@ -461,7 +465,10 @@ class StepContext:
 
     def initial_state(self):
         m0 = initial_magnetization(self.config.field_cfg["m0"], self.mesh)
-        assert_unit_nodal(m0, tol=1e-12)
+        try:
+            assert_unit_nodal(m0, tol=1e-12)
+        except ValueError as exc:
+            raise ConfigError(f"field.m0: {exc}") from exc
         return TimeStepState(n=0, t_n=0.0, m_n=m0, m_nm1=m0.copy())
 
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from tangent_plane_llg import (Mesh, assemble_mass, assemble_stiffness,
+from tangent_plane_llg import (Mesh, assemble_cross, assemble_mass, assemble_stiffness,
                                generate_structured_cube, load_mesh, save_mesh)
+from tangent_plane_llg.fem import block_matrix
 
 UNIT_BOUNDS = [[0, 1], [0, 1], [0, 1]]
 
@@ -52,6 +53,20 @@ def perturbed_cube():
     cube = generate_structured_cube(UNIT_BOUNDS, (4, 4, 4))
     rng = np.random.default_rng(52)
     return Mesh(cube.nodes + 0.05 * rng.uniform(-1.0, 1.0, cube.nodes.shape), cube.tets)
+
+
+def cross_form(mesh, m):
+    """The 3N x 3N cross form S as BSR, expanded from the moments of m: the
+    negated block matrix of zero scalar part."""
+    indptr, indices, _ = mesh.adjacency()
+    return -block_matrix(indptr, indices, np.zeros(len(indices)), assemble_cross(mesh, m))
+
+
+def transpose_slots(mesh):
+    """slot[t] of the pair (j, i) for every slot t = (i, j) of the mesh pattern."""
+    indptr, indices, _ = mesh.adjacency()
+    rows = np.repeat(np.arange(mesh.N), np.diff(indptr))
+    return np.searchsorted(rows * mesh.N + indices, indices * mesh.N + rows)
 
 
 def random_unit_field(n, seed=0):

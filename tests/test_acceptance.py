@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tangent_plane_llg import (FIXED_INVOLUTIONS, SimulationConfig,
+from tangent_plane_llg import (FIXED_INVOLUTIONS, ScalarFactorization, SimulationConfig,
+                               assemble_mass, assemble_stiffness,
                                build_frame, build_stationary_2d, build_system,
                                build_theoretical, generate_structured_cube,
                                gmres_solve, make_preconditioner,
@@ -25,7 +26,7 @@ from tangent_plane_llg.gmres import ReducedOperator
 from tangent_plane_llg.physics import applied_field_mumag4
 from tangent_plane_llg.scheme import SchemeCoefficients, lambda_field, lh_term
 
-from conftest import UNIT_BOUNDS, random_unit_field
+from conftest import UNIT_BOUNDS, cross_form, random_unit_field
 
 MODULE_T0 = time.perf_counter()
 
@@ -87,7 +88,7 @@ def cube27():
     return generate_structured_cube(UNIT_BOUNDS, (2, 2, 2))
 
 
-def build_step_system(mesh, variant):
+def build_step_system(mesh, variant, mass, stiffness):
     """Initial-step linear system of the scheme on the 27-node cube."""
     from tangent_plane_llg.physics import AppliedFieldConfig, PiConfig
     coeffs = SchemeCoefficients(variant, alpha=0.5, ell_ex2=10.0)
@@ -103,15 +104,18 @@ def build_step_system(mesh, variant):
         weights = np.ones(mesh.elem_count)
     lh = lh_term(coeffs, m, m, applied, 0.0, k, pi_cfg, mesh)
     system = build_system(mesh, m, coeffs.alpha, beta_k, weights, lh,
-                          coeffs.ell_ex2)
+                          coeffs.ell_ex2, mass, stiffness)
     return m, system, beta_k
 
 
 def test_criterion_01_oracle_equivalence(cube27):
     started = time.perf_counter()
     ok = True
+    mass, stiffness = assemble_mass(cube27), assemble_stiffness(cube27)
+    order = cube27.dissection_order()
     for variant in ("tps1", "tps2"):
-        m, system, beta_k = build_step_system(cube27, variant)
+        m, system, beta_k = build_step_system(cube27, variant, mass, stiffness)
+        factor = ScalarFactorization(mass, stiffness, 1.0, beta_k, order)
         t = select_tn_adaptive(m).chosen_T
         for strategy in STRATEGIES:
             frame = build_frame(m, t, strategy)
@@ -119,8 +123,8 @@ def test_criterion_01_oracle_equivalence(cube27):
             op = ReducedOperator(system, frame)
             rhs = op.reduced_rhs()
             for kind in ALL_PRECONDS:
-                pc = make_preconditioner(kind, system.mass, system.stiffness, 1.0, beta_k,
-                                         order=cube27.dissection_order(), frame=frame)
+                pc = make_preconditioner(kind, mass, stiffness, 1.0, beta_k, order=order,
+                                         frame=frame, scalar_factor=factor)
                 x, stats = gmres_solve(op, pc, rhs, tol=1e-14)
                 ok &= stats.converged
                 rel = np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref)
@@ -133,7 +137,6 @@ def test_criterion_01_oracle_equivalence(cube27):
 
 
 def test_criterion_02_jacobi_triple_coincidence(cube27):
-    from tangent_plane_llg import assemble_mass, assemble_stiffness
     mass, stiffness = assemble_mass(cube27), assemble_stiffness(cube27)
     alpha_p, beta_k = 1.0, 0.1
     scalar = alpha_p * mass + beta_k * stiffness
@@ -156,7 +159,6 @@ def test_criterion_02_jacobi_triple_coincidence(cube27):
 
 
 def test_criterion_03_constant_field_identity(cube27):
-    from tangent_plane_llg import assemble_mass, assemble_stiffness
     mass, stiffness = assemble_mass(cube27), assemble_stiffness(cube27)
     worst = 0.0
     for key in ("t3-", "t1-", "t2+"):
@@ -165,7 +167,7 @@ def test_criterion_03_constant_field_identity(cube27):
         frame = build_frame(mu, t)
         order = cube27.dissection_order()
         theo = build_theoretical(frame, mass, stiffness, 1.0, 0.1, order)
-        stat = build_stationary_2d(mass, stiffness, 1.0, 0.1, order)
+        stat = build_stationary_2d(ScalarFactorization(mass, stiffness, 1.0, 0.1, order))
         for i in range(2 * cube27.N):
             e = np.zeros(2 * cube27.N)
             e[i] = 1.0
@@ -233,14 +235,13 @@ def test_criterion_06_constraint_suite():
 
 
 def test_criterion_07_structural_matrices(cube27):
-    from tangent_plane_llg import (assemble_cross, assemble_mass,
-                                   assemble_stiffness, assemble_weighted_mass)
+    from tangent_plane_llg import assemble_weighted_mass
     rng = np.random.default_rng(77)
     mass, stiffness = assemble_mass(cube27), assemble_stiffness(cube27)
     m = random_unit_field(cube27.N, seed=300)
     ok = True
 
-    cross = assemble_cross(cube27, m)
+    cross = cross_form(cube27, m)
     ok &= (cross + cross.T).nnz == 0  # skew-symmetry, bit-exact
 
     ok &= np.linalg.eigvalsh(mass.toarray()).min() > 0

@@ -20,8 +20,11 @@ from conftest import UNIT_BOUNDS
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
-# every span of Tracer(layers=True) that a tps2 sweep over practical and
-# theoretical must pass through
+# every preconditioner kind, so that each one's build and apply go through
+# the wrapped names
+KINDS = ["theoretical", "stationary", "practical", "jacobi", "none"]
+# every span of Tracer(layers=True) that a tps2 sweep over KINDS must pass
+# through
 SPANS = ["mesh.build", "mesh.quality", "scheme.setup", "scheme.step", "scheme.run",
          "scheme.lambda", "scheme.project", "scheme.energy", "tangent.select",
          "tangent.frame", "tangent.q", "fem.static", "fem.system", "fem.cross",
@@ -50,7 +53,7 @@ def test_benchmark_probes_install_run_and_restore(instrument, tmp_path):
         "scheme": "tps2", "alpha": 0.5, "ell_ex2": 10.0, "T": 0.02, "k": 0.01,
         "mesh": {"kind": "cube", "bounds": UNIT_BOUNDS, "n": [2, 2, 2]},
         "field": {"m0": {"kind": "spiral", "turns": 1.0}},
-        "sweep": {"precond": ["practical", "theoretical"]},
+        "sweep": {"precond": KINDS},
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -69,7 +72,7 @@ def test_benchmark_probes_install_run_and_restore(instrument, tmp_path):
     assert attribute_ids(owners) == before
 
     assert code == 0
-    assert [p.kind for p in recorder.points] == ["practical", "theoretical"]
-    assert [p.failures for p in recorder.points] == [[], []]
+    assert [p.kind for p in recorder.points] == KINDS
+    assert [p.failures for p in recorder.points] == [[]] * len(KINDS)
     assert tracer.reconcile() == []
     assert [name for name in SPANS if tracer.calls[name] == 0] == []

@@ -4,9 +4,10 @@ At a GMRES tolerance of 1e-14 the iteration counts react to the last bit of
 the assembled matrices, so the vectorized code must reproduce the loop
 implementations of loop_reference exactly (np.array_equal), not within a
 tolerance.  Assembly sums every entry of the mesh's node-adjacency pattern
-element by element in element order, so the 3x3 blocks of the cross form
-equal the closed-form cubic moments summed one element at a time, and the
-3x3-block system matrix equals its kron form bit for bit.  The closed form
+element by element in element order, so the cross moments, expanded to the
+3x3 blocks of the cross form, equal the closed-form cubic moments summed one
+element at a time, and the 3x3-block system matrix equals its kron form bit
+for bit.  The closed form
 itself is checked against the 5-index element tensor of the cubic moments,
 to rounding.  The block layout is also checked on a mesh whose node ids,
 element order and orientations are shuffled (the shuffled_cube fixture of
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import loop_reference as ref
 from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, MeshError, SimulationConfig,
-                               StepContext, assemble_cross, assemble_mass,
+                               StepContext, assemble_mass,
                                assemble_stiffness, assemble_weighted_mass, build_frame,
                                build_system, build_theoretical, generate_structured_cube,
                                tps_step)
@@ -31,7 +32,7 @@ import tangent_plane_llg.scheme as scheme_mod
 from tangent_plane_llg.mesh import _check_conforming
 from tangent_plane_llg.tangent import FRAME_STRATEGIES, FrameError
 
-from conftest import UNIT_BOUNDS, random_unit_field
+from conftest import UNIT_BOUNDS, cross_form, random_unit_field
 
 SIGNED_AXES = np.vstack([np.eye(3), -np.eye(3)])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -163,7 +164,7 @@ def _cross_fields(n_nodes):
 def test_cross_csr_arrays_match_element_tensor(n):
     mesh = generate_structured_cube(UNIT_BOUNDS, n)
     for m in _cross_fields(mesh.N):
-        new = assemble_cross(mesh, m)
+        new = cross_form(mesh, m)
         for name, old in zip(("indptr", "indices", "data"), ref.assemble_cross(mesh, m)):
             assert np.array_equal(getattr(new, name), old), name
 
@@ -171,7 +172,7 @@ def test_cross_csr_arrays_match_element_tensor(n):
 def test_perturbed_mesh_cross_matches_element_loop(perturbed_cube):
     # elements of unequal volume: the volume sums of the node pairs differ
     for m in _cross_fields(perturbed_cube.N):
-        new = assemble_cross(perturbed_cube, m)
+        new = cross_form(perturbed_cube, m)
         assert (new + new.T).nnz == 0
         for name, old in zip(("indptr", "indices", "data"),
                              ref.assemble_cross(perturbed_cube, m)):
@@ -182,7 +183,7 @@ def test_perturbed_mesh_cross_matches_element_loop(perturbed_cube):
 def test_cross_closed_form_matches_cubic_moment_tensor(request, name):
     mesh = request.getfixturevalue(name)
     for m in _cross_fields(mesh.N):
-        new = assemble_cross(mesh, m)
+        new = cross_form(mesh, m)
         indptr, indices, blocks = ref.assemble_cross_tensor(mesh, m)
         assert np.array_equal(new.indptr, indptr) and np.array_equal(new.indices, indices)
         assert np.abs(new.data - blocks).max() <= 2e-15 * np.abs(blocks).max()
@@ -194,7 +195,7 @@ def _kron_form(mesh, m, alpha, beta_k, weights):
     mk = assemble_mass(mesh) if weights is None else assemble_weighted_mass(mesh, weights)
     return (alpha * sp.kron(mk, eye3, format="csr")
             + beta_k * sp.kron(assemble_stiffness(mesh), eye3, format="csr")
-            - assemble_cross(mesh, m)).toarray()
+            - cross_form(mesh, m)).toarray()
 
 
 def test_tps1_weighted_mass_is_mass_and_applies_like_kron(cube2, rng):
@@ -204,7 +205,7 @@ def test_tps1_weighted_mass_is_mass_and_applies_like_kron(cube2, rng):
     lh = rng.standard_normal((cube2.N, 3))
     weights = 0.5 + rng.random(cube2.elem_count)
     for w in (None, weights):
-        sys_ = build_system(cube2, m, 0.5, 0.1, w, lh, 10.0)
+        sys_ = build_system(cube2, m, 0.5, 0.1, w, lh, 10.0, mass, assemble_stiffness(cube2))
         dense = sys_.dense_matrix()
         assert np.array_equal(dense, _kron_form(cube2, m, 0.5, 0.1, w))
         v = rng.standard_normal(3 * cube2.N)
@@ -213,7 +214,7 @@ def test_tps1_weighted_mass_is_mass_and_applies_like_kron(cube2, rng):
 
 def test_shuffled_mesh_cross_matches_element_tensor(shuffled_cube):
     for m in _cross_fields(shuffled_cube.N):
-        new = assemble_cross(shuffled_cube, m)
+        new = cross_form(shuffled_cube, m)
         assert (new + new.T).nnz == 0
         for name, old in zip(("indptr", "indices", "data"),
                              ref.assemble_cross(shuffled_cube, m)):
@@ -223,8 +224,8 @@ def test_shuffled_mesh_cross_matches_element_tensor(shuffled_cube):
 def test_shuffled_mesh_system_matrix_is_kron_form(shuffled_cube, rng):
     m = random_unit_field(shuffled_cube.N, seed=49)
     weights = 0.5 + rng.random(shuffled_cube.elem_count)
-    sys_ = build_system(shuffled_cube, m, 0.5, 0.1, weights,
-                        np.zeros((shuffled_cube.N, 3)), 10.0)
+    sys_ = build_system(shuffled_cube, m, 0.5, 0.1, weights, np.zeros((shuffled_cube.N, 3)),
+                        10.0, assemble_mass(shuffled_cube), assemble_stiffness(shuffled_cube))
     assert np.array_equal(sys_.dense_matrix(), _kron_form(shuffled_cube, m, 0.5, 0.1, weights))
 
 

@@ -206,6 +206,11 @@ EXIT_CODE_ROWS = [
     ("mesh", {"kind": "file", "path": "object_nodes.json"}, 2, "float() argument"),
     # a restart longer than the system is valid: a cycle stops at 2N vectors
     ("solver.restart", 10**9, 0, ""),
+    # finite m0 whose norm would overflow or underflow is normalized after
+    # scaling; a spiral whose phase overflows is a config error
+    ("field.m0", {"kind": "constant", "value": [1e308, 1e308, 0]}, 0, ""),
+    ("field.m0", {"kind": "constant", "value": [1e-200, 1e-200, 0]}, 0, ""),
+    ("field.m0", {"kind": "spiral", "turns": 1e308}, 2, "field.m0.turns"),
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tangent_plane_llg import (build_frame, build_system, build_stationary_2d,
+from tangent_plane_llg import (ScalarFactorization, assemble_mass, assemble_stiffness,
+                               build_frame, build_system, build_stationary_2d,
                                gmres_solve, make_preconditioner,
                                select_tn_adaptive)
 from tangent_plane_llg.diagnostics import (OracleError, check_bounded_ratio,
@@ -23,7 +24,8 @@ def make_system(mesh, m, lh=None, alpha=0.5, beta_k=0.1, ell_ex2=10.0, seed=0):
     if lh is None:
         lh = np.random.default_rng(seed).standard_normal((mesh.N, 3))
     return build_system(mesh, m, alpha=alpha, beta_k=beta_k,
-                        weights=np.ones(mesh.elem_count), lh=lh, ell_ex2=ell_ex2)
+                        weights=np.ones(mesh.elem_count), lh=lh, ell_ex2=ell_ex2,
+                        mass=assemble_mass(mesh), stiffness=assemble_stiffness(mesh))
 
 
 class TestDenseOracle:
@@ -43,14 +45,14 @@ class TestDenseOracle:
         dots = np.abs(np.einsum("nc,nc->n", v.reshape(cube2.N, 3), m))
         assert dots.max() <= 1e-12 * (1 + np.abs(v).max())
 
-    def test_matches_gmres(self, cube2):
+    def test_matches_gmres(self, cube2, cube2_matrices):
         m = random_unit_field(cube2.N, seed=92)
         sys_ = make_system(cube2, m, seed=92)
         frame = build_frame(m, select_tn_adaptive(m).chosen_T)
         xd, _ = dense_oracle_solve(sys_, frame)
         op = ReducedOperator(sys_, frame)
-        pc = build_stationary_2d(sys_.mass, sys_.stiffness, 1.0, sys_.beta_k,
-                                 cube2.dissection_order())
+        pc = build_stationary_2d(ScalarFactorization(*cube2_matrices, 1.0, 0.1,
+                                                     cube2.dissection_order()))
         xg, stats = gmres_solve(op, pc, op.reduced_rhs())
         assert stats.converged
         assert np.linalg.norm(xg - xd) <= 1e-9 * np.linalg.norm(xd)
@@ -260,7 +262,7 @@ class TestInverseBounds:
         sys_ = make_system(cube1, m, seed=150)
         frame = build_frame(m, select_tn_adaptive(m).chosen_T)
         reduced, _, _, q = dense_reduced_system(sys_, frame)
-        inner = q.T @ sp.kron(1.0 * sys_.mass + sys_.beta_k * sys_.stiffness,
+        inner = q.T @ sp.kron(1.0 * assemble_mass(cube1) + 0.1 * assemble_stiffness(cube1),
                               sp.identity(3, format="csr"),
                               format="csr").toarray() @ q
         report = check_inverse_bounds(reduced, inner)
@@ -271,7 +273,7 @@ class TestInverseBounds:
             check_inverse_bounds(np.eye(41), np.eye(41))
 
 
-def test_early_contraction_fit_predicts_uniform_rate(cube2):
+def test_early_contraction_fit_predicts_uniform_rate(cube2, cube2_matrices):
     """Qualitative linear-convergence check on the residual histories.
 
     The whole history admits a uniform geometric bound r_l <= r0 * rho^l
@@ -280,6 +282,9 @@ def test_early_contraction_fit_predicts_uniform_rate(cube2):
     runs.  (The raw early fit does not literally upper-bound the tail: the
     opening GMRES steps contract faster than the asymptotic rate.)
     """
+    mass, stiffness = cube2_matrices
+    order = cube2.dissection_order()
+    factor = ScalarFactorization(mass, stiffness, 1.0, 0.1, order)
     total, held = 0, 0
     for seed in range(5):
         m = random_unit_field(cube2.N, seed=160 + seed)
@@ -287,8 +292,8 @@ def test_early_contraction_fit_predicts_uniform_rate(cube2):
         frame = build_frame(m, select_tn_adaptive(m).chosen_T)
         op = ReducedOperator(sys_, frame)
         for kind in ("theoretical", "stationary", "practical"):
-            pc = make_preconditioner(kind, sys_.mass, sys_.stiffness, 1.0, sys_.beta_k,
-                                     order=cube2.dissection_order(), frame=frame)
+            pc = make_preconditioner(kind, mass, stiffness, 1.0, 0.1, order=order,
+                                     frame=frame, scalar_factor=factor)
             _, stats = gmres_solve(op, pc, op.reduced_rhs())
             hist = np.array(stats.residual_history)
             assert stats.converged and len(hist) >= 3

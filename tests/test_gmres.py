@@ -1,6 +1,7 @@
 import inspect
 import json
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.sparse.linalg as spla
 import loop_reference as ref
 from tangent_plane_llg import gmres_solve, scheme
 from tangent_plane_llg.gmres import GmresError
-from tangent_plane_llg.precond import PRECONDITIONER_KINDS, Preconditioner
+from tangent_plane_llg.precond import PRECONDITIONER_KINDS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -24,7 +25,7 @@ class MatOp:
 
 def dense_precond(p):
     p = np.asarray(p, dtype=np.float64)
-    return Preconditioner("none", None, lambda r: p @ r)
+    return types.SimpleNamespace(apply=lambda r: p @ r)
 
 
 def random_pd(n, seed, skew_scale=0.5):
@@ -102,7 +103,7 @@ def test_apply_counts():
         calls["pc"] += 1
         return r.copy()
 
-    x, stats = gmres_solve(matvec, Preconditioner("none", None, papply), b,
+    x, stats = gmres_solve(matvec, types.SimpleNamespace(apply=papply), b,
                            tol=1e-13, restart=7)
     assert stats.converged and stats.restarts >= 1
     assert calls["op"] == stats.iterations + stats.residual_computations - 1

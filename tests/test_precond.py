@@ -7,6 +7,7 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, build_frame, build_jacobi,
                                build_stationary_2d, build_theoretical,
                                generate_structured_cube, make_preconditioner,
                                select_tn_adaptive)
+import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg.precond import PreconditionerError, ScalarFactorization
 
 from conftest import UNIT_BOUNDS, random_unit_field
@@ -32,6 +33,12 @@ def setup(cube2, cube2_matrices):
     return cube2, mass, stiffness, m, frame
 
 
+@pytest.fixture(scope="module")
+def factor(cube2_matrices):
+    """The shared scalar factorization of ALPHA_P M + BETA_K L."""
+    return ScalarFactorization(*cube2_matrices, ALPHA_P, BETA_K, ORDER)
+
+
 class TestTheoretical:
     def test_inverse_consistency(self, setup, rng):
         mesh, mass, stiffness, m, frame = setup
@@ -50,14 +57,14 @@ class TestTheoretical:
         eig = np.linalg.eigvalsh(0.5 * (inner + inner.T))
         assert eig.min() > 0
 
-    def test_constant_field_equals_stationary(self, setup):
+    def test_constant_field_equals_stationary(self, setup, factor):
         mesh, mass, stiffness, _, _ = setup
         for key in ("t3-", "t1+", "t2-"):
             t = FIXED_INVOLUTIONS[key]
             mu = np.tile(t[:, 2], (mesh.N, 1))
             frame = build_frame(mu, t)
             theo = build_theoretical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER)
-            stat = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, ORDER)
+            stat = build_stationary_2d(factor)
             worst = 0.0
             for i in range(2 * mesh.N):
                 e = np.zeros(2 * mesh.N)
@@ -72,9 +79,9 @@ class TestTheoretical:
 
 
 class TestStationary:
-    def test_matches_dense_2d_inverse(self, setup, rng):
+    def test_matches_dense_2d_inverse(self, setup, factor, rng):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, ORDER)
+        pc = build_stationary_2d(factor)
         dense = np.linalg.inv(kron2(ALPHA_P * mass + BETA_K * stiffness).toarray())
         for _ in range(5):
             r = rng.standard_normal(2 * mesh.N)
@@ -82,22 +89,22 @@ class TestStationary:
 
     def test_mass_inverse_recovery(self, setup, rng):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_stationary_2d(mass, stiffness, ALPHA_P, 0.0, ORDER)
+        pc = build_stationary_2d(ScalarFactorization(mass, stiffness, ALPHA_P, 0.0, ORDER))
         r = rng.standard_normal((mesh.N, 2))
         w = ALPHA_P * (mass @ r)
         assert np.abs(pc.apply(w.ravel()).reshape(mesh.N, 2) - r).max() <= 1e-12
 
-    def test_stateless_reuse(self, setup, rng):
+    def test_stateless_reuse(self, setup, factor, rng):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, ORDER)
+        pc = build_stationary_2d(factor)
         r = rng.standard_normal(2 * mesh.N)
         assert np.array_equal(pc.apply(r), pc.apply(r))
 
 
 class TestPractical:
-    def test_symmetry_and_positivity(self, setup, rng):
+    def test_symmetry_and_positivity(self, setup, factor, rng):
         mesh, mass, stiffness, m, frame = setup
-        pc = build_practical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER)
+        pc = build_practical(frame, factor)
         for _ in range(100):
             r1 = rng.standard_normal(2 * mesh.N)
             r2 = rng.standard_normal(2 * mesh.N)
@@ -118,20 +125,18 @@ class TestPractical:
             x = rng.standard_normal(2 * mesh.N)
             assert x @ prac_inv @ x <= (x @ theo_inv @ x) * (1 + 1e-10)
 
-    def test_shared_scalar_factorization(self, setup):
+    def test_shared_scalar_factorization(self, setup, monkeypatch, rng):
+        # both kinds solve with the one factorization they are given, and
+        # factor nothing of their own
         mesh, mass, stiffness, m, frame = setup
         factor = ScalarFactorization(mass, stiffness, ALPHA_P, BETA_K, ORDER)
-        stat = build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, ORDER,
-                                   scalar_factor=factor)
-        prac = build_practical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER,
-                               scalar_factor=factor)
-        assert stat.scalar_factor is prac.scalar_factor
-
-    def test_mismatched_factor_rejected(self, setup):
-        mesh, mass, stiffness, m, frame = setup
-        factor = ScalarFactorization(mass, stiffness, ALPHA_P, BETA_K, ORDER)
-        with pytest.raises(PreconditionerError):
-            build_practical(frame, mass, stiffness, 2.0, BETA_K, ORDER, scalar_factor=factor)
+        monkeypatch.setattr(precond_mod, "splu", None)
+        solves = []
+        solve = factor.solve
+        monkeypatch.setattr(factor, "solve", lambda rhs: solves.append(rhs) or solve(rhs))
+        for pc in (build_stationary_2d(factor), build_practical(frame, factor)):
+            pc.apply(rng.standard_normal(2 * mesh.N))
+        assert [rhs.shape for rhs in solves] == [(mesh.N, 2), (mesh.N, 3)]
 
 
 class TestJacobi:
@@ -182,10 +187,9 @@ class TestApplyDispatch:
         assert np.array_equal(out, r)
         assert out is not r
 
-    def test_linearity(self, setup, rng):
+    def test_linearity(self, setup, factor, rng):
         mesh, mass, stiffness, m, frame = setup
-        for pc in (build_stationary_2d(mass, stiffness, ALPHA_P, BETA_K, ORDER),
-                   build_practical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER),
+        for pc in (build_stationary_2d(factor), build_practical(frame, factor),
                    build_jacobi(mass, stiffness, ALPHA_P, BETA_K)):
             r1 = rng.standard_normal(2 * mesh.N)
             r2 = rng.standard_normal(2 * mesh.N)
@@ -211,18 +215,23 @@ class TestApplyDispatch:
         with pytest.raises(PreconditionerError):
             pc.apply(np.zeros(3 * mesh.N))
 
-    def test_make_preconditioner_dispatch(self, setup):
+    def test_make_preconditioner_dispatch(self, setup, factor):
         mesh, mass, stiffness, m, frame = setup
         for kind in ("none", "jacobi"):
             pc = make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K)
             assert pc.kind == kind
-        pc = make_preconditioner("stationary", mass, stiffness, ALPHA_P, BETA_K, order=ORDER)
+        pc = make_preconditioner("stationary", mass, stiffness, ALPHA_P, BETA_K, order=ORDER,
+                                 scalar_factor=factor)
         assert pc.kind == "stationary"
         with pytest.raises(PreconditionerError, match="elimination order"):
             make_preconditioner("stationary", mass, stiffness, ALPHA_P, BETA_K)
+        for kind in ("stationary", "practical"):
+            with pytest.raises(PreconditionerError, match="scalar factorization"):
+                make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K,
+                                    order=ORDER, frame=frame)
         for kind in ("practical", "theoretical"):
             pc = make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K,
-                                     order=ORDER, frame=frame)
+                                     order=ORDER, frame=frame, scalar_factor=factor)
             assert pc.kind == kind
             with pytest.raises(PreconditionerError, match="needs a frame"):
                 make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K, order=ORDER)
@@ -240,7 +249,8 @@ def test_theoretical_with_stale_frame_still_solves(setup, rng):
     from tangent_plane_llg.gmres import ReducedOperator
     lh = rng.standard_normal((mesh.N, 3))
     sys_ = build_system(mesh, m, alpha=0.5, beta_k=BETA_K,
-                        weights=np.ones(mesh.elem_count), lh=lh, ell_ex2=10.0)
+                        weights=np.ones(mesh.elem_count), lh=lh, ell_ex2=10.0,
+                        mass=mass, stiffness=stiffness)
     op = ReducedOperator(sys_, frame)
     rhs = op.reduced_rhs()
     x_fresh, s_fresh = gmres_solve(op, build_theoretical(frame, mass, stiffness,

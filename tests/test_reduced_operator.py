@@ -37,8 +37,8 @@ def step_operator(mesh, strategy, tps2, seed=60):
     rng = np.random.default_rng(seed)
     m = random_unit_field(mesh.N, seed=seed)
     weights = 0.5 + rng.random(mesh.elem_count) if tps2 else None
-    system = build_system(mesh, m, ALPHA, BETA_K, weights,
-                          rng.standard_normal((mesh.N, 3)), 10.0)
+    system = build_system(mesh, m, ALPHA, BETA_K, weights, rng.standard_normal((mesh.N, 3)),
+                          10.0, assemble_mass(mesh), assemble_stiffness(mesh))
     return ReducedOperator(system, build_frame(m, FIXED_INVOLUTIONS["t2+"], strategy))
 
 

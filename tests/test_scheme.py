@@ -194,6 +194,13 @@ class TestStep:
         for st in res.states:
             assert_unit_nodal(st.m_n, tol=1e-14)
 
+    def test_unit_check_fails_on_nan(self):
+        m = np.tile([1.0, 0.0, 0.0], (3, 1))
+        assert assert_unit_nodal(m) == 0.0
+        m[1] = np.nan
+        with pytest.raises(ValueError, match="unit sphere"):
+            assert_unit_nodal(m)
+
     def test_variational_consistency(self, cube2):
         # residual of the solved reduced system against all tangent basis vectors
         import tangent_plane_llg.fem as fem
@@ -229,7 +236,8 @@ class TestStep:
         sys_ = fem.build_system(ctx.mesh, st.m_n, ctx.coeffs.alpha, ctx.beta_k, None,
                                 np.zeros((ctx.mesh.N, 3)), ctx.coeffs.ell_ex2,
                                 mass=ctx.mass, stiffness=ctx.stiffness)
-        assert sys_.weighted_mass is ctx.mass
+        assert np.array_equal(sys_.scalar, ctx.coeffs.alpha * ctx.mass.data
+                              + ctx.beta_k * ctx.stiffness.data)
 
         def no_assembly(mesh, weights):
             raise AssertionError("tps1 step assembled a weighted mass")

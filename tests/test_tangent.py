@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tangent_plane_llg import (FIXED_INVOLUTIONS, apply_q, apply_qt, build_frame,
-                               build_system, frame_gamma, gmres_solve,
-                               select_tn_adaptive)
+from tangent_plane_llg import (FIXED_INVOLUTIONS, apply_q, apply_qt, assemble_mass,
+                               assemble_stiffness, build_frame, build_system,
+                               frame_gamma, gmres_solve, select_tn_adaptive)
 from tangent_plane_llg.gmres import ReducedOperator
 from tangent_plane_llg.tangent import FrameError
 
@@ -206,7 +206,8 @@ def test_reduced_solution_is_strategy_independent(cube2, rng):
     m = random_units(cube2.N, seed=33)
     lh = rng.standard_normal((cube2.N, 3))
     sys_ = build_system(cube2, m, alpha=0.5, beta_k=0.1,
-                        weights=np.ones(cube2.elem_count), lh=lh, ell_ex2=10.0)
+                        weights=np.ones(cube2.elem_count), lh=lh, ell_ex2=10.0,
+                        mass=assemble_mass(cube2), stiffness=assemble_stiffness(cube2))
     t = select_tn_adaptive(m).chosen_T
     lifted = {}
     for strategy in ("householder", "signflip", "rotation"):
