@@ -13,9 +13,9 @@ from .fem import (AssembledSystem, assemble_cross, assemble_mass, assemble_rhs,
 from .gmres import GmresError, ReducedOperator, SolverStats, gmres_solve
 from .mesh import (Mesh, MeshError, QualityReport, generate_structured_cube,
                    load_mesh, mesh_quality, save_mesh)
-from .precond import (Preconditioner, ScalarFactorization, build_jacobi,
-                      build_none, build_practical, build_stationary_2d,
-                      build_theoretical, make_preconditioner)
+from .precond import (Preconditioner, PreconditionerSource, ScalarFactorization,
+                      build_jacobi, build_none, build_practical,
+                      build_stationary_2d, build_theoretical)
 from .physics import (AppliedFieldConfig, PiConfig, SIParameters,
                       applied_field_mumag4, mumag4_parameters,
                       mumag5_spin_velocity, nondimensionalize, pi_apply)

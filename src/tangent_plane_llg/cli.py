@@ -29,12 +29,12 @@ from .tangent import FRAME_STRATEGIES, build_frame, select_tn_adaptive
 SUMMARY_HEADER = ("h,k,precond,alpha,alpha_p,tn_mode,"
                   "avg_iterations,max_iterations,steps,wall_time_s")
 
-SWEEP_AXES = {"mesh": "[mesh configs]", "precond": "[kinds]",
-              "alpha_p": "[floats]", "tn": "[modes]"}
-
-# the config key each sweep axis sets; an override of that key pins the axis
-SWEEP_KEYS = {"mesh": "mesh", "precond": "precond.kind",
-              "alpha_p": "precond.alpha_p", "tn": "frame.tn"}
+# sweep axis -> (the config key it sets, its schema text), in sweep order;
+# an override of that key pins the axis
+SWEEP_AXES = {"mesh": ("mesh", "[mesh configs]"),
+              "precond": ("precond.kind", "[kinds]"),
+              "alpha_p": ("precond.alpha_p", "[floats]"),
+              "tn": ("frame.tn", "[modes]")}
 
 
 def print_config_schema(out=None):
@@ -44,7 +44,7 @@ def print_config_schema(out=None):
         "description": "simulation config; an optional top-level 'sweep' crosses mesh "
                        "configs, preconditioners, alpha_p values and tn modes; "
                        "under 'kinds', null marks a key that its kind requires",
-        "sweep": SWEEP_AXES,
+        "sweep": {axis: text for axis, (_, text) in SWEEP_AXES.items()},
         **config_schema(),
     }
     json.dump(schema, out, indent=2)
@@ -71,8 +71,8 @@ def _sweep_points(doc):
 
 def _point_config(doc, *point):
     """The resolved config of one sweep point (values in SWEEP_AXES order)."""
-    return SimulationConfig.from_dict(
-        _apply_overrides(doc, dict(zip(SWEEP_KEYS.values(), point))))
+    keys = [key for key, _ in SWEEP_AXES.values()]
+    return SimulationConfig.from_dict(_apply_overrides(doc, dict(zip(keys, point))))
 
 
 def run_experiment(config_path, out_dir=None, overrides=None):
@@ -89,8 +89,9 @@ def run_experiment(config_path, out_dir=None, overrides=None):
         overrides = overrides or {}
         doc = _apply_overrides(doc, overrides)
         if isinstance(doc.get("sweep"), dict):
+            pinned = {axis for axis, (key, _) in SWEEP_AXES.items() if key in overrides}
             doc["sweep"] = {axis: values for axis, values in doc["sweep"].items()
-                            if SWEEP_KEYS.get(axis) not in overrides}
+                            if axis not in pinned}
         configs = [_point_config(doc, *point) for point in _sweep_points(doc)]
         for path in sorted({cfg.mesh["path"] for cfg in configs if cfg.mesh["kind"] == "file"}):
             _check_mesh_file(path)

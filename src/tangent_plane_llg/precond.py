@@ -1,30 +1,30 @@
 """Preconditioners for the tangent-space system.
 
-All variants expose a symmetric positive definite apply-action on 2N
-residual vectors.  The inner SPD matrix alpha_P * mass + beta_k * stiffness
-is inverted by a cached sparse direct factorization; the stationary and
-practical variants share one scalar N x N factorization (the practical one
-only adds frame applications), while the frame-dependent theoretical
-variant factors its own 2N x 2N matrix and must be rebuilt whenever the
-frame it was built from should follow the magnetization.
+Every preconditioner of a run comes from one SPD matrix K = alpha_P M +
+beta_k L, which does not depend on the time step (so neither, essentially,
+do the iteration counts): stationary solves with K on both tangent
+components of a node, practical wraps that solve in the step's frame,
+Q^T K^{-1} Q, theoretical factors the frame congruence Q^T (K (x) I_3) Q,
+jacobi scales by (diag K)^{-1}, and none is the identity.  The one
+PreconditionerSource of a run forms K and decides what is built when.
 
 Both factored matrices are SPD, so Gaussian elimination is stable in any
 symmetric order without pivoting.  They are factored by SuperLU in the
 nested-dissection order of the mesh (Mesh.dissection_order) and in its
-symmetric mode: the rows and columns are permuted once by that order, and
-the diagonal is taken as pivot (diag_pivot_thresh = 0), so the factor fills
-only as that order predicts.  The solves permute the right-hand side and
-un-permute the result.
+symmetric mode: K is permuted once by that order, the 2N x 2N matrix is
+assembled on the 2x2 node blocks of the permuted K, and the diagonal is
+taken as pivot (diag_pivot_thresh = 0), so the factor fills only as that
+order predicts.  The solves permute the right-hand side and un-permute the
+result.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .tangent import apply_q, apply_qt, reduce_blocks
 
 PRECONDITIONER_KINDS = ("theoretical", "stationary", "practical", "jacobi", "none")
-# the kinds that factor an SPD matrix in the elimination order of the mesh
-FACTORED_KINDS = ("theoretical", "stationary", "practical")
 
 
 class PreconditionerError(RuntimeError):
@@ -41,26 +41,21 @@ def _factor_spd(matrix, what):
 
 
 class ScalarFactorization:
-    """Cached factorization of alpha_P * M + beta_k * L (N x N SPD).
+    """Cached factorization of K = alpha_P M + beta_k L (N x N SPD).
 
-    The matrix is factored as P^T (alpha_P M + beta_k L) P, with P the
-    permutation of order (node order[i] is eliminated i-th), in SuperLU's
-    symmetric mode without pivoting; solve applies P on both sides.
+    ordered is P^T K P (CSR), with P the permutation of order (node
+    order[i] is eliminated i-th); it is factored in SuperLU's symmetric
+    mode without pivoting, and solve applies P on both sides.
     """
 
-    def __init__(self, mass, stiffness, alpha_P, beta_k, order):
-        if alpha_P <= 0:
-            raise PreconditionerError(f"alpha_P must be positive, got {alpha_P}")
-        if beta_k < 0:
-            raise PreconditionerError(f"beta_k must be nonnegative, got {beta_k}")
+    def __init__(self, ordered, order):
         self.n_nodes = len(order)
         self._order = order
         self._inverse = np.argsort(order)
-        scalar = (alpha_P * mass + beta_k * stiffness).tocsr()
-        self._lu = _factor_spd(scalar[order][:, order], "scalar operator")
+        self._lu = _factor_spd(ordered, "scalar operator")
 
     def solve(self, rhs):
-        """(alpha_P M + beta_k L)^{-1} rhs for rhs of shape (N,) or (N, k)."""
+        """K^{-1} rhs for rhs of shape (N,) or (N, k)."""
         # take: a row gather several times faster than fancy indexing
         return self._lu.solve(rhs.take(self._order, axis=0)).take(self._inverse, axis=0)
 
@@ -85,24 +80,19 @@ def build_none(n_nodes):
     return Preconditioner("none", n_nodes, lambda r: r.copy())
 
 
-def build_theoretical(frame, mass, stiffness, alpha_P, beta_k, order):
-    """Inverse of the frame-congruent SPD matrix Q^T (a_P M + bk L) Q.
+def build_theoretical(frame, ordered, order):
+    """Inverse of the frame-congruent SPD matrix Q^T (K (x) I_3) Q.
 
-    With K = a_P M + bk L, block (i, j) of the 2N x 2N matrix is the 2x2
-    block K_ij Q_i^T Q_j on the pattern of K: tangent.reduce_blocks of the
-    scalar values K_ij with no cross moments, the kernel that forms the
-    reduced system matrix.  It is assembled in the node order of order
-    (the 2x2 blocks of node order[i] at rows 2i, 2i+1) and factored in
-    SuperLU's symmetric mode without pivoting, once per build; the frame
-    may be kept stale for several steps (rebuild cadence is the caller's
-    knob).
+    Block (i, j) of the 2N x 2N matrix is the 2x2 block K_ij Q_i^T Q_j on
+    the pattern of K: tangent.reduce_blocks of the scalar values K_ij with
+    no cross moments, the kernel that forms the reduced system matrix.  It
+    is assembled from ordered = P^T K P (CSR, P the permutation of order),
+    so the 2x2 blocks of node order[i] sit at rows 2i, 2i+1, and factored
+    in SuperLU's symmetric mode without pivoting, once per build.
     """
-    if alpha_P <= 0:
-        raise PreconditionerError(f"alpha_P must be positive, got {alpha_P}")
-    scalar = (alpha_P * mass + beta_k * stiffness).tocsr()[order][:, order]
     n = frame.n_nodes
-    inner = reduce_blocks(frame.blocks[order], scalar.indptr, scalar.indices,
-                          scalar.data).tocsc()
+    inner = reduce_blocks(frame.blocks[order], ordered.indptr, ordered.indices,
+                          ordered.data).tocsc()
     # exact zeros (Q_i^T Q_j = I where the frame is uniform) only add fill
     inner.eliminate_zeros()
     lu = _factor_spd(inner, "theoretical preconditioner")
@@ -119,8 +109,8 @@ def build_stationary_2d(scalar_factor):
     """Frame-independent preconditioner: scalar solve on both components.
 
     Equals the inverse of the nodal 2D-basis matrix a_P M2D + bk L2D, whose
-    block form reduces to the scalar N x N matrix applied componentwise:
-    the shared ScalarFactorization of a_P M + bk L.
+    block form reduces to K applied componentwise: the shared
+    ScalarFactorization.
     """
     n = scalar_factor.n_nodes
 
@@ -131,7 +121,7 @@ def build_stationary_2d(scalar_factor):
 
 
 def build_practical(frame, scalar_factor):
-    """Q^T (a_P M + bk L)^{-1} Q, on the shared ScalarFactorization.
+    """Q^T K^{-1} Q, on the shared ScalarFactorization.
 
     Only meaningful with the frame of the current magnetization; the frame
     application is the only per-step work.
@@ -145,16 +135,14 @@ def build_practical(frame, scalar_factor):
     return Preconditioner("practical", n, apply_fn)
 
 
-def build_jacobi(mass, stiffness, alpha_P, beta_k):
-    """Nodal diagonal preconditioner (a_P M_ii + bk L_ii)^{-1} per component."""
-    if alpha_P <= 0:
-        raise PreconditionerError(f"alpha_P must be positive, got {alpha_P}")
-    diag = alpha_P * mass.diagonal() + beta_k * stiffness.diagonal()
+def build_jacobi(scalar):
+    """Nodal diagonal preconditioner (diag K)^{-1} per component."""
+    diag = scalar.diagonal()
     if (diag <= 0).any():
         bad = int(np.nonzero(diag <= 0)[0][0])
         raise PreconditionerError(
             f"non-positive diagonal {diag[bad]} at node {bad} (assembly bug)")
-    n = mass.shape[0]
+    n = scalar.shape[0]
     inv = 1.0 / diag
 
     def apply_fn(r):
@@ -163,27 +151,53 @@ def build_jacobi(mass, stiffness, alpha_P, beta_k):
     return Preconditioner("jacobi", n, apply_fn)
 
 
-def make_preconditioner(kind, mass, stiffness, alpha_P, beta_k, order=None, frame=None,
-                        scalar_factor=None):
-    """The one map from a preconditioner kind to its builder.  The kinds
-    that factor need the elimination order of the mesh (order, see
-    Mesh.dissection_order); stationary and practical solve with the shared
-    ScalarFactorization of alpha_P M + beta_k L (scalar_factor), and
-    theoretical and practical need the frame of the step."""
-    if frame is None and kind in ("theoretical", "practical"):
-        raise PreconditionerError(f"{kind} preconditioner needs a frame")
-    if order is None and kind in FACTORED_KINDS:
-        raise PreconditionerError(f"{kind} preconditioner needs an elimination order")
-    if scalar_factor is None and kind in ("stationary", "practical"):
-        raise PreconditionerError(f"{kind} preconditioner needs the scalar factorization")
-    if kind == "none":
-        return build_none(mass.shape[0])
-    if kind == "jacobi":
-        return build_jacobi(mass, stiffness, alpha_P, beta_k)
-    if kind == "stationary":
-        return build_stationary_2d(scalar_factor)
-    if kind == "practical":
-        return build_practical(frame, scalar_factor)
-    if kind == "theoretical":
-        return build_theoretical(frame, mass, stiffness, alpha_P, beta_k, order)
-    raise PreconditionerError(f"unknown preconditioner kind {kind!r}")
+class PreconditionerSource:
+    """The preconditioners of one run, all from K = alpha_p M + beta_k L.
+
+    kind, alpha_p and rebuild_every are the options of the config's precond
+    section.  K is formed and checked here, once, and the kinds that factor
+    permute it once into the mesh's dissection order; stationary and
+    practical share its one factorization.  The frame-independent kinds are
+    built here, practical on every step, and theoretical is refactored
+    every rebuild_every steps with a stale frame in between (builds counts
+    its factorizations).
+    """
+
+    def __init__(self, mesh, mass, stiffness, beta_k, kind, alpha_p, rebuild_every=1):
+        if kind not in PRECONDITIONER_KINDS:
+            raise PreconditionerError(f"unknown preconditioner kind {kind!r}")
+        if alpha_p <= 0:
+            raise PreconditionerError(f"alpha_P must be positive, got {alpha_p}")
+        if beta_k < 0:
+            raise PreconditionerError(f"beta_k must be nonnegative, got {beta_k}")
+        self.kind = kind
+        self.rebuild_every = rebuild_every
+        self.builds = 0
+        self._current = None
+        # on the mesh pattern that M and L share, as the step's scalar part is
+        indptr, indices, _ = mesh.adjacency()
+        scalar = sp.csr_array((alpha_p * mass.data + beta_k * stiffness.data, indices, indptr),
+                              shape=mass.shape)
+        if kind == "none":
+            self._current = build_none(mesh.N)
+        elif kind == "jacobi":
+            self._current = build_jacobi(scalar)
+        else:
+            order = mesh.dissection_order()
+            ordered = scalar[order][:, order]
+            if kind == "theoretical":
+                self._ordered, self._order = ordered, order
+            else:
+                self._factor = ScalarFactorization(ordered, order)
+            if kind == "stationary":
+                self._current = build_stationary_2d(self._factor)
+
+    def for_step(self, frame, step):
+        """The preconditioner of step (counted from 0) with the frame of its field."""
+        if self.kind == "practical":
+            return build_practical(frame, self._factor)
+        if self.kind == "theoretical" and (self._current is None
+                                           or step % self.rebuild_every == 0):
+            self._current = build_theoretical(frame, self._ordered, self._order)
+            self.builds += 1
+        return self._current

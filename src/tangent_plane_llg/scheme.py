@@ -377,8 +377,12 @@ class SimulationConfig:
         m0 = self.field_cfg["m0"]
         if m0["kind"] == "constant" and not any(m0["value"]):
             raise ConfigError("field.m0.value must be a nonzero vector")
-        if m0["kind"] == "spiral" and not np.isfinite(2.0 * np.pi * m0["turns"]):
-            raise ConfigError(f"field.m0.turns: 2 pi turns is not finite, got {m0['turns']!r}")
+        if m0["kind"] == "spiral":
+            # the phase's largest intermediate; a file mesh's waits for initial_state
+            x_lo, x_hi = self.mesh["bounds"][0] if self.mesh["kind"] == "cube" else (0.0, 1.0)
+            if not math.isfinite(2.0 * math.pi * m0["turns"] * (x_hi - x_lo)):
+                raise ConfigError("field.m0.turns: the spiral phase 2 pi turns (x_hi - x_lo) "
+                                  f"is not finite, got turns = {m0['turns']!r}")
         try:
             PiConfig(**self.field_cfg["pi"])
         except FieldConfigError as exc:
@@ -420,7 +424,9 @@ def initial_magnetization(cfg, mesh):
 
 
 class StepContext:
-    """Immutable per-run data plus cached preconditioner state."""
+    """Per-run data, all built at set-up: the mesh, its static matrices, the
+    field configs, and the run's PreconditionerSource, which each step asks
+    for that step's preconditioner (the only state that changes)."""
 
     def __init__(self, config, mesh=None):
         config.validate()
@@ -434,34 +440,9 @@ class StepContext:
         # the resolved field sections hold exactly these dataclasses' fields
         self.pi_cfg = PiConfig(**config.field_cfg["pi"])
         self.applied = AppliedFieldConfig(**config.field_cfg["applied"])
-        self.alpha_p = config.precond["alpha_p"]
-        self.precond_kind = config.precond["kind"]
-
-        # the kinds that factor use the mesh's nested-dissection order;
-        # stationary and practical share one scalar factorization, built
-        # here so that it counts as set-up, not as a step
-        self.order = None
-        if self.precond_kind in precond_mod.FACTORED_KINDS:
-            self.order = self.mesh.dissection_order()
-        self._scalar_factor = None
-        if self.precond_kind in ("stationary", "practical"):
-            self._scalar_factor = precond_mod.ScalarFactorization(
-                self.mass, self.stiffness, self.alpha_p, self.beta_k, self.order)
-        self._precond = None
-        self.precond_builds = 0
-
-    def preconditioner_for(self, frame, step):
-        """The preconditioner of a step: static kinds are built once,
-        practical every step on the shared factor, and theoretical every
-        rebuild_every steps (precond_builds counts its factorizations)."""
-        kind = self.precond_kind
-        if (self._precond is None or kind == "practical" or (
-                kind == "theoretical" and step % self.config.precond["rebuild_every"] == 0)):
-            self._precond = precond_mod.make_preconditioner(
-                kind, self.mass, self.stiffness, self.alpha_p, self.beta_k,
-                order=self.order, frame=frame, scalar_factor=self._scalar_factor)
-            self.precond_builds += kind == "theoretical"
-        return self._precond
+        # and the precond section the options of PreconditionerSource
+        self.preconditioners = precond_mod.PreconditionerSource(
+            self.mesh, self.mass, self.stiffness, self.beta_k, **config.precond)
 
     def initial_state(self):
         m0 = initial_magnetization(self.config.field_cfg["m0"], self.mesh)
@@ -502,7 +483,7 @@ def tps_step(ctx, state):
                               coeffs.ell_ex2, mass=ctx.mass, stiffness=ctx.stiffness)
 
     try:
-        pc = ctx.preconditioner_for(frame, state.n)
+        pc = ctx.preconditioners.for_step(frame, state.n)
         op = ReducedOperator(system, frame)
         # the solver section holds exactly the options of gmres_solve
         x, stats = gmres_solve(op, pc, op.reduced_rhs(), **cfg.solver)
@@ -597,7 +578,7 @@ def run_simulation(config, mesh=None, keep_states=False):
 
     return SimulationResult(config=cfg, mesh=ctx.mesh, records=records,
                             step_stats=step_stats, final_state=state,
-                            precond_builds=ctx.precond_builds, states=states)
+                            precond_builds=ctx.preconditioners.builds, states=states)
 
 
 STEP_CSV_HEADER = ("step,t,gmres_iterations,restarts,final_residual,"

@@ -69,6 +69,14 @@ def transpose_slots(mesh):
     return np.searchsorted(rows * mesh.N + indices, indices * mesh.N + rows)
 
 
+def spd_in_order(mass, stiffness, alpha_p, beta_k, order):
+    """K = alpha_p M + beta_k L, formed apart from the package, as P^T K P
+    (CSR, P the permutation of order): the matrix the factoring builders
+    take."""
+    scalar = (alpha_p * mass + beta_k * stiffness).tocsr()
+    return scalar[order][:, order]
+
+
 def random_unit_field(n, seed=0):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, 3))

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tangent_plane_llg import (FIXED_INVOLUTIONS, ScalarFactorization, SimulationConfig,
+from tangent_plane_llg import (FIXED_INVOLUTIONS, PreconditionerSource,
+                               ScalarFactorization, SimulationConfig,
                                assemble_mass, assemble_stiffness,
                                build_frame, build_stationary_2d, build_system,
                                build_theoretical, generate_structured_cube,
-                               gmres_solve, make_preconditioner,
-                               mumag4_parameters, nondimensionalize,
+                               gmres_solve, mumag4_parameters, nondimensionalize,
                                run_simulation, select_tn_adaptive)
 from tangent_plane_llg.diagnostics import (check_bounded_ratio,
                                            check_inverse_bounds,
@@ -26,7 +26,7 @@ from tangent_plane_llg.gmres import ReducedOperator
 from tangent_plane_llg.physics import applied_field_mumag4
 from tangent_plane_llg.scheme import SchemeCoefficients, lambda_field, lh_term
 
-from conftest import UNIT_BOUNDS, cross_form, random_unit_field
+from conftest import UNIT_BOUNDS, cross_form, random_unit_field, spd_in_order
 
 MODULE_T0 = time.perf_counter()
 
@@ -112,19 +112,18 @@ def test_criterion_01_oracle_equivalence(cube27):
     started = time.perf_counter()
     ok = True
     mass, stiffness = assemble_mass(cube27), assemble_stiffness(cube27)
-    order = cube27.dissection_order()
     for variant in ("tps1", "tps2"):
         m, system, beta_k = build_step_system(cube27, variant, mass, stiffness)
-        factor = ScalarFactorization(mass, stiffness, 1.0, beta_k, order)
+        sources = [PreconditionerSource(cube27, mass, stiffness, beta_k, kind, 1.0)
+                   for kind in ALL_PRECONDS]
         t = select_tn_adaptive(m).chosen_T
         for strategy in STRATEGIES:
             frame = build_frame(m, t, strategy)
             x_ref, _ = dense_oracle_solve(system, frame)
             op = ReducedOperator(system, frame)
             rhs = op.reduced_rhs()
-            for kind in ALL_PRECONDS:
-                pc = make_preconditioner(kind, mass, stiffness, 1.0, beta_k, order=order,
-                                         frame=frame, scalar_factor=factor)
+            for source in sources:
+                pc = source.for_step(frame, 0)
                 x, stats = gmres_solve(op, pc, rhs, tol=1e-14)
                 ok &= stats.converged
                 rel = np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref)
@@ -166,8 +165,9 @@ def test_criterion_03_constant_field_identity(cube27):
         mu = np.tile(t[:, 2], (cube27.N, 1))
         frame = build_frame(mu, t)
         order = cube27.dissection_order()
-        theo = build_theoretical(frame, mass, stiffness, 1.0, 0.1, order)
-        stat = build_stationary_2d(ScalarFactorization(mass, stiffness, 1.0, 0.1, order))
+        scalar = spd_in_order(mass, stiffness, 1.0, 0.1, order)
+        theo = build_theoretical(frame, scalar, order)
+        stat = build_stationary_2d(ScalarFactorization(scalar, order))
         for i in range(2 * cube27.N):
             e = np.zeros(2 * cube27.N)
             e[i] = 1.0

@@ -32,7 +32,7 @@ import tangent_plane_llg.scheme as scheme_mod
 from tangent_plane_llg.mesh import _check_conforming
 from tangent_plane_llg.tangent import FRAME_STRATEGIES, FrameError
 
-from conftest import UNIT_BOUNDS, cross_form, random_unit_field
+from conftest import UNIT_BOUNDS, cross_form, random_unit_field, spd_in_order
 
 SIGNED_AXES = np.vstack([np.eye(3), -np.eye(3)])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -238,7 +238,7 @@ def test_shuffled_mesh_theoretical_blocks_match_kron(shuffled_cube, monkeypatch)
     m = random_unit_field(shuffled_cube.N, seed=50)
     frame = build_frame(m, FIXED_INVOLUTIONS["t2-"])
     order = shuffled_cube.dissection_order()
-    build_theoretical(frame, mass, stiffness, 1.0, 0.1, order)
+    build_theoretical(frame, spd_in_order(mass, stiffness, 1.0, 0.1, order), order)
     q = frame.as_sparse()
     kron = sp.kron(1.0 * mass + 0.1 * stiffness, sp.identity(3, format="csr"))
     # P^T (q^T kron q) P, P the node order on the 2x2 node blocks (2p, 2p + 1)

@@ -211,6 +211,12 @@ EXIT_CODE_ROWS = [
     ("field.m0", {"kind": "constant", "value": [1e308, 1e308, 0]}, 0, ""),
     ("field.m0", {"kind": "constant", "value": [1e-200, 1e-200, 0]}, 0, ""),
     ("field.m0", {"kind": "spiral", "turns": 1e308}, 2, "field.m0.turns"),
+    # a finite 2 pi turns whose phase stays finite on the unit cube but
+    # overflows on a long box; a tuple of keys sets each of its values
+    ("field.m0", {"kind": "spiral", "turns": 1e305}, 0, ""),
+    (("mesh", "field.m0"), ({"kind": "cube", "bounds": [[0, 1e4], [0, 1], [0, 1]],
+                             "n": [2, 2, 2]}, {"kind": "spiral", "turns": 1e305}),
+     2, "field.m0.turns"),
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))
@@ -233,7 +239,8 @@ def test_exit_code_contract(tmp_path, capsys, key, value, code, fragment):
         for name, text in MESH_FILES.items():
             (tmp_path / name).write_text(text)
         value = {**value, "path": str(tmp_path / value["path"])}
-    doc = _apply_overrides(doc, {key: value})
+    doc = _apply_overrides(doc, dict(zip(key, value)) if isinstance(key, tuple)
+                           else {key: value})
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == code
     err = capsys.readouterr().err

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tangent_plane_llg import (ScalarFactorization, assemble_mass, assemble_stiffness,
-                               build_frame, build_system, build_stationary_2d,
-                               gmres_solve, make_preconditioner,
-                               select_tn_adaptive)
+from tangent_plane_llg import (PreconditionerSource, ScalarFactorization, assemble_mass,
+                               assemble_stiffness, build_frame, build_system,
+                               build_stationary_2d, gmres_solve, select_tn_adaptive)
 from tangent_plane_llg.diagnostics import (OracleError, check_bounded_ratio,
                                            check_inverse_bounds,
                                            check_mapping_identities,
@@ -17,7 +16,7 @@ from tangent_plane_llg.diagnostics import (OracleError, check_bounded_ratio,
 from tangent_plane_llg.gmres import ReducedOperator
 from tangent_plane_llg.mesh import mesh_quality
 
-from conftest import random_unit_field
+from conftest import random_unit_field, spd_in_order
 
 
 def make_system(mesh, m, lh=None, alpha=0.5, beta_k=0.1, ell_ex2=10.0, seed=0):
@@ -51,8 +50,9 @@ class TestDenseOracle:
         frame = build_frame(m, select_tn_adaptive(m).chosen_T)
         xd, _ = dense_oracle_solve(sys_, frame)
         op = ReducedOperator(sys_, frame)
-        pc = build_stationary_2d(ScalarFactorization(*cube2_matrices, 1.0, 0.1,
-                                                     cube2.dissection_order()))
+        order = cube2.dissection_order()
+        pc = build_stationary_2d(ScalarFactorization(
+            spd_in_order(*cube2_matrices, 1.0, 0.1, order), order))
         xg, stats = gmres_solve(op, pc, op.reduced_rhs())
         assert stats.converged
         assert np.linalg.norm(xg - xd) <= 1e-9 * np.linalg.norm(xd)
@@ -283,17 +283,16 @@ def test_early_contraction_fit_predicts_uniform_rate(cube2, cube2_matrices):
     opening GMRES steps contract faster than the asymptotic rate.)
     """
     mass, stiffness = cube2_matrices
-    order = cube2.dissection_order()
-    factor = ScalarFactorization(mass, stiffness, 1.0, 0.1, order)
+    sources = [PreconditionerSource(cube2, mass, stiffness, 0.1, kind, 1.0)
+               for kind in ("theoretical", "stationary", "practical")]
     total, held = 0, 0
     for seed in range(5):
         m = random_unit_field(cube2.N, seed=160 + seed)
         sys_ = make_system(cube2, m, seed=160 + seed)
         frame = build_frame(m, select_tn_adaptive(m).chosen_T)
         op = ReducedOperator(sys_, frame)
-        for kind in ("theoretical", "stationary", "practical"):
-            pc = make_preconditioner(kind, mass, stiffness, 1.0, 0.1, order=order,
-                                     frame=frame, scalar_factor=factor)
+        for source in sources:
+            pc = source.for_step(frame, 0)
             _, stats = gmres_solve(op, pc, op.reduced_rhs())
             hist = np.array(stats.residual_history)
             assert stats.converged and len(hist) >= 3

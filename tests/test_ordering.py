@@ -19,7 +19,7 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, SimulationConfig, StepContext,
                                build_theoretical, generate_structured_cube, tps_step)
 from tangent_plane_llg.precond import ScalarFactorization
 
-from conftest import UNIT_BOUNDS, random_unit_field
+from conftest import UNIT_BOUNDS, random_unit_field, spd_in_order
 
 ALPHA_P, BETA_K = 1.0, 0.1
 
@@ -37,6 +37,12 @@ def meshes(shuffled_cube):
 
 def scalar_matrix(mesh):
     return ALPHA_P * assemble_mass(mesh) + BETA_K * assemble_stiffness(mesh)
+
+
+def ordered_k(mesh):
+    """ALPHA_P M + BETA_K L of mesh in its dissection order."""
+    return spd_in_order(assemble_mass(mesh), assemble_stiffness(mesh), ALPHA_P, BETA_K,
+                        mesh.dissection_order())
 
 
 def theoretical_matrix(mesh, frame):
@@ -104,8 +110,7 @@ def test_top_level_separator_splits_the_halves(meshes, name):
 @pytest.mark.parametrize("name", ["cube6", "shuffled_cube", "thin_film"])
 def test_scalar_solves_match_spsolve(meshes, name, rng):
     mesh = meshes[name]
-    factor = ScalarFactorization(assemble_mass(mesh), assemble_stiffness(mesh),
-                                 ALPHA_P, BETA_K, mesh.dissection_order())
+    factor = ScalarFactorization(ordered_k(mesh), mesh.dissection_order())
     rhs = rng.standard_normal((mesh.N, 3))
     expected = spla.spsolve(scalar_matrix(mesh).tocsc(), rhs)
     x = factor.solve(rhs)
@@ -116,8 +121,7 @@ def test_scalar_solves_match_spsolve(meshes, name, rng):
 def test_theoretical_solves_match_spsolve(meshes, name, rng):
     mesh = meshes[name]
     frame = build_frame(random_unit_field(mesh.N, seed=51), FIXED_INVOLUTIONS["t1+"])
-    pc = build_theoretical(frame, assemble_mass(mesh), assemble_stiffness(mesh),
-                           ALPHA_P, BETA_K, mesh.dissection_order())
+    pc = build_theoretical(frame, ordered_k(mesh), mesh.dissection_order())
     for _ in range(3):
         r = rng.standard_normal(2 * mesh.N)
         expected = spla.spsolve(theoretical_matrix(mesh, frame), r)
@@ -148,13 +152,12 @@ def test_fill_below_colamd_on_cube16(monkeypatch):
     mesh = generate_structured_cube(UNIT_BOUNDS, (16, 16, 16))
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
     order = mesh.dissection_order()
-    fill = factored_fill(monkeypatch, lambda: ScalarFactorization(
-        mass, stiffness, ALPHA_P, BETA_K, order))
+    scalar = spd_in_order(mass, stiffness, ALPHA_P, BETA_K, order)
+    fill = factored_fill(monkeypatch, lambda: ScalarFactorization(scalar, order))
     assert fill <= 0.7 * spla.splu(scalar_matrix(mesh).tocsc()).nnz
 
     frame = build_frame(random_unit_field(mesh.N, seed=52), FIXED_INVOLUTIONS["t3-"])
-    fill = factored_fill(monkeypatch, lambda: build_theoretical(
-        frame, mass, stiffness, ALPHA_P, BETA_K, order))
+    fill = factored_fill(monkeypatch, lambda: build_theoretical(frame, scalar, order))
     inner = theoretical_matrix(mesh, frame)
     inner.eliminate_zeros()
     assert fill <= 0.7 * spla.splu(inner).nnz
@@ -167,8 +170,7 @@ def test_order_does_not_depend_on_node_numbering(shuffled_cube, monkeypatch):
     assert np.array_equal(shuffled_cube.nodes[shuffled_cube.dissection_order()],
                           cube.nodes[cube.dissection_order()])
     fills = [factored_fill(monkeypatch, lambda: ScalarFactorization(
-        assemble_mass(mesh), assemble_stiffness(mesh), ALPHA_P, BETA_K,
-        mesh.dissection_order())) for mesh in (cube, shuffled_cube)]
+        ordered_k(mesh), mesh.dissection_order())) for mesh in (cube, shuffled_cube)]
     assert abs(fills[1] - fills[0]) <= 0.05 * fills[0]
 
 

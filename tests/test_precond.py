@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tangent_plane_llg import (FIXED_INVOLUTIONS, build_frame, build_jacobi,
-                               build_none, build_practical,
+from tangent_plane_llg import (FIXED_INVOLUTIONS, PreconditionerSource, build_frame,
+                               build_jacobi, build_none, build_practical,
                                build_stationary_2d, build_theoretical,
-                               generate_structured_cube, make_preconditioner,
-                               select_tn_adaptive)
+                               generate_structured_cube, select_tn_adaptive)
 import tangent_plane_llg.precond as precond_mod
-from tangent_plane_llg.precond import PreconditionerError, ScalarFactorization
+from tangent_plane_llg.precond import (PRECONDITIONER_KINDS, PreconditionerError,
+                                       ScalarFactorization)
 
-from conftest import UNIT_BOUNDS, random_unit_field
+from conftest import UNIT_BOUNDS, random_unit_field, spd_in_order
 
 ALPHA_P, BETA_K = 1.0, 0.1
 # the nested-dissection order of the 27-node cube of the setup fixture
 ORDER = generate_structured_cube(UNIT_BOUNDS, (2, 2, 2)).dissection_order()
+
+
+def ordered_k(mass, stiffness, beta_k=BETA_K):
+    """ALPHA_P M + beta_k L in ORDER, formed by the test."""
+    return spd_in_order(mass, stiffness, ALPHA_P, beta_k, ORDER)
 
 
 def kron3(scalar):
@@ -36,13 +41,13 @@ def setup(cube2, cube2_matrices):
 @pytest.fixture(scope="module")
 def factor(cube2_matrices):
     """The shared scalar factorization of ALPHA_P M + BETA_K L."""
-    return ScalarFactorization(*cube2_matrices, ALPHA_P, BETA_K, ORDER)
+    return ScalarFactorization(ordered_k(*cube2_matrices), ORDER)
 
 
 class TestTheoretical:
     def test_inverse_consistency(self, setup, rng):
         mesh, mass, stiffness, m, frame = setup
-        pc = build_theoretical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER)
+        pc = build_theoretical(frame, ordered_k(mass, stiffness), ORDER)
         q = frame.as_sparse()
         inner = (q.T @ kron3(ALPHA_P * mass + BETA_K * stiffness) @ q).tocsr()
         for _ in range(5):
@@ -63,7 +68,7 @@ class TestTheoretical:
             t = FIXED_INVOLUTIONS[key]
             mu = np.tile(t[:, 2], (mesh.N, 1))
             frame = build_frame(mu, t)
-            theo = build_theoretical(frame, mass, stiffness, ALPHA_P, BETA_K, ORDER)
+            theo = build_theoretical(frame, ordered_k(mass, stiffness), ORDER)
             stat = build_stationary_2d(factor)
             worst = 0.0
             for i in range(2 * mesh.N):
@@ -73,9 +78,11 @@ class TestTheoretical:
             assert worst <= 1e-13
 
     def test_rejects_nonpositive_alpha_p(self, setup):
+        # checked once, where K is formed, for every kind
         mesh, mass, stiffness, m, frame = setup
-        with pytest.raises(PreconditionerError):
-            build_theoretical(frame, mass, stiffness, 0.0, BETA_K, ORDER)
+        for kind in PRECONDITIONER_KINDS:
+            with pytest.raises(PreconditionerError, match="alpha_P must be positive"):
+                PreconditionerSource(mesh, mass, stiffness, BETA_K, kind, 0.0)
 
 
 class TestStationary:
@@ -89,7 +96,7 @@ class TestStationary:
 
     def test_mass_inverse_recovery(self, setup, rng):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_stationary_2d(ScalarFactorization(mass, stiffness, ALPHA_P, 0.0, ORDER))
+        pc = build_stationary_2d(ScalarFactorization(ordered_k(mass, stiffness, 0.0), ORDER))
         r = rng.standard_normal((mesh.N, 2))
         w = ALPHA_P * (mass @ r)
         assert np.abs(pc.apply(w.ravel()).reshape(mesh.N, 2) - r).max() <= 1e-12
@@ -129,7 +136,7 @@ class TestPractical:
         # both kinds solve with the one factorization they are given, and
         # factor nothing of their own
         mesh, mass, stiffness, m, frame = setup
-        factor = ScalarFactorization(mass, stiffness, ALPHA_P, BETA_K, ORDER)
+        factor = ScalarFactorization(ordered_k(mass, stiffness), ORDER)
         monkeypatch.setattr(precond_mod, "splu", None)
         solves = []
         solve = factor.solve
@@ -142,7 +149,7 @@ class TestPractical:
 class TestJacobi:
     def test_equals_diag_of_stationary_inner(self, setup):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_jacobi(mass, stiffness, ALPHA_P, BETA_K)
+        pc = build_jacobi(ALPHA_P * mass + BETA_K * stiffness)
         inner2d = kron2(ALPHA_P * mass + BETA_K * stiffness)
         diag = inner2d.diagonal()
         for i in range(2 * mesh.N):
@@ -176,7 +183,7 @@ class TestJacobi:
     def test_rejects_bad_diagonal(self, setup):
         mesh, mass, stiffness, _, _ = setup
         with pytest.raises(PreconditionerError):
-            build_jacobi(-1.0 * mass, stiffness, 1.0, 0.0)
+            build_jacobi(-1.0 * mass)
 
 
 class TestApplyDispatch:
@@ -190,7 +197,7 @@ class TestApplyDispatch:
     def test_linearity(self, setup, factor, rng):
         mesh, mass, stiffness, m, frame = setup
         for pc in (build_stationary_2d(factor), build_practical(frame, factor),
-                   build_jacobi(mass, stiffness, ALPHA_P, BETA_K)):
+                   build_jacobi(ALPHA_P * mass + BETA_K * stiffness)):
             r1 = rng.standard_normal(2 * mesh.N)
             r2 = rng.standard_normal(2 * mesh.N)
             lhs = pc.apply(2.0 * r1 - 3.0 * r2)
@@ -202,8 +209,9 @@ class TestApplyDispatch:
         mass, stiffness = assemble_mass(cube1), assemble_stiffness(cube1)
         m = random_unit_field(cube1.N, seed=81)
         frame = build_frame(m, np.eye(3))
-        pc = build_theoretical(frame, mass, stiffness, ALPHA_P, BETA_K,
-                               cube1.dissection_order())
+        order = cube1.dissection_order()
+        pc = build_theoretical(frame, spd_in_order(mass, stiffness, ALPHA_P, BETA_K, order),
+                               order)
         q = frame.as_sparse().toarray()
         dense = np.linalg.inv(q.T @ kron3(ALPHA_P * mass + BETA_K * stiffness).toarray() @ q)
         r = rng.standard_normal(2 * cube1.N)
@@ -211,34 +219,21 @@ class TestApplyDispatch:
 
     def test_dimension_mismatch(self, setup):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_jacobi(mass, stiffness, ALPHA_P, BETA_K)
+        pc = build_jacobi(ALPHA_P * mass + BETA_K * stiffness)
         with pytest.raises(PreconditionerError):
             pc.apply(np.zeros(3 * mesh.N))
 
-    def test_make_preconditioner_dispatch(self, setup, factor):
+    def test_make_preconditioner_dispatch(self, setup):
+        # the source supplies each kind's order, factorization and frame
+        # itself, so a kind is all a caller names
         mesh, mass, stiffness, m, frame = setup
-        for kind in ("none", "jacobi"):
-            pc = make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K)
+        for kind in PRECONDITIONER_KINDS:
+            source = PreconditionerSource(mesh, mass, stiffness, BETA_K, kind, ALPHA_P)
+            pc = source.for_step(frame, 0)
             assert pc.kind == kind
-        pc = make_preconditioner("stationary", mass, stiffness, ALPHA_P, BETA_K, order=ORDER,
-                                 scalar_factor=factor)
-        assert pc.kind == "stationary"
-        with pytest.raises(PreconditionerError, match="elimination order"):
-            make_preconditioner("stationary", mass, stiffness, ALPHA_P, BETA_K)
-        for kind in ("stationary", "practical"):
-            with pytest.raises(PreconditionerError, match="scalar factorization"):
-                make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K,
-                                    order=ORDER, frame=frame)
-        for kind in ("practical", "theoretical"):
-            pc = make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K,
-                                     order=ORDER, frame=frame, scalar_factor=factor)
-            assert pc.kind == kind
-            with pytest.raises(PreconditionerError, match="needs a frame"):
-                make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K, order=ORDER)
-            with pytest.raises(PreconditionerError, match="elimination order"):
-                make_preconditioner(kind, mass, stiffness, ALPHA_P, BETA_K, frame=frame)
-        with pytest.raises(PreconditionerError):
-            make_preconditioner("ilu", mass, stiffness, ALPHA_P, BETA_K)
+            assert pc.apply(np.zeros(2 * mesh.N)).shape == (2 * mesh.N,)
+        with pytest.raises(PreconditionerError, match="unknown preconditioner kind"):
+            PreconditionerSource(mesh, mass, stiffness, BETA_K, "ilu", ALPHA_P)
 
 
 def test_theoretical_with_stale_frame_still_solves(setup, rng):
@@ -253,11 +248,61 @@ def test_theoretical_with_stale_frame_still_solves(setup, rng):
                         mass=mass, stiffness=stiffness)
     op = ReducedOperator(sys_, frame)
     rhs = op.reduced_rhs()
-    x_fresh, s_fresh = gmres_solve(op, build_theoretical(frame, mass, stiffness,
-                                                         ALPHA_P, BETA_K, ORDER), rhs)
+    x_fresh, s_fresh = gmres_solve(op, build_theoretical(frame, ordered_k(mass, stiffness),
+                                                         ORDER), rhs)
     stale_field = random_unit_field(mesh.N, seed=999)
     stale_frame = build_frame(stale_field, select_tn_adaptive(stale_field).chosen_T)
-    stale = build_theoretical(stale_frame, mass, stiffness, ALPHA_P, BETA_K, ORDER)
+    stale = build_theoretical(stale_frame, ordered_k(mass, stiffness), ORDER)
     x_stale, s_stale = gmres_solve(op, stale, rhs)
     assert s_fresh.converged and s_stale.converged
     assert np.linalg.norm(x_stale - x_fresh) <= 1e-9 * np.linalg.norm(x_fresh)
+
+
+def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
+    """One PreconditionerSource per kind over five steps, a new field each
+    step: the static kinds hand out one object, practical a new one per
+    step, and theoretical refactors at steps 0, r, 2r; every step's
+    preconditioner applies exactly as its builder fed a K formed here."""
+    mesh, mass, stiffness, _, _ = setup
+    rebuild_every, steps = 2, 5
+    frames = []
+    for step in range(steps):
+        m = random_unit_field(mesh.N, seed=300 + step)
+        frames.append(build_frame(m, select_tn_adaptive(m).chosen_T))
+    factorizations = []
+    splu = precond_mod.splu
+    monkeypatch.setattr(precond_mod, "splu",
+                        lambda a, **options: factorizations.append(a) or splu(a, **options))
+
+    scalar = (ALPHA_P * mass + BETA_K * stiffness).tocsr()
+    factor = ScalarFactorization(ordered_k(mass, stiffness), ORDER)
+    rebuilt = [0, 0, 2, 2, 4]  # the step whose frame each step's theoretical uses
+    expected = {
+        "none": lambda step: build_none(mesh.N),
+        "jacobi": lambda step: build_jacobi(scalar),
+        "stationary": lambda step: build_stationary_2d(factor),
+        "practical": lambda step: build_practical(frames[step], factor),
+        "theoretical": lambda step: build_theoretical(frames[rebuilt[step]],
+                                                      ordered_k(mass, stiffness), ORDER),
+    }
+    counts = {"none": 0, "jacobi": 0, "stationary": 1, "practical": 1, "theoretical": 3}
+    for kind in PRECONDITIONER_KINDS:
+        before = len(factorizations)
+        source = PreconditionerSource(mesh, mass, stiffness, BETA_K, kind, ALPHA_P,
+                                      rebuild_every)
+        pcs = [source.for_step(frames[step], step) for step in range(steps)]
+        assert len(factorizations) - before == counts[kind]
+        assert source.builds == (3 if kind == "theoretical" else 0)
+        same = [pcs[step] is pcs[step - 1] for step in range(1, steps)]
+        if kind == "practical":
+            assert not any(same)
+        elif kind == "theoretical":
+            assert same == [True, False, True, False]
+        else:
+            assert all(same)
+        for step, pc in enumerate(pcs):
+            assert pc.kind == kind
+            r = rng.standard_normal(2 * mesh.N)
+            assert np.array_equal(pc.apply(r), expected[kind](step).apply(r))
+    with pytest.raises(PreconditionerError, match="unknown preconditioner kind"):
+        PreconditionerSource(mesh, mass, stiffness, BETA_K, "ilu", ALPHA_P)

@@ -16,7 +16,7 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, SimulationConfig, apply_q, app
 from tangent_plane_llg.gmres import ReducedOperator
 from tangent_plane_llg.tangent import FRAME_STRATEGIES
 
-from conftest import UNIT_BOUNDS, random_unit_field
+from conftest import UNIT_BOUNDS, random_unit_field, spd_in_order
 
 ALPHA, BETA_K = 0.5, 0.1
 
@@ -99,7 +99,8 @@ def test_theoretical_uses_the_shared_helper_and_inverts_the_dense_matrix(
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
     m = random_unit_field(mesh.N, seed=61)
     frame = build_frame(m, FIXED_INVOLUTIONS["t1-"])
-    pc = build_theoretical(frame, mass, stiffness, 1.0, BETA_K, mesh.dissection_order())
+    order = mesh.dissection_order()
+    pc = build_theoretical(frame, spd_in_order(mass, stiffness, 1.0, BETA_K, order), order)
     assert len(calls) == 1
     q = frame.as_sparse()
     kron = sp.kron(mass + BETA_K * stiffness, sp.identity(3), format="csr")

@@ -384,6 +384,7 @@ def test_mesh_from_file_config(tmp_path):
 
 
 def test_static_preconditioners_built_once():
+    from tangent_plane_llg import build_frame, select_tn_adaptive
     for kind in ("stationary", "jacobi", "none"):
         ctx = StepContext(SimulationConfig.from_dict(academic_config(
             T=0.03, precond={"kind": kind, "alpha_p": 1.0},
@@ -392,9 +393,8 @@ def test_static_preconditioners_built_once():
         seen = set()
         for _ in range(3):
             state, _ = tps_step(ctx, state)
-            from tangent_plane_llg import build_frame, select_tn_adaptive
             frame = build_frame(state.m_n, select_tn_adaptive(state.m_n).chosen_T)
-            seen.add(id(ctx.preconditioner_for(frame, state.n)))
+            seen.add(id(ctx.preconditioners.for_step(frame, state.n)))
         assert len(seen) == 1
 
 
