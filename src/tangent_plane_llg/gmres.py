@@ -4,8 +4,11 @@ Arnoldi by classical Gram-Schmidt applied twice (CGS2: as well conditioned as
 modified Gram-Schmidt, in four matrix-vector products; one pass is not
 enough) and Givens-rotation least squares.  Convergence is measured on the
 preconditioned residual, the quantity the iteration minimizes under left
-preconditioning; the check precedes any restart.  Defaults: tolerance
-1e-14, restart length 200, zero initial guess.
+preconditioning.  Every cycle ends with one explicit residual, and one rule
+reads it: converged, or stagnated if the cycle did not lower it (on the
+tangent-space system preconditioned GMRES converges linearly, so every
+cycle must), or out of iterations, or restart.  The solve starts from
+x = 0.  Defaults: tolerance 1e-14, restart length 200.
 
 The operator of a step is the reduced matrix Q^T A Q, formed explicitly once
 per step as a 2N x 2N CSR matrix (ReducedOperator, which says why), so each
@@ -76,24 +79,24 @@ class SolverStats:
     op_applies: int = 0
     precond_applies: int = 0
     residual_computations: int = 0
-    breakdown: bool = False
+    stagnated: bool = False
 
 
-def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
-    """Solve P A x = P b; returns (x, SolverStats).
+def gmres_solve(op, precond, b, tol=1e-14, restart=200, maxit=100000):
+    """Solve P A x = P b from x = 0; returns (x, SolverStats).
 
     op provides the action of A (object with .matvec or a callable); precond
-    provides P via .apply (None means no preconditioning).  Terminates when
-    ||P(b - A x)||_2 <= tol * ||P b||_2 or maxit total inner iterations are
-    exhausted.  A happy breakdown (the Krylov space is invariant) ends a
-    cycle, and its explicit residual checks the solution; where rounding
-    left that residual above the threshold it starts the next cycle, and
-    where it did not fall below the cycle's start residual the solve ends
-    with breakdown set.  op_applies and precond_applies book one of each per
-    inner iteration and per explicit residual (start, restarts,
-    verifications), precond_applies one more for P b; from a zero initial
-    guess the start residual is P b, so its two applies are booked but not
-    performed.
+    provides P via .apply (None means no preconditioning).  A cycle ends
+    when its Givens estimate reaches tol * ||P b||_2, when the Krylov space
+    is invariant (happy breakdown), after restart iterations or at maxit
+    total iterations, and then computes r = P(b - A x) for the updated x.
+    That residual decides, in this order: converged if ||r||_2 <= tol *
+    ||P b||_2; stagnated if it is not below the residual the cycle started
+    from, since another cycle would repeat this one; not converged if maxit
+    is spent; otherwise the next cycle starts from r.  op_applies and
+    precond_applies book one of each per inner iteration and per explicit
+    residual, precond_applies one more for P b; the first cycle starts from
+    r = P b, so its two applies are booked but not performed.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -114,10 +117,10 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
         stats.precond_applies += 1
         return papply(v)
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-
     pb = apply_precond(b)
-    norm_pb = float(np.linalg.norm(pb))
+    with np.errstate(over="ignore"):
+        # an overflowing norm is inf, and the check below reports it
+        norm_pb = float(np.linalg.norm(pb))
     if not np.isfinite(norm_pb):
         raise GmresError("non-finite preconditioned right-hand side")
     if norm_pb == 0.0:
@@ -141,18 +144,15 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
     rows = np.zeros((cycle, cycle + 1))
     omega = np.empty(cycle + 1)
 
-    r = None
-    happy = False
+    # from x = 0 the start residual is P b: booked as computed, not computed
+    x = np.zeros(n)
+    r = pb.copy()
+    stats.op_applies += 1
+    stats.precond_applies += 1
+    stats.residual_computations += 1
+    start = math.inf
     while True:
-        # explicit preconditioned residual; convergence check precedes restart.
-        # After a happy breakdown it is already computed, as the cycle's check.
-        if r is None:
-            zero_start = not x.any()
-            r = pb.copy() if zero_start else apply_precond(b - apply_operator(x))
-            if zero_start:
-                stats.op_applies += 1
-                stats.precond_applies += 1
-            stats.residual_computations += 1
+        # r: the explicit residual of x, computed once per cycle end
         beta = float(np.linalg.norm(r))
         if not np.isfinite(beta):
             raise GmresError(f"non-finite residual after {stats.iterations} iterations")
@@ -160,15 +160,13 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
         if beta <= threshold:
             stats.converged = True
             return x, stats
-        if happy and beta >= start:
-            # the space was invariant, yet the explicit residual did not fall:
-            # another cycle would repeat this one
-            stats.breakdown = True
+        if beta >= start:
+            stats.stagnated = True
             return x, stats
         if stats.iterations >= maxit:
             return x, stats
         # history records cycle-start residuals and per-iteration estimates;
-        # final verification values land in final_relative_residual only
+        # the residual that ends the solve lands in final_relative_residual only
         stats.residual_history.append(beta)
         if stats.residual_computations > 1:
             stats.restarts += 1
@@ -178,7 +176,6 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
         g = [beta]
         # omega: the last, still open row of Omega
         omega[0] = 1.0
-        r = None
         happy = False
         for j in range(cycle):
             w = apply_precond(apply_operator(basis[j]))
@@ -193,7 +190,7 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
             if not np.isfinite(hij):
                 raise GmresError(f"non-finite Arnoldi vector at iteration {stats.iterations}")
             if hij <= 1e-14 * max(norm_before, 1e-300):
-                # happy breakdown: Krylov space is invariant, solution exact
+                # happy breakdown: the Krylov space is invariant, the cycle ends
                 happy = True
             else:
                 basis[j + 1] = w / hij
@@ -228,8 +225,5 @@ def gmres_solve(op, precond, b, x0=None, tol=1e-14, restart=200, maxit=100000):
         k = j + 1
         y = solve_triangular(rows[:k, :k + 1] @ hess[:k + 1, :k], g[:k])
         x = x + basis[:k].T @ y
-        if happy:
-            # the solution is exact in exact arithmetic: check it, and restart
-            # from this residual where rounding left it above the threshold
-            r = apply_precond(b - apply_operator(x))
-            stats.residual_computations += 1
+        r = apply_precond(b - apply_operator(x))
+        stats.residual_computations += 1

@@ -488,9 +488,10 @@ def tps_step(ctx, state):
         # the solver section holds exactly the options of gmres_solve
         x, stats = gmres_solve(op, pc, op.reduced_rhs(), **cfg.solver)
         if not stats.converged:
-            raise SolverFailure(state.n, f"GMRES did not converge "
-                                f"(residual {stats.final_relative_residual:.3e} "
-                                f"after {stats.iterations} iterations)")
+            reason = "stagnated" if stats.stagnated else "did not converge within maxit"
+            raise SolverFailure(state.n, f"GMRES {reason} at residual "
+                                f"{stats.final_relative_residual:.3e} "
+                                f"after {stats.iterations} iterations")
         v = apply_q(frame, x).reshape(mesh.N, 3)
         defect, scale = tangency_defect(m, v)
         if defect > 1e-8 * scale:

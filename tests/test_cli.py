@@ -217,6 +217,9 @@ EXIT_CODE_ROWS = [
     (("mesh", "field.m0"), ({"kind": "cube", "bounds": [[0, 1e4], [0, 1], [0, 1]],
                              "n": [2, 2, 2]}, {"kind": "spiral", "turns": 1e305}),
      2, "field.m0.turns"),
+    # restarts that no longer lower the residual (2.048e-14 against tol =
+    # 1e-14) end the solve as stagnated instead of running to maxit
+    (("k", "T", "mesh.n", "precond.kind"), (0.1, 0.1, [8, 8, 8], "jacobi"), 3, "stagnated"),
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))
@@ -229,7 +232,6 @@ MESH_FILES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("key, value, code, fragment", EXIT_CODE_ROWS)
 def test_exit_code_contract(tmp_path, capsys, key, value, code, fragment):
     doc = json.loads((REPO / "configs" / "academic_lite.json").read_text())
