@@ -23,7 +23,7 @@ from .diagnostics import (CheckReport, check_bounded_ratio, check_inverse_bounds
 from .mesh import MeshError, generate_structured_cube, load_mesh, mesh_quality
 from .precond import PRECONDITIONER_KINDS
 from .scheme import (TN_MODES, ConfigError, SimulationConfig, SolverFailure,
-                     _fmt, config_schema, run_simulation)
+                     _fmt, check_spiral_phase, config_schema, run_simulation)
 from .tangent import FRAME_STRATEGIES, build_frame, select_tn_adaptive
 
 SUMMARY_HEADER = ("h,k,precond,alpha,alpha_p,tn_mode,"
@@ -93,8 +93,13 @@ def run_experiment(config_path, out_dir=None, overrides=None):
             doc["sweep"] = {axis: values for axis, values in doc["sweep"].items()
                             if axis not in pinned}
         configs = [_point_config(doc, *point) for point in _sweep_points(doc)]
-        for path in sorted({cfg.mesh["path"] for cfg in configs if cfg.mesh["kind"] == "file"}):
-            _check_mesh_file(path)
+        meshes = {path: _check_mesh_file(path) for path in
+                  sorted({cfg.mesh["path"] for cfg in configs if cfg.mesh["kind"] == "file"})}
+        for cfg in configs:
+            m0 = cfg.field_cfg["m0"]
+            if cfg.mesh["kind"] == "file" and m0["kind"] == "spiral":
+                x = meshes[cfg.mesh["path"]].nodes[:, 0]
+                check_spiral_phase(m0["turns"], float(x.min()), float(x.max()))
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -138,11 +143,11 @@ def run_experiment(config_path, out_dir=None, overrides=None):
 
 
 def _check_mesh_file(path):
-    """Parse and check a mesh file before any sweep point runs; the points
-    read it again when they build their mesh."""
+    """The mesh of a mesh file, parsed and checked before any sweep point
+    runs; the points read it again when they build their mesh."""
     try:
         with open(path, "rb") as fh:
-            load_mesh(fh)
+            return load_mesh(fh)
     except (ValueError, TypeError) as exc:  # MeshError is a ValueError
         raise ConfigError(f"mesh.path: {path!r}: {exc}") from exc
 

@@ -28,6 +28,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import once_per_mesh
+
 
 class AssemblyError(ValueError):
     pass
@@ -50,22 +52,29 @@ def _scatter_scalar(mesh, local_data):
     return sp.csr_array((_scatter(mesh, local_data), indices, indptr), shape=(mesh.N, mesh.N))
 
 
+@once_per_mesh
 def assemble_mass(mesh):
-    """Scalar P1 mass matrix, exact: element entry |K|(1+delta_ab)/20."""
+    """Scalar P1 mass matrix, exact: element entry |K|(1+delta_ab)/20.
+    Assembled once per mesh, read-only."""
     vol = mesh.element_volumes()
-    return _scatter_scalar(mesh, vol[:, None, None] * _LOCAL_MASS[None])
+    mass = _scatter_scalar(mesh, vol[:, None, None] * _LOCAL_MASS[None])
+    mass.data.setflags(write=False)
+    return mass
 
 
+@once_per_mesh
 def assemble_stiffness(mesh):
-    """Scalar P1 stiffness matrix from constant element gradients:
-    element entry |K| grad_a . grad_b."""
+    """Scalar P1 stiffness matrix from constant element gradients: element
+    entry |K| grad_a . grad_b.  Assembled once per mesh, read-only."""
     vol, grad = mesh.element_volumes(), mesh.gradient_components()
     local = np.empty((mesh.elem_count, 4, 4))
     for a in range(4):
         for b in range(a, 4):
             dot = grad[a, 0] * grad[b, 0] + grad[a, 1] * grad[b, 1] + grad[a, 2] * grad[b, 2]
             local[:, a, b] = local[:, b, a] = vol * dot
-    return _scatter_scalar(mesh, local)
+    stiffness = _scatter_scalar(mesh, local)
+    stiffness.data.setflags(write=False)
+    return stiffness
 
 
 def assemble_weighted_mass(mesh, weights):

@@ -94,9 +94,11 @@ def gmres_solve(op, precond, b, tol=1e-14, restart=200, maxit=100000):
     ||P b||_2; stagnated if it is not below the residual the cycle started
     from, since another cycle would repeat this one; not converged if maxit
     is spent; otherwise the next cycle starts from r.  op_applies and
-    precond_applies book one of each per inner iteration and per explicit
-    residual, precond_applies one more for P b; the first cycle starts from
-    r = P b, so its two applies are booked but not performed.
+    precond_applies count one of each per inner iteration and per explicit
+    residual, precond_applies one more for P b, so they are derived from
+    iterations and residual_computations at every cycle end.  The first
+    cycle starts from r = P b, so its two applies are counted but not
+    performed.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -108,26 +110,18 @@ def gmres_solve(op, precond, b, tol=1e-14, restart=200, maxit=100000):
     papply = (lambda r: r.copy()) if precond is None else precond.apply
 
     stats = SolverStats()
-
-    def apply_operator(v):
-        stats.op_applies += 1
-        return matvec(v)
-
-    def apply_precond(v):
-        stats.precond_applies += 1
-        return papply(v)
-
-    pb = apply_precond(b)
+    pb = papply(b)
     with np.errstate(over="ignore"):
         # an overflowing norm is inf, and the check below reports it
-        norm_pb = float(np.linalg.norm(pb))
-    if not np.isfinite(norm_pb):
+        norm_pb = math.sqrt(pb @ pb)
+    if not math.isfinite(norm_pb):
         raise GmresError("non-finite preconditioned right-hand side")
     if norm_pb == 0.0:
         # P b = 0 and A regular: x = 0 solves the system
         stats.converged = True
         stats.final_relative_residual = 0.0
         stats.residual_history = [0.0]
+        stats.precond_applies = 1
         return np.zeros(n), stats
     threshold = tol * norm_pb
 
@@ -144,19 +138,19 @@ def gmres_solve(op, precond, b, tol=1e-14, restart=200, maxit=100000):
     rows = np.zeros((cycle, cycle + 1))
     omega = np.empty(cycle + 1)
 
-    # from x = 0 the start residual is P b: booked as computed, not computed
+    # from x = 0 the start residual is P b: counted as computed, not computed
     x = np.zeros(n)
     r = pb.copy()
-    stats.op_applies += 1
-    stats.precond_applies += 1
-    stats.residual_computations += 1
+    stats.residual_computations = 1
     start = math.inf
     while True:
         # r: the explicit residual of x, computed once per cycle end
-        beta = float(np.linalg.norm(r))
-        if not np.isfinite(beta):
+        beta = math.sqrt(r @ r)
+        if not math.isfinite(beta):
             raise GmresError(f"non-finite residual after {stats.iterations} iterations")
         stats.final_relative_residual = beta / norm_pb
+        stats.op_applies = stats.iterations + stats.residual_computations
+        stats.precond_applies = stats.op_applies + 1
         if beta <= threshold:
             stats.converged = True
             return x, stats
@@ -172,28 +166,28 @@ def gmres_solve(op, precond, b, tol=1e-14, restart=200, maxit=100000):
             stats.restarts += 1
         start = beta
 
-        basis[0] = r / beta
+        np.divide(r, beta, out=basis[0])
         g = [beta]
         # omega: the last, still open row of Omega
         omega[0] = 1.0
         happy = False
         for j in range(cycle):
-            w = apply_precond(apply_operator(basis[j]))
-            norm_before = float(np.linalg.norm(w))
+            w = papply(matvec(basis[j]))
+            norm_before = math.sqrt(w @ w)
             v = basis[:j + 1]
             h = v @ w
             w -= h @ v
             h2 = v @ w
             w -= h2 @ v
             h += h2
-            hij = float(np.linalg.norm(w))
-            if not np.isfinite(hij):
+            hij = math.sqrt(w @ w)
+            if not math.isfinite(hij):
                 raise GmresError(f"non-finite Arnoldi vector at iteration {stats.iterations}")
             if hij <= 1e-14 * max(norm_before, 1e-300):
                 # happy breakdown: the Krylov space is invariant, the cycle ends
                 happy = True
             else:
-                basis[j + 1] = w / hij
+                np.divide(w, hij, out=basis[j + 1])
             hess[:j + 1, j] = h
             hess[j + 1, j] = hij
 
@@ -225,5 +219,5 @@ def gmres_solve(op, precond, b, tol=1e-14, restart=200, maxit=100000):
         k = j + 1
         y = solve_triangular(rows[:k, :k + 1] @ hess[:k + 1, :k], g[:k])
         x = x + basis[:k].T @ y
-        r = apply_precond(b - apply_operator(x))
+        r = papply(b - matvec(x))
         stats.residual_computations += 1

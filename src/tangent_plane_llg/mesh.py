@@ -5,6 +5,7 @@ to positive signed volume when a mesh is built, so downstream assembly can
 use signed determinants directly.
 """
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -27,6 +28,18 @@ _KUHN_PATHS = np.array([
 
 # Local vertex triples of the four faces of a tetrahedron.
 _LOCAL_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def once_per_mesh(build):
+    """build(mesh), computed on the first call for a mesh and kept on it: the
+    set-up that depends only on the mesh runs once per mesh.  The result is
+    shared, so it must be read-only."""
+    @functools.wraps(build)
+    def cached(mesh):
+        if build not in mesh._cache:
+            mesh._cache[build] = build(mesh)
+        return mesh._cache[build]
+    return cached
 
 
 class Mesh:
@@ -77,10 +90,7 @@ class Mesh:
         self.nodes = nodes
         self.tets = tets
         self._volumes = vol
-        self._grad = None
-        self._adjacency = None
-        self._pairs = None
-        self._dissection = None
+        self._cache = {}  # once_per_mesh
 
     @property
     def N(self):
@@ -104,6 +114,7 @@ class Mesh:
         """
         return self._volumes, self.gradient_components().transpose(2, 0, 1)
 
+    @once_per_mesh
     def gradient_components(self):
         """The hat-function gradients as (4, 3, M) component arrays:
         [a, d] holds component d of the gradient of local vertex a over the
@@ -112,16 +123,15 @@ class Mesh:
         matrix, (e_2 x e_3, e_3 x e_1, e_1 x e_2) / det, and vertex 0 takes
         minus their sum.  Computed once and read-only.
         """
-        if self._grad is None:
-            e1, e2, e3 = _edge_components(self.nodes, self.tets)
-            grad = np.empty((4, 3, self.elem_count))
-            grad[1], grad[2], grad[3] = _cross(e2, e3), _cross(e3, e1), _cross(e1, e2)
-            grad[1:] /= _dot(e1, grad[1])
-            grad[0] = -(grad[1] + grad[2] + grad[3])
-            grad.setflags(write=False)
-            self._grad = grad
-        return self._grad
+        e1, e2, e3 = _edge_components(self.nodes, self.tets)
+        grad = np.empty((4, 3, self.elem_count))
+        grad[1], grad[2], grad[3] = _cross(e2, e3), _cross(e3, e1), _cross(e1, e2)
+        grad[1:] /= _dot(e1, grad[1])
+        grad[0] = -(grad[1] + grad[2] + grad[3])
+        grad.setflags(write=False)
+        return grad
 
+    @once_per_mesh
     def adjacency(self):
         """The N x N node-adjacency pattern every assembled matrix lives on.
 
@@ -131,19 +141,18 @@ class Mesh:
         position in indices of the pair (tets[e, a], tets[e, b]).  Computed
         once and read-only.
         """
-        if self._adjacency is None:
-            n = self.N
-            keys = self.tets[:, :, None] * n + self.tets[:, None, :]
-            pairs, slot = np.unique(keys.ravel(), return_inverse=True)
-            index = np.int32 if len(pairs) < 2**31 else np.int64
-            indptr = np.searchsorted(pairs, np.arange(n + 1) * n).astype(index)
-            indices = (pairs % n).astype(index)
-            slot = slot.reshape(keys.shape)
-            for arr in (indptr, indices, slot):
-                arr.setflags(write=False)
-            self._adjacency = (indptr, indices, slot)
-        return self._adjacency
+        n = self.N
+        keys = self.tets[:, :, None] * n + self.tets[:, None, :]
+        pairs, slot = np.unique(keys.ravel(), return_inverse=True)
+        index = np.int32 if len(pairs) < 2**31 else np.int64
+        indptr = np.searchsorted(pairs, np.arange(n + 1) * n).astype(index)
+        indices = (pairs % n).astype(index)
+        slot = slot.reshape(keys.shape)
+        for arr in (indptr, indices, slot):
+            arr.setflags(write=False)
+        return indptr, indices, slot
 
+    @once_per_mesh
     def pair_incidence(self):
         """The node pairs {i, j} that share an element, and their elements.
 
@@ -155,31 +164,30 @@ class Mesh:
         is the pair of slot s, the same for the slots (i, j) and (j, i).
         Computed once and read-only.
         """
-        if self._pairs is None:
-            indptr, indices, slot = self.adjacency()
-            n = self.N
-            rows = np.repeat(np.arange(n), np.diff(indptr))
-            cols = indices.astype(np.int64)
-            # the slot (i, j) with i <= j of each slot, numbered in slot order
-            transpose = np.searchsorted(rows * n + cols, cols * n + rows)
-            is_upper = rows <= cols
-            upper = np.minimum(np.arange(len(cols)), transpose)
-            mirror = (np.cumsum(is_upper) - 1)[upper].astype(indptr.dtype)
-            pairs = np.stack([rows[is_upper], cols[is_upper]]).astype(indptr.dtype)
-            n_pairs = pairs.shape[1]
-            # the ten local pairs a <= b of every element, element by element
-            a, b = np.triu_indices(4)
-            pair = mirror[slot[:, a, b]].ravel()
-            index = np.int32 if len(pair) < 2**31 else np.int64
-            elements = (np.argsort(pair, kind="stable") // 10).astype(index)
-            ptr = np.concatenate([[0], np.cumsum(np.bincount(pair, minlength=n_pairs))])
-            incidence = sp.csr_array((np.ones(len(pair)), elements, ptr.astype(index)),
-                                     shape=(n_pairs, self.elem_count))
-            for arr in (incidence.data, incidence.indices, incidence.indptr, pairs, mirror):
-                arr.setflags(write=False)
-            self._pairs = (incidence, pairs, mirror)
-        return self._pairs
+        indptr, indices, slot = self.adjacency()
+        n = self.N
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        cols = indices.astype(np.int64)
+        # the slot (i, j) with i <= j of each slot, numbered in slot order
+        transpose = np.searchsorted(rows * n + cols, cols * n + rows)
+        is_upper = rows <= cols
+        upper = np.minimum(np.arange(len(cols)), transpose)
+        mirror = (np.cumsum(is_upper) - 1)[upper].astype(indptr.dtype)
+        pairs = np.stack([rows[is_upper], cols[is_upper]]).astype(indptr.dtype)
+        n_pairs = pairs.shape[1]
+        # the ten local pairs a <= b of every element, element by element
+        a, b = np.triu_indices(4)
+        pair = mirror[slot[:, a, b]].ravel()
+        index = np.int32 if len(pair) < 2**31 else np.int64
+        elements = (np.argsort(pair, kind="stable") // 10).astype(index)
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(pair, minlength=n_pairs))])
+        incidence = sp.csr_array((np.ones(len(pair)), elements, ptr.astype(index)),
+                                 shape=(n_pairs, self.elem_count))
+        for arr in (incidence.data, incidence.indices, incidence.indptr, pairs, mirror):
+            arr.setflags(write=False)
+        return incidence, pairs, mirror
 
+    @once_per_mesh
     def dissection_order(self):
         """A nested-dissection elimination order of the nodes.
 
@@ -197,12 +205,10 @@ class Mesh:
         node coordinates, not on the node numbering.  Computed once and
         read-only.
         """
-        if self._dissection is None:
-            indptr, indices, _ = self.adjacency()
-            order = _nested_dissection(self.nodes, indptr, indices)
-            order.setflags(write=False)
-            self._dissection = order
-        return self._dissection
+        indptr, indices, _ = self.adjacency()
+        order = _nested_dissection(self.nodes, indptr, indices)
+        order.setflags(write=False)
+        return order
 
     def __repr__(self):
         return f"Mesh(N={self.N}, elems={self.elem_count})"
@@ -369,8 +375,9 @@ def generate_structured_cube(bounds, n):
     return Mesh(nodes, tets)
 
 
+@once_per_mesh
 def mesh_quality(mesh):
-    """Quality metrics computed exactly from coordinates."""
+    """Quality metrics computed exactly from coordinates, once per mesh."""
     vol = mesh.element_volumes()
     v = mesh.nodes[mesh.tets]
     pairs = list(itertools.combinations(range(4), 2))

@@ -15,11 +15,13 @@ symmetric mode: K is permuted once by that order, the 2N x 2N matrix is
 assembled on the 2x2 node blocks of the permuted K, and the diagonal is
 taken as pivot (diag_pivot_thresh = 0), so the factor fills only as that
 order predicts.  The solves permute the right-hand side and un-permute the
-result.
+result.  K of a small mesh is not factored but inverted, once and in node
+order (DENSE_INVERSE_BYTES): each of its solves is then one dense product.
 """
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from .tangent import apply_q, apply_qt, reduce_blocks
@@ -40,24 +42,63 @@ def _factor_spd(matrix, what):
         raise PreconditionerError(f"{what} factorization failed (SPD lost?): {exc}") from exc
 
 
+# The largest K^{-1} that ScalarFactorization forms densely: 8 N^2 bytes, so
+# N <= 362.  At a few hundred nodes a SuperLU solve is mostly fixed cost.
+# With one BLAS thread on a 2-core host, a 3-column solve took 61 us against
+# 18 us for the product with K^{-1} at N = 252, and 85 against 36 us at
+# N = 343, while the inversion cost 0.7 and 1.7 ms more than the factor.  At
+# N = 512 the product barely won and the inversion cost 10 ms more; at
+# N = 729, where K^{-1} (4 MiB) no longer fits in L2, the product was 2.6x
+# slower.  README.md has the table.
+DENSE_INVERSE_BYTES = 2**20
+
+
 class ScalarFactorization:
     """Cached factorization of K = alpha_P M + beta_k L (N x N SPD).
 
-    ordered is P^T K P (CSR), with P the permutation of order (node
-    order[i] is eliminated i-th); it is factored in SuperLU's symmetric
-    mode without pivoting, and solve applies P on both sides.
+    scalar is K (CSR, node order).  Up to DENSE_INVERSE_BYTES, K^{-1} is
+    formed once by LAPACK's Cholesky factorization and inversion (dpotrf,
+    dpotri), and solve is one product with it.  Above, P^T K P, with P the
+    permutation of order (node order[i] is eliminated i-th), is factored in
+    SuperLU's symmetric mode without pivoting, and solve applies P on both
+    sides.
     """
 
-    def __init__(self, ordered, order):
-        self.n_nodes = len(order)
-        self._order = order
-        self._inverse = np.argsort(order)
-        self._lu = _factor_spd(ordered, "scalar operator")
+    def __init__(self, scalar, order):
+        n = len(order)
+        self.n_nodes = n
+        self._k_inv = None
+        if 8 * n * n <= DENSE_INVERSE_BYTES:
+            self._k_inv = _spd_inverse(scalar.toarray())
+        else:
+            self._order = order
+            self._inverse = np.argsort(order)
+            self._lu = _factor_spd(scalar[order][:, order], "scalar operator")
 
     def solve(self, rhs):
         """K^{-1} rhs for rhs of shape (N,) or (N, k)."""
+        if self._k_inv is not None:
+            return self._k_inv @ rhs
         # take: a row gather several times faster than fancy indexing
         return self._lu.solve(rhs.take(self._order, axis=0)).take(self._inverse, axis=0)
+
+
+def _spd_inverse(dense):
+    """The inverse of a dense SPD matrix, from the lower Cholesky factor;
+    overwrites dense."""
+    # dense is symmetric, so its transpose is itself in Fortran order, which
+    # LAPACK factors and inverts in place
+    factor, info = lapack.dpotrf(dense.T, lower=1, overwrite_a=1)
+    if info == 0:
+        inverse, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise PreconditionerError(
+            f"scalar operator inversion failed (SPD lost?): LAPACK info {info}")
+    # dpotri fills the lower triangle and keeps the upper one of factor,
+    # which dpotrf zeroed: adding the transpose mirrors it
+    full = inverse + inverse.T
+    full.flat[::len(full) + 1] = inverse.diagonal()
+    return full
 
 
 class Preconditioner:
@@ -69,7 +110,6 @@ class Preconditioner:
         self._apply = apply_fn
 
     def apply(self, r):
-        r = np.asarray(r, dtype=np.float64)
         if r.shape != (2 * self.n_nodes,):
             raise PreconditionerError(
                 f"expected ({2 * self.n_nodes},) residual, got {r.shape}")
@@ -96,11 +136,12 @@ def build_theoretical(frame, ordered, order):
     # exact zeros (Q_i^T Q_j = I where the frame is uniform) only add fill
     inner.eliminate_zeros()
     lu = _factor_spd(inner, "theoretical preconditioner")
-    inverse = np.argsort(order)
+    # order on the 2N unknowns: the two of node order[i] at 2i, 2i + 1
+    dofs = (2 * order[:, None] + np.arange(2)).ravel()
+    inverse = np.argsort(dofs)
 
     def apply_fn(r):
-        y = lu.solve(r.reshape(n, 2).take(order, axis=0).ravel())
-        return y.reshape(n, 2).take(inverse, axis=0).ravel()
+        return lu.solve(r.take(dofs)).take(inverse)
 
     return Preconditioner("theoretical", n, apply_fn)
 
@@ -155,9 +196,9 @@ class PreconditionerSource:
     """The preconditioners of one run, all from K = alpha_p M + beta_k L.
 
     kind, alpha_p and rebuild_every are the options of the config's precond
-    section.  K is formed and checked here, once, and the kinds that factor
-    permute it once into the mesh's dissection order; stationary and
-    practical share its one factorization.  The frame-independent kinds are
+    section.  K is formed and checked here, once; theoretical permutes it
+    once into the mesh's dissection order, and stationary and practical
+    share its one ScalarFactorization.  The frame-independent kinds are
     built here, practical on every step, and theoretical is refactored
     every rebuild_every steps with a stale frame in between (builds counts
     its factorizations).
@@ -182,13 +223,11 @@ class PreconditionerSource:
             self._current = build_none(mesh.N)
         elif kind == "jacobi":
             self._current = build_jacobi(scalar)
+        elif kind == "theoretical":
+            self._order = mesh.dissection_order()
+            self._ordered = scalar[self._order][:, self._order]
         else:
-            order = mesh.dissection_order()
-            ordered = scalar[order][:, order]
-            if kind == "theoretical":
-                self._ordered, self._order = ordered, order
-            else:
-                self._factor = ScalarFactorization(ordered, order)
+            self._factor = ScalarFactorization(scalar, mesh.dissection_order())
             if kind == "stationary":
                 self._current = build_stationary_2d(self._factor)
 

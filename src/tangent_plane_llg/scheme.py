@@ -369,20 +369,28 @@ class SimulationConfig:
             # the checks of generate_structured_cube, made before any mesh is built
             if any(count < 1 for count in self.mesh["n"]):
                 raise ConfigError(f"mesh.n must be three integers >= 1, got {list(self.mesh['n'])}")
-            if any(hi <= lo for lo, hi in self.mesh["bounds"]):
+            bounds = self.mesh["bounds"]
+            if any(hi <= lo for lo, hi in bounds):
                 raise ConfigError("mesh.bounds: box must have positive extent in every "
-                                  f"axis, got {[list(axis) for axis in self.mesh['bounds']]}")
+                                  f"axis, got {[list(axis) for axis in bounds]}")
+            # the degeneracy rule of Mesh: each Kuhn tet of the box has volume
+            # h_x h_y h_z / 6, with h = extent / n per axis
+            volume = math.prod((hi - lo) / count
+                               for (lo, hi), count in zip(bounds, self.mesh["n"])) / 6.0
+            scale = max(max(abs(bound) for axis in bounds for bound in axis), 1.0)
+            if volume <= 1e-14 * scale * scale * scale:
+                raise ConfigError(f"mesh.bounds: the elements of the box are degenerate "
+                                  f"(volume {volume:.3e})")
         elif not (os.path.isfile(self.mesh["path"]) and os.access(self.mesh["path"], os.R_OK)):
             raise ConfigError(f"mesh.path: {self.mesh['path']!r} is not a readable file")
         m0 = self.field_cfg["m0"]
         if m0["kind"] == "constant" and not any(m0["value"]):
             raise ConfigError("field.m0.value must be a nonzero vector")
         if m0["kind"] == "spiral":
-            # the phase's largest intermediate; a file mesh's waits for initial_state
+            # a file mesh's x-extent is checked once the file is read; here,
+            # on a unit extent, that 2 pi turns is finite
             x_lo, x_hi = self.mesh["bounds"][0] if self.mesh["kind"] == "cube" else (0.0, 1.0)
-            if not math.isfinite(2.0 * math.pi * m0["turns"] * (x_hi - x_lo)):
-                raise ConfigError("field.m0.turns: the spiral phase 2 pi turns (x_hi - x_lo) "
-                                  f"is not finite, got turns = {m0['turns']!r}")
+            check_spiral_phase(m0["turns"], x_lo, x_hi)
         try:
             PiConfig(**self.field_cfg["pi"])
         except FieldConfigError as exc:
@@ -403,6 +411,15 @@ class SimulationConfig:
             return _cube_mesh(self.mesh["bounds"], self.mesh["n"])
         with open(self.mesh["path"], "rb") as fh:
             return load_mesh(fh)
+
+
+def check_spiral_phase(turns, x_lo, x_hi):
+    """ConfigError unless the largest intermediate of the spiral phase of
+    initial_magnetization, 2 pi turns (x_hi - x_lo), is finite on a mesh
+    whose nodes span [x_lo, x_hi] in x."""
+    if not math.isfinite(2.0 * math.pi * turns * (x_hi - x_lo)):
+        raise ConfigError("field.m0.turns: the spiral phase 2 pi turns (x_hi - x_lo) "
+                          f"is not finite, got turns = {turns!r} on x in [{x_lo!r}, {x_hi!r}]")
 
 
 def initial_magnetization(cfg, mesh):

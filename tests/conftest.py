@@ -69,12 +69,16 @@ def transpose_slots(mesh):
     return np.searchsorted(rows * mesh.N + indices, indices * mesh.N + rows)
 
 
+def spd(mass, stiffness, alpha_p, beta_k):
+    """K = alpha_p M + beta_k L (CSR, node order), formed apart from the
+    package: the matrix ScalarFactorization takes."""
+    return (alpha_p * mass + beta_k * stiffness).tocsr()
+
+
 def spd_in_order(mass, stiffness, alpha_p, beta_k, order):
-    """K = alpha_p M + beta_k L, formed apart from the package, as P^T K P
-    (CSR, P the permutation of order): the matrix the factoring builders
-    take."""
-    scalar = (alpha_p * mass + beta_k * stiffness).tocsr()
-    return scalar[order][:, order]
+    """K of spd as P^T K P (CSR, P the permutation of order): the matrix
+    build_theoretical takes."""
+    return spd(mass, stiffness, alpha_p, beta_k)[order][:, order]
 
 
 def random_unit_field(n, seed=0):

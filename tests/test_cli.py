@@ -220,6 +220,13 @@ EXIT_CODE_ROWS = [
     # restarts that no longer lower the residual (2.048e-14 against tol =
     # 1e-14) end the solve as stagnated instead of running to maxit
     (("k", "T", "mesh.n", "precond.kind"), (0.1, 0.1, [8, 8, 8], "jacobi"), 3, "stagnated"),
+    # a cube box whose elements fail the mesh's degeneracy check, volume at
+    # most 1e-14 max(|bound|, 1)^3, is a config error before any output
+    ("mesh.bounds", [[0, 1e10], [0, 1], [0, 1]], 2, "degenerate"),
+    # a spiral whose phase overflows on a mesh file (the long box of
+    # MESH_FILES): checked once the file is read, before any output
+    (("mesh", "field.m0"), ({"kind": "file", "path": "long_box.json"},
+                            {"kind": "spiral", "turns": 1e305}), 2, "field.m0.turns"),
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))
@@ -229,6 +236,8 @@ MESH_FILES = {
     "nonconforming.json": json.dumps({"nodes": _CUBE1.nodes.tolist(),
                                       "tets": _CUBE1.tets[[0, *range(6)]].tolist()}),
     "object_nodes.json": json.dumps({"nodes": {"x": 0}, "tets": []}),
+    "long_box.json": save_mesh(generate_structured_cube([[0, 1e4], [0, 1], [0, 1]],
+                                                        (2, 2, 2))).decode(),
 }
 
 
@@ -237,12 +246,13 @@ def test_exit_code_contract(tmp_path, capsys, key, value, code, fragment):
     doc = json.loads((REPO / "configs" / "academic_lite.json").read_text())
     del doc["sweep"]
     doc["T"] = doc["k"]
-    if key == "mesh" and value["kind"] == "file":
+    overrides = dict(zip(key, value)) if isinstance(key, tuple) else {key: value}
+    mesh = overrides.get("mesh")
+    if mesh is not None and mesh["kind"] == "file":
         for name, text in MESH_FILES.items():
             (tmp_path / name).write_text(text)
-        value = {**value, "path": str(tmp_path / value["path"])}
-    doc = _apply_overrides(doc, dict(zip(key, value)) if isinstance(key, tuple)
-                           else {key: value})
+        overrides["mesh"] = {**mesh, "path": str(tmp_path / mesh["path"])}
+    doc = _apply_overrides(doc, overrides)
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == code
     err = capsys.readouterr().err

@@ -16,7 +16,7 @@ from tangent_plane_llg.diagnostics import (OracleError, check_bounded_ratio,
 from tangent_plane_llg.gmres import ReducedOperator
 from tangent_plane_llg.mesh import mesh_quality
 
-from conftest import random_unit_field, spd_in_order
+from conftest import random_unit_field, spd
 
 
 def make_system(mesh, m, lh=None, alpha=0.5, beta_k=0.1, ell_ex2=10.0, seed=0):
@@ -50,9 +50,8 @@ class TestDenseOracle:
         frame = build_frame(m, select_tn_adaptive(m).chosen_T)
         xd, _ = dense_oracle_solve(sys_, frame)
         op = ReducedOperator(sys_, frame)
-        order = cube2.dissection_order()
-        pc = build_stationary_2d(ScalarFactorization(
-            spd_in_order(*cube2_matrices, 1.0, 0.1, order), order))
+        pc = build_stationary_2d(ScalarFactorization(spd(*cube2_matrices, 1.0, 0.1),
+                                                     cube2.dissection_order()))
         xg, stats = gmres_solve(op, pc, op.reduced_rhs())
         assert stats.converged
         assert np.linalg.norm(xg - xd) <= 1e-9 * np.linalg.norm(xd)

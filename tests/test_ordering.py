@@ -14,12 +14,12 @@ import scipy.sparse.linalg as spla
 
 import tangent_plane_llg.mesh as mesh_mod
 import tangent_plane_llg.precond as precond_mod
-from tangent_plane_llg import (FIXED_INVOLUTIONS, SimulationConfig, StepContext,
+from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, SimulationConfig, StepContext,
                                assemble_mass, assemble_stiffness, build_frame,
                                build_theoretical, generate_structured_cube, tps_step)
 from tangent_plane_llg.precond import ScalarFactorization
 
-from conftest import UNIT_BOUNDS, random_unit_field, spd_in_order
+from conftest import UNIT_BOUNDS, random_unit_field, spd, spd_in_order
 
 ALPHA_P, BETA_K = 1.0, 0.1
 
@@ -31,8 +31,11 @@ def thin_film():
 
 @pytest.fixture(scope="module")
 def meshes(shuffled_cube):
+    # the boxes of N = 360 and 364 on both sides of the dense-inverse cap
     return {"cube6": generate_structured_cube(UNIT_BOUNDS, (6, 6, 6)),
-            "shuffled_cube": shuffled_cube, "thin_film": thin_film()}
+            "shuffled_cube": shuffled_cube, "thin_film": thin_film(),
+            "cap_box": generate_structured_cube(UNIT_BOUNDS, (7, 8, 4)),
+            "above_cap_box": generate_structured_cube(UNIT_BOUNDS, (3, 6, 12))}
 
 
 def scalar_matrix(mesh):
@@ -43,6 +46,10 @@ def ordered_k(mesh):
     """ALPHA_P M + BETA_K L of mesh in its dissection order."""
     return spd_in_order(assemble_mass(mesh), assemble_stiffness(mesh), ALPHA_P, BETA_K,
                         mesh.dissection_order())
+
+
+def scalar_factorization(mesh):
+    return ScalarFactorization(scalar_matrix(mesh).tocsr(), mesh.dissection_order())
 
 
 def theoretical_matrix(mesh, frame):
@@ -107,10 +114,11 @@ def test_top_level_separator_splits_the_halves(meshes, name):
     assert not (upper[rows] & lower[indices]).any()
 
 
-@pytest.mark.parametrize("name", ["cube6", "shuffled_cube", "thin_film"])
+@pytest.mark.parametrize("name", ["cube6", "shuffled_cube", "thin_film", "cap_box",
+                                  "above_cap_box"])
 def test_scalar_solves_match_spsolve(meshes, name, rng):
     mesh = meshes[name]
-    factor = ScalarFactorization(ordered_k(mesh), mesh.dissection_order())
+    factor = scalar_factorization(mesh)
     rhs = rng.standard_normal((mesh.N, 3))
     expected = spla.spsolve(scalar_matrix(mesh).tocsc(), rhs)
     x = factor.solve(rhs)
@@ -152,26 +160,55 @@ def test_fill_below_colamd_on_cube16(monkeypatch):
     mesh = generate_structured_cube(UNIT_BOUNDS, (16, 16, 16))
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
     order = mesh.dissection_order()
-    scalar = spd_in_order(mass, stiffness, ALPHA_P, BETA_K, order)
-    fill = factored_fill(monkeypatch, lambda: ScalarFactorization(scalar, order))
+    fill = factored_fill(monkeypatch, lambda: ScalarFactorization(
+        spd(mass, stiffness, ALPHA_P, BETA_K), order))
     assert fill <= 0.7 * spla.splu(scalar_matrix(mesh).tocsc()).nnz
 
     frame = build_frame(random_unit_field(mesh.N, seed=52), FIXED_INVOLUTIONS["t3-"])
+    scalar = spd_in_order(mass, stiffness, ALPHA_P, BETA_K, order)
     fill = factored_fill(monkeypatch, lambda: build_theoretical(frame, scalar, order))
     inner = theoretical_matrix(mesh, frame)
     inner.eliminate_zeros()
     assert fill <= 0.7 * spla.splu(inner).nnz
 
 
+def shuffled(mesh, seed):
+    """mesh with its node ids permuted."""
+    ids = np.random.default_rng(seed).permutation(mesh.N)  # new id of every node
+    nodes = np.empty_like(mesh.nodes)
+    nodes[ids] = mesh.nodes
+    return Mesh(nodes, ids[mesh.tets])
+
+
 def test_order_does_not_depend_on_node_numbering(shuffled_cube, monkeypatch):
-    """The shuffled cube is eliminated through the same coordinates as the
-    structured one, so its factor has the same fill."""
+    """A shuffled cube is eliminated through the same coordinates as the
+    structured one, so its factor has the same fill.  The fill is compared
+    on cube n = 8, whose K is factored, not inverted densely."""
     cube = generate_structured_cube(UNIT_BOUNDS, (3, 3, 3))
     assert np.array_equal(shuffled_cube.nodes[shuffled_cube.dissection_order()],
                           cube.nodes[cube.dissection_order()])
-    fills = [factored_fill(monkeypatch, lambda: ScalarFactorization(
-        ordered_k(mesh), mesh.dissection_order())) for mesh in (cube, shuffled_cube)]
+    cube = generate_structured_cube(UNIT_BOUNDS, (8, 8, 8))
+    shuffled_cube = shuffled(cube, seed=53)
+    assert np.array_equal(shuffled_cube.nodes[shuffled_cube.dissection_order()],
+                          cube.nodes[cube.dissection_order()])
+    fills = [factored_fill(monkeypatch, lambda: scalar_factorization(mesh))
+             for mesh in (cube, shuffled_cube)]
     assert abs(fills[1] - fills[0]) <= 0.05 * fills[0]
+
+
+@pytest.mark.parametrize("name, dense", [("cap_box", True), ("above_cap_box", False)])
+def test_dense_inverse_up_to_its_cap(meshes, name, dense, monkeypatch):
+    """K^{-1} is formed densely, without splu, while it takes at most
+    DENSE_INVERSE_BYTES (N <= 362, here N = 360); just above the cap, at
+    N = 364, K is factored by one splu call."""
+    mesh = meshes[name]
+    assert (8 * mesh.N**2 <= precond_mod.DENSE_INVERSE_BYTES) == dense
+    factored = []
+    splu = precond_mod.splu
+    monkeypatch.setattr(precond_mod, "splu",
+                        lambda a, **options: factored.append(a) or splu(a, **options))
+    scalar_factorization(mesh)
+    assert len(factored) == (0 if dense else 1)
 
 
 def test_coincident_nodes_end_the_dissection():

@@ -10,7 +10,7 @@ import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg.precond import (PRECONDITIONER_KINDS, PreconditionerError,
                                        ScalarFactorization)
 
-from conftest import UNIT_BOUNDS, random_unit_field, spd_in_order
+from conftest import UNIT_BOUNDS, random_unit_field, spd, spd_in_order
 
 ALPHA_P, BETA_K = 1.0, 0.1
 # the nested-dissection order of the 27-node cube of the setup fixture
@@ -20,6 +20,10 @@ ORDER = generate_structured_cube(UNIT_BOUNDS, (2, 2, 2)).dissection_order()
 def ordered_k(mass, stiffness, beta_k=BETA_K):
     """ALPHA_P M + beta_k L in ORDER, formed by the test."""
     return spd_in_order(mass, stiffness, ALPHA_P, beta_k, ORDER)
+
+
+def scalar_factorization(mass, stiffness, beta_k=BETA_K):
+    return ScalarFactorization(spd(mass, stiffness, ALPHA_P, beta_k), ORDER)
 
 
 def kron3(scalar):
@@ -41,7 +45,7 @@ def setup(cube2, cube2_matrices):
 @pytest.fixture(scope="module")
 def factor(cube2_matrices):
     """The shared scalar factorization of ALPHA_P M + BETA_K L."""
-    return ScalarFactorization(ordered_k(*cube2_matrices), ORDER)
+    return scalar_factorization(*cube2_matrices)
 
 
 class TestTheoretical:
@@ -96,7 +100,7 @@ class TestStationary:
 
     def test_mass_inverse_recovery(self, setup, rng):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_stationary_2d(ScalarFactorization(ordered_k(mass, stiffness, 0.0), ORDER))
+        pc = build_stationary_2d(scalar_factorization(mass, stiffness, 0.0))
         r = rng.standard_normal((mesh.N, 2))
         w = ALPHA_P * (mass @ r)
         assert np.abs(pc.apply(w.ravel()).reshape(mesh.N, 2) - r).max() <= 1e-12
@@ -136,7 +140,7 @@ class TestPractical:
         # both kinds solve with the one factorization they are given, and
         # factor nothing of their own
         mesh, mass, stiffness, m, frame = setup
-        factor = ScalarFactorization(ordered_k(mass, stiffness), ORDER)
+        factor = scalar_factorization(mass, stiffness)
         monkeypatch.setattr(precond_mod, "splu", None)
         solves = []
         solve = factor.solve
@@ -184,6 +188,11 @@ class TestJacobi:
         mesh, mass, stiffness, _, _ = setup
         with pytest.raises(PreconditionerError):
             build_jacobi(-1.0 * mass)
+
+
+def test_scalar_operator_that_is_not_spd_is_rejected(cube2_matrices):
+    with pytest.raises(PreconditionerError, match="SPD lost"):
+        ScalarFactorization(spd(*cube2_matrices, -ALPHA_P, BETA_K), ORDER)
 
 
 class TestApplyDispatch:
@@ -262,7 +271,9 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
     """One PreconditionerSource per kind over five steps, a new field each
     step: the static kinds hand out one object, practical a new one per
     step, and theoretical refactors at steps 0, r, 2r; every step's
-    preconditioner applies exactly as its builder fed a K formed here."""
+    preconditioner applies exactly as its builder fed a K formed here.
+    The scalar K of this mesh is inverted densely, not by splu, so its
+    builds are counted as ScalarFactorization calls."""
     mesh, mass, stiffness, _, _ = setup
     rebuild_every, steps = 2, 5
     frames = []
@@ -273,9 +284,11 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
     splu = precond_mod.splu
     monkeypatch.setattr(precond_mod, "splu",
                         lambda a, **options: factorizations.append(a) or splu(a, **options))
+    monkeypatch.setattr(precond_mod, "ScalarFactorization",
+                        lambda *args: factorizations.append(args) or ScalarFactorization(*args))
 
     scalar = (ALPHA_P * mass + BETA_K * stiffness).tocsr()
-    factor = ScalarFactorization(ordered_k(mass, stiffness), ORDER)
+    factor = scalar_factorization(mass, stiffness)
     rebuilt = [0, 0, 2, 2, 4]  # the step whose frame each step's theoretical uses
     expected = {
         "none": lambda step: build_none(mesh.N),

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import tangent_plane_llg.fem as fem_mod
 from tangent_plane_llg import (SchemeCoefficients, SimulationConfig,
-                               lambda_field, lh_term, normalize_update,
-                               run_simulation, tps_step)
+                               generate_structured_cube, lambda_field, lh_term,
+                               mesh_quality, normalize_update, run_simulation, tps_step)
 from tangent_plane_llg.physics import AppliedFieldConfig, PiConfig
 from tangent_plane_llg.scheme import (ConfigError, StepContext,
                                       assert_unit_nodal, exchange_energy)
@@ -396,6 +397,24 @@ def test_static_preconditioners_built_once():
             frame = build_frame(state.m_n, select_tn_adaptive(state.m_n).chosen_T)
             seen.add(id(ctx.preconditioners.for_step(frame, state.n)))
         assert len(seen) == 1
+
+
+def test_mesh_only_set_up_runs_once_per_mesh(monkeypatch):
+    """Two StepContexts on one mesh share its mass and stiffness, assembled
+    once and read-only, and mesh_quality is computed once per mesh (a
+    second computation would return an equal report, not the same one)."""
+    assembled = []
+    scatter = fem_mod._scatter_scalar
+    monkeypatch.setattr(fem_mod, "_scatter_scalar",
+                        lambda mesh, local: assembled.append(mesh) or scatter(mesh, local))
+    # a new mesh: the cube memo of build_mesh may hold one from another test
+    mesh = generate_structured_cube(UNIT_BOUNDS, (2, 2, 2))
+    cfg = SimulationConfig.from_dict(academic_config())
+    first, second = StepContext(cfg, mesh=mesh), StepContext(cfg, mesh=mesh)
+    assert assembled == [mesh, mesh]  # M and L
+    assert first.mass is second.mass and first.stiffness is second.stiffness
+    assert not first.mass.data.flags.writeable and not first.stiffness.data.flags.writeable
+    assert mesh_quality(mesh) is mesh_quality(mesh)
 
 
 def test_solver_failure_carries_step_index():
