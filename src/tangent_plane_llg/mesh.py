@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 class MeshError(ValueError):
@@ -209,6 +210,28 @@ class Mesh:
         order = _nested_dissection(self.nodes, indptr, indices)
         order.setflags(write=False)
         return order
+
+    @once_per_mesh
+    def band_order(self):
+        """A reverse Cuthill-McKee order of the nodes and its half-bandwidth.
+
+        Returns (order, width): order[i] is the node eliminated i-th, and
+        width is the largest distance |rank_i - rank_j| in that order
+        between two nodes that share an element, so every matrix on the
+        pattern of adjacency() has its entries within width of the diagonal
+        once permuted by order (Cuthill and McKee, ACM National Conference,
+        1969).  The order depends on the node numbering.  Computed once and
+        read-only.
+        """
+        indptr, indices, _ = self.adjacency()
+        pattern = sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(self.N,) * 2)
+        order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.int64)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(self.N)
+        rows = np.repeat(rank, np.diff(indptr))
+        width = int(np.abs(rows - rank[indices]).max(initial=0))
+        order.setflags(write=False)
+        return order, width
 
     def __repr__(self):
         return f"Mesh(N={self.N}, elems={self.elem_count})"

@@ -8,13 +8,16 @@ Q^T K^{-1} Q, theoretical factors the frame congruence Q^T (K (x) I_3) Q,
 jacobi scales by (diag K)^{-1}, and none is the identity.  The one
 PreconditionerSource of a run forms K and decides what is built when.
 
-Both factored matrices are SPD, so Gaussian elimination is stable in any
-symmetric order without pivoting.  They are factored by SuperLU in the
-nested-dissection order of the mesh (Mesh.dissection_order) and in its
-symmetric mode: K is permuted once by that order, the 2N x 2N matrix is
-assembled on the 2x2 node blocks of the permuted K, and the diagonal is
-taken as pivot (diag_pivot_thresh = 0), so the factor fills only as that
-order predicts.  The solves permute the right-hand side and un-permute the
+Both factored matrices are SPD, so elimination is stable in any symmetric
+order without pivoting.  K is permuted once into an elimination order of
+the mesh, and the 2N x 2N matrix is assembled on the 2x2 node blocks of the
+permuted K.  One rule (_factor_spd) factors either matrix: while its lower
+band takes at most BAND_BYTES, by LAPACK's banded Cholesky (dpbtrf, dpbtrs)
+in the mesh's reverse Cuthill-McKee order (Mesh.band_order); above, by
+SuperLU in its symmetric mode with the diagonal as pivot, in the mesh's
+nested-dissection order (Mesh.dissection_order), so the factor fills only
+as that order predicts.  The source picks the order from the mesh's cached
+band width.  The solves permute the right-hand side and un-permute the
 result.  K of a small mesh is not factored but inverted, once and in node
 order (DENSE_INVERSE_BYTES): each of its solves is then one dense product.
 """
@@ -33,13 +36,60 @@ class PreconditionerError(RuntimeError):
     pass
 
 
-def _factor_spd(matrix, what):
-    """SuperLU factors of an SPD matrix already in elimination order."""
+# The largest lower band, 8 n (w + 1) bytes for an n x n matrix whose
+# entries lie within w of the diagonal, that _factor_spd factors by LAPACK's
+# banded Cholesky; above it, SuperLU factors the matrix in the mesh's
+# nested-dissection order.  It puts the scalar K of cube n <= 21 and the
+# theoretical matrix (2N rows, width 2w + 1) of cube n <= 16 on the band.
+# With one BLAS thread on a 2-core host the band factor was 2.3-2.9x faster
+# from cube n = 12 to 24.  Its solves read the band once per column: a
+# 1-column theoretical solve took 3.3 against 5.7 ms at n = 16 and 21.6
+# against 14.9 ms at n = 20, and a 3-column scalar solve 2.4 against 2.1 ms
+# at n = 16 and 12.4 against 8.1 ms at n = 22.  README.md has the table.
+BAND_BYTES = 48 * 2**20
+
+
+def band_fits(n, width):
+    """Whether an n x n matrix of half-bandwidth width is factored in band
+    storage (8 n (width + 1) <= BAND_BYTES)."""
+    return 8 * n * (width + 1) <= BAND_BYTES
+
+
+def half_bandwidth(matrix):
+    """The largest |i - j| over the stored entries (i, j) of a CSR matrix."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return int(np.abs(rows - matrix.indices).max(initial=0))
+
+
+def _factor_spd(matrix, width, what):
+    """The solve of an SPD matrix already in elimination order.
+
+    matrix is CSR and its entries lie within width of the diagonal.  If the
+    band fits, its lower triangle, the only part read, is copied to LAPACK's
+    lower band storage, factored there by the banded Cholesky dpbtrf and
+    solved by dpbtrs.  Otherwise SuperLU factors the whole matrix in its
+    symmetric mode without pivoting.  solve takes rhs of shape (n,) or
+    (n, k).
+    """
+    n = matrix.shape[0]
+    if band_fits(n, width):
+        cols = matrix.indices
+        offset = np.repeat(np.arange(n), np.diff(matrix.indptr)) - cols
+        lower = offset >= 0
+        # Fortran order: column j of the band is contiguous, as LAPACK reads it
+        band = np.zeros((width + 1, n), order="F")
+        band[offset[lower], cols[lower]] = matrix.data[lower]
+        factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise PreconditionerError(
+                f"{what} factorization failed (SPD lost?): LAPACK info {info}")
+        return lambda rhs: lapack.dpbtrs(factor, rhs, lower=1)[0]
     try:
-        return splu(matrix.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
+        lu = splu(matrix.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise PreconditionerError(f"{what} factorization failed (SPD lost?): {exc}") from exc
+    return lu.solve
 
 
 # The largest K^{-1} that ScalarFactorization forms densely: 8 N^2 bytes, so
@@ -59,9 +109,8 @@ class ScalarFactorization:
     scalar is K (CSR, node order).  Up to DENSE_INVERSE_BYTES, K^{-1} is
     formed once by LAPACK's Cholesky factorization and inversion (dpotrf,
     dpotri), and solve is one product with it.  Above, P^T K P, with P the
-    permutation of order (node order[i] is eliminated i-th), is factored in
-    SuperLU's symmetric mode without pivoting, and solve applies P on both
-    sides.
+    permutation of order (node order[i] is eliminated i-th), is factored by
+    _factor_spd, and solve applies P on both sides.
     """
 
     def __init__(self, scalar, order):
@@ -73,14 +122,15 @@ class ScalarFactorization:
         else:
             self._order = order
             self._inverse = np.argsort(order)
-            self._lu = _factor_spd(scalar[order][:, order], "scalar operator")
+            ordered = scalar[order][:, order]
+            self._solve = _factor_spd(ordered, half_bandwidth(ordered), "scalar operator")
 
     def solve(self, rhs):
         """K^{-1} rhs for rhs of shape (N,) or (N, k)."""
         if self._k_inv is not None:
             return self._k_inv @ rhs
         # take: a row gather several times faster than fancy indexing
-        return self._lu.solve(rhs.take(self._order, axis=0)).take(self._inverse, axis=0)
+        return self._solve(rhs.take(self._order, axis=0)).take(self._inverse, axis=0)
 
 
 def _spd_inverse(dense):
@@ -128,20 +178,28 @@ def build_theoretical(frame, ordered, order):
     no cross moments, the kernel that forms the reduced system matrix.  It
     is assembled from ordered = P^T K P (CSR, P the permutation of order),
     so the 2x2 blocks of node order[i] sit at rows 2i, 2i+1, and factored
-    in SuperLU's symmetric mode without pivoting, once per build.
+    by _factor_spd once per build: in band storage only its lower blocks are
+    formed, for SuperLU all of them.
     """
     n = frame.n_nodes
-    inner = reduce_blocks(frame.blocks[order], ordered.indptr, ordered.indices,
-                          ordered.data).tocsc()
-    # exact zeros (Q_i^T Q_j = I where the frame is uniform) only add fill
-    inner.eliminate_zeros()
-    lu = _factor_spd(inner, "theoretical preconditioner")
+    # the two dofs of a node are adjacent, so the band is 2w + 1 wide
+    width = 2 * half_bandwidth(ordered) + 1
+    band = band_fits(2 * n, width)
+    if band:
+        # K (x) I_3 has no cross moments, so block (j, i) is the transpose
+        # of block (i, j): the band factor reads only the lower blocks
+        ordered = sp.tril(ordered, format="csr")
+    inner = reduce_blocks(frame.blocks[order], ordered.indptr, ordered.indices, ordered.data)
+    if not band:
+        # exact zeros (Q_i^T Q_j = I where the frame is uniform) only add fill
+        inner.eliminate_zeros()
+    solve = _factor_spd(inner, width, "theoretical preconditioner")
     # order on the 2N unknowns: the two of node order[i] at 2i, 2i + 1
     dofs = (2 * order[:, None] + np.arange(2)).ravel()
     inverse = np.argsort(dofs)
 
     def apply_fn(r):
-        return lu.solve(r.take(dofs)).take(inverse)
+        return solve(r.take(dofs)).take(inverse)
 
     return Preconditioner("theoretical", n, apply_fn)
 
@@ -197,11 +255,13 @@ class PreconditionerSource:
 
     kind, alpha_p and rebuild_every are the options of the config's precond
     section.  K is formed and checked here, once; theoretical permutes it
-    once into the mesh's dissection order, and stationary and practical
-    share its one ScalarFactorization.  The frame-independent kinds are
-    built here, practical on every step, and theoretical is refactored
-    every rebuild_every steps with a stale frame in between (builds counts
-    its factorizations).
+    once into the mesh's elimination order, and stationary and practical
+    share its one ScalarFactorization.  The order is the mesh's reverse
+    Cuthill-McKee order when the band of the matrix to factor fits
+    (band_fits), else its nested-dissection order, which is computed only
+    then.  The frame-independent kinds are built here, practical on every
+    step, and theoretical is refactored every rebuild_every steps with a
+    stale frame in between (builds counts its factorizations).
     """
 
     def __init__(self, mesh, mass, stiffness, beta_k, kind, alpha_p, rebuild_every=1):
@@ -223,11 +283,19 @@ class PreconditionerSource:
             self._current = build_none(mesh.N)
         elif kind == "jacobi":
             self._current = build_jacobi(scalar)
-        elif kind == "theoretical":
-            self._order = mesh.dissection_order()
-            self._ordered = scalar[self._order][:, self._order]
         else:
-            self._factor = ScalarFactorization(scalar, mesh.dissection_order())
+            order, width = mesh.band_order()
+            if kind == "theoretical":  # two dofs per node
+                fits = band_fits(2 * mesh.N, 2 * width + 1)
+            else:
+                fits = band_fits(mesh.N, width)
+            if not fits:
+                order = mesh.dissection_order()
+            if kind == "theoretical":
+                self._order = order
+                self._ordered = scalar[order][:, order]
+            else:
+                self._factor = ScalarFactorization(scalar, order)
             if kind == "stationary":
                 self._current = build_stationary_2d(self._factor)
 

@@ -43,7 +43,9 @@ def attribute_ids(owners):
     return [{name: id(value) for name, value in vars(owner).items()} for owner in owners]
 
 
-def test_benchmark_probes_install_run_and_restore(instrument, tmp_path):
+def run_probed_sweep(instrument, tmp_path):
+    """The tracer of a sweep over KINDS run through the installed probes,
+    which are restored afterwards."""
     pkg = types.SimpleNamespace(cli=cli, scheme=scheme, fem=fem, precond=precond,
                                 gmres=gmres)
     owners = [cli, scheme, fem, precond, gmres, scheme.SimulationConfig,
@@ -55,6 +57,7 @@ def test_benchmark_probes_install_run_and_restore(instrument, tmp_path):
         "field": {"m0": {"kind": "spiral", "turns": 1.0}},
         "sweep": {"precond": KINDS},
     }
+    tmp_path.mkdir()
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -75,4 +78,15 @@ def test_benchmark_probes_install_run_and_restore(instrument, tmp_path):
     assert [p.kind for p in recorder.points] == KINDS
     assert [p.failures for p in recorder.points] == [[]] * len(KINDS)
     assert tracer.reconcile() == []
+    return tracer
+
+
+def test_benchmark_probes_install_run_and_restore(instrument, tmp_path, monkeypatch):
+    # every factorization of this mesh fits in band storage and calls no
+    # splu, the function that the precond.factor span wraps
+    tracer = run_probed_sweep(instrument, tmp_path / "band")
+    assert [name for name in SPANS if tracer.calls[name] == 0] == ["precond.factor"]
+    # with no band fitting, theoretical factors through splu
+    monkeypatch.setattr(precond, "BAND_BYTES", 0)
+    tracer = run_probed_sweep(instrument, tmp_path / "superlu")
     assert [name for name in SPANS if tracer.calls[name] == 0] == []

@@ -230,21 +230,32 @@ def test_shuffled_mesh_system_matrix_is_kron_form(shuffled_cube, rng):
 
 
 def test_shuffled_mesh_theoretical_blocks_match_kron(shuffled_cube, monkeypatch):
+    """The matrix build_theoretical factors, in band storage (its lower
+    triangle, the part the band factor reads, and no block above the
+    diagonal) and, with no band fitting, by SuperLU (all of it)."""
     factored = []
-    splu = precond_mod.splu
-    monkeypatch.setattr(precond_mod, "splu",
-                        lambda a, **options: factored.append(a) or splu(a, **options))
+    factor_spd = precond_mod._factor_spd
+    monkeypatch.setattr(precond_mod, "_factor_spd",
+                        lambda a, *args: factored.append(a) or factor_spd(a, *args))
     mass, stiffness = assemble_mass(shuffled_cube), assemble_stiffness(shuffled_cube)
     m = random_unit_field(shuffled_cube.N, seed=50)
     frame = build_frame(m, FIXED_INVOLUTIONS["t2-"])
     order = shuffled_cube.dissection_order()
-    build_theoretical(frame, spd_in_order(mass, stiffness, 1.0, 0.1, order), order)
     q = frame.as_sparse()
     kron = sp.kron(1.0 * mass + 0.1 * stiffness, sp.identity(3, format="csr"))
     # P^T (q^T kron q) P, P the node order on the 2x2 node blocks (2p, 2p + 1)
     dofs = (2 * order[:, None] + np.arange(2)).ravel()
     expected = (q.T @ kron @ q).toarray()[np.ix_(dofs, dofs)]
-    assert np.abs(factored[0].toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
+    for band_bytes, part in ((precond_mod.BAND_BYTES, np.tril), (0, np.asarray)):
+        monkeypatch.setattr(precond_mod, "BAND_BYTES", band_bytes)
+        factored.clear()
+        build_theoretical(frame, spd_in_order(mass, stiffness, 1.0, 0.1, order), order)
+        error = np.abs(part(factored[0].toarray()) - part(expected)).max()
+        assert error <= 1e-14 * np.abs(expected).max()
+        if part is np.tril:
+            # only the 2x2 blocks (i, j) with i >= j are formed
+            rows, cols = factored[0].nonzero()
+            assert (rows // 2 >= cols // 2).all()
 
 
 def test_shuffled_mesh_tps2_step_matches_dense_oracle(shuffled_cube, monkeypatch):

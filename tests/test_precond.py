@@ -272,8 +272,10 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
     step: the static kinds hand out one object, practical a new one per
     step, and theoretical refactors at steps 0, r, 2r; every step's
     preconditioner applies exactly as its builder fed a K formed here.
-    The scalar K of this mesh is inverted densely, not by splu, so its
-    builds are counted as ScalarFactorization calls."""
+    The factorizations are counted where the rule of _factor_spd picks
+    band storage or SuperLU; the scalar K of this mesh is inverted densely,
+    without that rule, so its builds are counted as ScalarFactorization
+    calls."""
     mesh, mass, stiffness, _, _ = setup
     rebuild_every, steps = 2, 5
     frames = []
@@ -281,22 +283,24 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
         m = random_unit_field(mesh.N, seed=300 + step)
         frames.append(build_frame(m, select_tn_adaptive(m).chosen_T))
     factorizations = []
-    splu = precond_mod.splu
-    monkeypatch.setattr(precond_mod, "splu",
-                        lambda a, **options: factorizations.append(a) or splu(a, **options))
+    factor_spd = precond_mod._factor_spd
+    monkeypatch.setattr(precond_mod, "_factor_spd",
+                        lambda a, *args: factorizations.append(a) or factor_spd(a, *args))
     monkeypatch.setattr(precond_mod, "ScalarFactorization",
                         lambda *args: factorizations.append(args) or ScalarFactorization(*args))
 
     scalar = (ALPHA_P * mass + BETA_K * stiffness).tocsr()
     factor = scalar_factorization(mass, stiffness)
+    # the band of this mesh fits, so the source orders it by band_order
+    order = mesh.band_order()[0]
     rebuilt = [0, 0, 2, 2, 4]  # the step whose frame each step's theoretical uses
     expected = {
         "none": lambda step: build_none(mesh.N),
         "jacobi": lambda step: build_jacobi(scalar),
         "stationary": lambda step: build_stationary_2d(factor),
         "practical": lambda step: build_practical(frames[step], factor),
-        "theoretical": lambda step: build_theoretical(frames[rebuilt[step]],
-                                                      ordered_k(mass, stiffness), ORDER),
+        "theoretical": lambda step: build_theoretical(
+            frames[rebuilt[step]], spd_in_order(mass, stiffness, ALPHA_P, BETA_K, order), order),
     }
     counts = {"none": 0, "jacobi": 0, "stationary": 1, "practical": 1, "theoretical": 3}
     for kind in PRECONDITIONER_KINDS:
