@@ -40,6 +40,8 @@ def _check_unit(m, tol=1e-12):
 def householder_frame(m):
     _check_unit(m)
     w = m + _E[:, 2]
+    if w[2] < 1e-6:
+        w[2] = (m[0] * m[0] + m[1] * m[1]) / (1.0 - m[2])
     wn = np.linalg.norm(w)
     if wn < _POLE_GUARD:
         return np.column_stack([_E[:, 0], _E[:, 1]])

@@ -227,6 +227,11 @@ EXIT_CODE_ROWS = [
     # MESH_FILES): checked once the file is read, before any output
     (("mesh", "field.m0"), ({"kind": "file", "path": "long_box.json"},
                             {"kind": "spiral", "turns": 1e305}), 2, "field.m0.turns"),
+    # a field just outside the frame's pole guard (1e-8 off -e3) under a
+    # fixed tn keeps the Householder columns tangent over three steps
+    *[(("T", "field.m0", "frame.tn"),
+       (0.03, {"kind": "constant", "value": [delta, 0, -1]}, "t3-"), 0, "")
+      for delta in (1.5e-8, 2e-8, 5e-8, 1e-7)],
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))

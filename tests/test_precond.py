@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -323,3 +325,30 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
             assert np.array_equal(pc.apply(r), expected[kind](step).apply(r))
     with pytest.raises(PreconditionerError, match="unknown preconditioner kind"):
         PreconditionerSource(mesh, mass, stiffness, BETA_K, "ilu", ALPHA_P)
+
+
+@pytest.mark.parametrize("band", [True, False], ids=["band", "superlu"])
+def test_theoretical_source_holds_one_factorization(setup, monkeypatch, rng, band):
+    """Refactoring every step, the source lets go of the stale theoretical
+    factor before it factors the next one, on either path of _factor_spd,
+    so a caller that keeps none of the preconditioners holds at most one."""
+    mesh, mass, stiffness, _, _ = setup
+    if not band:
+        monkeypatch.setattr(precond_mod, "BAND_BYTES", 0)
+    solves, earlier_dead = [], []
+    factor_spd = precond_mod._factor_spd
+
+    def tracked(*args):
+        earlier_dead.append(all(ref() is None for ref in solves))
+        solve = factor_spd(*args)
+        solves.append(weakref.ref(solve))
+        return solve
+
+    monkeypatch.setattr(precond_mod, "_factor_spd", tracked)
+    source = PreconditionerSource(mesh, mass, stiffness, BETA_K, "theoretical", ALPHA_P, 1)
+    for step in range(3):
+        m = random_unit_field(mesh.N, seed=400 + step)
+        frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+        source.for_step(frame, step).apply(rng.standard_normal(2 * mesh.N))
+    assert source.builds == 3
+    assert earlier_dead == [True, True, True]
