@@ -9,17 +9,18 @@ jacobi scales by (diag K)^{-1}, and none is the identity.  The one
 PreconditionerSource of a run forms K and decides what is built when.
 
 Both factored matrices are SPD, so elimination is stable in any symmetric
-order without pivoting.  K is permuted once into an elimination order of
-the mesh, and the 2N x 2N matrix is assembled on the 2x2 node blocks of the
-permuted K.  One rule (_factor_spd) factors either matrix: while its lower
-band takes at most BAND_BYTES, by LAPACK's banded Cholesky (dpbtrf, dpbtrs)
-in the mesh's reverse Cuthill-McKee order (Mesh.band_order); above, by
-SuperLU in its symmetric mode with the diagonal as pivot, in the mesh's
-nested-dissection order (Mesh.dissection_order), so the factor fills only
-as that order predicts.  The source picks the order from the mesh's cached
-band width.  The solves permute the right-hand side and un-permute the
-result.  K of a small mesh is not factored but inverted, once and in node
-order (DENSE_INVERSE_BYTES): each of its solves is then one dense product.
+order without pivoting.  One rule (_factor_spd) factors either: given the
+lower triangle of the matrix in an elimination order, it factors by
+LAPACK's banded Cholesky (dpbtrf, dpbtrs) while the lower band takes at
+most BAND_BYTES, and above by SuperLU in its symmetric mode with the
+diagonal as pivot; its solve permutes the right-hand side into that order
+and back.  The source picks the order from the mesh's cached band width:
+reverse Cuthill-McKee (Mesh.band_order) where the band fits, else nested
+dissection (Mesh.dissection_order), so that SuperLU fills only as that
+order predicts.  The 2N x 2N matrix is assembled on the 2x2 node blocks of
+the permuted K.  K of a small mesh is not factored but inverted, once and
+in node order (DENSE_INVERSE_BYTES): each of its solves is then one dense
+product.
 
 A run holds at most one theoretical factorization: the source lets go of
 the stale one before it factors the next, so the two are never alive at
@@ -60,41 +61,47 @@ def band_fits(n, width):
     return 8 * n * (width + 1) <= BAND_BYTES
 
 
-def half_bandwidth(matrix):
-    """The largest |i - j| over the stored entries (i, j) of a CSR matrix."""
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return int(np.abs(rows - matrix.indices).max(initial=0))
+def _factor_spd(lower, order, what):
+    """The solve of an SPD matrix A, factored in a given elimination order.
 
-
-def _factor_spd(matrix, width, what):
-    """The solve of an SPD matrix already in elimination order.
-
-    matrix is CSR and its entries lie within width of the diagonal.  If the
-    band fits, its lower triangle, the only part read, is copied to LAPACK's
-    lower band storage, factored there by the banded Cholesky dpbtrf and
-    solved by dpbtrs.  Otherwise SuperLU factors the whole matrix in its
-    symmetric mode without pivoting.  solve takes rhs of shape (n,) or
-    (n, k).
+    lower is P^T A P in CSR, P the permutation of order (unknown order[i]
+    is eliminated i-th), and holds at least its lower triangle; nothing
+    above the diagonal is read.  If its lower band fits (band_fits), it is
+    copied to LAPACK's lower band storage, factored there by the banded
+    Cholesky dpbtrf and solved by dpbtrs.  Otherwise SuperLU factors the
+    matrix mirrored from the lower triangle in its symmetric mode without
+    pivoting.  solve takes rhs of shape (n,) or (n, k) in the caller's
+    order and returns A^{-1} rhs in that order.
     """
-    n = matrix.shape[0]
+    n = lower.shape[0]
+    offset = np.repeat(np.arange(n), np.diff(lower.indptr)) - lower.indices
+    below = offset >= 0
+    width = int(offset[below].max(initial=0))
     if band_fits(n, width):
-        cols = matrix.indices
-        offset = np.repeat(np.arange(n), np.diff(matrix.indptr)) - cols
-        lower = offset >= 0
         # Fortran order: column j of the band is contiguous, as LAPACK reads it
         band = np.zeros((width + 1, n), order="F")
-        band[offset[lower], cols[lower]] = matrix.data[lower]
+        band[offset[below], lower.indices[below]] = lower.data[below]
         factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise PreconditionerError(
                 f"{what} factorization failed (SPD lost?): LAPACK info {info}")
-        return lambda rhs: lapack.dpbtrs(factor, rhs, lower=1)[0]
-    try:
-        lu = splu(matrix.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise PreconditionerError(f"{what} factorization failed (SPD lost?): {exc}") from exc
-    return lu.solve
+
+        def solve(rhs):
+            return lapack.dpbtrs(factor, rhs, lower=1)[0]
+    else:
+        full = (sp.tril(lower) + sp.tril(lower, -1).T).tocsc()
+        # exact zeros (theoretical blocks Q_i^T Q_j = I where the frame is
+        # uniform) only add fill
+        full.eliminate_zeros()
+        try:
+            solve = splu(full, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True}).solve
+        except RuntimeError as exc:
+            raise PreconditionerError(
+                f"{what} factorization failed (SPD lost?): {exc}") from exc
+    inverse = np.argsort(order)
+    # take: a row gather several times faster than fancy indexing
+    return lambda rhs: solve(rhs.take(order, axis=0)).take(inverse, axis=0)
 
 
 # The largest K^{-1} that ScalarFactorization forms densely: 8 N^2 bytes, so
@@ -111,31 +118,21 @@ DENSE_INVERSE_BYTES = 2**20
 class ScalarFactorization:
     """Cached factorization of K = alpha_P M + beta_k L (N x N SPD).
 
-    scalar is K (CSR, node order).  Up to DENSE_INVERSE_BYTES, K^{-1} is
-    formed once by LAPACK's Cholesky factorization and inversion (dpotrf,
-    dpotri), and solve is one product with it.  Above, P^T K P, with P the
-    permutation of order (node order[i] is eliminated i-th), is factored by
-    _factor_spd, and solve applies P on both sides.
+    scalar is K (CSR, node order).  solve(rhs) is K^{-1} rhs for rhs of
+    shape (N,) or (N, k).  Up to DENSE_INVERSE_BYTES, K^{-1} is formed once
+    by LAPACK's Cholesky factorization and inversion (dpotrf, dpotri), and
+    solve is one product with it.  Above, solve is the _factor_spd solve of
+    K, eliminated in order (node order[i] is eliminated i-th).
     """
 
     def __init__(self, scalar, order):
         n = len(order)
         self.n_nodes = n
-        self._k_inv = None
         if 8 * n * n <= DENSE_INVERSE_BYTES:
-            self._k_inv = _spd_inverse(scalar.toarray())
+            k_inv = _spd_inverse(scalar.toarray())
+            self.solve = lambda rhs: k_inv @ rhs
         else:
-            self._order = order
-            self._inverse = np.argsort(order)
-            ordered = scalar[order][:, order]
-            self._solve = _factor_spd(ordered, half_bandwidth(ordered), "scalar operator")
-
-    def solve(self, rhs):
-        """K^{-1} rhs for rhs of shape (N,) or (N, k)."""
-        if self._k_inv is not None:
-            return self._k_inv @ rhs
-        # take: a row gather several times faster than fancy indexing
-        return self._solve(rhs.take(self._order, axis=0)).take(self._inverse, axis=0)
+            self.solve = _factor_spd(scalar[order][:, order], order, "scalar operator")
 
 
 def _spd_inverse(dense):
@@ -181,32 +178,18 @@ def build_theoretical(frame, ordered, order):
     Block (i, j) of the 2N x 2N matrix is the 2x2 block K_ij Q_i^T Q_j on
     the pattern of K: tangent.reduce_blocks of the scalar values K_ij with
     no cross moments, the kernel that forms the reduced system matrix.  It
-    is assembled from ordered = P^T K P (CSR, P the permutation of order),
-    so the 2x2 blocks of node order[i] sit at rows 2i, 2i+1, and factored
-    by _factor_spd once per build: in band storage only its lower blocks are
-    formed, for SuperLU all of them.
+    is assembled from the lower triangle of ordered = P^T K P (CSR, P the
+    permutation of order), so the 2x2 blocks of node order[i] sit at rows
+    2i, 2i+1, and factored by _factor_spd once per build.  K (x) I_3 has no
+    cross moments, so block (j, i) is the transpose of block (i, j) and
+    only the lower blocks are formed.
     """
-    n = frame.n_nodes
-    # the two dofs of a node are adjacent, so the band is 2w + 1 wide
-    width = 2 * half_bandwidth(ordered) + 1
-    band = band_fits(2 * n, width)
-    if band:
-        # K (x) I_3 has no cross moments, so block (j, i) is the transpose
-        # of block (i, j): the band factor reads only the lower blocks
-        ordered = sp.tril(ordered, format="csr")
-    inner = reduce_blocks(frame.blocks[order], ordered.indptr, ordered.indices, ordered.data)
-    if not band:
-        # exact zeros (Q_i^T Q_j = I where the frame is uniform) only add fill
-        inner.eliminate_zeros()
-    solve = _factor_spd(inner, width, "theoretical preconditioner")
+    lower = sp.tril(ordered, format="csr")
+    inner = reduce_blocks(frame.blocks[order], lower.indptr, lower.indices, lower.data)
     # order on the 2N unknowns: the two of node order[i] at 2i, 2i + 1
     dofs = (2 * order[:, None] + np.arange(2)).ravel()
-    inverse = np.argsort(dofs)
-
-    def apply_fn(r):
-        return solve(r.take(dofs)).take(inverse)
-
-    return Preconditioner("theoretical", n, apply_fn)
+    return Preconditioner("theoretical", frame.n_nodes,
+                          _factor_spd(inner, dofs, "theoretical preconditioner"))
 
 
 def build_stationary_2d(scalar_factor):

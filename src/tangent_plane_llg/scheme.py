@@ -378,6 +378,8 @@ class SimulationConfig:
             volume = math.prod((hi - lo) / count
                                for (lo, hi), count in zip(bounds, self.mesh["n"])) / 6.0
             scale = max(max(abs(bound) for axis in bounds for bound in axis), 1.0)
+            if not math.isfinite(volume):
+                raise ConfigError(f"mesh.bounds: the element volume overflows ({volume:.3e})")
             if volume <= 1e-14 * scale * scale * scale:
                 raise ConfigError(f"mesh.bounds: the elements of the box are degenerate "
                                   f"(volume {volume:.3e})")

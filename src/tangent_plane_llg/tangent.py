@@ -26,9 +26,14 @@ FIXED_INVOLUTIONS = {
 }
 _ADAPTIVE_ORDER = ["t1+", "t1-", "t2+", "t2-", "t3+", "t3-"]
 
-# Below this distance from -e3 the reflection vector w degenerates; use the
-# exact -e3 branch instead.
-_POLE_GUARD = 1e-8
+# The reflection takes its exact -e3 branch, and the rotation falls back to
+# the reflection, where the row norm of w (of the rotation axis) is below
+# this bound.  There the tangential part of m is the rounding of a field on
+# the pole (sin 2 pi = -2.4e-16): the direction of w is rounding noise, and
+# the exact frame is off m-perp by less than the bound.  The bound also
+# keeps vecdot(w, w) far inside the normal range, so w can be normalized.
+# Above it, with the near-pole w_3 of _householder, the frame is tangent.
+_POLE_GUARD = 1e-15
 
 
 class FrameError(ValueError):

@@ -24,7 +24,7 @@ import numpy as np
 from tangent_plane_llg.gmres import SolverStats
 
 _E = np.eye(3)
-_POLE_GUARD = 1e-8
+_POLE_GUARD = 1e-15
 
 
 class LoopError(ValueError):

@@ -239,7 +239,8 @@ def test_band_order_is_read_only_and_its_width_is_the_band(meshes, name):
     assert np.array_equal(np.sort(order), np.arange(mesh.N))
     assert not order.flags.writeable
     assert mesh.band_order()[0] is order
-    assert width == precond_mod.half_bandwidth(ordered_k(mesh, order))
+    ordered = ordered_k(mesh, order).tocoo()
+    assert width == np.abs(ordered.row - ordered.col).max()
 
 
 @pytest.mark.parametrize("kind", ["theoretical", "stationary", "practical"])
@@ -317,6 +318,32 @@ def test_band_bytes_boundary(meshes, kind, monkeypatch):
         factored.clear()
         build()
         assert len(factored) == splu_calls
+
+
+@pytest.mark.parametrize("band", [True, False], ids=["band", "superlu"])
+def test_factor_reads_only_the_lower_triangle(meshes, band, rng, monkeypatch):
+    """_factor_spd ignores what lies above the diagonal: with the strict
+    upper triangle overwritten by nonsymmetric values and one entry far
+    outside the band, its solve is that of the symmetric matrix, returned
+    in the caller's order."""
+    mesh = meshes["above_cap_box"]
+    if band:
+        monkeypatch.setattr(precond_mod, "splu", None)  # the band path calls no SuperLU
+        order = mesh.band_order()[0]
+    else:
+        monkeypatch.setattr(precond_mod, "BAND_BYTES", 0)
+        order = mesh.dissection_order()
+    symmetric = ordered_k(mesh, order)
+    upper = sp.triu(symmetric, 1, format="csr")
+    upper.data = rng.standard_normal(upper.nnz)
+    corner = sp.csr_array(([1.0], ([0], [mesh.N - 1])), shape=symmetric.shape)
+    scrambled = (sp.tril(symmetric) + upper + corner).tocsr()
+    rhs = rng.standard_normal((mesh.N, 3))
+    expected = precond_mod._factor_spd(symmetric, order, "symmetric")(rhs)
+    x = precond_mod._factor_spd(scrambled, order, "scrambled")(rhs)
+    assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+    reference = spla.spsolve(scalar_matrix(mesh).tocsc(), rhs)
+    assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_band_factor_of_a_matrix_that_is_not_spd_names_the_lapack_info(meshes, monkeypatch):
