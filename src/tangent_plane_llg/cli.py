@@ -3,8 +3,8 @@ frame axis modes, writing per-step and summary CSV files plus optional VTK
 snapshots.  Plot rendering stays out of scope; the CSVs are ready for
 gnuplot or a spreadsheet.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure (partial
-outputs are kept).
+Exit codes: 0 success, 2 configuration error, 3 solver failure or a sweep
+point out of memory (partial outputs are kept).
 """
 
 import argparse
@@ -100,15 +100,14 @@ def run_experiment(config_path, out_dir=None, overrides=None):
             if cfg.mesh["kind"] == "file" and m0["kind"] == "spiral":
                 x = meshes[cfg.mesh["path"]].nodes[:, 0]
                 check_spiral_phase(m0["turns"], float(x.min()), float(x.max()))
+        out_dir = out_dir or configs[0].output["dir"] or "out"
+        os.makedirs(out_dir, exist_ok=True)
+        summary = open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8")
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = out_dir or configs[0].output["dir"] or "out"
-
-    os.makedirs(out_dir, exist_ok=True)
-    summary_path = os.path.join(out_dir, "summary.csv")
     code = 0
-    with open(summary_path, "w", encoding="utf-8") as summary:
+    with summary:
         summary.write(SUMMARY_HEADER + "\n")
         for idx, cfg in enumerate(configs):
             pkind = cfg.precond["kind"]
@@ -125,6 +124,10 @@ def run_experiment(config_path, out_dir=None, overrides=None):
             except SolverFailure as exc:
                 print(f"solver failure on sweep point {idx} ({pkind}): {exc}",
                       file=sys.stderr)
+                code = 3
+                continue
+            except MemoryError as exc:
+                print(f"out of memory on sweep point {idx} ({pkind}): {exc}", file=sys.stderr)
                 code = 3
                 continue
             except (ConfigError, MeshError, OSError) as exc:

@@ -70,11 +70,15 @@ class Mesh:
         # vertices 2 and 3 negates every component of e2 x e3 exactly, so it
         # negates the volume bit for bit: where the volume is negative the
         # swap orients the element and abs gives its volume.  Degenerate
-        # elements are rejected.
-        e1, e2, e3 = _edge_components(nodes, tets)
-        vol = _dot(e1, _cross(e2, e3)) / 6.0
+        # elements, and those whose volume overflows, are rejected.
         scale = np.abs(nodes).max() if len(nodes) else 1.0
-        degenerate = np.abs(vol) <= 1e-14 * max(scale, 1.0) ** 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            e1, e2, e3 = _edge_components(nodes, tets)
+            vol = _dot(e1, _cross(e2, e3)) / 6.0
+            degenerate = np.abs(vol) <= 1e-14 * max(scale, 1.0) ** 3
+        if not np.isfinite(vol).all():
+            bad = int(np.argmax(~np.isfinite(vol)))
+            raise MeshError(f"element {bad} volume overflows ({vol[bad]:.3e})")
         if degenerate.any():
             bad = int(np.nonzero(degenerate)[0][0])
             raise MeshError(f"element {bad} is degenerate (volume {vol[bad]:.3e})")
@@ -194,17 +198,19 @@ class Mesh:
 
         Returns order, a permutation of 0..N-1: order[i] is the node
         eliminated i-th.  Each subdomain, starting from the whole mesh, is
-        split at the median coordinate of its longest axis; the nodes of
-        the upper half with an adjacency neighbour in the lower half are
-        its separator.  Both halves, dissected in turn, come first and the
-        separator after them, so the Cholesky-type factor of a matrix on
-        the pattern of adjacency() fills only within the blocks of a
-        subdomain and its separators (George, SIAM J. Numer. Anal. 10,
-        1973).  Subdomains of at most DISSECTION_LEAF nodes are not split.
-        The nodes of a leaf or a separator are ordered by their coordinates,
-        the subdomain's longest axis first, so the order depends on the
-        node coordinates, not on the node numbering.  Computed once and
-        read-only.
+        split at the median coordinate of its longest axis (where the
+        median is the smallest coordinate, the lower half takes the nodes
+        at it); the nodes of the upper half with an adjacency neighbour in
+        the lower half are its separator.  The lower half, then the upper
+        half, each dissected in turn, come first and the separator after
+        them, so the Cholesky-type factor of a matrix on the pattern of
+        adjacency() fills only within the blocks of a subdomain and its
+        separators (George, SIAM J. Numer. Anal. 10, 1973).  Subdomains of
+        at most DISSECTION_LEAF nodes, or whose nodes all coincide, are not
+        split.  The nodes of a leaf or a separator are ordered by their
+        coordinates, the subdomain's longest axis first, so the order
+        depends on the node coordinates, not on the node numbering.
+        Computed once and read-only.
         """
         indptr, indices, _ = self.adjacency()
         order = _nested_dissection(self.nodes, indptr, indices)
@@ -255,106 +261,74 @@ def _cross(u, v):
 
 
 def _check_conforming(tets):
-    # A face shared by two tets must appear as the same node set; any face
-    # appearing more than twice breaks conformity.  The faces of the sorted
-    # rows are sorted triples, and a face seen three times gives three equal
-    # neighbours among the sorted face keys.
+    """MeshError unless every face belongs to at most two elements.  A face
+    seen three times gives three equal neighbours among the sorted keys of
+    the faces of the sorted rows.  Only then are the faces taken in each
+    element's own vertex order, to name the element at which, in element
+    order, some face is seen a third time."""
     n = int(tets.max()) + 1 if tets.size else 1
-    if n ** 3 < 2 ** 63:
-        faces = np.sort(tets, axis=1)[:, _LOCAL_FACES]
-        keys = np.sort(((faces[..., 0] * n + faces[..., 1]) * n + faces[..., 2]).ravel())
-        if not (keys[2:] == keys[:-2]).any():
-            return
-    _raise_on_third_face(tets, n)
-
-
-def _raise_on_third_face(tets, n):
-    # The error names the element at which, in element order, some face is
-    # seen a third time.
-    faces = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
-    if n ** 3 < 2 ** 63:
-        keys = (faces[:, 0] * n + faces[:, 1]) * n + faces[:, 2]
-        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    else:
-        _, inverse, counts = np.unique(faces, axis=0, return_inverse=True,
-                                       return_counts=True)
-    if counts.max(initial=0) <= 2:
+    keys = np.sort(_face_keys(np.sort(tets, axis=1)[:, _LOCAL_FACES], n))
+    if not (keys[2:] == keys[:-2]).any():
         return
-    # position of the third occurrence of every face seen more than twice
-    order = np.argsort(inverse, kind="stable")
-    first = np.cumsum(counts) - counts
-    third = int(order[first[counts > 2] + 2].min())
+    faces = np.sort(tets[:, _LOCAL_FACES], axis=2).reshape(-1, 3)
+    keys = _face_keys(faces, n)
+    by_face = np.argsort(keys, kind="stable")
+    keys = keys[by_face]
+    # by_face[i + 2] with keys[i] == keys[i + 2] sees its face a third time or later
+    third = int(by_face[2:][keys[2:] == keys[:-2]].min())
     key = tuple(int(i) for i in faces[third])
     raise MeshError(f"face {key} shared by more than two elements (element {third // 4})")
+
+
+def _face_keys(faces, n):
+    """One int64 per sorted node triple of faces (..., 3), equal where the
+    triples are: the triple in base n, or past 2**21 nodes, where that
+    overflows, the rank of the triple among the distinct ones."""
+    if n ** 3 < 2 ** 63:
+        return ((faces[..., 0] * n + faces[..., 1]) * n + faces[..., 2]).ravel()
+    return np.unique(faces.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(-1)
 
 
 DISSECTION_LEAF = 32
 
 
 def _nested_dissection(nodes, indptr, indices):
-    """The order of Mesh.dissection_order, one level of all subdomains at
-    a time.  A subdomain holds a contiguous range of positions from its
-    start: the lower half takes the beginning, the upper half the rest and
-    the separator the end."""
-    n = len(nodes)
-    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-    upper_triangle = rows < indices
-    rows, cols = rows[upper_triangle], indices[upper_triangle]  # the edges
-    order = np.empty(n, dtype=np.int64)
-    active = np.arange(n)                # the nodes without a position,
-    sub = np.zeros(n, dtype=np.int64)    # grouped by subdomain
-    start = np.zeros(1, dtype=np.int64)
-    label = np.empty(n, dtype=np.int64)
-    while active.size:
-        count = np.bincount(sub, minlength=len(start))
-        first = np.cumsum(count) - count
-        pts = nodes[active]
-        extent = np.maximum.reduceat(pts, first) - np.minimum.reduceat(pts, first)
-        axes = np.argsort(-extent, axis=1, kind="stable")  # longest first
+    """The order of Mesh.dissection_order, by the recursion it states: a
+    subdomain is its node ids, ascending, and the two ends of its edges."""
+    xyz = np.ascontiguousarray(nodes.T)
+    side = np.empty(len(nodes), dtype=np.int8)  # 0 lower, 1 upper half, 2 separator
+    order = [np.empty(0, dtype=np.int64)]
+
+    def dissect(ids, head, tail):
+        pts = xyz.take(ids, axis=1)  # take: faster than fancy indexing
+        low = pts.min(axis=1)
+        extent = pts.max(axis=1) - low
+        axes = np.argsort(-extent, kind="stable")  # longest first
         # a leaf, or a subdomain whose nodes all coincide, is not split
-        leaf_sub = (count <= DISSECTION_LEAF) | (extent.max(axis=1) == 0)
-        leaf = leaf_sub[sub]
-        coord = pts[np.arange(len(active)), axes[sub, 0]]
-        median = coord[np.lexsort((coord, sub))[first + (count - 1) // 2]][sub]
-        upper = coord >= median
+        if len(ids) <= DISSECTION_LEAF or extent.max() == 0:
+            order.append(ids[np.lexsort(pts[axes[::-1]])])  # the last key sorts first
+            return
+        coord = pts[axes[0]]
+        median = np.partition(coord, (len(ids) - 1) // 2)[(len(ids) - 1) // 2]
         # where the median is the minimum, the lower half takes its ties
-        upper &= (np.bincount(sub, ~upper, len(start)) > 0)[sub] | (coord > median)
-        # the half of a node: 2 * subdomain, plus 1 in the upper half; -1 in a leaf
-        label[active] = np.where(leaf, -1, 2 * sub + upper)
-        # the separator: upper nodes with an edge to the lower half
-        head, tail = label[rows], label[cols]
-        step = head - tail
-        in_sep = np.zeros(n, dtype=bool)
-        in_sep[rows[(step == 1) & (head & 1 == 1)]] = True
-        in_sep[cols[(step == -1) & (tail & 1 == 1)]] = True
-        sep = in_sep[active]
-        n_sep = np.bincount(sub, sep, len(start)).astype(np.int64)
-        done = leaf | sep
-        _place(order, active[done], sub[done], np.where(leaf_sub, start, start + count - n_sep),
-               pts[done], axes)
-        # the halves become the subdomains of the next level
-        keep = (step == 0) & (head >= 0)
-        keep &= ~(in_sep[rows] | in_sep[cols])
-        rows, cols = rows[keep], cols[keep]
-        n_lower = np.bincount(sub, ~upper, len(start)).astype(np.int64)
-        child = np.column_stack([start, start + n_lower]).ravel()
-        active, sub = active[~done], (2 * sub + upper)[~done]
-        by_sub = np.argsort(sub, kind="stable")
-        active, sub = active[by_sub], sub[by_sub]
-        present = np.bincount(sub, minlength=len(child)) > 0
-        start = child[present]
-        sub = (np.cumsum(present) - 1)[sub]
-    return order
+        side[ids] = coord > median if median == low[axes[0]] else coord >= median
+        # the separator: upper nodes with an edge into the lower half
+        up_head, up_tail = side.take(head) == 1, side.take(tail) == 1
+        side[head[up_head & ~up_tail]] = 2
+        side[tail[up_tail & ~up_head]] = 2
+        part, part_head, part_tail = side.take(ids), side.take(head), side.take(tail)
+        for half in (0, 1):  # the lower half, the upper half, then the separator
+            if (part == half).any():
+                inner = (part_head == half) & (part_tail == half)
+                dissect(ids[part == half], head[inner], tail[inner])
+        sep = part == 2
+        order.append(ids[sep][np.lexsort(pts[axes[::-1]][:, sep])])
 
-
-def _place(order, nodes, group, first, pts, axes):
-    """order[first[g] + r] = the r-th node of group g in the lexicographic
-    order of its coordinates pts along the axes[g] of its subdomain."""
-    coords = pts[np.arange(len(pts))[:, None], axes[group]]
-    by_coords = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0], group))
-    group = group[by_coords]
-    rank = np.arange(len(group)) - np.searchsorted(group, group)
-    order[first[group] + rank] = nodes[by_coords]
+    if len(nodes):
+        rows = np.repeat(np.arange(len(nodes), dtype=indices.dtype), np.diff(indptr))
+        upper = rows < indices
+        dissect(np.arange(len(nodes)), rows[upper], indices[upper])
+    return np.concatenate(order)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@ import json
 import math
 import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -232,8 +235,11 @@ EXIT_CODE_ROWS = [
     *[(("T", "field.m0", "frame.tn"),
        (0.03, {"kind": "constant", "value": [delta, 0, -1]}, "t3-"), 0, "")
       for delta in (1.5e-8, 2e-8, 5e-8, 1e-7, 2e-9, 5e-9, 9e-9)],
-    # a box whose element volume overflows is named as such
+    # a box whose element volume overflows is named as such, and so is a
+    # mesh file whose element volume overflows (MESH_FILES)
     ("mesh.bounds", [[0, 1e200]] * 3, 2, "element volume overflows"),
+    ("mesh", {"kind": "file", "path": "overflowing_volume.json"}, 2,
+     "element 0 volume overflows"),
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))
@@ -245,6 +251,11 @@ MESH_FILES = {
     "object_nodes.json": json.dumps({"nodes": {"x": 0}, "tets": []}),
     "long_box.json": save_mesh(generate_structured_cube([[0, 1e4], [0, 1], [0, 1]],
                                                         (2, 2, 2))).decode(),
+    # one tet with its nodes at +-1e308 on every axis: its edges overflow
+    "overflowing_volume.json": json.dumps({
+        "nodes": [[-1e308, -1e308, -1e308], [1e308, -1e308, -1e308],
+                  [-1e308, 1e308, -1e308], [-1e308, -1e308, 1e308]],
+        "tets": [[0, 1, 2, 3]]}),
 }
 
 
@@ -312,6 +323,47 @@ def test_bad_mesh_file_in_a_later_sweep_point_exits_before_point_0(tmp_path, cap
     assert err.startswith("config error: mesh.path") and err.count("\n") == 1
     assert "mesh JSON parse error" in err
     assert not out.exists()
+
+
+def test_output_directory_below_a_file_is_config_error(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    doc = academic_sweep_doc(n_levels=(2,), preconds=("stationary",))
+    out = tmp_path / "afile" / "sub"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Not a directory" in err
+
+
+def _limit_address_space():
+    limit = 2 * 2**30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_sweep_point_out_of_memory_exits_3_and_the_next_point_runs(tmp_path):
+    """The node grid of a cube of n = 1000 takes 8 GiB per coordinate: with
+    the address space of the run (a child process) limited to 2 GiB its
+    point fails with one line, the next point still runs, and the run
+    exits 3.  The limit is set before the child starts; without it the
+    child would not run."""
+    doc = json.loads((REPO / "configs" / "academic_lite.json").read_text())
+    doc["T"] = doc["k"]
+    doc["sweep"] = {"mesh": [{"kind": "cube", "n": [1000, 1000, 1000]},
+                             {"kind": "cube", "n": [2, 2, 2]}]}
+    out = tmp_path / "out"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "tangent_plane_llg.cli", "run",
+                           write_config(tmp_path, doc), "--out", str(out)],
+                          env=env, preexec_fn=_limit_address_space, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("out of memory on sweep point 0 (stationary): ")
+    assert proc.stderr.count("\n") == 1
+    _, rows = read_summary(out)
+    assert len(rows) == 1 and rows[0]["steps"] == "1"
+    assert sorted(p for p in os.listdir(out) if p.startswith("steps_")) == [
+        "steps_001_stationary_ap1_t3m.csv"]
 
 
 def test_build_mesh_once_per_point(tmp_path, monkeypatch):

@@ -3,13 +3,15 @@ the factorizations that use them.
 
 The nested-dissection order is checked against its definition at the top
 level (the halves split at the median of the longest axis, the separator,
-no edge between the halves), and its SuperLU factor fill against scipy's
+no edge between the halves), pinned at every level by digests of the
+whole order on a few meshes, and its SuperLU factor fill against scipy's
 default (COLAMD) splu; the reverse Cuthill-McKee order against its band
 width.  The factored solves, banded Cholesky and SuperLU, are checked
 against scipy's spsolve.  The tests of the SuperLU path set BAND_BYTES to 0,
 so that no matrix takes the band path.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -37,11 +39,16 @@ def thin_film():
 
 
 @pytest.fixture(scope="module")
-def meshes(shuffled_cube):
-    # the boxes of N = 360 and 364 on both sides of the dense-inverse cap
+def meshes(shuffled_cube, perturbed_cube):
+    # the boxes of N = 360 and 364 on both sides of the dense-inverse cap;
+    # the tie box has x and y of equal extent and its grid coordinates tie
+    # at every median
     return {"cube6": generate_structured_cube(UNIT_BOUNDS, (6, 6, 6)),
             "cube8": generate_structured_cube(UNIT_BOUNDS, (8, 8, 8)),
-            "shuffled_cube": shuffled_cube, "thin_film": thin_film(),
+            "cube12": generate_structured_cube(UNIT_BOUNDS, (12, 12, 12)),
+            "shuffled_cube": shuffled_cube, "perturbed_cube": perturbed_cube,
+            "thin_film": thin_film(),
+            "tie_box": generate_structured_cube([[0, 2], [0, 2], [0, 1]], (5, 5, 8)),
             "cap_box": generate_structured_cube(UNIT_BOUNDS, (7, 8, 4)),
             "above_cap_box": generate_structured_cube(UNIT_BOUNDS, (3, 6, 12))}
 
@@ -123,6 +130,25 @@ def test_top_level_separator_splits_the_halves(meshes, name):
     rows = np.repeat(np.arange(mesh.N), np.diff(indptr))
     assert not (lower[rows] & upper[indices]).any()
     assert not (upper[rows] & lower[indices]).any()
+
+
+# sha256 of dissection_order() as little-endian int64: the whole order, so
+# every level of the recursion, every separator and every leaf is pinned
+DISSECTION_DIGESTS = {
+    "cube6": "603edc31466ede9fd47ea4081502bd3fbdeaeff51b2f9759b7f64c3925f026c8",
+    "cube12": "00e89f283d5d880b4be3f2e3dc824bce4109a34708f9e037c3ef39120e4d862c",
+    "thin_film": "03c1573b7e3447c6467a5aeaa03ebc6529d0e64f16cb6b6fb01b6d544deb33ef",
+    "shuffled_cube": "29fde5b5e3d68f5d224c9cc6cd26d535f75b3f4ed23319dc68780fdc6980aae0",
+    "perturbed_cube": "e36c7f38c429d60ea858015ee56c5235a3bcc6e1c957514aeba303ab1e7b4dae",
+    "tie_box": "bb07af69e06392107f1f7ce2700c764ad19549d1cd46f66d3080e3243cb4aa5e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISSECTION_DIGESTS))
+def test_dissection_order_is_pinned(meshes, name):
+    order = meshes[name].dissection_order()
+    digest = hashlib.sha256(order.astype("<i8").tobytes()).hexdigest()
+    assert digest == DISSECTION_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ["cube6", "shuffled_cube", "thin_film", "cap_box",
