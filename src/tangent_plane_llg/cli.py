@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import __version__
 from .diagnostics import (CheckReport, check_bounded_ratio, check_inverse_bounds,
                           check_mapping_identities, energy_norm)
 from .mesh import MeshError, generate_structured_cube, load_mesh, mesh_quality
-from .precond import PRECONDITIONER_KINDS
+from .precond import PRECONDITIONER_KINDS, PreconditionerError
 from .scheme import (TN_MODES, ConfigError, SimulationConfig, SolverFailure,
                      _fmt, check_spiral_phase, config_schema, run_simulation)
 from .tangent import FRAME_STRATEGIES, build_frame, select_tn_adaptive
@@ -116,33 +117,55 @@ def run_experiment(config_path, out_dir=None, overrides=None):
             base = f"steps_{idx:03d}_{pkind}_ap{alpha_p:g}_{tn.replace('+', 'p').replace('-', 'm')}"
             cfg.output["dir"] = out_dir
             cfg.output["basename"] = base
-            started = time.perf_counter()
-            try:
-                mesh = cfg.build_mesh()
-                h = mesh_quality(mesh).h
-                result = run_simulation(cfg, mesh=mesh)
-            except SolverFailure as exc:
-                print(f"solver failure on sweep point {idx} ({pkind}): {exc}",
-                      file=sys.stderr)
-                code = 3
-                continue
-            except MemoryError as exc:
-                print(f"out of memory on sweep point {idx} ({pkind}): {exc}", file=sys.stderr)
-                code = 3
-                continue
-            except (ConfigError, MeshError, OSError) as exc:
-                print(f"config error on sweep point {idx}: {exc}", file=sys.stderr)
+            point_code, row = _run_point(idx, cfg)
+            if point_code == 2:
                 return 2
-            wall = time.perf_counter() - started
+            code = max(code, point_code)
+            if row is None:
+                continue
             summary.write(",".join([
-                _fmt(h), _fmt(cfg.k), pkind, _fmt(cfg.alpha), _fmt(alpha_p), tn,
-                _fmt(result.average_iterations()), str(result.max_iterations()),
-                str(len(result.records)), _fmt(wall),
+                _fmt(row.h), _fmt(cfg.k), pkind, _fmt(cfg.alpha), _fmt(alpha_p), tn,
+                _fmt(row.avg_iterations), str(row.max_iterations), str(row.steps),
+                _fmt(row.wall_time_s),
             ]) + "\n")
             summary.flush()
             print(f"[{idx + 1}/{len(configs)}] {pkind:12s} alpha_p={alpha_p:<8g} "
-                  f"tn={tn:8s} h={h:.4g} avg_it={result.average_iterations():.1f}")
+                  f"tn={tn:8s} h={row.h:.4g} avg_it={row.avg_iterations:.1f}")
     return code
+
+
+# what the summary row and the progress line of a finished sweep point need
+PointRow = namedtuple("PointRow", "h avg_iterations max_iterations steps wall_time_s")
+
+
+def _run_point(idx, cfg):
+    """Run sweep point idx; returns (exit code, its PointRow or None).
+
+    The point's mesh, set-up and result live only in this call, so none of
+    them is reachable when the next point builds its mesh: a sweep holds one
+    point at a time, and the one-entry cube memo frees the last mesh with
+    its caches.  A numerical failure (a SolverFailure in a step, or a
+    PreconditionerError at set-up) and a MemoryError print one line and
+    give 3; a config error found only now gives 2.
+    """
+    pkind = cfg.precond["kind"]
+    started = time.perf_counter()
+    try:
+        mesh = cfg.build_mesh()
+        h = mesh_quality(mesh).h
+        result = run_simulation(cfg, mesh=mesh)
+    except (SolverFailure, PreconditionerError) as exc:
+        print(f"solver failure on sweep point {idx} ({pkind}): {exc}", file=sys.stderr)
+        return 3, None
+    except MemoryError as exc:
+        print(f"out of memory on sweep point {idx} ({pkind}): {exc}", file=sys.stderr)
+        return 3, None
+    except (ConfigError, MeshError, OSError) as exc:
+        print(f"config error on sweep point {idx}: {exc}", file=sys.stderr)
+        return 2, None
+    wall = time.perf_counter() - started
+    return 0, PointRow(h, result.average_iterations(), result.max_iterations(),
+                       len(result.records), wall)
 
 
 def _check_mesh_file(path):

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -6,13 +7,17 @@ import pathlib
 import resource
 import subprocess
 import sys
+import weakref
 
+import numpy as np
 import pytest
 
+import tangent_plane_llg.cli as cli
+import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg import generate_structured_cube, save_mesh
 from tangent_plane_llg.cli import (_apply_overrides, _point_config, _sweep_points,
                                    main, print_config_schema, run_checks)
-from tangent_plane_llg.scheme import SimulationConfig
+from tangent_plane_llg.scheme import SimulationConfig, run_simulation
 
 from conftest import UNIT_BOUNDS
 
@@ -141,20 +146,46 @@ def test_cli_overrides(tmp_path):
     assert float(rows[0]["alpha_p"]) == 2.0
 
 
+def rows_at(lines, start, count):
+    """count lines from start, as rows of numbers."""
+    return np.array([[float(v) for v in line.split()] for line in lines[start:start + count]])
+
+
 def test_vtk_snapshot_output(tmp_path):
+    """Two steps on the 27-node cube, each leaving a VTK snapshot and a
+    residual CSV: the snapshot holds the mesh and the field of the run, and
+    the CSV the residual history of the step's solve."""
     doc = academic_sweep_doc(n_levels=(2,), preconds=("stationary",))
     doc["output"] = {"snapshot_every": 1, "residual_csv": True}
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
-    vtks = sorted(p for p in os.listdir(out) if p.endswith(".vtk"))
-    assert len(vtks) == 2  # one per step
-    text = (out / vtks[0]).read_text().splitlines()
-    assert text[0].startswith("# vtk DataFile")
-    assert "ASCII" in text[2]
-    assert any(l.startswith("POINT_DATA 27") for l in text)
-    assert any(l.startswith("VECTORS m double") for l in text)
-    residuals = [p for p in os.listdir(out) if "residuals" in p]
-    assert len(residuals) == 2
+    # the same point, run again in process, without output
+    result = run_simulation(SimulationConfig.from_dict(doc), keep_states=True)
+    mesh = result.mesh
+    base = "steps_000_stationary_ap1_t3m"
+    for step, state in enumerate(result.states[1:]):
+        lines = (out / f"{base}_m_{step + 1:06d}.vtk").read_text().splitlines()
+        assert lines[:4] == ["# vtk DataFile Version 3.0", "magnetization snapshot",
+                             "ASCII", "DATASET UNSTRUCTURED_GRID"]
+        at = {line.split()[0]: i for i, line in enumerate(lines) if line[:1].isalpha()}
+        assert lines[at["POINTS"]] == f"POINTS {mesh.N} double"
+        assert lines[at["CELLS"]] == f"CELLS {mesh.elem_count} {5 * mesh.elem_count}"
+        assert lines[at["CELL_TYPES"]] == f"CELL_TYPES {mesh.elem_count}"
+        assert lines[at["POINT_DATA"]:at["POINT_DATA"] + 2] == [f"POINT_DATA {mesh.N}",
+                                                                 "VECTORS m double"]
+        assert len(lines) == at["POINT_DATA"] + 2 + mesh.N
+        assert np.array_equal(rows_at(lines, at["POINTS"] + 1, mesh.N), mesh.nodes)
+        assert np.array_equal(rows_at(lines, at["CELLS"] + 1, mesh.elem_count),
+                              np.column_stack([np.full(mesh.elem_count, 4), mesh.tets]))
+        assert np.array_equal(rows_at(lines, at["POINT_DATA"] + 2, mesh.N), state.m_n)
+
+        rows = (out / f"{base}_residuals_step{step:06d}.csv").read_text().splitlines()
+        history = result.step_stats[step].residual_history
+        assert rows[0] == "iteration,residual" and len(rows) == len(history) + 1
+        for i, (row, residual) in enumerate(zip(rows[1:], history)):
+            assert row.split(",") == [str(i), repr(float(residual))]
+    assert sorted(p for p in os.listdir(out) if p.endswith(".vtk")) == [
+        f"{base}_m_000001.vtk", f"{base}_m_000002.vtk"]
 
 
 def test_check_subcommand_passes(capsys):
@@ -364,6 +395,46 @@ def test_sweep_point_out_of_memory_exits_3_and_the_next_point_runs(tmp_path):
     assert len(rows) == 1 and rows[0]["steps"] == "1"
     assert sorted(p for p in os.listdir(out) if p.startswith("steps_")) == [
         "steps_001_stationary_ap1_t3m.csv"]
+
+
+def test_precondition_failure_at_set_up_exits_3_and_the_next_point_runs(tmp_path, monkeypatch,
+                                                                         capsys):
+    """A factorization that fails while point 0 sets up (before its first
+    step) ends that point with one line; the jacobi point after it, which
+    factors nothing, still runs."""
+    def failing(lower, order, what):
+        raise precond_mod.PreconditionerError(f"{what} factorization failed (SPD lost?)")
+
+    monkeypatch.setattr(precond_mod, "DENSE_INVERSE_BYTES", 0)
+    monkeypatch.setattr(precond_mod, "_factor_spd", failing)
+    doc = academic_sweep_doc(n_levels=(2,), preconds=("practical", "jacobi"))
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("solver failure on sweep point 0 (practical): "
+                   "scalar operator factorization failed (SPD lost?)\n")
+    _, rows = read_summary(out)
+    assert [row["precond"] for row in rows] == ["jacobi"]
+    assert sorted(p for p in os.listdir(out) if p.startswith("steps_")) == [
+        "steps_001_jacobi_ap1_t3m.csv"]
+
+
+def test_a_point_releases_its_mesh_before_the_next_point_runs(tmp_path, monkeypatch):
+    """Nothing of a finished point (its mesh, the caches on it, its result)
+    is reachable once the next point has built its mesh."""
+    refs, alive = [], []
+    run_simulation = cli.run_simulation
+
+    def tracking(cfg, mesh=None, **kwargs):
+        gc.collect()
+        alive.append([ref() is not None for ref in refs])
+        refs.append(weakref.ref(mesh))
+        return run_simulation(cfg, mesh=mesh, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", tracking)
+    doc = academic_sweep_doc(n_levels=(2, 3), preconds=("practical",))
+    assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+    assert alive == [[], [False]]
 
 
 def test_build_mesh_once_per_point(tmp_path, monkeypatch):

@@ -269,6 +269,48 @@ def test_theoretical_with_stale_frame_still_solves(setup, rng):
     assert np.linalg.norm(x_stale - x_fresh) <= 1e-9 * np.linalg.norm(x_fresh)
 
 
+def test_theoretical_step_operator_tends_to_a_shifted_skew_operator(setup):
+    """As beta_k -> 0, P^{-1} R tends to (alpha/alpha_P) I + G^{-1} C / alpha_P
+    for R = alpha G + beta_k Q^T (L (x) I_3) Q + C the tps1 step matrix, P
+    the theoretical preconditioner of the run's source, G = Q^T (M (x) I_3) Q
+    and C the skew cross part.  G^{-1} C is skew-adjoint in the G inner
+    product, so the preconditioned spectrum tends to the line Re = alpha /
+    alpha_P, with imaginary parts of order 1/alpha_P.  Checked densely on
+    the 27-node cube: the distance to the limit falls linearly in beta_k."""
+    from tangent_plane_llg import build_system
+    from tangent_plane_llg.gmres import ReducedOperator
+    mesh, mass, stiffness, m, frame = setup
+    alpha = 0.5
+
+    def step_matrix(beta_k):
+        system = build_system(mesh, m, alpha, beta_k, None, np.zeros((mesh.N, 3)), 1.0,
+                              mass, stiffness)
+        return ReducedOperator(system, frame).matrix.toarray()
+
+    q = frame.as_sparse()
+    gram = (q.T @ kron3(mass) @ q).toarray()
+    cross = step_matrix(0.0) - alpha * gram
+    assert np.abs(cross + cross.T).max() <= 1e-14 * np.abs(cross).max()
+    skew_part = np.linalg.solve(gram, cross)
+    identity = np.eye(2 * mesh.N)
+    spread = {}
+    for alpha_p in (1.0, 4.0):
+        limit = (alpha / alpha_p) * identity + skew_part / alpha_p
+        distance = {}
+        for beta_k in (1e-4, 1e-6):
+            pc = PreconditionerSource(mesh, mass, stiffness, beta_k, "theoretical",
+                                      alpha_p).for_step(frame, 0)
+            operator = np.column_stack([pc.apply(col) for col in step_matrix(beta_k).T])
+            distance[beta_k] = np.abs(operator - limit).max()
+        assert 50.0 <= distance[1e-4] / distance[1e-6] <= 200.0
+        assert distance[1e-6] <= 1e-3 * np.abs(limit).max()
+        eigenvalues = np.linalg.eigvals(operator)
+        assert np.abs(eigenvalues.real - alpha / alpha_p).max() <= 1e-3 * alpha / alpha_p
+        spread[alpha_p] = np.abs(eigenvalues.imag).max()
+    assert spread[1.0] > 0.1
+    assert spread[4.0] == pytest.approx(spread[1.0] / 4.0, rel=1e-3)
+
+
 def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
     """One PreconditionerSource per kind over five steps, a new field each
     step: the static kinds hand out one object, practical a new one per
