@@ -158,8 +158,8 @@ def block_matrix(indptr, indices, scalar, moments):
 
 @dataclass
 class AssembledSystem:
-    """Per-step linear system data for the tangent plane scheme, on the mesh
-    pattern (indptr, indices).
+    """Per-step linear system data for the tangent plane scheme, on the
+    pattern of the mesh (Mesh.adjacency).
 
     The 3N system matrix A has the 3x3 blocks s_ij I_3 - S_ij: s is the
     scalar part alpha M_k + beta_k L, with M_k the weighted mass and L the
@@ -169,8 +169,7 @@ class AssembledSystem:
     first use of matrix, apply() or dense_matrix(): by checks and oracles.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    mesh: object
     scalar: np.ndarray   # (nnz,)
     moments: np.ndarray  # (3, nnz)
     rhs: np.ndarray      # (3N,)
@@ -178,7 +177,8 @@ class AssembledSystem:
     @cached_property
     def matrix(self):
         """The 3N x 3N system matrix as BSR, built on first use."""
-        return block_matrix(self.indptr, self.indices, self.scalar, self.moments)
+        indptr, indices, _ = self.mesh.adjacency()
+        return block_matrix(indptr, indices, self.scalar, self.moments)
 
     def apply(self, v):
         """y = (alpha M_k + beta_k L - S) v on stacked 3N vectors."""
@@ -197,10 +197,8 @@ def build_system(mesh, m, alpha, beta_k, weights, lh, ell_ex2, mass, stiffness):
     plain mass matrix, and nothing is assembled for it.
     """
     weighted_mass = mass if weights is None else assemble_weighted_mass(mesh, weights)
-    indptr, indices, _ = mesh.adjacency()
     return AssembledSystem(
-        indptr=indptr,
-        indices=indices,
+        mesh=mesh,
         scalar=float(alpha) * weighted_mass.data + float(beta_k) * stiffness.data,
         moments=assemble_cross(mesh, m),
         rhs=assemble_rhs(mesh, m, lh, ell_ex2, mass, stiffness),

@@ -158,28 +158,42 @@ class Mesh:
         return indptr, indices, slot
 
     @once_per_mesh
+    def pair_slots(self):
+        """The two slots of every node pair {i, j} that shares an element.
+
+        Returns slots of shape (2, P): slots[0, p] is the slot of adjacency()
+        of the pair's (i, j) with i <= j, and slots[1, p] that of (j, i), the
+        same slot for i = j; the pairs are numbered in the order of their
+        slots[0].  Computed once and read-only.
+        """
+        indptr, indices, _ = self.adjacency()
+        n = self.N
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        cols = indices.astype(np.int64)
+        upper = np.flatnonzero(rows <= cols)
+        transpose = np.searchsorted(rows * n + cols, cols[upper] * n + rows[upper])
+        slots = np.stack([upper, transpose]).astype(indptr.dtype)
+        slots.setflags(write=False)
+        return slots
+
+    @once_per_mesh
     def pair_incidence(self):
         """The node pairs {i, j} that share an element, and their elements.
 
         Returns (incidence, pairs, mirror): pairs (2, P) holds the node ids
-        i <= j of each pair, in the order of the slots of adjacency() with
-        i <= j; incidence is the P x M CSR matrix with a one where pair p
-        belongs to element e, columns in element order, so incidence @ x
-        sums x over the elements of every pair in element order; mirror[s]
-        is the pair of slot s, the same for the slots (i, j) and (j, i).
-        Computed once and read-only.
+        i <= j of each pair, numbered as in pair_slots(); incidence is the
+        P x M CSR matrix with a one where pair p belongs to element e,
+        columns in element order, so incidence @ x sums x over the elements
+        of every pair in element order; mirror[s] is the pair of slot s, the
+        same for the slots (i, j) and (j, i).  Computed once and read-only.
         """
         indptr, indices, slot = self.adjacency()
-        n = self.N
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        cols = indices.astype(np.int64)
-        # the slot (i, j) with i <= j of each slot, numbered in slot order
-        transpose = np.searchsorted(rows * n + cols, cols * n + rows)
-        is_upper = rows <= cols
-        upper = np.minimum(np.arange(len(cols)), transpose)
-        mirror = (np.cumsum(is_upper) - 1)[upper].astype(indptr.dtype)
-        pairs = np.stack([rows[is_upper], cols[is_upper]]).astype(indptr.dtype)
-        n_pairs = pairs.shape[1]
+        slots = self.pair_slots()
+        n_pairs = slots.shape[1]
+        rows = np.repeat(np.arange(self.N), np.diff(indptr))
+        pairs = np.stack([rows[slots[0]], indices[slots[0]]]).astype(indptr.dtype)
+        mirror = np.empty(len(indices), dtype=indptr.dtype)
+        mirror[slots] = np.arange(n_pairs)
         # the ten local pairs a <= b of every element, element by element
         a, b = np.triu_indices(4)
         pair = mirror[slot[:, a, b]].ravel()

@@ -17,8 +17,16 @@ diagonal as pivot; its solve permutes the right-hand side into that order
 and back.  The source picks the order from the mesh's cached band width:
 reverse Cuthill-McKee (Mesh.band_order) where the band fits, else nested
 dissection (Mesh.dissection_order), so that SuperLU fills only as that
-order predicts.  The 2N x 2N matrix is assembled on the 2x2 node blocks of
-the permuted K.  K of a small mesh is not factored but inverted, once and
+order predicts.  The 2N x 2N matrix is formed once per node pair of the
+mesh, its lower 2x2 block in that order only, straight into the CSR matrix
+_factor_spd reads (LowerBlocks, with tangent.reduce_pairs, the kernel of
+the reduced system matrix), on an index structure built at the first
+factorization and kept by the source; nothing of K is permuted or cut to
+its lower triangle per rebuild.  One BLAS thread, 2-core host, cube n = 16:
+forming the matrix took 1.9-2.0 ms against 3.1-3.6 ms slot by slot from
+tril of the permuted K and through BSR; the first build of a run, which
+also builds the structure, 5.5-6.3 ms.
+K of a small mesh is not factored but inverted, once and
 in node order (DENSE_INVERSE_BYTES): each of its solves is then one dense
 product.
 
@@ -28,12 +36,14 @@ once (at cube n = 16 each takes 43.5 MiB).  A caller that kept an earlier
 preconditioner keeps its factor, which is never refilled in place.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .tangent import apply_q, apply_qt, reduce_blocks
+from .tangent import apply_q, apply_qt, block_pattern, reduce_pairs
 
 PRECONDITIONER_KINDS = ("theoretical", "stationary", "practical", "jacobi", "none")
 
@@ -172,24 +182,60 @@ def build_none(n_nodes):
     return Preconditioner("none", n_nodes, lambda r: r.copy())
 
 
-def build_theoretical(frame, ordered, order):
+class LowerBlocks:
+    """The lower 2x2 blocks of Q^T (K (x) I_3) Q in an elimination order.
+
+    scalar holds K on the slots of mesh.adjacency(), order the elimination
+    order of the nodes (node order[i] is eliminated i-th), and the two
+    unknowns of node order[i] are eliminated at 2i, 2i + 1 (dofs).  Each
+    node pair of the mesh is one block of the lower triangle: (i, j) with i
+    eliminated after j, or i = j.  The index structure of that CSR matrix
+    and where each pair's block goes in it are built on the first call of
+    matrix(), not at construction, and kept.
+    """
+
+    def __init__(self, mesh, scalar, order):
+        self.mesh = mesh
+        self.scalar = scalar
+        self.order = order
+        self.dofs = (2 * order[:, None] + np.arange(2)).ravel()
+
+    @cached_property
+    def _pattern(self):
+        n = self.mesh.N
+        _, pairs, _ = self.mesh.pair_incidence()
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.order] = np.arange(n)
+        later = rank[pairs[0]] >= rank[pairs[1]]
+        pairs = np.where(later, pairs, pairs[::-1])  # (later, earlier) node
+        row, col = rank[pairs]
+        by_block = np.argsort(row * n + col)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
+        indptr2, indices2, at = block_pattern(indptr, col[by_block])
+        values = self.scalar.take(self.mesh.pair_slots()[0][by_block])
+        return pairs[:, by_block], values, at[None], indptr2, indices2
+
+    def matrix(self, frame):
+        """The lower blocks with frame, as 2N x 2N CSR in elimination order:
+        block (i, j) is K_ij Q_i^T Q_j, tangent.reduce_pairs without cross
+        moments."""
+        pairs, values, at, indptr, indices = self._pattern
+        data = reduce_pairs(frame.blocks, pairs, values, at, len(indices))
+        return sp.csr_array((data, indices, indptr), shape=(len(self.dofs),) * 2)
+
+
+def build_theoretical(frame, lower):
     """Inverse of the frame-congruent SPD matrix Q^T (K (x) I_3) Q.
 
     Block (i, j) of the 2N x 2N matrix is the 2x2 block K_ij Q_i^T Q_j on
-    the pattern of K: tangent.reduce_blocks of the scalar values K_ij with
-    no cross moments, the kernel that forms the reduced system matrix.  It
-    is assembled from the lower triangle of ordered = P^T K P (CSR, P the
-    permutation of order), so the 2x2 blocks of node order[i] sit at rows
-    2i, 2i+1, and factored by _factor_spd once per build.  K (x) I_3 has no
-    cross moments, so block (j, i) is the transpose of block (i, j) and
-    only the lower blocks are formed.
+    the pattern of K, the congruence of the reduced system matrix without
+    cross moments, so block (j, i) is the transpose of block (i, j) and only
+    the lower blocks in elimination order are formed (LowerBlocks), straight
+    into the CSR matrix that _factor_spd factors once per build.
     """
-    lower = sp.tril(ordered, format="csr")
-    inner = reduce_blocks(frame.blocks[order], lower.indptr, lower.indices, lower.data)
-    # order on the 2N unknowns: the two of node order[i] at 2i, 2i + 1
-    dofs = (2 * order[:, None] + np.arange(2)).ravel()
     return Preconditioner("theoretical", frame.n_nodes,
-                          _factor_spd(inner, dofs, "theoretical preconditioner"))
+                          _factor_spd(lower.matrix(frame), lower.dofs,
+                                      "theoretical preconditioner"))
 
 
 def build_stationary_2d(scalar_factor):
@@ -242,9 +288,9 @@ class PreconditionerSource:
     """The preconditioners of one run, all from K = alpha_p M + beta_k L.
 
     kind, alpha_p and rebuild_every are the options of the config's precond
-    section.  K is formed and checked here, once; theoretical permutes it
-    once into the mesh's elimination order, and stationary and practical
-    share its one ScalarFactorization.  The order is the mesh's reverse
+    section.  K is formed and checked here, once; theoretical keeps it with
+    the mesh's elimination order as LowerBlocks, and stationary and
+    practical share its one ScalarFactorization.  The order is the mesh's reverse
     Cuthill-McKee order when the band of the matrix to factor fits
     (band_fits), else its nested-dissection order, which is computed only
     then.  The frame-independent kinds are built here, practical on every
@@ -268,8 +314,8 @@ class PreconditionerSource:
         self._current = None
         # on the mesh pattern that M and L share, as the step's scalar part is
         indptr, indices, _ = mesh.adjacency()
-        scalar = sp.csr_array((alpha_p * mass.data + beta_k * stiffness.data, indices, indptr),
-                              shape=mass.shape)
+        values = alpha_p * mass.data + beta_k * stiffness.data
+        scalar = sp.csr_array((values, indices, indptr), shape=mass.shape)
         if kind == "none":
             self._current = build_none(mesh.N)
         elif kind == "jacobi":
@@ -283,8 +329,7 @@ class PreconditionerSource:
             if not fits:
                 order = mesh.dissection_order()
             if kind == "theoretical":
-                self._order = order
-                self._ordered = scalar[order][:, order]
+                self._lower = LowerBlocks(mesh, values, order)
             else:
                 self._factor = ScalarFactorization(scalar, order)
             if kind == "stationary":
@@ -298,6 +343,6 @@ class PreconditionerSource:
                                            or step % self.rebuild_every == 0):
             # drop the stale factor first, so that at most one is alive
             self._current = None
-            self._current = build_theoretical(frame, self._ordered, self._order)
+            self._current = build_theoretical(frame, self._lower)
             self.builds += 1
         return self._current

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import once_per_mesh
+
 _E = np.eye(3)
 
 # The six admissible axis involutions, keyed as in the CLI (--tn).
@@ -196,36 +198,86 @@ def build_frame(m, T=None, strategy="householder"):
     return TangentFrame(T=T, blocks=blocks, strategy=strategy)
 
 
-def reduce_blocks(q, indptr, indices, scalar, moments=None):
-    """The 2N x 2N congruence R = Q^T B Q of a 3x3-block matrix B, as CSR.
+def block_pattern(indptr, indices):
+    """The 2N x 2N CSR index structure with a 2x2 block at every slot of the
+    N x N pattern (indptr, indices), and where the entries of each block go.
 
-    B has the blocks B_ij = s_ij I_3 - sum_d c_ij,d E_d at the block
-    pattern (indptr, indices) of an N x N matrix, with s = scalar (nnz,)
-    and c = moments (3, nnz), or c = 0 when moments is None; q holds the
-    (N, 3, 2) frame blocks in the same node order.  Entry (a, b) of block
-    (i, j) is
-
-        q_ia . B_ij q_jb = s_ij (q_ia . q_jb) - c_ij . (q_ia x q_jb),
-
-    evaluated on (component, slot) arrays.  The 2x2 blocks keep the
-    pattern of B, explicit zeros included, and are converted to CSR.
+    Returns (indptr2, indices2, at): rows 2i and 2i + 1 hold the blocks of
+    the slots of row i in slot order, so entry (a, b) of the block of slot
+    s is entry first + a width + b of the data, (first, width) = at[:, s].
+    With sorted indices the structure is canonical CSR.
     """
-    n = len(indptr) - 1
-    frame = np.ascontiguousarray(q.transpose(2, 1, 0))  # frame[a, p]: component p of q_a
-    left = np.repeat(frame, np.diff(indptr), axis=2)    # q_ia over the slots
-    right = np.take(frame, indices, axis=2)             # q_jb over the slots
-    reduced = np.empty((len(indices), 2, 2))
+    indptr = indptr.astype(np.int64)
+    n, nnz = len(indptr) - 1, len(indices)
+    count = np.diff(indptr)
+    index = np.int32 if 4 * nnz < 2**31 else np.int64
+    # row 2i + a starts at 4 indptr[i] + 2 a count[i], and slot s of row i
+    # takes its columns 2 (s - indptr[i]) and 2 (s - indptr[i]) + 1
+    at = np.stack([2 * (np.repeat(indptr[:-1], count) + np.arange(nnz)),
+                   np.repeat(2 * count, count)]).astype(index)
+    indptr2 = np.empty(2 * n + 1, dtype=index)
+    indptr2[:-1:2] = 4 * indptr[:-1]
+    indptr2[1::2] = 4 * indptr[:-1] + 2 * count
+    indptr2[-1] = 4 * nnz
+    indices2 = np.empty(4 * nnz, dtype=index)
     for a in range(2):
-        x = left[a]
+        for b in range(2):
+            indices2[at[0] + a * at[1] + b] = 2 * indices + b
+    return indptr2, indices2, at
+
+
+def reduce_pairs(q, pairs, scalar, at, size, moments=None):
+    """The data of the congruence R = Q^T B Q, formed once per node pair.
+
+    B is a 3x3-block matrix with the blocks B_ij = s_ij I_3 - sum_d c_ij,d E_d
+    and B_ji = B_ij^T (s and c the same at (i, j) and (j, i)); q holds the
+    (N, 3, 2) frame blocks.  Pair p is the nodes (i, j) = pairs[:, p] with
+    s = scalar[p] and c = moments[:, p], or c = 0 when moments is None.  With
+
+        G_ab = s (q_ia . q_jb),   H_ab = c . (q_ia x q_jb),
+
+    block (i, j) of R is G - H and block (j, i) is (G + H)^T, bit for bit
+    the blocks evaluated on their own: q_jb . q_ia is the same products in
+    the same order, and q_jb x q_ia is exactly -(q_ia x q_jb).  With
+    (first, width) = at[0][:, p], entry (a, b) of block (i, j) goes to
+    data[first + a width + b]; with moments, entry (b, a) of block (j, i)
+    goes to data[first + b width + a], (first, width) = at[1][:, p].
+    Returns data, of size entries.
+    """
+    frame = np.ascontiguousarray(q.transpose(2, 1, 0))  # frame[a, p]: component p of q_a
+    right = np.take(frame, pairs[1], axis=2)            # q_jb over the pairs
+    data = np.empty(size)
+    for a in range(2):
+        x = np.take(frame[a], pairs[0], axis=1)         # q_ia over the pairs
         for b in range(2):
             y = right[b]
-            entry = scalar * (x[0] * y[0] + x[1] * y[1] + x[2] * y[2])
-            if moments is not None:
-                entry -= (moments[0] * (x[1] * y[2] - x[2] * y[1])
-                          + moments[1] * (x[2] * y[0] - x[0] * y[2])
-                          + moments[2] * (x[0] * y[1] - x[1] * y[0]))
-            reduced[:, a, b] = entry
-    return sp.bsr_array((reduced, indices, indptr), shape=(2 * n, 2 * n)).tocsr()
+            g = scalar * (x[0] * y[0] + x[1] * y[1] + x[2] * y[2])
+            if moments is None:
+                data[at[0, 0] + a * at[0, 1] + b] = g
+                continue
+            h = (moments[0] * (x[1] * y[2] - x[2] * y[1])
+                 + moments[1] * (x[2] * y[0] - x[0] * y[2])
+                 + moments[2] * (x[0] * y[1] - x[1] * y[0]))
+            data[at[0, 0] + a * at[0, 1] + b] = g - h
+            data[at[1, 0] + b * at[1, 1] + a] = g + h
+    return data
+
+
+@once_per_mesh
+def reduced_pattern(mesh):
+    """Where the reduced matrix R of a step on mesh lives: its 2N x 2N CSR
+    index structure, 2x2 blocks on the slots of mesh.adjacency(), and the
+    positions at of reduce_pairs for the pairs of mesh.pair_slots().
+
+    Returns (indptr, indices, at).  Computed once per mesh, on the first
+    step, and read-only: the R of every step shares indptr and indices.
+    """
+    indptr, indices, _ = mesh.adjacency()
+    indptr2, indices2, at = block_pattern(indptr, indices)
+    at = np.ascontiguousarray(at[:, mesh.pair_slots()].transpose(1, 0, 2))
+    for arr in (indptr2, indices2, at):
+        arr.setflags(write=False)
+    return indptr2, indices2, at
 
 
 def apply_q(frame, x):

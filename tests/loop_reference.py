@@ -11,6 +11,11 @@ assemble_cross_tensor integrates the cross form from the full 5-index
 element tensor of the cubic moments instead.  It sums in another order, so
 it checks the closed form to rounding, not bit for bit.
 
+reduce_blocks is the congruence R = Q^T B Q of a 3x3-block matrix
+evaluated slot by slot, both (i, j) and (j, i), and converted from BSR to
+CSR.  The library forms each node pair's two blocks at once, straight into
+CSR, and must reproduce its indptr, indices and data bit for bit.
+
 gmres_solve is the restarted GMRES whose Arnoldi step orthogonalizes one
 basis vector at a time (single-pass modified Gram-Schmidt, or one classical
 Gram-Schmidt pass).  The library's CGS2 sums in another order, so it is
@@ -20,6 +25,7 @@ compared to a tolerance and by iteration count, not bit for bit.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from tangent_plane_llg.gmres import SolverStats
 
@@ -200,6 +206,38 @@ def assemble_cross_tensor(mesh, m):
     indptr = np.searchsorted([i for i, _ in pairs], np.arange(mesh.N + 1))
     indices = np.array([j for _, j in pairs])
     return indptr, indices, np.array([summed[pair] for pair in pairs])
+
+
+def reduce_blocks(q, indptr, indices, scalar, moments=None):
+    """The 2N x 2N congruence R = Q^T B Q of a 3x3-block matrix B, as CSR.
+
+    B has the blocks B_ij = s_ij I_3 - sum_d c_ij,d E_d at the block
+    pattern (indptr, indices) of an N x N matrix, with s = scalar (nnz,)
+    and c = moments (3, nnz), or c = 0 when moments is None; q holds the
+    (N, 3, 2) frame blocks in the same node order.  Entry (a, b) of block
+    (i, j) is
+
+        q_ia . B_ij q_jb = s_ij (q_ia . q_jb) - c_ij . (q_ia x q_jb),
+
+    evaluated on (component, slot) arrays.  The 2x2 blocks keep the
+    pattern of B, explicit zeros included, and are converted to CSR.
+    """
+    n = len(indptr) - 1
+    frame = np.ascontiguousarray(q.transpose(2, 1, 0))  # frame[a, p]: component p of q_a
+    left = np.repeat(frame, np.diff(indptr), axis=2)    # q_ia over the slots
+    right = np.take(frame, indices, axis=2)             # q_jb over the slots
+    reduced = np.empty((len(indices), 2, 2))
+    for a in range(2):
+        x = left[a]
+        for b in range(2):
+            y = right[b]
+            entry = scalar * (x[0] * y[0] + x[1] * y[1] + x[2] * y[2])
+            if moments is not None:
+                entry -= (moments[0] * (x[1] * y[2] - x[2] * y[1])
+                          + moments[1] * (x[2] * y[0] - x[0] * y[2])
+                          + moments[2] * (x[0] * y[1] - x[1] * y[0]))
+            reduced[:, a, b] = entry
+    return sp.bsr_array((reduced, indices, indptr), shape=(2 * n, 2 * n)).tocsr()
 
 
 def mgs(basis, w):

@@ -26,7 +26,7 @@ from tangent_plane_llg.gmres import ReducedOperator
 from tangent_plane_llg.physics import applied_field_mumag4
 from tangent_plane_llg.scheme import SchemeCoefficients, lambda_field, lh_term
 
-from conftest import UNIT_BOUNDS, cross_form, random_unit_field, spd, spd_in_order
+from conftest import UNIT_BOUNDS, cross_form, lower_blocks, random_unit_field, spd
 
 MODULE_T0 = time.perf_counter()
 
@@ -165,7 +165,7 @@ def test_criterion_03_constant_field_identity(cube27):
         mu = np.tile(t[:, 2], (cube27.N, 1))
         frame = build_frame(mu, t)
         order = cube27.dissection_order()
-        theo = build_theoretical(frame, spd_in_order(mass, stiffness, 1.0, 0.1, order), order)
+        theo = build_theoretical(frame, lower_blocks(cube27, 1.0, 0.1, order))
         stat = build_stationary_2d(ScalarFactorization(spd(mass, stiffness, 1.0, 0.1), order))
         for i in range(2 * cube27.N):
             e = np.zeros(2 * cube27.N)

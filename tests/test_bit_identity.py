@@ -32,7 +32,7 @@ import tangent_plane_llg.scheme as scheme_mod
 from tangent_plane_llg.mesh import _check_conforming
 from tangent_plane_llg.tangent import FRAME_STRATEGIES, FrameError
 
-from conftest import UNIT_BOUNDS, cross_form, random_unit_field, spd_in_order
+from conftest import UNIT_BOUNDS, cross_form, lower_blocks, random_unit_field
 
 SIGNED_AXES = np.vstack([np.eye(3), -np.eye(3)])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -273,7 +273,7 @@ def test_shuffled_mesh_theoretical_blocks_match_kron(shuffled_cube, monkeypatch)
     for band_bytes in (precond_mod.BAND_BYTES, 0):
         monkeypatch.setattr(precond_mod, "BAND_BYTES", band_bytes)
         factored.clear()
-        build_theoretical(frame, spd_in_order(mass, stiffness, 1.0, 0.1, order), order)
+        build_theoretical(frame, lower_blocks(shuffled_cube, 1.0, 0.1, order))
         error = np.abs(factored[0].toarray() - expected_lower).max()
         assert error <= 1e-14 * np.abs(expected).max()
         rows, cols = factored[0].nonzero()

@@ -18,6 +18,7 @@ from tangent_plane_llg import generate_structured_cube, save_mesh
 from tangent_plane_llg.cli import (_apply_overrides, _point_config, _sweep_points,
                                    main, print_config_schema, run_checks)
 from tangent_plane_llg.scheme import SimulationConfig, run_simulation
+from tangent_plane_llg.tangent import reduced_pattern
 
 from conftest import UNIT_BOUNDS
 
@@ -420,21 +421,24 @@ def test_precondition_failure_at_set_up_exits_3_and_the_next_point_runs(tmp_path
 
 
 def test_a_point_releases_its_mesh_before_the_next_point_runs(tmp_path, monkeypatch):
-    """Nothing of a finished point (its mesh, the caches on it, its result)
-    is reachable once the next point has built its mesh."""
+    """Nothing of a finished point (its mesh, the caches on it, such as the
+    index structure its steps' reduced matrices shared, its result) is
+    reachable once the next point has built its mesh."""
     refs, alive = [], []
     run_simulation = cli.run_simulation
 
     def tracking(cfg, mesh=None, **kwargs):
         gc.collect()
         alive.append([ref() is not None for ref in refs])
-        refs.append(weakref.ref(mesh))
-        return run_simulation(cfg, mesh=mesh, **kwargs)
+        result = run_simulation(cfg, mesh=mesh, **kwargs)
+        indptr, indices, _ = reduced_pattern(mesh)  # cached on the mesh by its steps
+        refs.extend(weakref.ref(obj) for obj in (mesh, indptr, indices))
+        return result
 
     monkeypatch.setattr(cli, "run_simulation", tracking)
     doc = academic_sweep_doc(n_levels=(2, 3), preconds=("practical",))
     assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
-    assert alive == [[], [False]]
+    assert alive == [[], [False, False, False]]
 
 
 def test_build_mesh_once_per_point(tmp_path, monkeypatch):

@@ -28,7 +28,7 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, SimulationConfig, StepCo
 from tangent_plane_llg.cli import main
 from tangent_plane_llg.precond import PreconditionerError, ScalarFactorization
 
-from conftest import UNIT_BOUNDS, random_unit_field, spd, spd_in_order
+from conftest import UNIT_BOUNDS, lower_blocks, random_unit_field, spd, spd_in_order
 
 ALPHA_P, BETA_K = 1.0, 0.1
 
@@ -166,7 +166,7 @@ def test_scalar_solves_match_spsolve(meshes, name, rng):
 def test_theoretical_solves_match_spsolve(meshes, name, rng):
     mesh = meshes[name]
     frame = build_frame(random_unit_field(mesh.N, seed=51), FIXED_INVOLUTIONS["t1+"])
-    pc = build_theoretical(frame, ordered_k(mesh), mesh.dissection_order())
+    pc = build_theoretical(frame, lower_blocks(mesh, ALPHA_P, BETA_K, mesh.dissection_order()))
     for _ in range(3):
         r = rng.standard_normal(2 * mesh.N)
         expected = spla.spsolve(theoretical_matrix(mesh, frame), r)
@@ -202,8 +202,8 @@ def test_fill_below_colamd_on_cube16(monkeypatch):
     assert fill <= 0.7 * spla.splu(scalar_matrix(mesh).tocsc()).nnz
 
     frame = build_frame(random_unit_field(mesh.N, seed=52), FIXED_INVOLUTIONS["t3-"])
-    scalar = spd_in_order(mass, stiffness, ALPHA_P, BETA_K, order)
-    fill = factored_fill(monkeypatch, lambda: build_theoretical(frame, scalar, order))
+    lower = lower_blocks(mesh, ALPHA_P, BETA_K, order)
+    fill = factored_fill(monkeypatch, lambda: build_theoretical(frame, lower))
     inner = theoretical_matrix(mesh, frame)
     inner.eliminate_zeros()
     assert fill <= 0.7 * spla.splu(inner).nnz
@@ -311,7 +311,7 @@ def test_band_theoretical_solves_match_spsolve(meshes, name, rng, monkeypatch):
     monkeypatch.setattr(precond_mod, "splu", None)
     order = mesh.band_order()[0]
     frame = build_frame(random_unit_field(mesh.N, seed=54), FIXED_INVOLUTIONS["t1+"])
-    pc = build_theoretical(frame, ordered_k(mesh, order), order)
+    pc = build_theoretical(frame, lower_blocks(mesh, ALPHA_P, BETA_K, order))
     matrix = theoretical_matrix(mesh, frame)
     for _ in range(3):
         r = rng.standard_normal(2 * mesh.N)
@@ -333,8 +333,8 @@ def test_band_bytes_boundary(meshes, kind, monkeypatch):
     else:
         n, w = 2 * mesh.N, 2 * width + 1
         frame = build_frame(random_unit_field(mesh.N, seed=55), FIXED_INVOLUTIONS["t2+"])
-        ordered = ordered_k(mesh, order)
-        build = lambda: build_theoretical(frame, ordered, order)  # noqa: E731
+        lower = lower_blocks(mesh, ALPHA_P, BETA_K, order)
+        build = lambda: build_theoretical(frame, lower)  # noqa: E731
     factored = []
     splu = precond_mod.splu
     monkeypatch.setattr(precond_mod, "splu",
@@ -382,7 +382,7 @@ def test_band_factor_of_a_matrix_that_is_not_spd_names_the_lapack_info(meshes, m
         ScalarFactorization(negated, order)
     frame = build_frame(random_unit_field(mesh.N, seed=56), FIXED_INVOLUTIONS["t3-"])
     with pytest.raises(PreconditionerError, match="theoretical preconditioner .* LAPACK info 1$"):
-        build_theoretical(frame, negated[order][:, order], order)
+        build_theoretical(frame, lower_blocks(mesh, -ALPHA_P, -BETA_K, order))
 
 
 def test_run_whose_band_factor_fails_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

@@ -1,22 +1,25 @@
 """The reduced operator R = Q^T A Q, formed once per step as a CSR matrix.
 
 Oracles: the dense congruence of the 3N system matrix, the matrix-free
-product Q^T (A (Q x)) it replaces, the 2x2-block pattern of the mesh, and
-the theoretical preconditioner that shares its congruence helper.
+product Q^T (A (Q x)) it replaces, the 2x2-block pattern of the mesh, the
+slot-by-slot congruence of tests/loop_reference.py (bit for bit), and the
+theoretical preconditioner that shares its congruence kernel.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import loop_reference as ref
 from tangent_plane_llg import (FIXED_INVOLUTIONS, SimulationConfig, apply_q, apply_qt,
                                assemble_mass, assemble_stiffness, build_frame,
                                build_system, build_theoretical, fem,
-                               generate_structured_cube, precond, run_simulation)
+                               generate_structured_cube, gmres, load_mesh, precond,
+                               run_simulation, save_mesh, scheme)
 from tangent_plane_llg.gmres import ReducedOperator
-from tangent_plane_llg.tangent import FRAME_STRATEGIES
+from tangent_plane_llg.tangent import FRAME_STRATEGIES, reduced_pattern
 
-from conftest import UNIT_BOUNDS, random_unit_field, spd_in_order
+from conftest import UNIT_BOUNDS, lower_blocks, random_unit_field
 
 ALPHA, BETA_K = 0.5, 0.1
 
@@ -26,7 +29,13 @@ def cube3():
     return generate_structured_cube(UNIT_BOUNDS, (3, 3, 3))
 
 
-@pytest.fixture(params=["cube3", "shuffled_cube"])
+@pytest.fixture(scope="module")
+def file_mesh(perturbed_cube):
+    """The perturbed cube, elements of unequal volume, read back from JSON."""
+    return load_mesh(save_mesh(perturbed_cube))
+
+
+@pytest.fixture(params=["cube3", "shuffled_cube", "file_mesh"])
 def mesh(request):
     return request.getfixturevalue(request.param)
 
@@ -89,18 +98,72 @@ def test_a_run_never_builds_the_3n_matrix(monkeypatch):
         assert len(result.records) == 2 and all(s.converged for s in result.step_stats)
 
 
+@pytest.mark.parametrize("tps2", [False, True], ids=["tps1", "tps2"])
+@pytest.mark.parametrize("strategy", FRAME_STRATEGIES)
+def test_matrix_matches_the_slotwise_reference(mesh, strategy, tps2):
+    """R, formed once per node pair straight into CSR, is the slot-by-slot
+    congruence converted from BSR, bit for bit, and canonical CSR."""
+    op = step_operator(mesh, strategy, tps2)
+    s = op.system
+    indptr, indices, _ = mesh.adjacency()
+    expected = ref.reduce_blocks(op.frame.blocks, indptr, indices, s.scalar, s.moments)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op.matrix, name), getattr(expected, name)), name
+    assert op.matrix.has_canonical_format
+
+
+@pytest.mark.parametrize("ordering", ["band", "dissection"])
+@pytest.mark.parametrize("strategy", FRAME_STRATEGIES)
+def test_theoretical_lower_matrix_matches_the_slotwise_reference(mesh, strategy, ordering,
+                                                                 monkeypatch):
+    """The matrix build_theoretical hands to _factor_spd is the slot-by-slot
+    congruence of the lower triangle of P^T K P, bit for bit."""
+    factored = []
+    factor_spd = precond._factor_spd
+    monkeypatch.setattr(precond, "_factor_spd",
+                        lambda a, *args: factored.append(a) or factor_spd(a, *args))
+    order = mesh.band_order()[0] if ordering == "band" else mesh.dissection_order()
+    frame = build_frame(random_unit_field(mesh.N, seed=62), FIXED_INVOLUTIONS["t3+"], strategy)
+    build_theoretical(frame, lower_blocks(mesh, 1.0, BETA_K, order))
+    scalar = (assemble_mass(mesh) + BETA_K * assemble_stiffness(mesh)).tocsr()
+    lower = sp.tril(scalar[order][:, order], format="csr")
+    expected = ref.reduce_blocks(frame.blocks[order], lower.indptr, lower.indices, lower.data)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(factored[0], name), getattr(expected, name)), name
+    assert factored[0].has_canonical_format
+
+
+def test_every_step_shares_the_mesh_structure(monkeypatch):
+    """The R of every step is data on the mesh's one read-only index
+    structure; scipy keeps indptr itself and a full-length view of indices."""
+    ops = []
+    monkeypatch.setattr(scheme, "ReducedOperator",
+                        lambda *args: ops.append(ReducedOperator(*args)) or ops[-1])
+    cfg = SimulationConfig.from_dict({
+        "scheme": "tps2", "T": 0.03, "k": 0.01,
+        "mesh": {"kind": "cube", "bounds": UNIT_BOUNDS, "n": [2, 2, 2]},
+        "field": {"m0": {"kind": "spiral", "turns": 0.5}}})
+    result = run_simulation(cfg)
+    indptr, indices, _ = reduced_pattern(result.mesh)
+    assert len(ops) == 3
+    for op in ops:
+        assert op.matrix.indptr is indptr and op.matrix.indices.base is indices
+    assert not (indptr.flags.writeable or indices.flags.writeable)
+
+
 def test_theoretical_uses_the_shared_helper_and_inverts_the_dense_matrix(
         shuffled_cube, monkeypatch, rng):
     calls = []
-    reduce_blocks = precond.reduce_blocks
-    monkeypatch.setattr(precond, "reduce_blocks",
-                        lambda *args: calls.append(args) or reduce_blocks(*args))
+    reduce_pairs = precond.reduce_pairs
+    monkeypatch.setattr(precond, "reduce_pairs",
+                        lambda *args: calls.append(args) or reduce_pairs(*args))
+    assert gmres.reduce_pairs is reduce_pairs
     mesh = shuffled_cube
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
     m = random_unit_field(mesh.N, seed=61)
     frame = build_frame(m, FIXED_INVOLUTIONS["t1-"])
     order = mesh.dissection_order()
-    pc = build_theoretical(frame, spd_in_order(mass, stiffness, 1.0, BETA_K, order), order)
+    pc = build_theoretical(frame, lower_blocks(mesh, 1.0, BETA_K, order))
     assert len(calls) == 1
     q = frame.as_sparse()
     kron = sp.kron(mass + BETA_K * stiffness, sp.identity(3), format="csr")
