@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 # apply_q stays importable from this module: bench/instrument.py wraps it here
-from .tangent import apply_q, apply_qt, reduce_pairs, reduced_pattern
+from .tangent import apply_q, apply_qt, reduced_matrix
 
 
 class GmresError(RuntimeError):
@@ -41,18 +40,18 @@ class ReducedOperator:
 
     R is formed once, at construction, as a 2N x 2N CSR matrix on the mesh
     pattern with 2x2 blocks Q_i^T B_ij Q_j, B_ij the 3x3 blocks of the
-    system matrix A: tangent.reduce_pairs of the system's scalar values and
-    cross moments, read as they were assembled, evaluated once per node
+    system matrix A: tangent.reduced_matrix of the system's scalar values
+    and cross moments, read as they were assembled, evaluated once per node
     pair and written straight into the data of the mesh's CSR structure
     (tangent.reduced_pattern, built on the first step and shared by every
-    step's R), so the blocks of A are never expanded.  One BLAS thread,
-    2-core host: forming R took 0.22-0.34 / 4.0-5.9 / 9.1-11.8 ms at N =
-    252 / 4913 / 9261 (best of 7, three runs), against 0.26-0.43 / 9.7-10.9
-    / 14.9-19.5 ms slot by slot through BSR.  That is 5 to 7 matrix-free
-    applies Q^T (A (Q x)), and a product with R costs a quarter to a fifth
-    of one (9 to 15 against 36 to 58 us at N = 252, 0.42 to 0.47 against
-    1.9 to 2.0 ms at N = 9261), so R pays for itself within 6 to 10
-    iterations.  Steps of the bundled configs take 18 or more, the cube
+    step's R and the theoretical preconditioner), so the blocks of A are
+    never expanded.  One BLAS thread, 2-core host: forming R took 0.22-0.34
+    / 4.0-5.9 / 9.1-11.8 ms at N = 252 / 4913 / 9261 (best of 7, three
+    runs), against 0.26-0.43 / 9.7-10.9 / 14.9-19.5 ms slot by slot through
+    BSR.  That is 5 to 7 matrix-free applies Q^T (A (Q x)), and a product
+    with R costs a quarter to a fifth of one (9 to 15 against 36 to 58 us at
+    N = 252, 0.42 to 0.47 against 1.9 to 2.0 ms at N = 9261), so R pays for
+    itself within 6 to 10 iterations.  Steps of the bundled configs take 18 or more, the cube
     ones about 22, so there is no matrix-free route.
     """
 
@@ -61,12 +60,7 @@ class ReducedOperator:
 
     def __post_init__(self):
         s = self.system
-        indptr, indices, at = reduced_pattern(s.mesh)
-        _, pairs, _ = s.mesh.pair_incidence()
-        upper = s.mesh.pair_slots()[0]
-        data = reduce_pairs(self.frame.blocks, pairs, s.scalar.take(upper), at, len(indices),
-                            s.moments.take(upper, axis=1))
-        self.matrix = sp.csr_array((data, indices, indptr), shape=(self.n, self.n))
+        self.matrix = reduced_matrix(s.mesh, self.frame.blocks, s.scalar, s.moments)
 
     @property
     def n(self):

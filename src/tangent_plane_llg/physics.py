@@ -73,7 +73,7 @@ def mumag5_spin_velocity(gamma0=2.21e5, Ms=8.0e5, L=1e-9):
 class PiConfig:
     """Lower-order operator pi(m): zero, uniaxial anisotropy, or Zhang-Li."""
 
-    kind: str = "zero"
+    kind: str
     axis: tuple = (0.0, 0.0, 1.0)
     strength: float = 0.0
     u: tuple = (0.0, 0.0, 0.0)    # spin velocity (Zhang-Li)
@@ -96,13 +96,11 @@ def nodal_directional_derivative(mesh, m, u):
     mloc = m[mesh.tets]                                   # (M, 4, 3)
     grad_m = np.einsum("ead,eac->edc", grad, mloc)        # (M, 3, 3): d/dx_d of comp c
     elem_val = np.einsum("d,edc->ec", np.asarray(u, dtype=np.float64), grad_m)
-    num = np.zeros((mesh.N, 3))
-    den = np.zeros(mesh.N)
-    weighted = elem_val * vol[:, None]
-    for a in range(4):
-        np.add.at(num, mesh.tets[:, a], weighted)
-        np.add.at(den, mesh.tets[:, a], vol)
-    return num / den[:, None]
+    # summed over local vertex 0 of every element, then vertex 1, 2 and 3
+    nodes = mesh.tets.T.ravel()
+    weighted = np.tile(elem_val * vol[:, None], (4, 1))
+    num = np.stack([np.bincount(nodes, weighted[:, c], mesh.N) for c in range(3)], axis=1)
+    return num / np.bincount(nodes, np.tile(vol, 4), mesh.N)[:, None]
 
 
 def pi_apply(config, mesh, m):
@@ -134,7 +132,7 @@ def pi_bound_constant(config):
 class AppliedFieldConfig:
     """Applied field f: constant vector or the academic expression 10(sin x1, cos x1, 0)."""
 
-    kind: str = "constant"
+    kind: str
     value: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):

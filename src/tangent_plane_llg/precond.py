@@ -10,25 +10,20 @@ PreconditionerSource of a run forms K and decides what is built when.
 
 Both factored matrices are SPD, so elimination is stable in any symmetric
 order without pivoting.  One rule (_factor_spd) factors either: given the
-lower triangle of the matrix in an elimination order, it factors by
-LAPACK's banded Cholesky (dpbtrf, dpbtrs) while the lower band takes at
-most BAND_BYTES, and above by SuperLU in its symmetric mode with the
-diagonal as pivot; its solve permutes the right-hand side into that order
-and back.  The source picks the order from the mesh's cached band width:
-reverse Cuthill-McKee (Mesh.band_order) where the band fits, else nested
-dissection (Mesh.dissection_order), so that SuperLU fills only as that
-order predicts.  The 2N x 2N matrix is formed once per node pair of the
-mesh, its lower 2x2 block in that order only, straight into the CSR matrix
-_factor_spd reads (LowerBlocks, with tangent.reduce_pairs, the kernel of
-the reduced system matrix), on an index structure built at the first
-factorization and kept by the source; nothing of K is permuted or cut to
-its lower triangle per rebuild.  One BLAS thread, 2-core host, cube n = 16:
-forming the matrix took 1.9-2.0 ms against 3.1-3.6 ms slot by slot from
-tril of the permuted K and through BSR; the first build of a run, which
-also builds the structure, 5.5-6.3 ms.
-K of a small mesh is not factored but inverted, once and
-in node order (DENSE_INVERSE_BYTES): each of its solves is then one dense
-product.
+matrix in node order and an elimination order, it ranks the entries by that
+order, which no other code does, and reads the lower triangle of the
+permuted matrix; it factors by LAPACK's banded Cholesky (dpbtrf, dpbtrs)
+while the lower band takes at most BAND_BYTES, and above by SuperLU in its
+symmetric mode with the diagonal as pivot; its solve permutes the
+right-hand side into that order and back.  The source picks the order from
+the mesh's cached band width: reverse Cuthill-McKee (Mesh.band_order) where
+the band fits, else nested dissection (Mesh.dissection_order), so that
+SuperLU fills only as that order predicts.  The 2N x 2N matrix is the
+reduced system matrix without cross moments: tangent.reduced_matrix forms
+both, once per node pair of the mesh, on the one index structure of the
+mesh (tangent.reduced_pattern).  K of a small mesh is not factored but
+inverted, once and in node order (DENSE_INVERSE_BYTES): each of its solves
+is then one dense product.
 
 A run holds at most one theoretical factorization: the source lets go of
 the stale one before it factors the next, so the two are never alive at
@@ -36,14 +31,12 @@ once (at cube n = 16 each takes 43.5 MiB).  A caller that kept an earlier
 preconditioner keeps its factor, which is never refilled in place.
 """
 
-from functools import cached_property
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from .tangent import apply_q, apply_qt, block_pattern, reduce_pairs
+from .tangent import apply_q, apply_qt, reduced_matrix
 
 PRECONDITIONER_KINDS = ("theoretical", "stationary", "practical", "jacobi", "none")
 
@@ -71,26 +64,34 @@ def band_fits(n, width):
     return 8 * n * (width + 1) <= BAND_BYTES
 
 
-def _factor_spd(lower, order, what):
+def _factor_spd(matrix, order, what):
     """The solve of an SPD matrix A, factored in a given elimination order.
 
-    lower is P^T A P in CSR, P the permutation of order (unknown order[i]
-    is eliminated i-th), and holds at least its lower triangle; nothing
-    above the diagonal is read.  If its lower band fits (band_fits), it is
-    copied to LAPACK's lower band storage, factored there by the banded
-    Cholesky dpbtrf and solved by dpbtrs.  Otherwise SuperLU factors the
-    matrix mirrored from the lower triangle in its symmetric mode without
-    pivoting.  solve takes rhs of shape (n,) or (n, k) in the caller's
-    order and returns A^{-1} rhs in that order.
+    matrix is A in CSR, in the caller's order, and order the elimination
+    order (unknown order[i] is eliminated i-th), P its permutation: the
+    entries of A are ranked by order, and only those on and below the
+    diagonal of P^T A P are read.  If that lower band fits (band_fits), it
+    is copied to LAPACK's lower band storage, factored there by the banded
+    Cholesky dpbtrf and solved by dpbtrs.  Otherwise SuperLU factors P^T A P
+    mirrored from its lower triangle in its symmetric mode without pivoting.
+    solve takes rhs of shape (n,) or (n, k) in the caller's order and
+    returns A^{-1} rhs in that order.
     """
-    n = lower.shape[0]
-    offset = np.repeat(np.arange(n), np.diff(lower.indptr)) - lower.indices
+    n = matrix.shape[0]
+    # entry (i, j) of A is entry (rank[i], rank[j]) of P^T A P
+    rank = np.empty(n, dtype=matrix.indices.dtype)
+    rank[order] = np.arange(n, dtype=rank.dtype)
+    col = rank.take(matrix.indices)
+    offset = np.repeat(rank, np.diff(matrix.indptr)) - col
     below = offset >= 0
-    width = int(offset[below].max(initial=0))
+    offset, col, data = offset[below], col[below], matrix.data[below]
+    width = int(offset.max(initial=0))
     if band_fits(n, width):
         # Fortran order: column j of the band is contiguous, as LAPACK reads it
         band = np.zeros((width + 1, n), order="F")
-        band[offset[below], lower.indices[below]] = lower.data[below]
+        band[offset, col] = data
+        # the ranked entries are in the band: free them before the factor
+        del offset, col, data, below
         factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise PreconditionerError(
@@ -99,7 +100,8 @@ def _factor_spd(lower, order, what):
         def solve(rhs):
             return lapack.dpbtrs(factor, rhs, lower=1)[0]
     else:
-        full = (sp.tril(lower) + sp.tril(lower, -1).T).tocsc()
+        lower = sp.csc_array((data, (offset + col, col)), shape=(n, n))
+        full = (lower + sp.tril(lower, -1).T).tocsc()
         # exact zeros (theoretical blocks Q_i^T Q_j = I where the frame is
         # uniform) only add fill
         full.eliminate_zeros()
@@ -109,9 +111,8 @@ def _factor_spd(lower, order, what):
         except RuntimeError as exc:
             raise PreconditionerError(
                 f"{what} factorization failed (SPD lost?): {exc}") from exc
-    inverse = np.argsort(order)
     # take: a row gather several times faster than fancy indexing
-    return lambda rhs: solve(rhs.take(order, axis=0)).take(inverse, axis=0)
+    return lambda rhs: solve(rhs.take(order, axis=0)).take(rank, axis=0)
 
 
 # The largest K^{-1} that ScalarFactorization forms densely: 8 N^2 bytes, so
@@ -142,7 +143,7 @@ class ScalarFactorization:
             k_inv = _spd_inverse(scalar.toarray())
             self.solve = lambda rhs: k_inv @ rhs
         else:
-            self.solve = _factor_spd(scalar[order][:, order], order, "scalar operator")
+            self.solve = _factor_spd(scalar, order, "scalar operator")
 
 
 def _spd_inverse(dense):
@@ -182,59 +183,20 @@ def build_none(n_nodes):
     return Preconditioner("none", n_nodes, lambda r: r.copy())
 
 
-class LowerBlocks:
-    """The lower 2x2 blocks of Q^T (K (x) I_3) Q in an elimination order.
-
-    scalar holds K on the slots of mesh.adjacency(), order the elimination
-    order of the nodes (node order[i] is eliminated i-th), and the two
-    unknowns of node order[i] are eliminated at 2i, 2i + 1 (dofs).  Each
-    node pair of the mesh is one block of the lower triangle: (i, j) with i
-    eliminated after j, or i = j.  The index structure of that CSR matrix
-    and where each pair's block goes in it are built on the first call of
-    matrix(), not at construction, and kept.
-    """
-
-    def __init__(self, mesh, scalar, order):
-        self.mesh = mesh
-        self.scalar = scalar
-        self.order = order
-        self.dofs = (2 * order[:, None] + np.arange(2)).ravel()
-
-    @cached_property
-    def _pattern(self):
-        n = self.mesh.N
-        _, pairs, _ = self.mesh.pair_incidence()
-        rank = np.empty(n, dtype=np.int64)
-        rank[self.order] = np.arange(n)
-        later = rank[pairs[0]] >= rank[pairs[1]]
-        pairs = np.where(later, pairs, pairs[::-1])  # (later, earlier) node
-        row, col = rank[pairs]
-        by_block = np.argsort(row * n + col)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
-        indptr2, indices2, at = block_pattern(indptr, col[by_block])
-        values = self.scalar.take(self.mesh.pair_slots()[0][by_block])
-        return pairs[:, by_block], values, at[None], indptr2, indices2
-
-    def matrix(self, frame):
-        """The lower blocks with frame, as 2N x 2N CSR in elimination order:
-        block (i, j) is K_ij Q_i^T Q_j, tangent.reduce_pairs without cross
-        moments."""
-        pairs, values, at, indptr, indices = self._pattern
-        data = reduce_pairs(frame.blocks, pairs, values, at, len(indices))
-        return sp.csr_array((data, indices, indptr), shape=(len(self.dofs),) * 2)
-
-
-def build_theoretical(frame, lower):
+def build_theoretical(frame, mesh, scalar, order):
     """Inverse of the frame-congruent SPD matrix Q^T (K (x) I_3) Q.
 
-    Block (i, j) of the 2N x 2N matrix is the 2x2 block K_ij Q_i^T Q_j on
-    the pattern of K, the congruence of the reduced system matrix without
-    cross moments, so block (j, i) is the transpose of block (i, j) and only
-    the lower blocks in elimination order are formed (LowerBlocks), straight
-    into the CSR matrix that _factor_spd factors once per build.
+    scalar holds K on the slots of mesh.adjacency() and order is the
+    elimination order of the nodes (node order[i] is eliminated i-th).
+    Block (i, j) of the 2N x 2N matrix is the 2x2 block K_ij Q_i^T Q_j: the
+    reduced system matrix without cross moments, formed by the same
+    tangent.reduced_matrix on the same structure, node order.  _factor_spd
+    factors it with the two unknowns of node order[i] eliminated at 2i and
+    2i + 1.
     """
+    dofs = (2 * order[:, None] + np.arange(2)).ravel()
     return Preconditioner("theoretical", frame.n_nodes,
-                          _factor_spd(lower.matrix(frame), lower.dofs,
+                          _factor_spd(reduced_matrix(mesh, frame.blocks, scalar), dofs,
                                       "theoretical preconditioner"))
 
 
@@ -288,17 +250,17 @@ class PreconditionerSource:
     """The preconditioners of one run, all from K = alpha_p M + beta_k L.
 
     kind, alpha_p and rebuild_every are the options of the config's precond
-    section.  K is formed and checked here, once; theoretical keeps it with
-    the mesh's elimination order as LowerBlocks, and stationary and
-    practical share its one ScalarFactorization.  The order is the mesh's reverse
-    Cuthill-McKee order when the band of the matrix to factor fits
-    (band_fits), else its nested-dissection order, which is computed only
-    then.  The frame-independent kinds are built here, practical on every
-    step, and theoretical is refactored every rebuild_every steps with a
-    stale frame in between (builds counts its factorizations).  The source
-    drops its stale theoretical preconditioner before it refactors, so it
-    holds at most one factorization; if the new one fails, none is held and
-    the next step refactors.
+    section.  K is formed and checked here, once; theoretical keeps its
+    values on the mesh's slots and the elimination order, and stationary
+    and practical share its one ScalarFactorization.  The order is the
+    mesh's reverse Cuthill-McKee order when the band of the matrix to
+    factor fits (band_fits), else its nested-dissection order, which is
+    computed only then.  The frame-independent kinds are built here,
+    practical on every step, and theoretical is refactored every
+    rebuild_every steps with a stale frame in between (builds counts its
+    factorizations).  The source drops its stale theoretical preconditioner
+    before it refactors, so it holds at most one factorization; if the new
+    one fails, none is held and the next step refactors.
     """
 
     def __init__(self, mesh, mass, stiffness, beta_k, kind, alpha_p, rebuild_every=1):
@@ -329,7 +291,7 @@ class PreconditionerSource:
             if not fits:
                 order = mesh.dissection_order()
             if kind == "theoretical":
-                self._lower = LowerBlocks(mesh, values, order)
+                self._theoretical = (mesh, values, order)
             else:
                 self._factor = ScalarFactorization(scalar, order)
             if kind == "stationary":
@@ -343,6 +305,6 @@ class PreconditionerSource:
                                            or step % self.rebuild_every == 0):
             # drop the stale factor first, so that at most one is alive
             self._current = None
-            self._current = build_theoretical(frame, self._lower)
+            self._current = build_theoretical(frame, *self._theoretical)
             self.builds += 1
         return self._current

@@ -107,11 +107,12 @@ def lambda_field(mesh, m, f_plus_pi, ell_ex2):
     return -ell_ex2 * frob2 + lower
 
 
-def lh_term(coeffs, m_n, m_nm1, applied, t_n, k, pi_cfg, mesh):
-    """Nodal lower-order right-hand-side combination for the current step."""
+def lh_term(coeffs, pi_n, m_nm1, applied, t_n, k, pi_cfg, mesh):
+    """Nodal lower-order right-hand-side combination for the current step,
+    given pi_n = pi(m^n)."""
     if coeffs.variant == "tps1":
-        return pi_apply(pi_cfg, mesh, m_n) + applied.nodal(mesh, t_n)
-    return (1.5 * pi_apply(pi_cfg, mesh, m_n)
+        return pi_n + applied.nodal(mesh, t_n)
+    return (1.5 * pi_n
             - 0.5 * pi_apply(pi_cfg, mesh, m_nm1)
             + applied.nodal(mesh, t_n + 0.5 * k))
 
@@ -489,15 +490,16 @@ def tps_step(ctx, state):
     T = selection.chosen_T if tn == "adaptive" else FIXED_INVOLUTIONS[tn]
     frame = build_frame(mdir, T, cfg.frame["strategy"])
 
+    pi_n = pi_apply(ctx.pi_cfg, mesh, m)
     if coeffs.variant == "tps2":
-        f_plus_pi = ctx.applied.nodal(mesh, state.t_n) + pi_apply(ctx.pi_cfg, mesh, m)
+        f_plus_pi = ctx.applied.nodal(mesh, state.t_n) + pi_n
         lam = lambda_field(mesh, m, f_plus_pi, coeffs.ell_ex2)
         weights = coeffs.wk(k, lam) / coeffs.alpha
     else:
         # first-order: W_k is the constant alpha, so the weighted mass is the mass
         weights = None
 
-    lh = lh_term(coeffs, m, state.m_nm1, ctx.applied, state.t_n, k, ctx.pi_cfg, mesh)
+    lh = lh_term(coeffs, pi_n, state.m_nm1, ctx.applied, state.t_n, k, ctx.pi_cfg, mesh)
     system = fem.build_system(mesh, m, coeffs.alpha, ctx.beta_k, weights, lh,
                               coeffs.ell_ex2, mass=ctx.mass, stiffness=ctx.stiffness)
 

@@ -198,34 +198,6 @@ def build_frame(m, T=None, strategy="householder"):
     return TangentFrame(T=T, blocks=blocks, strategy=strategy)
 
 
-def block_pattern(indptr, indices):
-    """The 2N x 2N CSR index structure with a 2x2 block at every slot of the
-    N x N pattern (indptr, indices), and where the entries of each block go.
-
-    Returns (indptr2, indices2, at): rows 2i and 2i + 1 hold the blocks of
-    the slots of row i in slot order, so entry (a, b) of the block of slot
-    s is entry first + a width + b of the data, (first, width) = at[:, s].
-    With sorted indices the structure is canonical CSR.
-    """
-    indptr = indptr.astype(np.int64)
-    n, nnz = len(indptr) - 1, len(indices)
-    count = np.diff(indptr)
-    index = np.int32 if 4 * nnz < 2**31 else np.int64
-    # row 2i + a starts at 4 indptr[i] + 2 a count[i], and slot s of row i
-    # takes its columns 2 (s - indptr[i]) and 2 (s - indptr[i]) + 1
-    at = np.stack([2 * (np.repeat(indptr[:-1], count) + np.arange(nnz)),
-                   np.repeat(2 * count, count)]).astype(index)
-    indptr2 = np.empty(2 * n + 1, dtype=index)
-    indptr2[:-1:2] = 4 * indptr[:-1]
-    indptr2[1::2] = 4 * indptr[:-1] + 2 * count
-    indptr2[-1] = 4 * nnz
-    indices2 = np.empty(4 * nnz, dtype=index)
-    for a in range(2):
-        for b in range(2):
-            indices2[at[0] + a * at[1] + b] = 2 * indices + b
-    return indptr2, indices2, at
-
-
 def reduce_pairs(q, pairs, scalar, at, size, moments=None):
     """The data of the congruence R = Q^T B Q, formed once per node pair.
 
@@ -240,9 +212,9 @@ def reduce_pairs(q, pairs, scalar, at, size, moments=None):
     the blocks evaluated on their own: q_jb . q_ia is the same products in
     the same order, and q_jb x q_ia is exactly -(q_ia x q_jb).  With
     (first, width) = at[0][:, p], entry (a, b) of block (i, j) goes to
-    data[first + a width + b]; with moments, entry (b, a) of block (j, i)
-    goes to data[first + b width + a], (first, width) = at[1][:, p].
-    Returns data, of size entries.
+    data[first + a width + b], and entry (b, a) of block (j, i) goes to
+    data[first + b width + a], (first, width) = at[1][:, p].  Returns data,
+    of size entries.
     """
     frame = np.ascontiguousarray(q.transpose(2, 1, 0))  # frame[a, p]: component p of q_a
     right = np.take(frame, pairs[1], axis=2)            # q_jb over the pairs
@@ -252,12 +224,10 @@ def reduce_pairs(q, pairs, scalar, at, size, moments=None):
         for b in range(2):
             y = right[b]
             g = scalar * (x[0] * y[0] + x[1] * y[1] + x[2] * y[2])
-            if moments is None:
-                data[at[0, 0] + a * at[0, 1] + b] = g
-                continue
-            h = (moments[0] * (x[1] * y[2] - x[2] * y[1])
-                 + moments[1] * (x[2] * y[0] - x[0] * y[2])
-                 + moments[2] * (x[0] * y[1] - x[1] * y[0]))
+            h = 0.0 if moments is None else (
+                moments[0] * (x[1] * y[2] - x[2] * y[1])
+                + moments[1] * (x[2] * y[0] - x[0] * y[2])
+                + moments[2] * (x[0] * y[1] - x[1] * y[0]))
             data[at[0, 0] + a * at[0, 1] + b] = g - h
             data[at[1, 0] + b * at[1, 1] + a] = g + h
     return data
@@ -265,19 +235,59 @@ def reduce_pairs(q, pairs, scalar, at, size, moments=None):
 
 @once_per_mesh
 def reduced_pattern(mesh):
-    """Where the reduced matrix R of a step on mesh lives: its 2N x 2N CSR
-    index structure, 2x2 blocks on the slots of mesh.adjacency(), and the
+    """Where the reduced matrices on mesh live: the 2N x 2N CSR index
+    structure with a 2x2 block at every slot of mesh.adjacency(), and the
     positions at of reduce_pairs for the pairs of mesh.pair_slots().
 
-    Returns (indptr, indices, at).  Computed once per mesh, on the first
-    step, and read-only: the R of every step shares indptr and indices.
+    Rows 2i and 2i + 1 hold the blocks of the slots of row i in slot order,
+    so entry (a, b) of the block of slot s is entry first + a width + b of
+    the data; at[k][:, p] is (first, width) of slot pair_slots()[k, p].
+    The structure is canonical CSR.  Returns (indptr, indices, at).
+    Computed once per mesh, on first use, and read-only: every
+    reduced_matrix on mesh shares indptr and indices.
     """
     indptr, indices, _ = mesh.adjacency()
-    indptr2, indices2, at = block_pattern(indptr, indices)
+    indptr = indptr.astype(np.int64)
+    n, nnz = mesh.N, len(indices)
+    count = np.diff(indptr)
+    index = np.int32 if 4 * nnz < 2**31 else np.int64
+    # row 2i + a starts at 4 indptr[i] + 2 a count[i], and slot s of row i
+    # takes its columns 2 (s - indptr[i]) and 2 (s - indptr[i]) + 1
+    at = np.stack([2 * (np.repeat(indptr[:-1], count) + np.arange(nnz)),
+                   np.repeat(2 * count, count)]).astype(index)
+    indptr2 = np.empty(2 * n + 1, dtype=index)
+    indptr2[:-1:2] = 4 * indptr[:-1]
+    indptr2[1::2] = 4 * indptr[:-1] + 2 * count
+    indptr2[-1] = 4 * nnz
+    indices2 = np.empty(4 * nnz, dtype=index)
+    for a in range(2):
+        for b in range(2):
+            indices2[at[0] + a * at[1] + b] = 2 * indices + b
     at = np.ascontiguousarray(at[:, mesh.pair_slots()].transpose(1, 0, 2))
     for arr in (indptr2, indices2, at):
         arr.setflags(write=False)
     return indptr2, indices2, at
+
+
+def reduced_matrix(mesh, q, scalar, moments=None):
+    """The congruence R = Q^T B Q on mesh, as 2N x 2N CSR on
+    reduced_pattern(mesh).
+
+    scalar (and moments, (3, slots)) hold B's scalar part s and cross
+    moments c on the slots of mesh.adjacency(), q the (N, 3, 2) frame
+    blocks; reduce_pairs forms each node pair's two blocks.  With moments,
+    R is the reduced system matrix of a step; without, the cross term is
+    zero and R = Q^T (K (x) I_3) Q, the matrix of the theoretical
+    preconditioner, bit for bit R with zero moments.
+    """
+    indptr, indices, at = reduced_pattern(mesh)
+    _, pairs, _ = mesh.pair_incidence()
+    upper = mesh.pair_slots()[0]
+    if moments is not None:
+        moments = moments.take(upper, axis=1)
+    data = reduce_pairs(q, pairs, scalar.take(upper), at, len(indices), moments)
+    n = len(indptr) - 1
+    return sp.csr_array((data, indices, indptr), shape=(n, n))
 
 
 def apply_q(frame, x):

@@ -6,7 +6,6 @@ import pytest
 from tangent_plane_llg import (Mesh, assemble_cross, assemble_mass, assemble_stiffness,
                                generate_structured_cube, load_mesh, save_mesh)
 from tangent_plane_llg.fem import block_matrix
-from tangent_plane_llg.precond import LowerBlocks
 
 UNIT_BOUNDS = [[0, 1], [0, 1], [0, 1]]
 
@@ -76,18 +75,10 @@ def spd(mass, stiffness, alpha_p, beta_k):
     return (alpha_p * mass + beta_k * stiffness).tocsr()
 
 
-def spd_in_order(mass, stiffness, alpha_p, beta_k, order):
-    """K of spd as P^T K P (CSR, P the permutation of order): a matrix
-    precond._factor_spd takes."""
-    return spd(mass, stiffness, alpha_p, beta_k)[order][:, order]
-
-
-def lower_blocks(mesh, alpha_p, beta_k, order):
-    """The LowerBlocks of K = alpha_p M + beta_k L of mesh in order, with K
-    on the mesh's slots formed apart from the package's source: what
-    build_theoretical takes."""
-    values = alpha_p * assemble_mass(mesh).data + beta_k * assemble_stiffness(mesh).data
-    return LowerBlocks(mesh, values, order)
+def k_slots(mesh, alpha_p, beta_k):
+    """K = alpha_p M + beta_k L on the slots of mesh.adjacency(), formed
+    apart from the package's source: the values build_theoretical takes."""
+    return alpha_p * assemble_mass(mesh).data + beta_k * assemble_stiffness(mesh).data
 
 
 def random_unit_field(n, seed=0):

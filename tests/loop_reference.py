@@ -16,6 +16,10 @@ evaluated slot by slot, both (i, j) and (j, i), and converted from BSR to
 CSR.  The library forms each node pair's two blocks at once, straight into
 CSR, and must reproduce its indptr, indices and data bit for bit.
 
+nodal_directional_derivative recovers (u . grad) m at the nodes with one
+np.add.at scatter per local vertex.  The library sums the same terms in the
+same order with np.bincount and must reproduce it bit for bit.
+
 gmres_solve is the restarted GMRES whose Arnoldi step orthogonalizes one
 basis vector at a time (single-pass modified Gram-Schmidt, or one classical
 Gram-Schmidt pass).  The library's CGS2 sums in another order, so it is
@@ -238,6 +242,19 @@ def reduce_blocks(q, indptr, indices, scalar, moments=None):
                           + moments[2] * (x[0] * y[1] - x[1] * y[0]))
             reduced[:, a, b] = entry
     return sp.bsr_array((reduced, indices, indptr), shape=(2 * n, 2 * n)).tocsr()
+
+
+def nodal_directional_derivative(mesh, m, u):
+    vol, grad = mesh.element_geometry()
+    grad_m = np.einsum("ead,eac->edc", grad, m[mesh.tets])
+    elem_val = np.einsum("d,edc->ec", np.asarray(u, dtype=np.float64), grad_m)
+    num = np.zeros((mesh.N, 3))
+    den = np.zeros(mesh.N)
+    weighted = elem_val * vol[:, None]
+    for a in range(4):
+        np.add.at(num, mesh.tets[:, a], weighted)
+        np.add.at(den, mesh.tets[:, a], vol)
+    return num / den[:, None]
 
 
 def mgs(basis, w):

@@ -23,10 +23,10 @@ from tangent_plane_llg.diagnostics import (check_bounded_ratio,
                                            check_mapping_identities,
                                            dense_oracle_solve, energy_norm)
 from tangent_plane_llg.gmres import ReducedOperator
-from tangent_plane_llg.physics import applied_field_mumag4
+from tangent_plane_llg.physics import applied_field_mumag4, pi_apply
 from tangent_plane_llg.scheme import SchemeCoefficients, lambda_field, lh_term
 
-from conftest import UNIT_BOUNDS, cross_form, lower_blocks, random_unit_field, spd
+from conftest import UNIT_BOUNDS, cross_form, k_slots, random_unit_field, spd
 
 MODULE_T0 = time.perf_counter()
 
@@ -102,7 +102,7 @@ def build_step_system(mesh, variant, mass, stiffness):
         weights = coeffs.wk(k, lam) / coeffs.alpha
     else:
         weights = np.ones(mesh.elem_count)
-    lh = lh_term(coeffs, m, m, applied, 0.0, k, pi_cfg, mesh)
+    lh = lh_term(coeffs, pi_apply(pi_cfg, mesh, m), m, applied, 0.0, k, pi_cfg, mesh)
     system = build_system(mesh, m, coeffs.alpha, beta_k, weights, lh,
                           coeffs.ell_ex2, mass, stiffness)
     return m, system, beta_k
@@ -165,7 +165,7 @@ def test_criterion_03_constant_field_identity(cube27):
         mu = np.tile(t[:, 2], (cube27.N, 1))
         frame = build_frame(mu, t)
         order = cube27.dissection_order()
-        theo = build_theoretical(frame, lower_blocks(cube27, 1.0, 0.1, order))
+        theo = build_theoretical(frame, cube27, k_slots(cube27, 1.0, 0.1), order)
         stat = build_stationary_2d(ScalarFactorization(spd(mass, stiffness, 1.0, 0.1), order))
         for i in range(2 * cube27.N):
             e = np.zeros(2 * cube27.N)

@@ -32,7 +32,7 @@ import tangent_plane_llg.scheme as scheme_mod
 from tangent_plane_llg.mesh import _check_conforming
 from tangent_plane_llg.tangent import FRAME_STRATEGIES, FrameError
 
-from conftest import UNIT_BOUNDS, cross_form, lower_blocks, random_unit_field
+from conftest import UNIT_BOUNDS, cross_form, k_slots, random_unit_field
 
 SIGNED_AXES = np.vstack([np.eye(3), -np.eye(3)])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -253,31 +253,30 @@ def test_shuffled_mesh_system_matrix_is_kron_form(shuffled_cube, rng):
 
 def test_shuffled_mesh_theoretical_blocks_match_kron(shuffled_cube, monkeypatch):
     """The matrix build_theoretical hands to _factor_spd, in band storage
-    and, with no band fitting, for SuperLU: its 2x2 blocks (i, j) with
-    i >= j, the lower triangle the factorization reads, and none above."""
+    and, with no band fitting, for SuperLU: Q^T (K (x) I_3) Q in node order,
+    every 2x2 block on the mesh pattern, with the elimination order of the
+    node pairs (2p, 2p + 1)."""
     factored = []
     factor_spd = precond_mod._factor_spd
     monkeypatch.setattr(precond_mod, "_factor_spd",
-                        lambda a, *args: factored.append(a) or factor_spd(a, *args))
+                        lambda *args: factored.append(args) or factor_spd(*args))
     mass, stiffness = assemble_mass(shuffled_cube), assemble_stiffness(shuffled_cube)
     m = random_unit_field(shuffled_cube.N, seed=50)
     frame = build_frame(m, FIXED_INVOLUTIONS["t2-"])
     order = shuffled_cube.dissection_order()
     q = frame.as_sparse()
     kron = sp.kron(1.0 * mass + 0.1 * stiffness, sp.identity(3, format="csr"))
-    # P^T (q^T kron q) P, P the node order on the 2x2 node blocks (2p, 2p + 1)
+    expected = (q.T @ kron @ q).toarray()
     dofs = (2 * order[:, None] + np.arange(2)).ravel()
-    expected = (q.T @ kron @ q).toarray()[np.ix_(dofs, dofs)]
-    block = np.arange(2 * shuffled_cube.N) // 2
-    expected_lower = np.where(block[:, None] >= block[None, :], expected, 0.0)
     for band_bytes in (precond_mod.BAND_BYTES, 0):
         monkeypatch.setattr(precond_mod, "BAND_BYTES", band_bytes)
         factored.clear()
-        build_theoretical(frame, lower_blocks(shuffled_cube, 1.0, 0.1, order))
-        error = np.abs(factored[0].toarray() - expected_lower).max()
+        build_theoretical(frame, shuffled_cube, k_slots(shuffled_cube, 1.0, 0.1), order)
+        (matrix, elimination, _), = factored
+        error = np.abs(matrix.toarray() - expected).max()
         assert error <= 1e-14 * np.abs(expected).max()
-        rows, cols = factored[0].nonzero()
-        assert (rows // 2 >= cols // 2).all()
+        assert matrix.nnz == 4 * len(shuffled_cube.adjacency()[1])
+        assert np.array_equal(elimination, dofs)
 
 
 def test_shuffled_mesh_tps2_step_matches_dense_oracle(shuffled_cube, monkeypatch):

@@ -403,7 +403,7 @@ def test_precondition_failure_at_set_up_exits_3_and_the_next_point_runs(tmp_path
     """A factorization that fails while point 0 sets up (before its first
     step) ends that point with one line; the jacobi point after it, which
     factors nothing, still runs."""
-    def failing(lower, order, what):
+    def failing(matrix, order, what):
         raise precond_mod.PreconditionerError(f"{what} factorization failed (SPD lost?)")
 
     monkeypatch.setattr(precond_mod, "DENSE_INVERSE_BYTES", 0)

@@ -24,11 +24,12 @@ import tangent_plane_llg.mesh as mesh_mod
 import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, SimulationConfig, StepContext,
                                assemble_mass, assemble_stiffness, build_frame,
-                               build_theoretical, generate_structured_cube, tps_step)
+                               build_theoretical, generate_structured_cube, run_simulation,
+                               tps_step)
 from tangent_plane_llg.cli import main
 from tangent_plane_llg.precond import PreconditionerError, ScalarFactorization
 
-from conftest import UNIT_BOUNDS, lower_blocks, random_unit_field, spd, spd_in_order
+from conftest import UNIT_BOUNDS, k_slots, random_unit_field, spd
 
 ALPHA_P, BETA_K = 1.0, 0.1
 
@@ -55,13 +56,6 @@ def meshes(shuffled_cube, perturbed_cube):
 
 def scalar_matrix(mesh):
     return ALPHA_P * assemble_mass(mesh) + BETA_K * assemble_stiffness(mesh)
-
-
-def ordered_k(mesh, order=None):
-    """ALPHA_P M + BETA_K L of mesh in order, by default its dissection order."""
-    if order is None:
-        order = mesh.dissection_order()
-    return spd_in_order(assemble_mass(mesh), assemble_stiffness(mesh), ALPHA_P, BETA_K, order)
 
 
 def scalar_factorization(mesh):
@@ -166,7 +160,8 @@ def test_scalar_solves_match_spsolve(meshes, name, rng):
 def test_theoretical_solves_match_spsolve(meshes, name, rng):
     mesh = meshes[name]
     frame = build_frame(random_unit_field(mesh.N, seed=51), FIXED_INVOLUTIONS["t1+"])
-    pc = build_theoretical(frame, lower_blocks(mesh, ALPHA_P, BETA_K, mesh.dissection_order()))
+    pc = build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K),
+                           mesh.dissection_order())
     for _ in range(3):
         r = rng.standard_normal(2 * mesh.N)
         expected = spla.spsolve(theoretical_matrix(mesh, frame), r)
@@ -202,8 +197,8 @@ def test_fill_below_colamd_on_cube16(monkeypatch):
     assert fill <= 0.7 * spla.splu(scalar_matrix(mesh).tocsc()).nnz
 
     frame = build_frame(random_unit_field(mesh.N, seed=52), FIXED_INVOLUTIONS["t3-"])
-    lower = lower_blocks(mesh, ALPHA_P, BETA_K, order)
-    fill = factored_fill(monkeypatch, lambda: build_theoretical(frame, lower))
+    scalar = k_slots(mesh, ALPHA_P, BETA_K)
+    fill = factored_fill(monkeypatch, lambda: build_theoretical(frame, mesh, scalar, order))
     inner = theoretical_matrix(mesh, frame)
     inner.eliminate_zeros()
     assert fill <= 0.7 * spla.splu(inner).nnz
@@ -265,8 +260,9 @@ def test_band_order_is_read_only_and_its_width_is_the_band(meshes, name):
     assert np.array_equal(np.sort(order), np.arange(mesh.N))
     assert not order.flags.writeable
     assert mesh.band_order()[0] is order
-    ordered = ordered_k(mesh, order).tocoo()
-    assert width == np.abs(ordered.row - ordered.col).max()
+    rank = np.argsort(order)
+    scalar = scalar_matrix(mesh).tocoo()
+    assert width == np.abs(rank[scalar.row] - rank[scalar.col]).max()
 
 
 @pytest.mark.parametrize("kind", ["theoretical", "stationary", "practical"])
@@ -311,7 +307,7 @@ def test_band_theoretical_solves_match_spsolve(meshes, name, rng, monkeypatch):
     monkeypatch.setattr(precond_mod, "splu", None)
     order = mesh.band_order()[0]
     frame = build_frame(random_unit_field(mesh.N, seed=54), FIXED_INVOLUTIONS["t1+"])
-    pc = build_theoretical(frame, lower_blocks(mesh, ALPHA_P, BETA_K, order))
+    pc = build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K), order)
     matrix = theoretical_matrix(mesh, frame)
     for _ in range(3):
         r = rng.standard_normal(2 * mesh.N)
@@ -333,8 +329,8 @@ def test_band_bytes_boundary(meshes, kind, monkeypatch):
     else:
         n, w = 2 * mesh.N, 2 * width + 1
         frame = build_frame(random_unit_field(mesh.N, seed=55), FIXED_INVOLUTIONS["t2+"])
-        lower = lower_blocks(mesh, ALPHA_P, BETA_K, order)
-        build = lambda: build_theoretical(frame, lower)  # noqa: E731
+        scalar = k_slots(mesh, ALPHA_P, BETA_K)
+        build = lambda: build_theoretical(frame, mesh, scalar, order)  # noqa: E731
     factored = []
     splu = precond_mod.splu
     monkeypatch.setattr(precond_mod, "splu",
@@ -346,10 +342,45 @@ def test_band_bytes_boundary(meshes, kind, monkeypatch):
         assert len(factored) == splu_calls
 
 
+@pytest.mark.parametrize("scheme", ["tps1", "tps2"])
+def test_superlu_runs_match_the_band_runs(meshes, scheme, monkeypatch):
+    """Three steps of each factored kind on cube n = 8 (N = 729, above the
+    dense-inverse cap), once with the default BAND_BYTES, where every
+    matrix is factored in band storage, and once with BAND_BYTES = 0, where
+    SuperLU factors every one in the dissection order.  The final fields
+    agree to 1e-10 and the counts of every step within one iteration: the
+    tolerance 1e-14 sits at the attainable accuracy, so a count may move by
+    one with the rounding of the factor (step 1 of tps1 with stationary
+    takes 40 iterations on the band and 39 on SuperLU)."""
+    mesh = meshes["cube8"]
+    default = precond_mod.BAND_BYTES
+    factored = []
+    splu = precond_mod.splu
+    monkeypatch.setattr(precond_mod, "splu",
+                        lambda a, **options: factored.append(a) or splu(a, **options))
+    for kind in ("theoretical", "stationary", "practical"):
+        cfg = SimulationConfig.from_dict({
+            "scheme": scheme, "alpha": 0.5, "ell_ex2": 10.0, "T": 0.03, "k": 0.01,
+            "mesh": {"kind": "cube", "bounds": UNIT_BOUNDS, "n": [8, 8, 8]},
+            "field": {"m0": {"kind": "spiral", "turns": 1.0}}, "precond": {"kind": kind}})
+        runs = []
+        for band_bytes, splu_calls in ((default, 0), (0, 3 if kind == "theoretical" else 1)):
+            monkeypatch.setattr(precond_mod, "BAND_BYTES", band_bytes)
+            factored.clear()
+            runs.append(run_simulation(cfg, mesh=mesh))
+            assert len(factored) == splu_calls
+        band, superlu = runs
+        counts = [[r.gmres_iterations for r in run.records] for run in runs]
+        assert len(counts[0]) == len(counts[1]) == 3
+        assert all(abs(a - b) <= 1 for a, b in zip(*counts)), counts
+        assert np.abs(band.final_state.m_n - superlu.final_state.m_n).max() <= 1e-10
+
+
 @pytest.mark.parametrize("band", [True, False], ids=["band", "superlu"])
 def test_factor_reads_only_the_lower_triangle(meshes, band, rng, monkeypatch):
-    """_factor_spd ignores what lies above the diagonal: with the strict
-    upper triangle overwritten by nonsymmetric values and one entry far
+    """_factor_spd ignores what lies above the diagonal of P^T K P: with
+    every entry (i, j) of K (node order) whose row i is eliminated before
+    its column j overwritten by nonsymmetric values, and one entry far
     outside the band, its solve is that of the symmetric matrix, returned
     in the caller's order."""
     mesh = meshes["above_cap_box"]
@@ -359,11 +390,15 @@ def test_factor_reads_only_the_lower_triangle(meshes, band, rng, monkeypatch):
     else:
         monkeypatch.setattr(precond_mod, "BAND_BYTES", 0)
         order = mesh.dissection_order()
-    symmetric = ordered_k(mesh, order)
-    upper = sp.triu(symmetric, 1, format="csr")
-    upper.data = rng.standard_normal(upper.nnz)
-    corner = sp.csr_array(([1.0], ([0], [mesh.N - 1])), shape=symmetric.shape)
-    scrambled = (sp.tril(symmetric) + upper + corner).tocsr()
+    symmetric = scalar_matrix(mesh).tocsr()
+    entries = symmetric.tocoo()
+    rank = np.argsort(order)
+    above = rank[entries.row] < rank[entries.col]
+    assert above.any()
+    data = np.where(above, rng.standard_normal(entries.nnz), entries.data)
+    # eliminated first and last: the corner above the diagonal of P^T K P
+    row, col = np.append(entries.row, order[0]), np.append(entries.col, order[-1])
+    scrambled = sp.csr_array((np.append(data, 1.0), (row, col)), shape=symmetric.shape)
     rhs = rng.standard_normal((mesh.N, 3))
     expected = precond_mod._factor_spd(symmetric, order, "symmetric")(rhs)
     x = precond_mod._factor_spd(scrambled, order, "scrambled")(rhs)
@@ -382,7 +417,7 @@ def test_band_factor_of_a_matrix_that_is_not_spd_names_the_lapack_info(meshes, m
         ScalarFactorization(negated, order)
     frame = build_frame(random_unit_field(mesh.N, seed=56), FIXED_INVOLUTIONS["t3-"])
     with pytest.raises(PreconditionerError, match="theoretical preconditioner .* LAPACK info 1$"):
-        build_theoretical(frame, lower_blocks(mesh, -ALPHA_P, -BETA_K, order))
+        build_theoretical(frame, mesh, k_slots(mesh, -ALPHA_P, -BETA_K), order)
 
 
 def test_run_whose_band_factor_fails_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

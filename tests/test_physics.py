@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from tangent_plane_llg import (AppliedFieldConfig, PiConfig, SIParameters,
-                               applied_field_mumag4, mumag4_parameters,
-                               mumag5_spin_velocity, nondimensionalize,
-                               pi_apply)
+                               applied_field_mumag4, generate_structured_cube,
+                               mumag4_parameters, mumag5_spin_velocity,
+                               nondimensionalize, pi_apply)
 from tangent_plane_llg.physics import (MU0, FieldConfigError,
                                        nodal_directional_derivative,
                                        pi_bound_constant)
@@ -100,6 +101,18 @@ def test_zhang_li_linear_field_exact(cube2):
     assert np.abs(out - expected).max() <= 1e-14
 
 
+def test_directional_derivative_matches_the_scatter_reference(shuffled_cube):
+    """np.bincount sums the same terms in the same order as one np.add.at per
+    local vertex: bit for bit, on the mesh of configs/mumag5_like.json and
+    on a shuffled cube."""
+    mumag5 = generate_structured_cube([[0, 100], [0, 100], [0, 10]], (8, 8, 1))
+    u = (0.4082013574660634, 0.1, -0.2)
+    for seed, mesh in enumerate((mumag5, shuffled_cube)):
+        m = random_unit_field(mesh.N, seed=90 + seed)
+        assert np.array_equal(nodal_directional_derivative(mesh, m, u),
+                              ref.nodal_directional_derivative(mesh, m, u))
+
+
 def test_pi_operator_bound(cube2):
     for seed in range(5):
         m = random_unit_field(cube2.N, seed=60 + seed)
@@ -125,6 +138,13 @@ def test_academic_applied_field(cube2):
 def test_constant_applied_field(cube2):
     f = AppliedFieldConfig(kind="constant", value=(1.0, 2.0, 3.0)).nodal(cube2, 5.0)
     assert np.array_equal(f, np.tile([1.0, 2.0, 3.0], (cube2.N, 1)))
+
+
+def test_field_configs_name_their_kind():
+    # the defaults live in scheme.CONFIG_TABLE alone
+    for config in (AppliedFieldConfig, PiConfig):
+        with pytest.raises(TypeError, match="kind"):
+            config()
 
 
 def test_mu0_matches_definition():

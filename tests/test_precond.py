@@ -12,16 +12,16 @@ import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg.precond import (PRECONDITIONER_KINDS, PreconditionerError,
                                        ScalarFactorization)
 
-from conftest import UNIT_BOUNDS, lower_blocks, random_unit_field, spd
+from conftest import UNIT_BOUNDS, k_slots, random_unit_field, spd
 
 ALPHA_P, BETA_K = 1.0, 0.1
 # the nested-dissection order of the 27-node cube of the setup fixture
 ORDER = generate_structured_cube(UNIT_BOUNDS, (2, 2, 2)).dissection_order()
 
 
-def lower_k(mesh):
-    """The LowerBlocks of ALPHA_P M + BETA_K L in ORDER, formed by the test."""
-    return lower_blocks(mesh, ALPHA_P, BETA_K, ORDER)
+def theoretical(frame, mesh):
+    """build_theoretical of ALPHA_P M + BETA_K L, formed by the test, in ORDER."""
+    return build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K), ORDER)
 
 
 def scalar_factorization(mass, stiffness, beta_k=BETA_K):
@@ -53,7 +53,7 @@ def factor(cube2_matrices):
 class TestTheoretical:
     def test_inverse_consistency(self, setup, rng):
         mesh, mass, stiffness, m, frame = setup
-        pc = build_theoretical(frame, lower_k(mesh))
+        pc = theoretical(frame, mesh)
         q = frame.as_sparse()
         inner = (q.T @ kron3(ALPHA_P * mass + BETA_K * stiffness) @ q).tocsr()
         for _ in range(5):
@@ -74,7 +74,7 @@ class TestTheoretical:
             t = FIXED_INVOLUTIONS[key]
             mu = np.tile(t[:, 2], (mesh.N, 1))
             frame = build_frame(mu, t)
-            theo = build_theoretical(frame, lower_k(mesh))
+            theo = theoretical(frame, mesh)
             stat = build_stationary_2d(factor)
             worst = 0.0
             for i in range(2 * mesh.N):
@@ -221,7 +221,7 @@ class TestApplyDispatch:
         m = random_unit_field(cube1.N, seed=81)
         frame = build_frame(m, np.eye(3))
         order = cube1.dissection_order()
-        pc = build_theoretical(frame, lower_blocks(cube1, ALPHA_P, BETA_K, order))
+        pc = build_theoretical(frame, cube1, k_slots(cube1, ALPHA_P, BETA_K), order)
         q = frame.as_sparse().toarray()
         dense = np.linalg.inv(q.T @ kron3(ALPHA_P * mass + BETA_K * stiffness).toarray() @ q)
         r = rng.standard_normal(2 * cube1.N)
@@ -258,10 +258,10 @@ def test_theoretical_with_stale_frame_still_solves(setup, rng):
                         mass=mass, stiffness=stiffness)
     op = ReducedOperator(sys_, frame)
     rhs = op.reduced_rhs()
-    x_fresh, s_fresh = gmres_solve(op, build_theoretical(frame, lower_k(mesh)), rhs)
+    x_fresh, s_fresh = gmres_solve(op, theoretical(frame, mesh), rhs)
     stale_field = random_unit_field(mesh.N, seed=999)
     stale_frame = build_frame(stale_field, select_tn_adaptive(stale_field).chosen_T)
-    stale = build_theoretical(stale_frame, lower_k(mesh))
+    stale = theoretical(stale_frame, mesh)
     x_stale, s_stale = gmres_solve(op, stale, rhs)
     assert s_fresh.converged and s_stale.converged
     assert np.linalg.norm(x_stale - x_fresh) <= 1e-9 * np.linalg.norm(x_fresh)
@@ -342,7 +342,7 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
         "stationary": lambda step: build_stationary_2d(factor),
         "practical": lambda step: build_practical(frames[step], factor),
         "theoretical": lambda step: build_theoretical(
-            frames[rebuilt[step]], lower_blocks(mesh, ALPHA_P, BETA_K, order)),
+            frames[rebuilt[step]], mesh, k_slots(mesh, ALPHA_P, BETA_K), order),
     }
     counts = {"none": 0, "jacobi": 0, "stationary": 1, "practical": 1, "theoretical": 3}
     for kind in PRECONDITIONER_KINDS:

@@ -6,6 +6,8 @@ slot-by-slot congruence of tests/loop_reference.py (bit for bit), and the
 theoretical preconditioner that shares its congruence kernel.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,7 +21,7 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, SimulationConfig, apply_q, app
 from tangent_plane_llg.gmres import ReducedOperator
 from tangent_plane_llg.tangent import FRAME_STRATEGIES, reduced_pattern
 
-from conftest import UNIT_BOUNDS, lower_blocks, random_unit_field
+from conftest import UNIT_BOUNDS, k_slots, random_unit_field
 
 ALPHA, BETA_K = 0.5, 0.1
 
@@ -114,23 +116,43 @@ def test_matrix_matches_the_slotwise_reference(mesh, strategy, tps2):
 
 @pytest.mark.parametrize("ordering", ["band", "dissection"])
 @pytest.mark.parametrize("strategy", FRAME_STRATEGIES)
-def test_theoretical_lower_matrix_matches_the_slotwise_reference(mesh, strategy, ordering,
-                                                                 monkeypatch):
-    """The matrix build_theoretical hands to _factor_spd is the slot-by-slot
-    congruence of the lower triangle of P^T K P, bit for bit."""
+def test_theoretical_matrix_matches_the_slotwise_reference(mesh, strategy, ordering,
+                                                           monkeypatch):
+    """build_theoretical hands _factor_spd the slot-by-slot congruence of
+    K (x) I_3 in node order (the reference without moments), bit for bit,
+    with the two unknowns of node order[i] eliminated at 2i and 2i + 1."""
+    factored = []
+    factor_spd = precond._factor_spd
+    monkeypatch.setattr(precond, "_factor_spd",
+                        lambda *args: factored.append(args) or factor_spd(*args))
+    order = mesh.band_order()[0] if ordering == "band" else mesh.dissection_order()
+    frame = build_frame(random_unit_field(mesh.N, seed=62), FIXED_INVOLUTIONS["t3+"], strategy)
+    scalar = k_slots(mesh, 1.0, BETA_K)
+    build_theoretical(frame, mesh, scalar, order)
+    indptr, indices, _ = mesh.adjacency()
+    expected = ref.reduce_blocks(frame.blocks, indptr, indices, scalar)
+    (matrix, dofs, _), = factored
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrix, name), getattr(expected, name)), name
+    assert matrix.has_canonical_format
+    assert np.array_equal(dofs, np.stack([2 * order, 2 * order + 1], axis=1).ravel())
+
+
+def test_theoretical_matrix_is_the_reduced_matrix_without_moments(mesh, monkeypatch):
+    """The matrix build_theoretical factors is, bit for bit, the R of a
+    system with K's scalar values and zero cross moments."""
     factored = []
     factor_spd = precond._factor_spd
     monkeypatch.setattr(precond, "_factor_spd",
                         lambda a, *args: factored.append(a) or factor_spd(a, *args))
-    order = mesh.band_order()[0] if ordering == "band" else mesh.dissection_order()
-    frame = build_frame(random_unit_field(mesh.N, seed=62), FIXED_INVOLUTIONS["t3+"], strategy)
-    build_theoretical(frame, lower_blocks(mesh, 1.0, BETA_K, order))
-    scalar = (assemble_mass(mesh) + BETA_K * assemble_stiffness(mesh)).tocsr()
-    lower = sp.tril(scalar[order][:, order], format="csr")
-    expected = ref.reduce_blocks(frame.blocks[order], lower.indptr, lower.indices, lower.data)
+    op = step_operator(mesh, "householder", tps2=True)
+    scalar = k_slots(mesh, 1.0, BETA_K)
+    build_theoretical(op.frame, mesh, scalar, mesh.band_order()[0])
+    system = dataclasses.replace(op.system, scalar=scalar,
+                                 moments=np.zeros_like(op.system.moments))
+    expected = ReducedOperator(system, op.frame).matrix
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(factored[0], name), getattr(expected, name)), name
-    assert factored[0].has_canonical_format
 
 
 def test_every_step_shares_the_mesh_structure(monkeypatch):
@@ -154,16 +176,16 @@ def test_every_step_shares_the_mesh_structure(monkeypatch):
 def test_theoretical_uses_the_shared_helper_and_inverts_the_dense_matrix(
         shuffled_cube, monkeypatch, rng):
     calls = []
-    reduce_pairs = precond.reduce_pairs
-    monkeypatch.setattr(precond, "reduce_pairs",
-                        lambda *args: calls.append(args) or reduce_pairs(*args))
-    assert gmres.reduce_pairs is reduce_pairs
+    reduced_matrix = precond.reduced_matrix
+    monkeypatch.setattr(precond, "reduced_matrix",
+                        lambda *args: calls.append(args) or reduced_matrix(*args))
+    assert gmres.reduced_matrix is reduced_matrix
     mesh = shuffled_cube
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
     m = random_unit_field(mesh.N, seed=61)
     frame = build_frame(m, FIXED_INVOLUTIONS["t1-"])
     order = mesh.dissection_order()
-    pc = build_theoretical(frame, lower_blocks(mesh, 1.0, BETA_K, order))
+    pc = build_theoretical(frame, mesh, k_slots(mesh, 1.0, BETA_K), order)
     assert len(calls) == 1
     q = frame.as_sparse()
     kron = sp.kron(mass + BETA_K * stiffness, sp.identity(3), format="csr")

@@ -7,7 +7,7 @@ import tangent_plane_llg.fem as fem_mod
 from tangent_plane_llg import (SchemeCoefficients, SimulationConfig,
                                generate_structured_cube, lambda_field, lh_term,
                                mesh_quality, normalize_update, run_simulation, tps_step)
-from tangent_plane_llg.physics import AppliedFieldConfig, PiConfig
+from tangent_plane_llg.physics import AppliedFieldConfig, PiConfig, pi_apply
 from tangent_plane_llg.scheme import (ConfigError, StepContext,
                                       assert_unit_nodal, exchange_energy)
 
@@ -114,7 +114,7 @@ class TestLhTerm:
         pi = PiConfig(kind="zero")
         for variant in ("tps1", "tps2"):
             c = SchemeCoefficients(variant, alpha=0.5, ell_ex2=1.0)
-            lh = lh_term(c, m, m, applied, 0.0, 0.01, pi, cube2)
+            lh = lh_term(c, pi_apply(pi, cube2, m), m, applied, 0.0, 0.01, pi, cube2)
             assert np.abs(lh - np.array([1.0, 2.0, 3.0])).max() <= 1e-15
 
     def test_tps2_equal_steps_collapse(self, cube2):
@@ -123,8 +123,7 @@ class TestLhTerm:
         c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=1.0)
         f = TimeLinearField([1.0, 0.0, 0.0])
         t_n, k = 2.0, 0.01
-        lh = lh_term(c, m, m, f, t_n, k, pi, cube2)
-        from tangent_plane_llg.physics import pi_apply
+        lh = lh_term(c, pi_apply(pi, cube2, m), m, f, t_n, k, pi, cube2)
         expected = pi_apply(pi, cube2, m) + f.nodal(cube2, t_n + k / 2)
         assert np.abs(lh - expected).max() <= 1e-14
 
@@ -133,8 +132,8 @@ class TestLhTerm:
         pi = PiConfig(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
         c = SchemeCoefficients("tps1", alpha=0.5, ell_ex2=1.0)
         fvec = np.array([0.5, -1.0, 0.0])
-        lh = lh_term(c, m, m, TimeLinearField(fvec), 2.0, 0.01, pi, cube2)
-        from tangent_plane_llg.physics import pi_apply
+        lh = lh_term(c, pi_apply(pi, cube2, m), m, TimeLinearField(fvec), 2.0, 0.01, pi,
+                     cube2)
         expected = 2.0 * fvec + pi_apply(pi, cube2, m)
         assert np.abs(lh - expected).max() <= 1e-14
 
@@ -212,8 +211,8 @@ class TestStep:
         ctx = StepContext(SimulationConfig.from_dict(academic_config(
             field={"m0": {"kind": "spiral", "turns": 1.0}})))
         st = ctx.initial_state()
-        lh = lh_fn(ctx.coeffs, st.m_n, st.m_nm1, ctx.applied, 0.0, ctx.k,
-                   ctx.pi_cfg, ctx.mesh)
+        lh = lh_fn(ctx.coeffs, pi_apply(ctx.pi_cfg, ctx.mesh, st.m_n), st.m_nm1,
+                   ctx.applied, 0.0, ctx.k, ctx.pi_cfg, ctx.mesh)
         sys_ = fem.build_system(ctx.mesh, st.m_n, ctx.coeffs.alpha, ctx.beta_k,
                                 np.ones(ctx.mesh.elem_count), lh,
                                 ctx.coeffs.ell_ex2, mass=ctx.mass,
@@ -359,8 +358,8 @@ def test_single_step_matches_dense_oracle_step():
     st0 = ctx.initial_state()
     stepped, _ = tps_step(ctx, st0)
 
-    lh = lh_fn(ctx.coeffs, st0.m_n, st0.m_nm1, ctx.applied, 0.0, ctx.k,
-               ctx.pi_cfg, ctx.mesh)
+    lh = lh_fn(ctx.coeffs, pi_apply(ctx.pi_cfg, ctx.mesh, st0.m_n), st0.m_nm1,
+               ctx.applied, 0.0, ctx.k, ctx.pi_cfg, ctx.mesh)
     sys_ = fem.build_system(ctx.mesh, st0.m_n, ctx.coeffs.alpha, ctx.beta_k,
                             np.ones(ctx.mesh.elem_count), lh,
                             ctx.coeffs.ell_ex2, mass=ctx.mass,
