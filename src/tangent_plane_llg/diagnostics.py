@@ -2,9 +2,9 @@
 
 Everything here exists to cross-check the sparse/iterative production path:
 dense LU solves of the reduced system, the frame mapping identities, the
-two independent evaluations of the energy norm, the convergence-factor
-formulas, and the two appendix-style numeric checks (bounded nodal ratio,
-inverse-bound transfer for positive definite matrices).
+two independent evaluations of the energy norm, and the two appendix-style
+numeric checks (bounded nodal ratio, inverse-bound transfer for positive
+definite matrices).
 """
 
 import itertools
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .tangent import apply_q, build_frame
+from .tangent import apply_q
 
 _DENSE_GUARD = 200
 
@@ -102,70 +102,6 @@ def energy_norm(mass, stiffness, frame, alpha_P, beta_k, x, mesh):
     h1_part = float(np.einsum("e,edc,edc->", vol, grad_v, grad_v))
     fem_form = float(np.sqrt(max(alpha_P * l2_part + beta_k * h1_part, 0.0)))
     return matrix_form, fem_form
-
-
-@dataclass
-class TheoryFactors:
-    """Residual-contraction factors evaluated literally from their formulas."""
-
-    gamma: float
-    F_theoretical: float
-    F_practical: float
-    kappa_tilde: float
-    F_theoretical_gamma: float = None
-    F_practical_gamma: float = None
-    kappa: float = None
-    gamma_valid: bool = True
-
-
-def _grad_inf(mesh, m):
-    _, grad = mesh.element_geometry()
-    gm = np.einsum("ead,eac->edc", grad, m[mesh.tets])
-    return float(np.sqrt(np.einsum("edc,edc->e", gm, gm).max()))
-
-
-def theory_factors(mesh, m, mu, T, alpha_P, beta_k, h, strategy="householder"):
-    """Evaluate the convergence factors for current field m and frame field mu.
-
-    Gradient sup-norms are exact maxima over the constant element gradients;
-    field differences are nodal maxima.  The gamma-dependent variants are
-    reported as None when the nodal bound gamma is not positive.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    T = np.asarray(T, dtype=np.float64)
-
-    # nodal spectral norms of frame(T m(z)) - frame(T mu(z))
-    frames = [build_frame(field @ T.T, None, strategy).blocks for field in (m, mu)]
-    diff_frames = np.linalg.norm(frames[0] - frames[1], 2, axis=(1, 2))
-    bk_scale = beta_k / (alpha_P * h**2)
-    f_theo = 1.0 + bk_scale * float((diff_frames**2).max())
-    f_prac = 1.0 + bk_scale
-
-    axis = T[:, 2]
-    gamma = float(min(1.0 + (m @ axis).min(), 1.0 + (mu @ axis).min()))
-    out = TheoryFactors(
-        gamma=gamma,
-        F_theoretical=f_theo,
-        F_practical=f_prac,
-        kappa_tilde=float(np.sqrt(f_theo)),
-    )
-    if gamma <= 0.0:
-        out.gamma_valid = False
-        return out
-
-    d_inf = float(np.linalg.norm(m - mu, axis=1).max())
-    g_m = _grad_inf(mesh, m)
-    g_mu = _grad_inf(mesh, mu)
-    g_diff = _grad_inf(mesh, m - mu)
-    f_theo_g = (1.0
-                + d_inf**2 / gamma**2
-                + (beta_k / alpha_P) * g_diff**2 / gamma**2
-                + (beta_k / alpha_P) * (g_m**2 + g_mu**2) * d_inf**2 / gamma**6)
-    out.F_theoretical_gamma = f_theo_g
-    out.F_practical_gamma = 1.0 + (beta_k / alpha_P) * g_m**2 / gamma**4
-    out.kappa = float(np.sqrt(f_theo_g))
-    return out
 
 
 def _barycentric_grid(depth):

@@ -48,7 +48,16 @@ class Mesh:
 
     def __init__(self, nodes, tets):
         nodes = np.ascontiguousarray(np.asarray(nodes, dtype=np.float64))
-        tets = np.ascontiguousarray(np.asarray(tets, dtype=np.int64))
+        tets = np.asarray(tets)
+        if tets.dtype.kind == "f":
+            # indices read as reals (JSON allows 3.5) must be whole numbers
+            # that int64 holds, which NaN and inf are not
+            whole = (tets == np.trunc(tets)) & (np.abs(tets) < 2.0**63)
+            if not whole.all():
+                at = [int(i) for i in np.argwhere(~whole)[0]]
+                raise MeshError(f"node index {float(tets[tuple(at)])!r} at tets{at} "
+                                "is not an int64 integer")
+        tets = np.ascontiguousarray(tets, dtype=np.int64)
         if nodes.ndim != 2 or nodes.shape[1] != 3:
             raise MeshError(f"nodes must be (N, 3), got {nodes.shape}")
         if tets.ndim != 2 or tets.shape[1] != 4:
@@ -65,6 +74,9 @@ class Mesh:
         if repeated.any():
             bad = int(np.argmax(repeated))
             raise MeshError(f"element {bad} has repeated node indices {tets[bad].tolist()}")
+        unused = np.bincount(tets.ravel(), minlength=n) == 0
+        if unused.any():
+            raise MeshError(f"node {int(np.argmax(unused))} belongs to no element")
 
         # The signed volume is the triple product e1 . (e2 x e3) / 6.  Swapping
         # vertices 2 and 3 negates every component of e2 x e3 exactly, so it

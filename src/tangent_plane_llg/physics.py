@@ -71,22 +71,27 @@ def mumag5_spin_velocity(gamma0=2.21e5, Ms=8.0e5, L=1e-9):
 
 @dataclass(frozen=True)
 class PiConfig:
-    """Lower-order operator pi(m): zero, uniaxial anisotropy, or Zhang-Li."""
+    """Lower-order operator pi(m): zero, uniaxial anisotropy, or Zhang-Li.
+    The values of a kind come from scheme.CONFIG_TABLE; those that the kind
+    does not use stay None."""
 
     kind: str
-    axis: tuple = (0.0, 0.0, 1.0)
-    strength: float = 0.0
-    u: tuple = (0.0, 0.0, 0.0)    # spin velocity (Zhang-Li)
-    beta_zl: float = 0.05          # non-adiabaticity constant (Zhang-Li)
+    axis: tuple = None        # anisotropy axis (uniaxial)
+    strength: float = None    # anisotropy strength (uniaxial)
+    u: tuple = None           # spin velocity (Zhang-Li)
+    beta_zl: float = None     # non-adiabaticity constant (Zhang-Li)
 
     def __post_init__(self):
         if self.kind not in ("zero", "uniaxial", "zhang_li"):
             raise FieldConfigError(f"unknown pi kind {self.kind!r}")
         if self.kind == "uniaxial":
-            nrm = float(np.linalg.norm(self.axis))
+            axis = np.asarray(self.axis, dtype=np.float64)
+            # scaled first, so that the norm neither overflows nor underflows
+            scale = float(np.abs(axis).max())
+            nrm = scale * float(np.linalg.norm(axis / scale)) if scale > 0 else 0.0
             if abs(nrm - 1.0) > 1e-12:
                 raise FieldConfigError(f"anisotropy axis must be unit length, |a| = {nrm}")
-        if not np.all(np.isfinite(self.u)):
+        if self.kind == "zhang_li" and not np.all(np.isfinite(self.u)):
             raise FieldConfigError("spin velocity must be finite")
 
 
@@ -111,21 +116,8 @@ def pi_apply(config, mesh, m):
     if config.kind == "uniaxial":
         axis = np.asarray(config.axis, dtype=np.float64)
         return config.strength * np.outer(m @ axis, axis)
-    if config.kind == "zhang_li":
-        adv = nodal_directional_derivative(mesh, m, config.u)
-        return np.cross(m, adv) + config.beta_zl * adv
-    raise FieldConfigError(f"unknown pi kind {config.kind!r}")
-
-
-def pi_bound_constant(config):
-    """Explicit constant C with ||pi(m)||_inf <= C (1 + max |grad m|)."""
-    if config.kind == "zero":
-        return 0.0
-    if config.kind == "uniaxial":
-        return abs(config.strength)
-    if config.kind == "zhang_li":
-        return (1.0 + abs(config.beta_zl)) * float(np.linalg.norm(config.u))
-    raise FieldConfigError(f"unknown pi kind {config.kind!r}")
+    adv = nodal_directional_derivative(mesh, m, config.u)  # zhang_li
+    return np.cross(m, adv) + config.beta_zl * adv
 
 
 @dataclass(frozen=True)
@@ -133,7 +125,7 @@ class AppliedFieldConfig:
     """Applied field f: constant vector or the academic expression 10(sin x1, cos x1, 0)."""
 
     kind: str
-    value: tuple = (0.0, 0.0, 0.0)
+    value: tuple = None    # the constant field (constant)
 
     def __post_init__(self):
         if self.kind not in ("constant", "academic"):

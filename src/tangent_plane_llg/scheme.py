@@ -107,14 +107,12 @@ def lambda_field(mesh, m, f_plus_pi, ell_ex2):
     return -ell_ex2 * frob2 + lower
 
 
-def lh_term(coeffs, pi_n, m_nm1, applied, t_n, k, pi_cfg, mesh):
+def lh_term(coeffs, pi_n, pi_nm1, applied, t_n, k, mesh):
     """Nodal lower-order right-hand-side combination for the current step,
-    given pi_n = pi(m^n)."""
+    given pi_n = pi(m^n) and pi_nm1 = pi(m^{n-1})."""
     if coeffs.variant == "tps1":
         return pi_n + applied.nodal(mesh, t_n)
-    return (1.5 * pi_n
-            - 0.5 * pi_apply(pi_cfg, mesh, m_nm1)
-            + applied.nodal(mesh, t_n + 0.5 * k))
+    return 1.5 * pi_n - 0.5 * pi_nm1 + applied.nodal(mesh, t_n + 0.5 * k)
 
 
 def assert_unit_nodal(m, tol=1e-14):
@@ -163,7 +161,7 @@ class TimeStepState:
     n: int
     t_n: float
     m_n: np.ndarray
-    m_nm1: np.ndarray
+    pi_nm1: np.ndarray = None  # pi(m^{n-1}), from the last step; None at step 0
     last_stats: object = None
     last_v: np.ndarray = None
 
@@ -470,7 +468,7 @@ class StepContext:
             assert_unit_nodal(m0, tol=1e-12)
         except ValueError as exc:
             raise ConfigError(f"field.m0: {exc}") from exc
-        return TimeStepState(n=0, t_n=0.0, m_n=m0, m_nm1=m0.copy())
+        return TimeStepState(n=0, t_n=0.0, m_n=m0)
 
 
 def tps_step(ctx, state):
@@ -494,12 +492,17 @@ def tps_step(ctx, state):
     if coeffs.variant == "tps2":
         f_plus_pi = ctx.applied.nodal(mesh, state.t_n) + pi_n
         lam = lambda_field(mesh, m, f_plus_pi, coeffs.ell_ex2)
-        weights = coeffs.wk(k, lam) / coeffs.alpha
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = coeffs.wk(k, lam) / coeffs.alpha
+        if not np.isfinite(weights).all():  # W_k / alpha overflows for a tiny alpha
+            raise SolverFailure(state.n, f"non-finite W_k weights (alpha = {coeffs.alpha!r})")
     else:
         # first-order: W_k is the constant alpha, so the weighted mass is the mass
         weights = None
 
-    lh = lh_term(coeffs, pi_n, state.m_nm1, ctx.applied, state.t_n, k, ctx.pi_cfg, mesh)
+    # at step 0, pi(m^0) serves for both time levels
+    pi_nm1 = pi_n if state.pi_nm1 is None else state.pi_nm1
+    lh = lh_term(coeffs, pi_n, pi_nm1, ctx.applied, state.t_n, k, mesh)
     system = fem.build_system(mesh, m, coeffs.alpha, ctx.beta_k, weights, lh,
                               coeffs.ell_ex2, mass=ctx.mass, stiffness=ctx.stiffness)
 
@@ -532,7 +535,7 @@ def tps_step(ctx, state):
         exchange_energy=exchange_energy(ctx.stiffness, m, coeffs.ell_ex2),
     )
     new_state = TimeStepState(n=state.n + 1, t_n=state.t_n + k, m_n=m_next,
-                              m_nm1=m, last_stats=stats, last_v=v)
+                              pi_nm1=pi_n, last_stats=stats, last_v=v)
     return new_state, record
 
 
@@ -544,7 +547,6 @@ class SimulationResult:
     step_stats: list
     final_state: TimeStepState
     precond_builds: int
-    states: list = None
 
     def average_iterations(self):
         return float(np.mean([r.gmres_iterations for r in self.records]))
@@ -553,19 +555,17 @@ class SimulationResult:
         return int(max(r.gmres_iterations for r in self.records))
 
 
-def run_simulation(config, mesh=None, keep_states=False):
+def run_simulation(config, mesh=None):
     """Run T/k steps; returns records, per-step solver stats and final state.
 
     Deterministic for a fixed config.  If config.output carries a directory,
     per-step CSV rows and optional field snapshots are written as the run
-    progresses (partial output survives a failing step).  keep_states
-    retains every intermediate state (test/diagnostic use).
+    progresses (partial output survives a failing step).
     """
     ctx = StepContext(config, mesh=mesh)
     cfg = ctx.config
     n_steps = cfg.n_steps()
     state = ctx.initial_state()
-    states = [state] if keep_states else None
 
     out_dir = cfg.output["dir"]
     basename = cfg.output["basename"]
@@ -583,8 +583,6 @@ def run_simulation(config, mesh=None, keep_states=False):
             state, record = tps_step(ctx, state)
             records.append(record)
             step_stats.append(state.last_stats)
-            if keep_states:
-                states.append(state)
             if csv_fh is not None:
                 csv_fh.write(format_step_row(record) + "\n")
                 csv_fh.flush()
@@ -600,7 +598,7 @@ def run_simulation(config, mesh=None, keep_states=False):
 
     return SimulationResult(config=cfg, mesh=ctx.mesh, records=records,
                             step_stats=step_stats, final_state=state,
-                            precond_builds=ctx.preconditioners.builds, states=states)
+                            precond_builds=ctx.preconditioners.builds)
 
 
 STEP_CSV_HEADER = ("step,t,gmres_iterations,restarts,final_residual,"

@@ -145,10 +145,8 @@ def frame_gamma(m, T):
 class TangentFrame:
     """Per-node orthonormal tangent bases under a global axis involution."""
 
-    def __init__(self, T, blocks, strategy):
-        self.T = np.asarray(T, dtype=np.float64)
+    def __init__(self, blocks):
         self.blocks = blocks  # (N, 3, 2)
-        self.strategy = strategy
         self._sparse = None
         blocks.setflags(write=False)
 
@@ -195,7 +193,7 @@ def build_frame(m, T=None, strategy="householder"):
         i = int(np.argmax(bad))
         raise FrameError(f"node {i}: frame input must be a unit vector, |m| = {float(nrm[i])}")
     blocks = T @ _FRAME_BUILDERS[strategy](mt)
-    return TangentFrame(T=T, blocks=blocks, strategy=strategy)
+    return TangentFrame(blocks)
 
 
 def reduce_pairs(q, pairs, scalar, at, size, moments=None):

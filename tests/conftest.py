@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from tangent_plane_llg import (Mesh, assemble_cross, assemble_mass, assemble_stiffness,
-                               generate_structured_cube, load_mesh, save_mesh)
+from tangent_plane_llg import (Mesh, StepContext, assemble_cross, assemble_mass,
+                               assemble_stiffness, generate_structured_cube, load_mesh,
+                               save_mesh, tps_step)
 from tangent_plane_llg.fem import block_matrix
 
 UNIT_BOUNDS = [[0, 1], [0, 1], [0, 1]]
@@ -79,6 +80,16 @@ def k_slots(mesh, alpha_p, beta_k):
     """K = alpha_p M + beta_k L on the slots of mesh.adjacency(), formed
     apart from the package's source: the values build_theoretical takes."""
     return alpha_p * assemble_mass(mesh).data + beta_k * assemble_stiffness(mesh).data
+
+
+def step_states(config):
+    """Every state of a run of config, the initial state first, stepped
+    through tps_step."""
+    ctx = StepContext(config)
+    states = [ctx.initial_state()]
+    for _ in range(config.n_steps()):
+        states.append(tps_step(ctx, states[-1])[0])
+    return states
 
 
 def random_unit_field(n, seed=0):

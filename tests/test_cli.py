@@ -17,10 +17,10 @@ import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg import generate_structured_cube, save_mesh
 from tangent_plane_llg.cli import (_apply_overrides, _point_config, _sweep_points,
                                    main, print_config_schema, run_checks)
-from tangent_plane_llg.scheme import SimulationConfig, run_simulation
+from tangent_plane_llg.scheme import SimulationConfig
 from tangent_plane_llg.tangent import reduced_pattern
 
-from conftest import UNIT_BOUNDS
+from conftest import UNIT_BOUNDS, step_states
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 BUNDLED_CONFIGS = sorted(REPO.glob("configs/*.json")) + sorted(REPO.glob("bench/configs/*.json"))
@@ -160,11 +160,11 @@ def test_vtk_snapshot_output(tmp_path):
     doc["output"] = {"snapshot_every": 1, "residual_csv": True}
     out = tmp_path / "out"
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
-    # the same point, run again in process, without output
-    result = run_simulation(SimulationConfig.from_dict(doc), keep_states=True)
-    mesh = result.mesh
+    # the same point, stepped again in process, without output
+    config = SimulationConfig.from_dict(doc)
+    mesh = config.build_mesh()
     base = "steps_000_stationary_ap1_t3m"
-    for step, state in enumerate(result.states[1:]):
+    for step, state in enumerate(step_states(config)[1:]):
         lines = (out / f"{base}_m_{step + 1:06d}.vtk").read_text().splitlines()
         assert lines[:4] == ["# vtk DataFile Version 3.0", "magnetization snapshot",
                              "ASCII", "DATASET UNSTRUCTURED_GRID"]
@@ -181,7 +181,7 @@ def test_vtk_snapshot_output(tmp_path):
         assert np.array_equal(rows_at(lines, at["POINT_DATA"] + 2, mesh.N), state.m_n)
 
         rows = (out / f"{base}_residuals_step{step:06d}.csv").read_text().splitlines()
-        history = result.step_stats[step].residual_history
+        history = state.last_stats.residual_history
         assert rows[0] == "iteration,residual" and len(rows) == len(history) + 1
         for i, (row, residual) in enumerate(zip(rows[1:], history)):
             assert row.split(",") == [str(i), repr(float(residual))]
@@ -272,6 +272,16 @@ EXIT_CODE_ROWS = [
     ("mesh.bounds", [[0, 1e200]] * 3, 2, "element volume overflows"),
     ("mesh", {"kind": "file", "path": "overflowing_volume.json"}, 2,
      "element 0 volume overflows"),
+    # a node index that is not an integer, and a node in no element (the
+    # step matrices would be singular there), are mesh errors (MESH_FILES)
+    ("mesh", {"kind": "file", "path": "real_index.json"}, 2,
+     "node index 3.5 at tets[0, 3] is not an int64 integer"),
+    ("mesh", {"kind": "file", "path": "unused_node.json"}, 2, "node 4 belongs to no element"),
+    # a uniaxial axis whose norm would overflow is measured after scaling
+    ("field.pi", {"kind": "uniaxial", "axis": [1e300, 1e300, 0], "strength": 0.5}, 2,
+     "anisotropy axis must be unit length"),
+    # alpha in (0, 1] so small that the tps2 weights W_k / alpha overflow
+    (("scheme", "alpha"), ("tps2", 1e-320), 3, "step 0: non-finite W_k weights"),
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))
@@ -288,6 +298,12 @@ MESH_FILES = {
         "nodes": [[-1e308, -1e308, -1e308], [1e308, -1e308, -1e308],
                   [-1e308, 1e308, -1e308], [-1e308, -1e308, 1e308]],
         "tets": [[0, 1, 2, 3]]}),
+    # the unit tetrahedron, with index 3 given as 3.5, and with a fifth node
+    "real_index.json": json.dumps({"nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                   "tets": [[0, 1, 2, 3.5]]}),
+    "unused_node.json": json.dumps({"nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                              [1, 1, 1]],
+                                    "tets": [[0, 1, 2, 3]]}),
 }
 
 
@@ -307,9 +323,11 @@ def test_exit_code_contract(tmp_path, capsys, key, value, code, fragment):
     assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert fragment in err
+    # a failure prints one line, and no warning before it
+    assert err.count("\n") == (1 if code else 0)
     if code == 2:
-        # one line, before any output is written
-        assert err.startswith("config error: ") and err.count("\n") == 1
+        # before any output is written
+        assert err.startswith("config error: ")
         assert not out.exists()
     else:
         # the point keeps its outputs (partial ones if it failed)

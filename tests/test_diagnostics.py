@@ -11,10 +11,8 @@ from tangent_plane_llg.diagnostics import (OracleError, check_bounded_ratio,
                                            check_inverse_bounds,
                                            check_mapping_identities,
                                            dense_oracle_solve,
-                                           dense_reduced_system, energy_norm,
-                                           theory_factors)
+                                           dense_reduced_system, energy_norm)
 from tangent_plane_llg.gmres import ReducedOperator
-from tangent_plane_llg.mesh import mesh_quality
 
 from conftest import random_unit_field, spd
 
@@ -146,70 +144,6 @@ class TestEnergyNorm:
             h1 = np.einsum("e,edc,edc->", vol, gx, gy)
             fem_val = 1.0 * l2 + 0.1 * h1
             assert abs(matrix_val - fem_val) <= 1e-12 * max(abs(matrix_val), 1.0)
-
-
-class TestTheoryFactors:
-    def test_identical_fields_give_unit_factor(self, cube2):
-        m = random_unit_field(cube2.N, seed=103)
-        t = select_tn_adaptive(m).chosen_T
-        h = mesh_quality(cube2).h
-        out = theory_factors(cube2, m, m, t, 1.0, 0.1, h)
-        assert out.F_theoretical == pytest.approx(1.0, abs=1e-12)
-        assert out.kappa_tilde == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_beta_makes_all_factors_one(self, cube2):
-        m = random_unit_field(cube2.N, seed=104)
-        mu = random_unit_field(cube2.N, seed=105)
-        t = np.eye(3)
-        h = mesh_quality(cube2).h
-        out = theory_factors(cube2, m, mu, t, 1.0, 0.0, h)
-        assert out.F_practical == 1.0
-        if out.gamma_valid:
-            assert out.F_practical_gamma == 1.0
-            # only the beta-free gamma term survives in the theoretical factor
-            d = np.linalg.norm(m - mu, axis=1).max()
-            assert out.F_theoretical_gamma == pytest.approx(
-                1.0 + d**2 / out.gamma**2, rel=1e-12)
-
-    def test_constant_frame_field_reduction(self, cube2):
-        m = random_unit_field(cube2.N, seed=106)
-        sel = select_tn_adaptive(m)
-        t = sel.chosen_T
-        mu = np.tile(t[:, 2], (cube2.N, 1))
-        h = mesh_quality(cube2).h
-        out = theory_factors(cube2, m, mu, t, 1.0, 0.1, h)
-        assert out.gamma_valid
-        # hand evaluation with grad(mu) = 0
-        d = np.linalg.norm(m - mu, axis=1).max()
-        vol, grad = cube2.element_geometry()
-        gm = np.einsum("ead,eac->edc", grad, m[cube2.tets])
-        g = np.sqrt(np.einsum("edc,edc->e", gm, gm).max())
-        gamma = out.gamma
-        expected = 1 + d**2 / gamma**2 + 0.1 * g**2 / gamma**2 \
-            + 0.1 * g**2 * d**2 / gamma**6
-        assert out.F_theoretical_gamma == pytest.approx(expected, rel=1e-12)
-
-    def test_factors_at_least_one(self, cube2):
-        h = mesh_quality(cube2).h
-        for seed in range(5):
-            m = random_unit_field(cube2.N, seed=110 + seed)
-            mu = random_unit_field(cube2.N, seed=120 + seed)
-            out = theory_factors(cube2, m, mu, np.eye(3), 1.0, 0.3, h)
-            assert out.F_theoretical >= 1.0
-            assert out.F_practical >= 1.0
-            assert out.kappa_tilde >= 1.0
-            if out.gamma_valid:
-                assert out.F_theoretical_gamma >= 1.0
-                assert out.F_practical_gamma >= 1.0
-                assert out.kappa >= 1.0
-
-    def test_gamma_invalid_reported_not_thrown(self, cube2):
-        m = random_unit_field(cube2.N, seed=130)
-        m[0] = [0.0, 0.0, -1.0]  # forces gamma = 0 for T = identity
-        out = theory_factors(cube2, m, m, np.eye(3), 1.0, 0.1, mesh_quality(cube2).h)
-        assert not out.gamma_valid
-        assert out.F_theoretical_gamma is None
-        assert out.F_theoretical >= 1.0
 
 
 class TestBoundedRatio:

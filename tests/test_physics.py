@@ -6,9 +6,7 @@ from tangent_plane_llg import (AppliedFieldConfig, PiConfig, SIParameters,
                                applied_field_mumag4, generate_structured_cube,
                                mumag4_parameters, mumag5_spin_velocity,
                                nondimensionalize, pi_apply)
-from tangent_plane_llg.physics import (MU0, FieldConfigError,
-                                       nodal_directional_derivative,
-                                       pi_bound_constant)
+from tangent_plane_llg.physics import MU0, FieldConfigError, nodal_directional_derivative
 
 from conftest import random_unit_field
 
@@ -114,16 +112,19 @@ def test_directional_derivative_matches_the_scatter_reference(shuffled_cube):
 
 
 def test_pi_operator_bound(cube2):
+    """||pi(m)||_inf <= C (1 + max |grad m|) with the explicit constant C of
+    each kind: 0, |strength|, and (1 + |beta_zl|) |u|."""
     for seed in range(5):
         m = random_unit_field(cube2.N, seed=60 + seed)
         vol, grad = cube2.element_geometry()
         gm = np.einsum("ead,eac->edc", grad, m[cube2.tets])
         max_grad = np.sqrt(np.einsum("edc,edc->e", gm, gm).max())
-        for cfg in (PiConfig(kind="zero"),
-                    PiConfig(kind="uniaxial", axis=(0, 0, 1), strength=0.8),
-                    PiConfig(kind="zhang_li", u=(0.4, 0.1, 0.0), beta_zl=0.05)):
+        for cfg, constant in ((PiConfig(kind="zero"), 0.0),
+                              (PiConfig(kind="uniaxial", axis=(0, 0, 1), strength=0.8), 0.8),
+                              (PiConfig(kind="zhang_li", u=(0.4, 0.1, 0.0), beta_zl=0.05),
+                               1.05 * np.linalg.norm([0.4, 0.1, 0.0]))):
             out = pi_apply(cfg, cube2, m)
-            bound = pi_bound_constant(cfg) * (1.0 + max_grad)
+            bound = constant * (1.0 + max_grad)
             assert np.linalg.norm(out, axis=1).max() <= bound + 1e-12
 
 
@@ -141,10 +142,13 @@ def test_constant_applied_field(cube2):
 
 
 def test_field_configs_name_their_kind():
-    # the defaults live in scheme.CONFIG_TABLE alone
+    # the defaults live in scheme.CONFIG_TABLE alone: a value that the kind
+    # does not use stays None
     for config in (AppliedFieldConfig, PiConfig):
         with pytest.raises(TypeError, match="kind"):
             config()
+    for config in (AppliedFieldConfig(kind="academic"), PiConfig(kind="zero")):
+        assert all(value is None for key, value in vars(config).items() if key != "kind")
 
 
 def test_mu0_matches_definition():

@@ -11,7 +11,7 @@ from tangent_plane_llg.physics import AppliedFieldConfig, PiConfig, pi_apply
 from tangent_plane_llg.scheme import (ConfigError, StepContext,
                                       assert_unit_nodal, exchange_energy)
 
-from conftest import UNIT_BOUNDS, random_unit_field
+from conftest import UNIT_BOUNDS, random_unit_field, step_states
 
 
 def academic_config(**over):
@@ -114,7 +114,8 @@ class TestLhTerm:
         pi = PiConfig(kind="zero")
         for variant in ("tps1", "tps2"):
             c = SchemeCoefficients(variant, alpha=0.5, ell_ex2=1.0)
-            lh = lh_term(c, pi_apply(pi, cube2, m), m, applied, 0.0, 0.01, pi, cube2)
+            pi_n = pi_apply(pi, cube2, m)
+            lh = lh_term(c, pi_n, pi_n, applied, 0.0, 0.01, cube2)
             assert np.abs(lh - np.array([1.0, 2.0, 3.0])).max() <= 1e-15
 
     def test_tps2_equal_steps_collapse(self, cube2):
@@ -123,8 +124,19 @@ class TestLhTerm:
         c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=1.0)
         f = TimeLinearField([1.0, 0.0, 0.0])
         t_n, k = 2.0, 0.01
-        lh = lh_term(c, pi_apply(pi, cube2, m), m, f, t_n, k, pi, cube2)
-        expected = pi_apply(pi, cube2, m) + f.nodal(cube2, t_n + k / 2)
+        pi_n = pi_apply(pi, cube2, m)
+        lh = lh_term(c, pi_n, pi_n, f, t_n, k, cube2)
+        expected = pi_n + f.nodal(cube2, t_n + k / 2)
+        assert np.abs(lh - expected).max() <= 1e-14
+
+    def test_tps2_extrapolates_pi(self, cube2):
+        pi = PiConfig(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
+        pi_n, pi_nm1 = (pi_apply(pi, cube2, random_unit_field(cube2.N, seed=seed))
+                        for seed in (43, 44))
+        c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=1.0)
+        f = TimeLinearField([1.0, 0.0, 0.0])
+        lh = lh_term(c, pi_n, pi_nm1, f, 2.0, 0.01, cube2)
+        expected = 1.5 * pi_n - 0.5 * pi_nm1 + f.nodal(cube2, 2.005)
         assert np.abs(lh - expected).max() <= 1e-14
 
     def test_tps1_time_evaluation(self, cube2):
@@ -132,9 +144,9 @@ class TestLhTerm:
         pi = PiConfig(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
         c = SchemeCoefficients("tps1", alpha=0.5, ell_ex2=1.0)
         fvec = np.array([0.5, -1.0, 0.0])
-        lh = lh_term(c, pi_apply(pi, cube2, m), m, TimeLinearField(fvec), 2.0, 0.01, pi,
-                     cube2)
-        expected = 2.0 * fvec + pi_apply(pi, cube2, m)
+        pi_n = pi_apply(pi, cube2, m)
+        lh = lh_term(c, pi_n, pi_n, TimeLinearField(fvec), 2.0, 0.01, cube2)
+        expected = 2.0 * fvec + pi_n
         assert np.abs(lh - expected).max() <= 1e-14
 
 
@@ -173,9 +185,9 @@ class TestStep:
         cfg = SimulationConfig.from_dict(academic_config(
             field={"applied": {"kind": "constant", "value": [0, 0, 0]}},
             T=0.02))
-        res = run_simulation(cfg, keep_states=True)
-        m0 = res.states[0].m_n
-        for st in res.states[1:]:
+        states = step_states(cfg)
+        m0 = states[0].m_n
+        for st in states[1:]:
             assert np.array_equal(st.m_n, m0) or np.abs(st.m_n - m0).max() <= 1e-14
             assert np.abs(st.last_v).max() <= 1e-12
 
@@ -190,8 +202,7 @@ class TestStep:
     def test_unit_norm_after_every_step(self):
         cfg = SimulationConfig.from_dict(academic_config(
             T=0.05, field={"m0": {"kind": "spiral", "turns": 1.0}}))
-        res = run_simulation(cfg, keep_states=True)
-        for st in res.states:
+        for st in step_states(cfg):
             assert_unit_nodal(st.m_n, tol=1e-14)
 
     def test_unit_check_fails_on_nan(self):
@@ -211,8 +222,8 @@ class TestStep:
         ctx = StepContext(SimulationConfig.from_dict(academic_config(
             field={"m0": {"kind": "spiral", "turns": 1.0}})))
         st = ctx.initial_state()
-        lh = lh_fn(ctx.coeffs, pi_apply(ctx.pi_cfg, ctx.mesh, st.m_n), st.m_nm1,
-                   ctx.applied, 0.0, ctx.k, ctx.pi_cfg, ctx.mesh)
+        pi_0 = pi_apply(ctx.pi_cfg, ctx.mesh, st.m_n)
+        lh = lh_fn(ctx.coeffs, pi_0, pi_0, ctx.applied, 0.0, ctx.k, ctx.mesh)
         sys_ = fem.build_system(ctx.mesh, st.m_n, ctx.coeffs.alpha, ctx.beta_k,
                                 np.ones(ctx.mesh.elem_count), lh,
                                 ctx.coeffs.ell_ex2, mass=ctx.mass,
@@ -249,9 +260,8 @@ class TestStep:
         cfg = SimulationConfig.from_dict(academic_config(
             projection=False, T=0.05,
             field={"m0": {"kind": "spiral", "turns": 1.0}}))
-        res = run_simulation(cfg, keep_states=True)
         prev_min = 1.0
-        for st in res.states[1:]:
+        for st in step_states(cfg)[1:]:
             norms = np.linalg.norm(st.m_n, axis=1)
             assert (norms >= 1.0 - 1e-12).all()
             assert norms.min() >= prev_min - 1e-12
@@ -265,8 +275,7 @@ class TestStep:
         cfg = SimulationConfig.from_dict(academic_config(
             scheme="tps2", T=0.03,
             field={"m0": {"kind": "spiral", "turns": 1.0}}))
-        res = run_simulation(cfg, keep_states=True)
-        for st in res.states:
+        for st in step_states(cfg):
             assert_unit_nodal(st.m_n, tol=1e-14)
 
     def test_exchange_energy_decay_zero_field(self):
@@ -336,12 +345,36 @@ def test_zhang_li_simulation_end_to_end():
                "applied": {"kind": "constant", "value": [0, 0, 0]},
                "m0": {"kind": "spiral", "turns": 0.5}},
         precond={"kind": "practical", "alpha_p": 1.0}))
-    res = run_simulation(cfg, keep_states=True)
-    assert all(s.last_stats.converged for s in res.states[1:])
-    for st in res.states:
+    states = step_states(cfg)
+    assert all(s.last_stats.converged for s in states[1:])
+    for st in states:
         assert_unit_nodal(st.m_n, tol=1e-14)
     # the spin torque actually moves the configuration
-    assert np.abs(res.final_state.m_n - res.states[0].m_n).max() > 1e-8
+    assert np.abs(states[-1].m_n - states[0].m_n).max() > 1e-8
+
+
+def test_tps2_evaluates_pi_once_per_step(monkeypatch):
+    """A tps2 step evaluates pi at m^n only: pi(m^{n-1}) is the last step's
+    pi(m^n), carried bit for bit (at step 0, pi(m^0) serves for both)."""
+    import tangent_plane_llg.scheme as scheme_mod
+    calls = []
+
+    def counting(config, mesh, m):
+        calls.append(1)
+        return pi_apply(config, mesh, m)
+
+    monkeypatch.setattr(scheme_mod, "pi_apply", counting)
+    cfg = SimulationConfig.from_dict(academic_config(
+        scheme="tps2", T=0.03,
+        field={"pi": {"kind": "zhang_li", "u": [0.4, 0.1, 0.0]},
+               "m0": {"kind": "spiral", "turns": 0.5}}))
+    states = step_states(cfg)
+    assert len(calls) == 3
+    assert states[0].pi_nm1 is None
+    pi_cfg, mesh = PiConfig(**cfg.field_cfg["pi"]), cfg.build_mesh()
+    for prev, cur in zip(states, states[1:]):
+        fresh = pi_apply(pi_cfg, mesh, prev.m_n)
+        assert cur.pi_nm1.dtype == fresh.dtype and cur.pi_nm1.tobytes() == fresh.tobytes()
 
 
 def test_single_step_matches_dense_oracle_step():
@@ -358,8 +391,8 @@ def test_single_step_matches_dense_oracle_step():
     st0 = ctx.initial_state()
     stepped, _ = tps_step(ctx, st0)
 
-    lh = lh_fn(ctx.coeffs, pi_apply(ctx.pi_cfg, ctx.mesh, st0.m_n), st0.m_nm1,
-               ctx.applied, 0.0, ctx.k, ctx.pi_cfg, ctx.mesh)
+    pi_0 = pi_apply(ctx.pi_cfg, ctx.mesh, st0.m_n)
+    lh = lh_fn(ctx.coeffs, pi_0, pi_0, ctx.applied, 0.0, ctx.k, ctx.mesh)
     sys_ = fem.build_system(ctx.mesh, st0.m_n, ctx.coeffs.alpha, ctx.beta_k,
                             np.ones(ctx.mesh.elem_count), lh,
                             ctx.coeffs.ell_ex2, mass=ctx.mass,
@@ -440,8 +473,7 @@ def test_constant_state_update_matches_macrospin_closed_form():
         field={"applied": {"kind": "constant", "value": list(f)},
                "m0": {"kind": "constant", "value": list(m0)}},
         precond={"kind": "theoretical", "alpha_p": 1.0}))
-    res = run_simulation(cfg, keep_states=True)
-    v = res.states[1].last_v
+    v = step_states(cfg)[1].last_v
     f_perp = f - (f @ m0) * m0
     expected = (alpha * f_perp - np.cross(m0, f_perp)) / (1.0 + alpha**2)
     assert np.abs(v - expected).max() <= 1e-10
@@ -456,10 +488,10 @@ def test_constant_state_alignment_is_monotone():
                "m0": {"kind": "constant", "value": [1.0, 0.0, 0.0]}},
         precond={"kind": "stationary", "alpha_p": 1.0},
         frame={"tn": "adaptive"}))
-    res = run_simulation(cfg, keep_states=True)
+    states = step_states(cfg)
     f_hat = f / np.linalg.norm(f)
-    proj = [float((st.m_n @ f_hat).mean()) for st in res.states]
+    proj = [float((st.m_n @ f_hat).mean()) for st in states]
     assert all(b > a for a, b in zip(proj, proj[1:]))
     assert proj[-1] > 0.9
-    for st in res.states:
+    for st in states:
         assert_unit_nodal(st.m_n, tol=1e-14)
