@@ -104,7 +104,9 @@ def run_experiment(config_path, out_dir=None, overrides=None):
         out_dir = out_dir or configs[0].output["dir"] or "out"
         os.makedirs(out_dir, exist_ok=True)
         summary = open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8")
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    # ValueError: a ConfigError, or a file that json cannot read (not UTF-8,
+    # not JSON, or an integer too long); RecursionError: one nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     code = 0
@@ -144,17 +146,19 @@ def _run_point(idx, cfg):
     The point's mesh, set-up and result live only in this call, so none of
     them is reachable when the next point builds its mesh: a sweep holds one
     point at a time, and the one-entry cube memo frees the last mesh with
-    its caches.  A numerical failure (a SolverFailure in a step, or a
-    PreconditionerError at set-up) and a MemoryError print one line and
-    give 3; a config error found only now gives 2.
+    its caches.  A numerical failure (a SolverFailure in a step, a
+    PreconditionerError at set-up, or a floating-point overflow, invalid
+    operation or division by zero anywhere) and a MemoryError print one
+    line and give 3; a config error found only now gives 2.
     """
     pkind = cfg.precond["kind"]
     started = time.perf_counter()
     try:
-        mesh = cfg.build_mesh()
-        h = mesh_quality(mesh).h
-        result = run_simulation(cfg, mesh=mesh)
-    except (SolverFailure, PreconditionerError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            mesh = cfg.build_mesh()
+            h = mesh_quality(mesh).h
+            result = run_simulation(cfg, mesh=mesh)
+    except (SolverFailure, PreconditionerError, ArithmeticError) as exc:
         print(f"solver failure on sweep point {idx} ({pkind}): {exc}", file=sys.stderr)
         return 3, None
     except MemoryError as exc:

@@ -8,6 +8,7 @@ use signed determinants directly.
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ _KUHN_PATHS = np.array([
 
 # Local vertex triples of the four faces of a tetrahedron.
 _LOCAL_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+# An element is degenerate where its volume is at most this times
+# max(|x|, 1)^3, x the largest node coordinate of its mesh.
+DEGENERATE_VOLUME = 1e-14
 
 
 def once_per_mesh(build):
@@ -87,7 +92,7 @@ class Mesh:
         with np.errstate(over="ignore", invalid="ignore"):
             e1, e2, e3 = _edge_components(nodes, tets)
             vol = _dot(e1, _cross(e2, e3)) / 6.0
-            degenerate = np.abs(vol) <= 1e-14 * max(scale, 1.0) ** 3
+            degenerate = np.abs(vol) <= DEGENERATE_VOLUME * max(scale, 1.0) ** 3
         if not np.isfinite(vol).all():
             bad = int(np.argmax(~np.isfinite(vol)))
             raise MeshError(f"element {bad} volume overflows ({vol[bad]:.3e})")
@@ -368,25 +373,36 @@ class QualityReport:
     max_vol: float
 
 
+def check_box(bounds, n):
+    """MeshError unless generate_structured_cube meshes the box: n three
+    integers >= 1, hi > lo for each (lo, hi) of bounds, and Kuhn tetrahedra
+    whose volume h_x h_y h_z / 6, h = (hi - lo) / n, is finite and not
+    degenerate.  Each message starts with the argument at fault."""
+    n = [int(count) for count in n]
+    bounds = [[float(lo), float(hi)] for lo, hi in bounds]
+    if len(n) != 3 or any(count < 1 for count in n):
+        raise MeshError(f"n must be three integers >= 1, got {n}")
+    if any(hi <= lo for lo, hi in bounds):
+        raise MeshError(f"bounds: box must have positive extent in every axis, got {bounds}")
+    volume = math.prod((hi - lo) / count for (lo, hi), count in zip(bounds, n)) / 6.0
+    scale = max(max(abs(x) for axis in bounds for x in axis), 1.0)
+    if not math.isfinite(volume):
+        raise MeshError(f"bounds: the element volume overflows ({volume:.3e})")
+    if volume <= DEGENERATE_VOLUME * scale * scale * scale:
+        raise MeshError(f"bounds: the elements of the box are degenerate (volume {volume:.3e})")
+
+
 def generate_structured_cube(bounds, n):
-    """Structured tetrahedral mesh of an axis-aligned box.
+    """Structured tetrahedral mesh of an axis-aligned box (check_box).
 
     Each of the n1*n2*n3 sub-boxes is split into the six Kuhn tetrahedra
     sharing the main diagonal, which yields a conforming mesh with uniform
     element volume per sub-box.  Nodes are ordered lexicographically by
     (z, y, x) grid index.
     """
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.shape != (3, 2):
-        raise MeshError(f"bounds must be (3, 2) [per-axis (lo, hi)], got {bounds.shape}")
-    n = np.asarray(n, dtype=np.int64)
-    if n.shape != (3,) or (n < 1).any():
-        raise MeshError(f"subdivision counts must be three integers >= 1, got {n}")
-    if (bounds[:, 1] <= bounds[:, 0]).any():
-        raise MeshError("box must have positive extent in every axis")
-
-    nx, ny, nz = (int(v) for v in n)
-    axes = [np.linspace(bounds[i, 0], bounds[i, 1], n[i] + 1) for i in range(3)]
+    check_box(bounds, n)
+    nx, ny, nz = (int(count) for count in n)
+    axes = [np.linspace(lo, hi, count + 1) for (lo, hi), count in zip(bounds, (nx, ny, nz))]
     zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     nodes = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
 
@@ -429,12 +445,25 @@ def load_mesh(source):
     """Load a mesh from JSON bytes/str/file-object; validates all invariants."""
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(source.decode("utf-8") if isinstance(source, bytes) else source)
+    # not UTF-8, not JSON, an integer too long for int(), or nested too deep
+    except (ValueError, RecursionError) as exc:
         raise MeshError(f"mesh JSON parse error: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "tets" not in doc:
         raise MeshError('mesh JSON must be an object with "nodes" and "tets"')
+    for key in ("nodes", "tets"):
+        _check_numbers(key, doc[key])
     return Mesh(doc["nodes"], doc["tets"])
+
+
+def _check_numbers(key, rows):
+    """MeshError on an entry of a mesh file's rows that numpy would misread:
+    a string (parsed), a boolean (0 or 1), null, or an integer outside int64
+    (an overflow).  Rows and entries of any other shape are left to Mesh."""
+    for i, row in enumerate(rows if isinstance(rows, list) else ()):
+        for j, value in enumerate(row if isinstance(row, list) else ()):
+            if isinstance(value, (str, bool)) or value is None:
+                raise MeshError(f"{json.dumps(value)} at {key}[{i}, {j}] is not a number")
+            if isinstance(value, int) and not -2**63 <= value < 2**63:
+                raise MeshError(f"integer {value} at {key}[{i}, {j}] is outside int64")

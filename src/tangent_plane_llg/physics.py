@@ -72,27 +72,15 @@ def mumag5_spin_velocity(gamma0=2.21e5, Ms=8.0e5, L=1e-9):
 @dataclass(frozen=True)
 class PiConfig:
     """Lower-order operator pi(m): zero, uniaxial anisotropy, or Zhang-Li.
-    The values of a kind come from scheme.CONFIG_TABLE; those that the kind
-    does not use stay None."""
+    The values of a kind come from scheme.CONFIG_TABLE, checked there and by
+    SimulationConfig.validate, not here; those that the kind does not use
+    stay None."""
 
     kind: str
     axis: tuple = None        # anisotropy axis (uniaxial)
     strength: float = None    # anisotropy strength (uniaxial)
     u: tuple = None           # spin velocity (Zhang-Li)
     beta_zl: float = None     # non-adiabaticity constant (Zhang-Li)
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "uniaxial", "zhang_li"):
-            raise FieldConfigError(f"unknown pi kind {self.kind!r}")
-        if self.kind == "uniaxial":
-            axis = np.asarray(self.axis, dtype=np.float64)
-            # scaled first, so that the norm neither overflows nor underflows
-            scale = float(np.abs(axis).max())
-            nrm = scale * float(np.linalg.norm(axis / scale)) if scale > 0 else 0.0
-            if abs(nrm - 1.0) > 1e-12:
-                raise FieldConfigError(f"anisotropy axis must be unit length, |a| = {nrm}")
-        if self.kind == "zhang_li" and not np.all(np.isfinite(self.u)):
-            raise FieldConfigError("spin velocity must be finite")
 
 
 def nodal_directional_derivative(mesh, m, u):
@@ -126,10 +114,6 @@ class AppliedFieldConfig:
 
     kind: str
     value: tuple = None    # the constant field (constant)
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "academic"):
-            raise FieldConfigError(f"unknown applied field kind {self.kind!r}")
 
     def nodal(self, mesh, t):
         if self.kind == "constant":

@@ -250,9 +250,10 @@ class PreconditionerSource:
     """The preconditioners of one run, all from K = alpha_p M + beta_k L.
 
     kind, alpha_p and rebuild_every are the options of the config's precond
-    section.  K is formed and checked here, once; theoretical keeps its
-    values on the mesh's slots and the elimination order, and stationary
-    and practical share its one ScalarFactorization.  The order is the
+    section, taken unchecked (SimulationConfig.validate holds alpha_p > 0,
+    and beta_k >= 0).  K is formed here, once; theoretical keeps its values
+    on the mesh's slots and the elimination order, and stationary and
+    practical share its one ScalarFactorization.  The order is the
     mesh's reverse Cuthill-McKee order when the band of the matrix to
     factor fits (band_fits), else its nested-dissection order, which is
     computed only then.  The frame-independent kinds are built here,
@@ -264,12 +265,6 @@ class PreconditionerSource:
     """
 
     def __init__(self, mesh, mass, stiffness, beta_k, kind, alpha_p, rebuild_every=1):
-        if kind not in PRECONDITIONER_KINDS:
-            raise PreconditionerError(f"unknown preconditioner kind {kind!r}")
-        if alpha_p <= 0:
-            raise PreconditionerError(f"alpha_P must be positive, got {alpha_p}")
-        if beta_k < 0:
-            raise PreconditionerError(f"beta_k must be nonnegative, got {beta_k}")
         self.kind = kind
         self.rebuild_every = rebuild_every
         self.builds = 0

@@ -18,12 +18,10 @@ import numpy as np
 
 from . import fem, precond as precond_mod
 from .gmres import GmresError, ReducedOperator, gmres_solve
-from .mesh import Mesh, generate_structured_cube, load_mesh
-from .physics import AppliedFieldConfig, FieldConfigError, PiConfig, pi_apply
+from .mesh import Mesh, MeshError, check_box, generate_structured_cube, load_mesh
+from .physics import AppliedFieldConfig, PiConfig, pi_apply
 from .tangent import (FIXED_INVOLUTIONS, FRAME_STRATEGIES, apply_q, build_frame,
                       frame_gamma, select_tn_adaptive)
-
-SCHEME_VARIANTS = ("tps1", "tps2")
 
 
 class ConfigError(ValueError):
@@ -38,28 +36,13 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeCoefficients:
-    """Variant-dependent coefficient family of the tangent plane scheme."""
+    """Variant-dependent coefficient family of the tangent plane scheme; the
+    values, and k in (0, 1) for tps2, are SimulationConfig.validate's to check."""
 
     variant: str                 # "tps1" | "tps2"
     alpha: float                 # Gilbert damping
     ell_ex2: float               # exchange length squared
     theta: float = 1.0           # first-order stabilization parameter
-
-    def __post_init__(self):
-        if self.variant not in SCHEME_VARIANTS:
-            raise ConfigError(f"unknown scheme variant {self.variant!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 < self.theta <= 1.0:
-            raise ConfigError(f"theta must be in (0, 1], got {self.theta}")
-        if self.ell_ex2 < 0.0:
-            raise ConfigError(f"ell_ex2 must be nonnegative, got {self.ell_ex2}")
-
-    def check_timestep(self, k):
-        if k <= 0.0:
-            raise ConfigError(f"time step must be positive, got {k}")
-        if self.variant == "tps2" and k >= 1.0:
-            raise ConfigError("second-order variant needs k in (0, 1): |log k| degenerates")
 
     def rho(self, k):
         """|k log k| (natural logarithm)."""
@@ -143,7 +126,7 @@ def normalize_update(m, v, k):
             f"update is not tangent: |v.m| = {defect:.3e} at node {worst} (scale {scale:.3e})")
     updated = m + k * v
     nsq = np.einsum("nc,nc->n", updated, updated)
-    predicted = np.einsum("nc,nc->n", m, m) + k**2 * np.einsum("nc,nc->n", v, v)
+    predicted = np.einsum("nc,nc->n", m, m) + k * k * np.einsum("nc,nc->n", v, v)
     err = float(np.abs(nsq - predicted).max() / (1.0 + predicted.max()))
     if err > 1e-10:
         raise ValueError(f"orthogonality identity violated by {err:.3e}")
@@ -191,7 +174,7 @@ Required = namedtuple("Required", "example")
 # have the type of its default: bool, integer, finite real, string, or a
 # list of these as long as the default (resolved as a tuple).
 CONFIG_TABLE = {
-    "scheme": Choice("tps1", SCHEME_VARIANTS),
+    "scheme": Choice("tps1", ("tps1", "tps2")),
     "alpha": 0.5,
     "theta": 1.0,
     "ell_ex2": 10.0,
@@ -347,7 +330,18 @@ class SimulationConfig:
         return SimulationConfig(**resolved).validate()
 
     def validate(self):
-        self.coefficients().check_timestep(self.k)  # bad variant, alpha, theta or k
+        """ConfigError on the first value out of range: every range rule of
+        a config, stated once (_resolve checks kinds, choices and types)."""
+        if not 0.0 < self.alpha <= 1.0:
+            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not 0.0 < self.theta <= 1.0:
+            raise ConfigError(f"theta must be in (0, 1], got {self.theta}")
+        if self.ell_ex2 < 0.0:
+            raise ConfigError(f"ell_ex2 must be nonnegative, got {self.ell_ex2}")
+        if self.k <= 0.0:
+            raise ConfigError(f"time step must be positive, got {self.k}")
+        if self.scheme == "tps2" and self.k >= 1.0:
+            raise ConfigError("second-order variant needs k in (0, 1): |log k| degenerates")
         if self.T <= 0:
             raise ConfigError(f"final time must be positive, got {self.T}")
         steps = self.T / self.k
@@ -364,24 +358,14 @@ class SimulationConfig:
             raise ConfigError("precond.alpha_p must be positive")
         if self.precond["rebuild_every"] < 1:
             raise ConfigError("precond.rebuild_every must be >= 1")
+        if self.output["snapshot_every"] < 0:
+            raise ConfigError("output.snapshot_every must be >= 0, "
+                              f"got {self.output['snapshot_every']!r}")
         if self.mesh["kind"] == "cube":
-            # the checks of generate_structured_cube, made before any mesh is built
-            if any(count < 1 for count in self.mesh["n"]):
-                raise ConfigError(f"mesh.n must be three integers >= 1, got {list(self.mesh['n'])}")
-            bounds = self.mesh["bounds"]
-            if any(hi <= lo for lo, hi in bounds):
-                raise ConfigError("mesh.bounds: box must have positive extent in every "
-                                  f"axis, got {[list(axis) for axis in bounds]}")
-            # the degeneracy rule of Mesh: each Kuhn tet of the box has volume
-            # h_x h_y h_z / 6, with h = extent / n per axis
-            volume = math.prod((hi - lo) / count
-                               for (lo, hi), count in zip(bounds, self.mesh["n"])) / 6.0
-            scale = max(max(abs(bound) for axis in bounds for bound in axis), 1.0)
-            if not math.isfinite(volume):
-                raise ConfigError(f"mesh.bounds: the element volume overflows ({volume:.3e})")
-            if volume <= 1e-14 * scale * scale * scale:
-                raise ConfigError(f"mesh.bounds: the elements of the box are degenerate "
-                                  f"(volume {volume:.3e})")
+            try:  # before any mesh is built
+                check_box(self.mesh["bounds"], self.mesh["n"])
+            except MeshError as exc:  # its message starts with the key at fault
+                raise ConfigError(f"mesh.{exc}") from exc
         elif not (os.path.isfile(self.mesh["path"]) and os.access(self.mesh["path"], os.R_OK)):
             raise ConfigError(f"mesh.path: {self.mesh['path']!r} is not a readable file")
         m0 = self.field_cfg["m0"]
@@ -392,10 +376,11 @@ class SimulationConfig:
             # on a unit extent, that 2 pi turns is finite
             x_lo, x_hi = self.mesh["bounds"][0] if self.mesh["kind"] == "cube" else (0.0, 1.0)
             check_spiral_phase(m0["turns"], x_lo, x_hi)
-        try:
-            PiConfig(**self.field_cfg["pi"])
-        except FieldConfigError as exc:
-            raise ConfigError(f"field.pi: {exc}") from exc
+        pi = self.field_cfg["pi"]
+        if pi["kind"] == "uniaxial":
+            norm = math.hypot(*pi["axis"])  # neither overflows nor underflows
+            if abs(norm - 1.0) > 1e-12:
+                raise ConfigError(f"field.pi: anisotropy axis must be unit length, |a| = {norm}")
         return self
 
     def coefficients(self):
@@ -444,10 +429,10 @@ def initial_magnetization(cfg, mesh):
 class StepContext:
     """Per-run data, all built at set-up: the mesh, its static matrices, the
     field configs, and the run's PreconditionerSource, which each step asks
-    for that step's preconditioner (the only state that changes)."""
+    for that step's preconditioner (the only state that changes).  config
+    is a resolved config (SimulationConfig.from_dict), not checked again."""
 
     def __init__(self, config, mesh=None):
-        config.validate()
         self.config = config
         self.mesh = mesh if mesh is not None else config.build_mesh()
         self.coeffs = config.coefficients()
@@ -521,7 +506,7 @@ def tps_step(ctx, state):
         if defect > 1e-8 * scale:
             raise SolverFailure(state.n, f"solved update lost tangency: {defect:.3e}")
         m_next = normalize_update(m, v, k) if cfg.projection else m + k * v
-    except (GmresError, precond_mod.PreconditionerError, ValueError) as exc:
+    except (GmresError, precond_mod.PreconditionerError, ValueError, ArithmeticError) as exc:
         raise SolverFailure(state.n, str(exc)) from exc
 
     record = StepRecord(

@@ -282,6 +282,26 @@ EXIT_CODE_ROWS = [
      "anisotropy axis must be unit length"),
     # alpha in (0, 1] so small that the tps2 weights W_k / alpha overflow
     (("scheme", "alpha"), ("tps2", 1e-320), 3, "step 0: non-finite W_k weights"),
+    # range rules of SimulationConfig.validate, each stated there once
+    # (test_scheme.py::TestCoefficients::test_validation has the others)
+    (("scheme", "k", "T"), ("tps2", 1.0, 1.0), 2,
+     "second-order variant needs k in (0, 1): |log k| degenerates"),
+    ("precond.alpha_p", 0.0, 2, "precond.alpha_p must be positive"),
+    ("precond.rebuild_every", 0, 2, "precond.rebuild_every must be >= 1"),
+    # a negative snapshot interval would write no snapshots
+    ("output.snapshot_every", -3, 2, "output.snapshot_every must be >= 0, got -3"),
+    # mesh-file entries that numpy would read as numbers, or overflow on,
+    # and a file nested too deep for the parser (MESH_FILES)
+    ("mesh", {"kind": "file", "path": "string_index.json"}, 2,
+     '"0" at tets[0, 0] is not a number'),
+    ("mesh", {"kind": "file", "path": "string_coordinate.json"}, 2,
+     '"0" at nodes[3, 0] is not a number'),
+    ("mesh", {"kind": "file", "path": "boolean_index.json"}, 2,
+     "false at tets[0, 0] is not a number"),
+    ("mesh", {"kind": "file", "path": "huge_index.json"}, 2,
+     f"integer {10**30} at tets[0, 3] is outside int64"),
+    ("mesh", {"kind": "file", "path": "deep.json"}, 2,
+     "mesh JSON parse error: maximum recursion depth exceeded"),
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))
@@ -304,6 +324,18 @@ MESH_FILES = {
     "unused_node.json": json.dumps({"nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
                                               [1, 1, 1]],
                                     "tets": [[0, 1, 2, 3]]}),
+    # the unit tetrahedron with a string index, a string coordinate, two
+    # boolean indices and an index past int64
+    "string_index.json": json.dumps({"nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                     "tets": [["0", "1", "2", "3"]]}),
+    "string_coordinate.json": json.dumps({"nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                                    ["0", "0", "1e0"]],
+                                          "tets": [[0, 1, 2, 3]]}),
+    "boolean_index.json": json.dumps({"nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                      "tets": [[False, True, 2, 3]]}),
+    "huge_index.json": json.dumps({"nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                   "tets": [[0, 1, 2, 10**30]]}),
+    "deep.json": "[" * 100000 + "]" * 100000,
 }
 
 
@@ -333,6 +365,18 @@ def test_exit_code_contract(tmp_path, capsys, key, value, code, fragment):
         # the point keeps its outputs (partial ones if it failed)
         assert (out / "summary.csv").exists()
         assert any(p.startswith("steps_") for p in os.listdir(out))
+
+
+@pytest.mark.parametrize("text", [b'{"k": "\xff"}', b"[" * 100000 + b"]" * 100000,
+                                  b'{"k": ' + b"1" * 5000 + b"}"],
+                         ids=["invalid-utf8", "nested-too-deep", "integer-too-long"])
+def test_config_file_the_parser_cannot_read_is_config_error(tmp_path, capsys, text):
+    (tmp_path / "config.json").write_bytes(text)
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("path", BUNDLED_CONFIGS,
@@ -436,6 +480,20 @@ def test_precondition_failure_at_set_up_exits_3_and_the_next_point_runs(tmp_path
     assert [row["precond"] for row in rows] == ["jacobi"]
     assert sorted(p for p in os.listdir(out) if p.startswith("steps_")) == [
         "steps_001_jacobi_ap1_t3m.csv"]
+
+
+@pytest.mark.parametrize("k, pkind, in_step", [(1e308, "stationary", False),
+                                               (1e300, "jacobi", True)])
+def test_floating_point_overflow_exits_3_with_one_line(tmp_path, capsys, k, pkind, in_step):
+    """tps1 with k = 1e308 overflows beta_k = ell_ex2 theta k while K is
+    formed at set-up; with k = 1e300 the update m + k v of step 0
+    overflows.  Either ends the point with one line and no numpy warning."""
+    doc = academic_sweep_doc(n_levels=(2,), preconds=(pkind,))
+    doc["k"] = doc["T"] = k
+    assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"solver failure on sweep point 0 ({pkind}): ")
+    assert err.count("\n") == 1 and ("step 0: " in err) == in_step
 
 
 def test_a_point_releases_its_mesh_before_the_next_point_runs(tmp_path, monkeypatch):

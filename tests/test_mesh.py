@@ -7,7 +7,7 @@ import pytest
 from tangent_plane_llg import (Mesh, MeshError, generate_structured_cube,
                                load_mesh, mesh_quality, save_mesh)
 from tangent_plane_llg.fem import assemble_mass
-from tangent_plane_llg.mesh import _cross, _dot, _edge_components
+from tangent_plane_llg.mesh import _cross, _dot, _edge_components, check_box
 
 from conftest import UNIT_BOUNDS
 
@@ -38,6 +38,20 @@ def test_generator_rejects_bad_input():
         generate_structured_cube(UNIT_BOUNDS, (0, 1, 1))
     with pytest.raises(MeshError):
         generate_structured_cube([[0, 0], [0, 1], [0, 1]], (1, 1, 1))
+
+
+@pytest.mark.parametrize("bounds, n, message", [
+    (UNIT_BOUNDS, (0, 1, 1), r"n must be three integers >= 1, got \[0, 1, 1\]"),
+    ([[0, 0], [0, 1], [0, 1]], (1, 1, 1), "bounds: box must have positive extent"),
+    ([[0, 1e10], [0, 1], [0, 1]], (2, 2, 2), "bounds: the elements of the box are degenerate"),
+    ([[0, 1e200]] * 3, (1, 1, 1), "bounds: the element volume overflows"),
+])
+def test_check_box_is_the_rule_of_the_generator(bounds, n, message):
+    # the one statement of the box rules, which the config check calls too
+    with pytest.raises(MeshError, match=message):
+        check_box(bounds, n)
+    with pytest.raises(MeshError, match=message):
+        generate_structured_cube(bounds, n)
 
 
 @pytest.mark.parametrize("name", ["shuffled_cube", "perturbed_cube"])

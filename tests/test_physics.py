@@ -7,6 +7,7 @@ from tangent_plane_llg import (AppliedFieldConfig, PiConfig, SIParameters,
                                mumag4_parameters, mumag5_spin_velocity,
                                nondimensionalize, pi_apply)
 from tangent_plane_llg.physics import MU0, FieldConfigError, nodal_directional_derivative
+from tangent_plane_llg.scheme import ConfigError, SimulationConfig
 
 from conftest import random_unit_field
 
@@ -74,8 +75,12 @@ def test_pi_uniaxial_projection(cube2):
 
 
 def test_uniaxial_axis_must_be_unit():
-    with pytest.raises(FieldConfigError):
-        PiConfig(kind="uniaxial", axis=(1.0, 1.0, 0.0), strength=1.0)
+    # checked where a config is resolved; PiConfig takes its values unchecked
+    field = {"pi": {"kind": "uniaxial", "axis": [1.0, 1.0, 0.0], "strength": 1.0}}
+    with pytest.raises(ConfigError, match="field.pi: anisotropy axis must be unit length"):
+        SimulationConfig.from_dict({"field": field})
+    field["pi"]["axis"] = [0.6, 0.0, 0.8]
+    SimulationConfig.from_dict({"field": field})
 
 
 def test_zhang_li_constant_field_vanishes(cube2):

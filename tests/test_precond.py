@@ -11,6 +11,7 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, PreconditionerSource, build_fr
 import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg.precond import (PRECONDITIONER_KINDS, PreconditionerError,
                                        ScalarFactorization)
+from tangent_plane_llg.scheme import ConfigError, SimulationConfig
 
 from conftest import UNIT_BOUNDS, k_slots, random_unit_field, spd
 
@@ -83,12 +84,13 @@ class TestTheoretical:
                 worst = max(worst, np.abs(theo.apply(e) - stat.apply(e)).max())
             assert worst <= 1e-13
 
-    def test_rejects_nonpositive_alpha_p(self, setup):
-        # checked once, where K is formed, for every kind
-        mesh, mass, stiffness, m, frame = setup
+    def test_rejects_nonpositive_alpha_p(self):
+        # checked once, where a config is resolved, for every kind;
+        # PreconditionerSource takes alpha_p unchecked
         for kind in PRECONDITIONER_KINDS:
-            with pytest.raises(PreconditionerError, match="alpha_P must be positive"):
-                PreconditionerSource(mesh, mass, stiffness, BETA_K, kind, 0.0)
+            for alpha_p in (0.0, -1.0):
+                with pytest.raises(ConfigError, match="precond.alpha_p must be positive"):
+                    SimulationConfig.from_dict({"precond": {"kind": kind, "alpha_p": alpha_p}})
 
 
 class TestStationary:
@@ -242,8 +244,9 @@ class TestApplyDispatch:
             pc = source.for_step(frame, 0)
             assert pc.kind == kind
             assert pc.apply(np.zeros(2 * mesh.N)).shape == (2 * mesh.N,)
-        with pytest.raises(PreconditionerError, match="unknown preconditioner kind"):
-            PreconditionerSource(mesh, mass, stiffness, BETA_K, "ilu", ALPHA_P)
+        # an unknown kind is rejected where a config is resolved
+        with pytest.raises(ConfigError, match="precond.kind: unknown value 'ilu'"):
+            SimulationConfig.from_dict({"precond": {"kind": "ilu"}})
 
 
 def test_theoretical_with_stale_frame_still_solves(setup, rng):
@@ -363,8 +366,6 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
             assert pc.kind == kind
             r = rng.standard_normal(2 * mesh.N)
             assert np.array_equal(pc.apply(r), expected[kind](step).apply(r))
-    with pytest.raises(PreconditionerError, match="unknown preconditioner kind"):
-        PreconditionerSource(mesh, mass, stiffness, BETA_K, "ilu", ALPHA_P)
 
 
 @pytest.mark.parametrize("band", [True, False], ids=["band", "superlu"])

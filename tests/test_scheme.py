@@ -34,14 +34,12 @@ class TestCoefficients:
     def test_tps1_constants(self):
         c = SchemeCoefficients("tps1", alpha=0.5, ell_ex2=10.0, theta=0.7)
         assert c.beta(0.01) == 10.0 * 0.7
-        c.check_timestep(0.01)
         assert c.wk(0.01, 3.7) == 0.5
         assert c.wk(0.01, -123.0) == 0.5
 
     def test_tps2_values(self):
         c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=10.0)
         k = 0.01
-        c.check_timestep(k)
         rho = abs(k * math.log(k))
         assert c.rho(k) == pytest.approx(rho, rel=1e-15)
         assert c.beta(k) == pytest.approx(5.0 * (1 + rho), rel=1e-15)
@@ -64,18 +62,26 @@ class TestCoefficients:
         assert (w >= 0.25).all()
         assert (w > 0).all()
 
+    # the coefficients take their values unchecked: a config is checked
+    # where it is resolved, by SimulationConfig.from_dict
     def test_tps2_rejects_large_k(self):
-        c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=10.0)
-        with pytest.raises(ConfigError):
-            c.check_timestep(1.0)
+        SimulationConfig.from_dict(academic_config(scheme="tps2", k=0.5, T=0.5))
+        with pytest.raises(ConfigError, match=r"second-order variant needs k in \(0, 1\)"):
+            SimulationConfig.from_dict(academic_config(scheme="tps2", k=1.0, T=1.0))
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            SchemeCoefficients("tps3", alpha=0.5, ell_ex2=1.0)
-        with pytest.raises(ConfigError):
-            SchemeCoefficients("tps1", alpha=0.0, ell_ex2=1.0)
-        with pytest.raises(ConfigError):
-            SchemeCoefficients("tps1", alpha=0.5, ell_ex2=1.0, theta=1.5)
+        with pytest.raises(ConfigError, match="scheme: unknown value 'tps3'"):
+            SimulationConfig.from_dict(academic_config(scheme="tps3"))
+        for key, value, message in [
+                ("alpha", 0.0, r"alpha must be in \(0, 1\], got 0.0"),
+                ("alpha", 1.5, r"alpha must be in \(0, 1\], got 1.5"),
+                ("theta", 1.5, r"theta must be in \(0, 1\], got 1.5"),
+                ("theta", 0.0, r"theta must be in \(0, 1\], got 0.0"),
+                ("ell_ex2", -1.0, "ell_ex2 must be nonnegative, got -1.0"),
+                ("k", 0.0, "time step must be positive, got 0.0"),
+                ("k", -0.01, "time step must be positive, got -0.01")]:
+            with pytest.raises(ConfigError, match=message):
+                SimulationConfig.from_dict(academic_config(**{key: value}))
 
 
 class TestLambdaField:
@@ -325,6 +331,28 @@ class TestConfig:
     def test_rejects_bad_tn(self):
         with pytest.raises(ConfigError):
             SimulationConfig.from_dict(academic_config(frame={"tn": "t4+"}))
+
+    def test_a_resolved_config_is_checked_once(self, monkeypatch):
+        """from_dict checks a config; a run takes it as resolved, calls
+        validate no more and builds the config's PiConfig once."""
+        import tangent_plane_llg.scheme as scheme_mod
+        calls = {"validate": 0, "PiConfig": 0}
+        validate = SimulationConfig.validate
+
+        def counting_validate(config):
+            calls["validate"] += 1
+            return validate(config)
+
+        def counting_pi_config(**values):
+            calls["PiConfig"] += 1
+            return PiConfig(**values)
+
+        cfg = SimulationConfig.from_dict(academic_config(
+            T=0.01, field={"pi": {"kind": "uniaxial", "axis": [0, 0, 1], "strength": 0.5}}))
+        monkeypatch.setattr(SimulationConfig, "validate", counting_validate)
+        monkeypatch.setattr(scheme_mod, "PiConfig", counting_pi_config)
+        run_simulation(cfg)
+        assert calls == {"validate": 0, "PiConfig": 1}
 
     def test_gamma_and_d_adapt_reported(self):
         cfg = SimulationConfig.from_dict(academic_config(
