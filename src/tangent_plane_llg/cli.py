@@ -97,7 +97,7 @@ def run_experiment(config_path, out_dir=None, overrides=None):
         meshes = {path: _check_mesh_file(path) for path in
                   sorted({cfg.mesh["path"] for cfg in configs if cfg.mesh["kind"] == "file"})}
         for cfg in configs:
-            m0 = cfg.field_cfg["m0"]
+            m0 = cfg.field["m0"]
             if cfg.mesh["kind"] == "file" and m0["kind"] == "spiral":
                 x = meshes[cfg.mesh["path"]].nodes[:, 0]
                 check_spiral_phase(m0["turns"], float(x.min()), float(x.max()))

@@ -2,7 +2,10 @@
 
 The nonlocal stray field needs boundary-element machinery and is out of
 scope; the local substitutes here (zero, uniaxial anisotropy, Zhang-Li
-spin torque) keep the role of a bounded lower-order operator.
+spin torque) keep the role of a bounded lower-order operator.  pi_apply
+and applied_field take the resolved field.pi and field.applied sections
+of a config as they are: scheme.CONFIG_TABLE states their keys per kind,
+and SimulationConfig.from_dict checks their values.
 """
 
 from dataclasses import dataclass
@@ -69,20 +72,6 @@ def mumag5_spin_velocity(gamma0=2.21e5, Ms=8.0e5, L=1e-9):
     return np.array([72.17, 0.0, 0.0]) / (gamma0 * Ms * L)
 
 
-@dataclass(frozen=True)
-class PiConfig:
-    """Lower-order operator pi(m): zero, uniaxial anisotropy, or Zhang-Li.
-    The values of a kind come from scheme.CONFIG_TABLE, checked there and by
-    SimulationConfig.validate, not here; those that the kind does not use
-    stay None."""
-
-    kind: str
-    axis: tuple = None        # anisotropy axis (uniaxial)
-    strength: float = None    # anisotropy strength (uniaxial)
-    u: tuple = None           # spin velocity (Zhang-Li)
-    beta_zl: float = None     # non-adiabaticity constant (Zhang-Li)
-
-
 def nodal_directional_derivative(mesh, m, u):
     """(u . grad) m recovered at nodes by volume-weighted element averaging."""
     vol, grad = mesh.element_geometry()
@@ -96,30 +85,27 @@ def nodal_directional_derivative(mesh, m, u):
     return num / np.bincount(nodes, np.tile(vol, 4), mesh.N)[:, None]
 
 
-def pi_apply(config, mesh, m):
-    """Nodal values of the lower-order contribution pi(m)."""
+def pi_apply(pi, mesh, m):
+    """Nodal values of the lower-order contribution pi(m) of the resolved
+    field.pi section pi: zero, uniaxial anisotropy, or Zhang-Li."""
     m = np.asarray(m, dtype=np.float64)
-    if config.kind == "zero":
+    if pi["kind"] == "zero":
         return np.zeros_like(m)
-    if config.kind == "uniaxial":
-        axis = np.asarray(config.axis, dtype=np.float64)
-        return config.strength * np.outer(m @ axis, axis)
-    adv = nodal_directional_derivative(mesh, m, config.u)  # zhang_li
-    return np.cross(m, adv) + config.beta_zl * adv
+    if pi["kind"] == "uniaxial":
+        axis = np.asarray(pi["axis"], dtype=np.float64)
+        return pi["strength"] * np.outer(m @ axis, axis)
+    adv = nodal_directional_derivative(mesh, m, pi["u"])  # zhang_li
+    return np.cross(m, adv) + pi["beta_zl"] * adv
 
 
-@dataclass(frozen=True)
-class AppliedFieldConfig:
-    """Applied field f: constant vector or the academic expression 10(sin x1, cos x1, 0)."""
-
-    kind: str
-    value: tuple = None    # the constant field (constant)
-
-    def nodal(self, mesh, t):
-        if self.kind == "constant":
-            return np.tile(np.asarray(self.value, dtype=np.float64), (mesh.N, 1))
-        x1 = mesh.nodes[:, 0]
-        out = np.zeros((mesh.N, 3))
-        out[:, 0] = 10.0 * np.sin(x1)
-        out[:, 1] = 10.0 * np.cos(x1)
-        return out
+def applied_field(applied, mesh, t):
+    """Nodal values at time t of the applied field f of the resolved
+    field.applied section applied: a constant vector, or the academic
+    expression 10(sin x1, cos x1, 0); neither depends on t."""
+    if applied["kind"] == "constant":
+        return np.tile(np.asarray(applied["value"], dtype=np.float64), (mesh.N, 1))
+    x1 = mesh.nodes[:, 0]
+    out = np.zeros((mesh.N, 3))
+    out[:, 0] = 10.0 * np.sin(x1)
+    out[:, 1] = 10.0 * np.cos(x1)
+    return out

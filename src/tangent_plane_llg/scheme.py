@@ -11,15 +11,16 @@ the local field strength.
 import functools
 import math
 import os
+import types
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import fem, precond as precond_mod
 from .gmres import GmresError, ReducedOperator, gmres_solve
 from .mesh import Mesh, MeshError, check_box, generate_structured_cube, load_mesh
-from .physics import AppliedFieldConfig, PiConfig, pi_apply
+from .physics import applied_field, pi_apply
 from .tangent import (FIXED_INVOLUTIONS, FRAME_STRATEGIES, apply_q, build_frame,
                       frame_gamma, select_tn_adaptive)
 
@@ -90,12 +91,13 @@ def lambda_field(mesh, m, f_plus_pi, ell_ex2):
     return -ell_ex2 * frob2 + lower
 
 
-def lh_term(coeffs, pi_n, pi_nm1, applied, t_n, k, mesh):
+def lh_term(coeffs, pi_n, pi_nm1, applied, t_n, k):
     """Nodal lower-order right-hand-side combination for the current step,
-    given pi_n = pi(m^n) and pi_nm1 = pi(m^{n-1})."""
+    given pi_n = pi(m^n), pi_nm1 = pi(m^{n-1}) and applied(t), the nodal
+    applied field at time t: taken at t_n by tps1, at t_n + k/2 by tps2."""
     if coeffs.variant == "tps1":
-        return pi_n + applied.nodal(mesh, t_n)
-    return 1.5 * pi_n - 0.5 * pi_nm1 + applied.nodal(mesh, t_n + 0.5 * k)
+        return pi_n + applied(t_n)
+    return 1.5 * pi_n - 0.5 * pi_nm1 + applied(t_n + 0.5 * k)
 
 
 def assert_unit_nodal(m, tol=1e-14):
@@ -151,6 +153,8 @@ class TimeStepState:
 
 @dataclass
 class StepRecord:
+    """One step's row of the step CSV: a column per field, in this order."""
+
     step: int
     t: float
     gmres_iterations: int
@@ -159,6 +163,9 @@ class StepRecord:
     gamma: float
     d_adapt: float
     exchange_energy: float
+
+
+STEP_CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
 
 
 TN_MODES = ("adaptive",) + tuple(sorted(FIXED_INVOLUTIONS))
@@ -298,23 +305,10 @@ def _cube_mesh(bounds, n):
     return generate_structured_cube(bounds, n)
 
 
-@dataclass
-class SimulationConfig:
-    """A resolved config: every key of CONFIG_TABLE present and checked."""
-
-    scheme: str
-    alpha: float
-    theta: float
-    ell_ex2: float
-    T: float
-    k: float
-    projection: bool
-    mesh: dict
-    field_cfg: dict
-    solver: dict
-    precond: dict
-    frame: dict
-    output: dict
+class SimulationConfig(types.SimpleNamespace):
+    """A resolved config: the document that _resolve returns over
+    CONFIG_TABLE, checked, with each top-level key as the attribute of its
+    name (cfg.k, cfg.field["pi"]).  CONFIG_TABLE alone states its keys."""
 
     @staticmethod
     def from_dict(d):
@@ -325,9 +319,7 @@ class SimulationConfig:
         the experiment runner's and is ignored here.
         """
         doc = {key: val for key, val in d.items() if key != "sweep"}
-        resolved = _resolve("", doc, CONFIG_TABLE)
-        resolved["field_cfg"] = resolved.pop("field")
-        return SimulationConfig(**resolved).validate()
+        return SimulationConfig(**_resolve("", doc, CONFIG_TABLE)).validate()
 
     def validate(self):
         """ConfigError on the first value out of range: every range rule of
@@ -368,7 +360,7 @@ class SimulationConfig:
                 raise ConfigError(f"mesh.{exc}") from exc
         elif not (os.path.isfile(self.mesh["path"]) and os.access(self.mesh["path"], os.R_OK)):
             raise ConfigError(f"mesh.path: {self.mesh['path']!r} is not a readable file")
-        m0 = self.field_cfg["m0"]
+        m0 = self.field["m0"]
         if m0["kind"] == "constant" and not any(m0["value"]):
             raise ConfigError("field.m0.value must be a nonzero vector")
         if m0["kind"] == "spiral":
@@ -376,7 +368,7 @@ class SimulationConfig:
             # on a unit extent, that 2 pi turns is finite
             x_lo, x_hi = self.mesh["bounds"][0] if self.mesh["kind"] == "cube" else (0.0, 1.0)
             check_spiral_phase(m0["turns"], x_lo, x_hi)
-        pi = self.field_cfg["pi"]
+        pi = self.field["pi"]
         if pi["kind"] == "uniaxial":
             norm = math.hypot(*pi["axis"])  # neither overflows nor underflows
             if abs(norm - 1.0) > 1e-12:
@@ -428,9 +420,11 @@ def initial_magnetization(cfg, mesh):
 
 class StepContext:
     """Per-run data, all built at set-up: the mesh, its static matrices, the
-    field configs, and the run's PreconditionerSource, which each step asks
-    for that step's preconditioner (the only state that changes).  config
-    is a resolved config (SimulationConfig.from_dict), not checked again."""
+    applied field as a function of time alone, and the run's
+    PreconditionerSource, which each step asks for that step's
+    preconditioner (the only state that changes).  config is a resolved
+    config (SimulationConfig.from_dict), not checked again; a step reads
+    its field.pi section as it is."""
 
     def __init__(self, config, mesh=None):
         self.config = config
@@ -440,15 +434,13 @@ class StepContext:
         self.beta_k = self.coeffs.beta(self.k) * self.k
         self.mass = fem.assemble_mass(self.mesh)
         self.stiffness = fem.assemble_stiffness(self.mesh)
-        # the resolved field sections hold exactly these dataclasses' fields
-        self.pi_cfg = PiConfig(**config.field_cfg["pi"])
-        self.applied = AppliedFieldConfig(**config.field_cfg["applied"])
-        # and the precond section the options of PreconditionerSource
+        self.applied = functools.partial(applied_field, config.field["applied"], self.mesh)
+        # the precond section holds exactly the options of PreconditionerSource
         self.preconditioners = precond_mod.PreconditionerSource(
             self.mesh, self.mass, self.stiffness, self.beta_k, **config.precond)
 
     def initial_state(self):
-        m0 = initial_magnetization(self.config.field_cfg["m0"], self.mesh)
+        m0 = initial_magnetization(self.config.field["m0"], self.mesh)
         try:
             assert_unit_nodal(m0, tol=1e-12)
         except ValueError as exc:
@@ -473,9 +465,9 @@ def tps_step(ctx, state):
     T = selection.chosen_T if tn == "adaptive" else FIXED_INVOLUTIONS[tn]
     frame = build_frame(mdir, T, cfg.frame["strategy"])
 
-    pi_n = pi_apply(ctx.pi_cfg, mesh, m)
+    pi_n = pi_apply(cfg.field["pi"], mesh, m)
     if coeffs.variant == "tps2":
-        f_plus_pi = ctx.applied.nodal(mesh, state.t_n) + pi_n
+        f_plus_pi = ctx.applied(state.t_n) + pi_n
         lam = lambda_field(mesh, m, f_plus_pi, coeffs.ell_ex2)
         with np.errstate(over="ignore", invalid="ignore"):
             weights = coeffs.wk(k, lam) / coeffs.alpha
@@ -487,7 +479,7 @@ def tps_step(ctx, state):
 
     # at step 0, pi(m^0) serves for both time levels
     pi_nm1 = pi_n if state.pi_nm1 is None else state.pi_nm1
-    lh = lh_term(coeffs, pi_n, pi_nm1, ctx.applied, state.t_n, k, mesh)
+    lh = lh_term(coeffs, pi_n, pi_nm1, ctx.applied, state.t_n, k)
     system = fem.build_system(mesh, m, coeffs.alpha, ctx.beta_k, weights, lh,
                               coeffs.ell_ex2, mass=ctx.mass, stiffness=ctx.stiffness)
 
@@ -586,20 +578,14 @@ def run_simulation(config, mesh=None):
                             precond_builds=ctx.preconditioners.builds)
 
 
-STEP_CSV_HEADER = ("step,t,gmres_iterations,restarts,final_residual,"
-                   "gamma,d_adapt,exchange_energy")
-
-
 def _fmt(v):
     return repr(float(v))
 
 
 def format_step_row(r):
-    return ",".join([
-        str(r.step), _fmt(r.t), str(r.gmres_iterations), str(r.restarts),
-        _fmt(r.final_residual), _fmt(r.gamma), _fmt(r.d_adapt),
-        _fmt(r.exchange_energy),
-    ])
+    """The step CSV row of record r: an int field by str, a float by _fmt."""
+    return ",".join((str if f.type is int else _fmt)(getattr(r, f.name))
+                    for f in fields(StepRecord))
 
 
 def write_residual_csv(stats, path):

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines
 interleaved; all tolerances are pinned here and nowhere else.
 """
 
+import functools
 import sys
 import time
 
@@ -23,7 +24,7 @@ from tangent_plane_llg.diagnostics import (check_bounded_ratio,
                                            check_mapping_identities,
                                            dense_oracle_solve, energy_norm)
 from tangent_plane_llg.gmres import ReducedOperator
-from tangent_plane_llg.physics import applied_field_mumag4, pi_apply
+from tangent_plane_llg.physics import applied_field, applied_field_mumag4, pi_apply
 from tangent_plane_llg.scheme import SchemeCoefficients, lambda_field, lh_term
 
 from conftest import UNIT_BOUNDS, cross_form, k_slots, random_unit_field, spd, step_states
@@ -90,20 +91,18 @@ def cube27():
 
 def build_step_system(mesh, variant, mass, stiffness):
     """Initial-step linear system of the scheme on the 27-node cube."""
-    from tangent_plane_llg.physics import AppliedFieldConfig, PiConfig
     coeffs = SchemeCoefficients(variant, alpha=0.5, ell_ex2=10.0)
     k = 0.01
     beta_k = coeffs.beta(k) * k
     m = spiral_field(mesh)
-    applied = AppliedFieldConfig(kind="academic")
-    pi_cfg = PiConfig(kind="zero")
+    applied = functools.partial(applied_field, dict(kind="academic"), mesh)
     if variant == "tps2":
-        lam = lambda_field(mesh, m, applied.nodal(mesh, 0.0), coeffs.ell_ex2)
+        lam = lambda_field(mesh, m, applied(0.0), coeffs.ell_ex2)
         weights = coeffs.wk(k, lam) / coeffs.alpha
     else:
         weights = np.ones(mesh.elem_count)
-    pi_0 = pi_apply(pi_cfg, mesh, m)
-    lh = lh_term(coeffs, pi_0, pi_0, applied, 0.0, k, mesh)
+    pi_0 = pi_apply(dict(kind="zero"), mesh, m)
+    lh = lh_term(coeffs, pi_0, pi_0, applied, 0.0, k)
     system = build_system(mesh, m, coeffs.alpha, beta_k, weights, lh,
                           coeffs.ell_ex2, mass, stiffness)
     return m, system, beta_k

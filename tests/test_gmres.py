@@ -113,9 +113,19 @@ def test_apply_counts():
 
 
 def test_defaults_follow_experiment_settings():
-    sig = inspect.signature(gmres_solve)
-    assert sig.parameters["tol"].default == 1e-14
-    assert sig.parameters["restart"].default == 200
+    """Every library default that restates a CONFIG_TABLE default equals it."""
+    from tangent_plane_llg import PreconditionerSource, SchemeCoefficients, build_frame
+    defaults = scheme.config_schema()["defaults"]
+    restated = [
+        (gmres_solve, "tol", defaults["solver"]["tol"]),
+        (gmres_solve, "restart", defaults["solver"]["restart"]),
+        (gmres_solve, "maxit", defaults["solver"]["maxit"]),
+        (PreconditionerSource, "rebuild_every", defaults["precond"]["rebuild_every"]),
+        (SchemeCoefficients, "theta", defaults["theta"]),
+        (build_frame, "strategy", defaults["frame"]["strategy"]),
+    ]
+    for owner, name, default in restated:
+        assert inspect.signature(owner).parameters[name].default == default, (owner, name)
 
 
 def test_zero_rhs():

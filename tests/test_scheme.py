@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import tangent_plane_llg.fem as fem_mod
 from tangent_plane_llg import (SchemeCoefficients, SimulationConfig,
                                generate_structured_cube, lambda_field, lh_term,
                                mesh_quality, normalize_update, run_simulation, tps_step)
-from tangent_plane_llg.physics import AppliedFieldConfig, PiConfig, pi_apply
+from tangent_plane_llg.physics import applied_field, pi_apply
 from tangent_plane_llg.scheme import (ConfigError, StepContext,
                                       assert_unit_nodal, exchange_energy)
 
@@ -104,54 +105,57 @@ class TestLambdaField:
 
 
 class TimeLinearField:
-    """Stub applied field f(t) = t * c for the combination tests."""
+    """Stub applied field f(t) = t * c at every node of mesh, for the
+    combination tests."""
 
-    def __init__(self, c):
+    def __init__(self, mesh, c):
+        self.mesh = mesh
         self.c = np.asarray(c, dtype=np.float64)
 
-    def nodal(self, mesh, t):
-        return np.tile(t * self.c, (mesh.N, 1))
+    def __call__(self, t):
+        return np.tile(t * self.c, (self.mesh.N, 1))
 
 
 class TestLhTerm:
     def test_constant_field_both_variants(self, cube2):
         m = random_unit_field(cube2.N, seed=40)
-        applied = AppliedFieldConfig(kind="constant", value=(1.0, 2.0, 3.0))
-        pi = PiConfig(kind="zero")
+        applied = functools.partial(applied_field, dict(kind="constant", value=(1.0, 2.0, 3.0)),
+                                    cube2)
+        pi = dict(kind="zero")
         for variant in ("tps1", "tps2"):
             c = SchemeCoefficients(variant, alpha=0.5, ell_ex2=1.0)
             pi_n = pi_apply(pi, cube2, m)
-            lh = lh_term(c, pi_n, pi_n, applied, 0.0, 0.01, cube2)
+            lh = lh_term(c, pi_n, pi_n, applied, 0.0, 0.01)
             assert np.abs(lh - np.array([1.0, 2.0, 3.0])).max() <= 1e-15
 
     def test_tps2_equal_steps_collapse(self, cube2):
         m = random_unit_field(cube2.N, seed=41)
-        pi = PiConfig(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
+        pi = dict(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
         c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=1.0)
-        f = TimeLinearField([1.0, 0.0, 0.0])
+        f = TimeLinearField(cube2, [1.0, 0.0, 0.0])
         t_n, k = 2.0, 0.01
         pi_n = pi_apply(pi, cube2, m)
-        lh = lh_term(c, pi_n, pi_n, f, t_n, k, cube2)
-        expected = pi_n + f.nodal(cube2, t_n + k / 2)
+        lh = lh_term(c, pi_n, pi_n, f, t_n, k)
+        expected = pi_n + f(t_n + k / 2)
         assert np.abs(lh - expected).max() <= 1e-14
 
     def test_tps2_extrapolates_pi(self, cube2):
-        pi = PiConfig(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
+        pi = dict(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
         pi_n, pi_nm1 = (pi_apply(pi, cube2, random_unit_field(cube2.N, seed=seed))
                         for seed in (43, 44))
         c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=1.0)
-        f = TimeLinearField([1.0, 0.0, 0.0])
-        lh = lh_term(c, pi_n, pi_nm1, f, 2.0, 0.01, cube2)
-        expected = 1.5 * pi_n - 0.5 * pi_nm1 + f.nodal(cube2, 2.005)
+        f = TimeLinearField(cube2, [1.0, 0.0, 0.0])
+        lh = lh_term(c, pi_n, pi_nm1, f, 2.0, 0.01)
+        expected = 1.5 * pi_n - 0.5 * pi_nm1 + f(2.005)
         assert np.abs(lh - expected).max() <= 1e-14
 
     def test_tps1_time_evaluation(self, cube2):
         m = random_unit_field(cube2.N, seed=42)
-        pi = PiConfig(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
+        pi = dict(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
         c = SchemeCoefficients("tps1", alpha=0.5, ell_ex2=1.0)
         fvec = np.array([0.5, -1.0, 0.0])
         pi_n = pi_apply(pi, cube2, m)
-        lh = lh_term(c, pi_n, pi_n, TimeLinearField(fvec), 2.0, 0.01, cube2)
+        lh = lh_term(c, pi_n, pi_n, TimeLinearField(cube2, fvec), 2.0, 0.01)
         expected = 2.0 * fvec + pi_n
         assert np.abs(lh - expected).max() <= 1e-14
 
@@ -228,8 +232,8 @@ class TestStep:
         ctx = StepContext(SimulationConfig.from_dict(academic_config(
             field={"m0": {"kind": "spiral", "turns": 1.0}})))
         st = ctx.initial_state()
-        pi_0 = pi_apply(ctx.pi_cfg, ctx.mesh, st.m_n)
-        lh = lh_fn(ctx.coeffs, pi_0, pi_0, ctx.applied, 0.0, ctx.k, ctx.mesh)
+        pi_0 = pi_apply(ctx.config.field["pi"], ctx.mesh, st.m_n)
+        lh = lh_fn(ctx.coeffs, pi_0, pi_0, ctx.applied, 0.0, ctx.k)
         sys_ = fem.build_system(ctx.mesh, st.m_n, ctx.coeffs.alpha, ctx.beta_k,
                                 np.ones(ctx.mesh.elem_count), lh,
                                 ctx.coeffs.ell_ex2, mass=ctx.mass,
@@ -314,6 +318,21 @@ class TestStep:
         assert np.array_equal(r1.final_state.m_n, r2.final_state.m_n)
         assert (out1 / "steps.csv").read_bytes() == (out2 / "steps.csv").read_bytes()
 
+    def test_step_csv_columns_are_the_record_fields(self, tmp_path):
+        """The step CSV, pinned byte for byte: the header names StepRecord's
+        fields in order, and a row writes an int by str, a float by repr(float)."""
+        cfg = SimulationConfig.from_dict({**academic_config(T=0.02),
+                                          "output": {"dir": str(tmp_path)}})
+        records = run_simulation(cfg).records
+        lines = (tmp_path / "steps.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ("step,t,gmres_iterations,restarts,final_residual,"
+                            "gamma,d_adapt,exchange_energy")
+        rows = [",".join([str(r.step), repr(float(r.t)), str(r.gmres_iterations),
+                          str(r.restarts), repr(float(r.final_residual)), repr(float(r.gamma)),
+                          repr(float(r.d_adapt)), repr(float(r.exchange_energy))])
+                for r in records]
+        assert lines[1:] == rows
+
 
 class TestConfig:
     def test_rejects_unknown_keys(self):
@@ -333,26 +352,36 @@ class TestConfig:
             SimulationConfig.from_dict(academic_config(frame={"tn": "t4+"}))
 
     def test_a_resolved_config_is_checked_once(self, monkeypatch):
-        """from_dict checks a config; a run takes it as resolved, calls
-        validate no more and builds the config's PiConfig once."""
-        import tangent_plane_llg.scheme as scheme_mod
-        calls = {"validate": 0, "PiConfig": 0}
+        """from_dict checks a config; a run takes it as resolved and calls
+        validate no more."""
+        calls = []
         validate = SimulationConfig.validate
 
         def counting_validate(config):
-            calls["validate"] += 1
+            calls.append(1)
             return validate(config)
 
-        def counting_pi_config(**values):
-            calls["PiConfig"] += 1
-            return PiConfig(**values)
-
+        monkeypatch.setattr(SimulationConfig, "validate", counting_validate)
         cfg = SimulationConfig.from_dict(academic_config(
             T=0.01, field={"pi": {"kind": "uniaxial", "axis": [0, 0, 1], "strength": 0.5}}))
-        monkeypatch.setattr(SimulationConfig, "validate", counting_validate)
-        monkeypatch.setattr(scheme_mod, "PiConfig", counting_pi_config)
+        assert len(calls) == 1
         run_simulation(cfg)
-        assert calls == {"validate": 0, "PiConfig": 1}
+        assert len(calls) == 1
+
+    def test_a_key_added_to_the_table_needs_no_other_edit(self, monkeypatch):
+        """CONFIG_TABLE alone states a config's shape: a new top-level key
+        and a new key of a field.pi kind resolve onto the config, and a run
+        takes the config with them."""
+        import tangent_plane_llg.scheme as scheme_mod
+        monkeypatch.setitem(scheme_mod.CONFIG_TABLE, "added", 3)
+        uniaxial = scheme_mod.CONFIG_TABLE["field"]["pi"].variants["uniaxial"]
+        monkeypatch.setitem(uniaxial, "added", 0.25)
+        cfg = SimulationConfig.from_dict(academic_config(
+            T=0.01, added=7,
+            field={"pi": {"kind": "uniaxial", "axis": [0, 0, 1], "strength": 0.5}}))
+        assert cfg.added == 7
+        assert cfg.field["pi"]["added"] == 0.25
+        assert len(run_simulation(cfg).records) == 1
 
     def test_gamma_and_d_adapt_reported(self):
         cfg = SimulationConfig.from_dict(academic_config(
@@ -399,9 +428,9 @@ def test_tps2_evaluates_pi_once_per_step(monkeypatch):
     states = step_states(cfg)
     assert len(calls) == 3
     assert states[0].pi_nm1 is None
-    pi_cfg, mesh = PiConfig(**cfg.field_cfg["pi"]), cfg.build_mesh()
+    mesh = cfg.build_mesh()
     for prev, cur in zip(states, states[1:]):
-        fresh = pi_apply(pi_cfg, mesh, prev.m_n)
+        fresh = pi_apply(cfg.field["pi"], mesh, prev.m_n)
         assert cur.pi_nm1.dtype == fresh.dtype and cur.pi_nm1.tobytes() == fresh.tobytes()
 
 
@@ -419,8 +448,8 @@ def test_single_step_matches_dense_oracle_step():
     st0 = ctx.initial_state()
     stepped, _ = tps_step(ctx, st0)
 
-    pi_0 = pi_apply(ctx.pi_cfg, ctx.mesh, st0.m_n)
-    lh = lh_fn(ctx.coeffs, pi_0, pi_0, ctx.applied, 0.0, ctx.k, ctx.mesh)
+    pi_0 = pi_apply(ctx.config.field["pi"], ctx.mesh, st0.m_n)
+    lh = lh_fn(ctx.coeffs, pi_0, pi_0, ctx.applied, 0.0, ctx.k)
     sys_ = fem.build_system(ctx.mesh, st0.m_n, ctx.coeffs.alpha, ctx.beta_k,
                             np.ones(ctx.mesh.elem_count), lh,
                             ctx.coeffs.ell_ex2, mass=ctx.mass,
