@@ -25,7 +25,7 @@ from .mesh import MeshError, generate_structured_cube, load_mesh, mesh_quality
 from .precond import PRECONDITIONER_KINDS, PreconditionerError
 from .scheme import (TN_MODES, ConfigError, SimulationConfig, SolverFailure,
                      _fmt, check_spiral_phase, config_schema, run_simulation)
-from .tangent import FRAME_STRATEGIES, build_frame, select_tn_adaptive
+from .tangent import build_frame, select_tn_adaptive
 
 SUMMARY_HEADER = ("h,k,precond,alpha,alpha_p,tn_mode,"
                   "avg_iterations,max_iterations,steps,wall_time_s")
@@ -239,7 +239,6 @@ RUN_FLAGS = (
     ("--alpha-p", "precond.alpha_p", {"type": float}),
     ("--precond-rebuild-every", "precond.rebuild_every", {"type": int}),
     ("--tn", "frame.tn", {"choices": TN_MODES}),
-    ("--frame", "frame.strategy", {"choices": FRAME_STRATEGIES}),
     ("--tol", "solver.tol", {"type": float}),
     ("--restart", "solver.restart", {"type": int}),
     ("--maxit", "solver.maxit", {"type": int}),

@@ -3,9 +3,9 @@
 Each node carries a 3x2 matrix with orthonormal columns spanning the plane
 orthogonal to the local magnetization; stacking them block-diagonally gives
 the 3N x 2N change of basis between tangent coefficients and full vectors.
-The default construction is a Householder reflection mapping e3 to -m; a
-global signed-axis involution T relabels the coordinate axes first, and can
-be picked adaptively to keep 1 + (T m)_3 away from zero at every node.
+The frame is a Householder reflection mapping e3 to -m; a global
+signed-axis involution T relabels the coordinate axes first, and can be
+picked adaptively to keep 1 + (T m)_3 away from zero at every node.
 """
 
 from dataclasses import dataclass
@@ -28,8 +28,7 @@ FIXED_INVOLUTIONS = {
 }
 _ADAPTIVE_ORDER = ["t1+", "t1-", "t2+", "t2-", "t3+", "t3-"]
 
-# The reflection takes its exact -e3 branch, and the rotation falls back to
-# the reflection, where the row norm of w (of the rotation axis) is below
+# The reflection takes its exact -e3 branch where the row norm of w is below
 # this bound.  There the tangential part of m is the rounding of a field on
 # the pole (sin 2 pi = -2.4e-16): the direction of w is rounding noise, and
 # the exact frame is off m-perp by less than the bound.  The bound also
@@ -47,11 +46,6 @@ def _row_norms(v):
     return np.sqrt(np.vecdot(v, v))
 
 
-def _reflect(w):
-    """First two columns of I - 2 w w^T for each unit row w."""
-    return _E[:, :2] - 2.0 * (w[:, :, None] * w[:, None, :2])
-
-
 def _householder(m):
     # reflection vector w = (m + e3)/|m + e3|; exact -e3 branch at the pole
     w = m + _E[:, 2]
@@ -59,44 +53,17 @@ def _householder(m):
     # tilts the columns off m-perp by about eps/|w|.  Near -e3, w_3 = 1 + m_3
     # is taken as (m_1^2 + m_2^2)/(1 - m_3), its value on the unit sphere
     # through (m_1, m_2), which cuts the tilt to about eps |w|.  Above 1e-6
-    # the tilt is at most about 700 eps, and the frame stays bit for bit
+    # the tilt is at most about 700 eps, and w_3 stays 1 + m_3
     near = w[:, 2] < 1e-6
     mn = m[near]
     w[near, 2] = (mn[:, 0] * mn[:, 0] + mn[:, 1] * mn[:, 1]) / (1.0 - mn[:, 2])
     wn = _row_norms(w)
     pole = wn < _POLE_GUARD
-    blocks = _reflect(w / np.where(pole, 1.0, wn)[:, None])
+    w /= np.where(pole, 1.0, wn)[:, None]
+    # first two columns of I - 2 w w^T
+    blocks = _E[:, :2] - 2.0 * (w[:, :, None] * w[:, None, :2])
     blocks[pole] = _E[:, :2]
     return blocks
-
-
-def _signflip(m):
-    sigma = np.where(m[:, 2] >= 0, 1.0, -1.0)
-    w = m + sigma[:, None] * _E[:, 2]
-    return _reflect(w / _row_norms(w)[:, None])
-
-
-def _rotation(m):
-    # rotation about e3 x m carrying e3 onto m; first two columns span m-perp
-    axis = np.cross(_E[:, 2], m)
-    s = _row_norms(axis)
-    pole = s < _POLE_GUARD
-    a = axis / np.where(pole, 1.0, s)[:, None]
-    c = m[:, 2]
-    zero = np.zeros(len(m))
-    # first two columns of the cross-product matrix of a
-    K = np.stack([zero, -a[:, 2], a[:, 2], zero, -a[:, 1], a[:, 0]], axis=1).reshape(-1, 3, 2)
-    blocks = (c[:, None, None] * _E[:, :2] + s[:, None, None] * K
-              + (1 - c)[:, None, None] * (a[:, :, None] * a[:, None, :2]))
-    # the axis degenerates at m = +-e3: fall back to the reflection branch
-    blocks[pole] = _householder(m[pole])
-    return blocks
-
-
-# Batched frame constructions on (N, 3) unit rows, giving (N, 3, 2) blocks.
-_FRAME_BUILDERS = {"householder": _householder, "signflip": _signflip,
-                   "rotation": _rotation}
-FRAME_STRATEGIES = tuple(_FRAME_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -163,16 +130,14 @@ class TangentFrame:
         return self._sparse
 
 
-def build_frame(m, T=None, strategy="householder"):
+def build_frame(m, T=None):
     """Build the nodal frame field: block i = T frame(T m(z_i)).
 
     T must be a symmetric involution (defaults to the identity).  The 3x2
-    frame of a unit vector m, by strategy:
-    householder: the reflection I - 2 w w^T with w = (m + e3)/|m + e3| maps
-    e3 to -m, so its first two columns are orthonormal and span the plane
-    orthogonal to m; at m = -e3 the limit branch [e1, e2, -e3] applies.
-    signflip: the same reflection about (m + sign(m_3) e3).  rotation: the
-    rotation about e3 x m carrying e3 onto m (householder at m = +-e3).
+    frame of a unit vector m is the first two columns of the reflection
+    I - 2 w w^T with w = (m + e3)/|m + e3|: it maps e3 to -m, so they are
+    orthonormal and span the plane orthogonal to m; at m = -e3 the limit
+    branch [e1, e2, -e3] applies.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != 3:
@@ -182,8 +147,6 @@ def build_frame(m, T=None, strategy="householder"):
     T = np.asarray(T, dtype=np.float64)
     if np.abs(T - T.T).max() > 1e-14 or np.abs(T @ T - np.eye(3)).max() > 1e-14:
         raise FrameError("T must be a symmetric involution (T = T^T, T T = I)")
-    if strategy not in FRAME_STRATEGIES:
-        raise FrameError(f"unknown frame strategy {strategy!r}")
 
     # with the signed permutations of FIXED_INVOLUTIONS both products are exact
     mt = m @ T.T
@@ -192,7 +155,7 @@ def build_frame(m, T=None, strategy="householder"):
     if bad.any():
         i = int(np.argmax(bad))
         raise FrameError(f"node {i}: frame input must be a unit vector, |m| = {float(nrm[i])}")
-    blocks = T @ _FRAME_BUILDERS[strategy](mt)
+    blocks = T @ _householder(mt)
     return TangentFrame(blocks)
 
 

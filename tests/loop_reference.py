@@ -16,6 +16,11 @@ evaluated slot by slot, both (i, j) and (j, i), and converted from BSR to
 CSR.  The library forms each node pair's two blocks at once, straight into
 CSR, and must reproduce its indptr, indices and data bit for bit.
 
+signflip_frame and rotation_frame are two more orthonormal tangent frames,
+with no counterpart in the library: the reduced-operator tests run on them
+too, since R = Q^T B Q must hold for any orthonormal Q, not only for the
+Householder frame that build_frame implements.
+
 nodal_directional_derivative recovers (u . grad) m at the nodes with one
 np.add.at scatter per local vertex.  The library sums the same terms in the
 same order with np.bincount and must reproduce it bit for bit.
@@ -84,14 +89,14 @@ FRAMES = {"householder": householder_frame, "signflip": signflip_frame,
           "rotation": rotation_frame}
 
 
-def frame_blocks(m, T, strategy):
+def frame_blocks(m, T, frame="householder"):
     """(N, 3, 2) blocks T frame(T m_i), one node at a time."""
     m = np.asarray(m, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
     blocks = np.empty((len(m), 3, 2))
     for i in range(len(m)):
         try:
-            blocks[i] = T @ FRAMES[strategy](T @ m[i])
+            blocks[i] = T @ FRAMES[frame](T @ m[i])
         except LoopError as exc:
             raise LoopError(f"node {i}: {exc}") from exc
     return blocks

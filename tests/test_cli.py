@@ -137,7 +137,7 @@ def test_cli_overrides(tmp_path):
     del doc["sweep"]
     out = tmp_path / "out"
     code = main(["run", write_config(tmp_path, doc), "--out", str(out),
-                 "--precond", "jacobi", "--tn", "t3-", "--frame", "signflip",
+                 "--precond", "jacobi", "--tn", "t3-",
                  "--alpha-p", "2.0", "--restart", "100", "--tol", "1e-12",
                  "--maxit", "5000", "--precond-rebuild-every", "2",
                  "--no-projection"])
@@ -302,6 +302,12 @@ EXIT_CODE_ROWS = [
      f"integer {10**30} at tets[0, 3] is outside int64"),
     ("mesh", {"kind": "file", "path": "deep.json"}, 2,
      "mesh JSON parse error: maximum recursion depth exceeded"),
+    # a step count T/k that overflows to inf, through a huge T or a
+    # subnormal k
+    (("T", "k"), (1e308, 0.01), 2, "T/k = inf is not a finite step count"),
+    (("T", "k"), (0.03, 1e-320), 2, "T/k = inf is not a finite step count"),
+    # the Householder reflection is the one frame
+    ("frame.strategy", "signflip", 2, "frame.strategy: unknown value 'signflip'"),
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))

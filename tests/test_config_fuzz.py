@@ -4,7 +4,10 @@ The documents are built from config_schema(): every key may be left out,
 keep its default or take an odd value (another JSON type, a non-finite,
 extreme or huge-integer number, a list of the wrong length), every enum and
 kind may be any of its values or an odd one, and each kind's keys follow
-the kind drawn.  T = k, so a run is one step.  A cube that runs has n <= 3:
+the kind drawn.  T = k, so a run is one step.  The fuzzer thus never draws
+a step count T/k that overflows to inf (EXIT_CODE_ROWS of test_cli.py has
+those), and it may not draw T freely: a huge finite T/k is a valid run that
+never ends.  A cube that runs has n <= 3:
 the only integers of ODD above 3 are at least 1e30 (or the reals 1e300 and
 1e308, which resolve to integers), and a cube with such an n is degenerate.
 """

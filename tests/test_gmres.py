@@ -114,7 +114,7 @@ def test_apply_counts():
 
 def test_defaults_follow_experiment_settings():
     """Every library default that restates a CONFIG_TABLE default equals it."""
-    from tangent_plane_llg import PreconditionerSource, SchemeCoefficients, build_frame
+    from tangent_plane_llg import PreconditionerSource, SchemeCoefficients
     defaults = scheme.config_schema()["defaults"]
     restated = [
         (gmres_solve, "tol", defaults["solver"]["tol"]),
@@ -122,7 +122,6 @@ def test_defaults_follow_experiment_settings():
         (gmres_solve, "maxit", defaults["solver"]["maxit"]),
         (PreconditionerSource, "rebuild_every", defaults["precond"]["rebuild_every"]),
         (SchemeCoefficients, "theta", defaults["theta"]),
-        (build_frame, "strategy", defaults["frame"]["strategy"]),
     ]
     for owner, name, default in restated:
         assert inspect.signature(owner).parameters[name].default == default, (owner, name)

@@ -3,7 +3,9 @@
 Oracles: the dense congruence of the 3N system matrix, the matrix-free
 product Q^T (A (Q x)) it replaces, the 2x2-block pattern of the mesh, the
 slot-by-slot congruence of tests/loop_reference.py (bit for bit), and the
-theoretical preconditioner that shares its congruence kernel.
+theoretical preconditioner that shares its congruence kernel.  The
+congruence checks run on build_frame's Householder frame and on the two
+other orthonormal tangent frames of loop_reference.
 """
 
 import dataclasses
@@ -13,13 +15,13 @@ import pytest
 import scipy.sparse as sp
 
 import loop_reference as ref
-from tangent_plane_llg import (FIXED_INVOLUTIONS, SimulationConfig, apply_q, apply_qt,
-                               assemble_mass, assemble_stiffness, build_frame,
+from tangent_plane_llg import (FIXED_INVOLUTIONS, SimulationConfig, TangentFrame, apply_q,
+                               apply_qt, assemble_mass, assemble_stiffness, build_frame,
                                build_system, build_theoretical, fem,
                                generate_structured_cube, gmres, load_mesh, precond,
                                run_simulation, save_mesh, scheme)
 from tangent_plane_llg.gmres import ReducedOperator
-from tangent_plane_llg.tangent import FRAME_STRATEGIES, reduced_pattern
+from tangent_plane_llg.tangent import reduced_pattern
 
 from conftest import UNIT_BOUNDS, k_slots, random_unit_field
 
@@ -42,7 +44,15 @@ def mesh(request):
     return request.getfixturevalue(request.param)
 
 
-def step_operator(mesh, strategy, tps2, seed=60):
+def tangent_frame(m, T, frame):
+    """build_frame's Householder frame, or another orthonormal tangent frame
+    of loop_reference: the reduced operator must hold for any."""
+    if frame == "householder":
+        return build_frame(m, T)
+    return TangentFrame(ref.frame_blocks(m, T, frame))
+
+
+def step_operator(mesh, frame, tps2, seed=60):
     """The reduced operator of a system on mesh: tps1 (unit weight) or tps2
     (a positive weight per element), a random field and its frame."""
     rng = np.random.default_rng(seed)
@@ -50,22 +60,22 @@ def step_operator(mesh, strategy, tps2, seed=60):
     weights = 0.5 + rng.random(mesh.elem_count) if tps2 else None
     system = build_system(mesh, m, ALPHA, BETA_K, weights, rng.standard_normal((mesh.N, 3)),
                           10.0, assemble_mass(mesh), assemble_stiffness(mesh))
-    return ReducedOperator(system, build_frame(m, FIXED_INVOLUTIONS["t2+"], strategy))
+    return ReducedOperator(system, tangent_frame(m, FIXED_INVOLUTIONS["t2+"], frame))
 
 
 @pytest.mark.parametrize("tps2", [False, True], ids=["tps1", "tps2"])
-@pytest.mark.parametrize("strategy", FRAME_STRATEGIES)
-def test_matrix_is_the_dense_congruence(mesh, strategy, tps2):
-    op = step_operator(mesh, strategy, tps2)
+@pytest.mark.parametrize("frame", ref.FRAMES)
+def test_matrix_is_the_dense_congruence(mesh, frame, tps2):
+    op = step_operator(mesh, frame, tps2)
     q = op.frame.as_sparse()
     expected = q.T @ op.system.dense_matrix() @ q
     assert np.abs(op.matrix.toarray() - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("tps2", [False, True], ids=["tps1", "tps2"])
-@pytest.mark.parametrize("strategy", FRAME_STRATEGIES)
-def test_matvec_matches_the_matrix_free_route(mesh, strategy, tps2, rng):
-    op = step_operator(mesh, strategy, tps2)
+@pytest.mark.parametrize("frame", ref.FRAMES)
+def test_matvec_matches_the_matrix_free_route(mesh, frame, tps2, rng):
+    op = step_operator(mesh, frame, tps2)
     for _ in range(3):
         x = rng.standard_normal(op.n)
         expected = apply_qt(op.frame, op.system.apply(apply_q(op.frame, x)))
@@ -101,11 +111,11 @@ def test_a_run_never_builds_the_3n_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("tps2", [False, True], ids=["tps1", "tps2"])
-@pytest.mark.parametrize("strategy", FRAME_STRATEGIES)
-def test_matrix_matches_the_slotwise_reference(mesh, strategy, tps2):
+@pytest.mark.parametrize("frame", ref.FRAMES)
+def test_matrix_matches_the_slotwise_reference(mesh, frame, tps2):
     """R, formed once per node pair straight into CSR, is the slot-by-slot
     congruence converted from BSR, bit for bit, and canonical CSR."""
-    op = step_operator(mesh, strategy, tps2)
+    op = step_operator(mesh, frame, tps2)
     s = op.system
     indptr, indices, _ = mesh.adjacency()
     expected = ref.reduce_blocks(op.frame.blocks, indptr, indices, s.scalar, s.moments)
@@ -115,8 +125,8 @@ def test_matrix_matches_the_slotwise_reference(mesh, strategy, tps2):
 
 
 @pytest.mark.parametrize("ordering", ["band", "dissection"])
-@pytest.mark.parametrize("strategy", FRAME_STRATEGIES)
-def test_theoretical_matrix_matches_the_slotwise_reference(mesh, strategy, ordering,
+@pytest.mark.parametrize("frame", ref.FRAMES)
+def test_theoretical_matrix_matches_the_slotwise_reference(mesh, frame, ordering,
                                                            monkeypatch):
     """build_theoretical hands _factor_spd the slot-by-slot congruence of
     K (x) I_3 in node order (the reference without moments), bit for bit,
@@ -126,11 +136,11 @@ def test_theoretical_matrix_matches_the_slotwise_reference(mesh, strategy, order
     monkeypatch.setattr(precond, "_factor_spd",
                         lambda *args: factored.append(args) or factor_spd(*args))
     order = mesh.band_order()[0] if ordering == "band" else mesh.dissection_order()
-    frame = build_frame(random_unit_field(mesh.N, seed=62), FIXED_INVOLUTIONS["t3+"], strategy)
+    q = tangent_frame(random_unit_field(mesh.N, seed=62), FIXED_INVOLUTIONS["t3+"], frame)
     scalar = k_slots(mesh, 1.0, BETA_K)
-    build_theoretical(frame, mesh, scalar, order)
+    build_theoretical(q, mesh, scalar, order)
     indptr, indices, _ = mesh.adjacency()
-    expected = ref.reduce_blocks(frame.blocks, indptr, indices, scalar)
+    expected = ref.reduce_blocks(q.blocks, indptr, indices, scalar)
     (matrix, dofs, _), = factored
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(matrix, name), getattr(expected, name)), name
