@@ -19,8 +19,8 @@ from .precond import (Preconditioner, PreconditionerSource, ScalarFactorization,
 from .physics import (SIParameters, applied_field, applied_field_mumag4,
                       mumag4_parameters, mumag5_spin_velocity, nondimensionalize,
                       pi_apply)
-from .scheme import (SchemeCoefficients, SimulationConfig, SolverFailure,
-                     StepContext, TimeStepState, lambda_field, lh_term,
-                     normalize_update, run_simulation, tps_step)
-from .tangent import (FIXED_INVOLUTIONS, FrameSelection, TangentFrame, apply_q,
-                      apply_qt, build_frame, frame_gamma, select_tn_adaptive)
+from .scheme import (SimulationConfig, SolverFailure, StepContext, TimeStepState,
+                     lambda_field, lh_term, normalize_update, run_simulation,
+                     tps_step, wk)
+from .tangent import (FIXED_INVOLUTIONS, TangentFrame, apply_q, apply_qt,
+                      build_frame, select_tn_adaptive)

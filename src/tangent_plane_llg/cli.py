@@ -203,8 +203,7 @@ def run_checks(out=None):
     mesh = generate_structured_cube([[0, 1], [0, 1], [0, 1]], (2, 2, 2))
     m = rng.standard_normal((mesh.N, 3))
     m /= np.linalg.norm(m, axis=1)[:, None]
-    selection = select_tn_adaptive(m)
-    frame = build_frame(m, selection.chosen_T)
+    frame = build_frame(m, select_tn_adaptive(m)[0])
 
     reports = [check_mapping_identities(frame, m)]
     reports.append(check_bounded_ratio(mesh, m))

@@ -98,10 +98,10 @@ def pi_apply(pi, mesh, m):
     return np.cross(m, adv) + pi["beta_zl"] * adv
 
 
-def applied_field(applied, mesh, t):
-    """Nodal values at time t of the applied field f of the resolved
-    field.applied section applied: a constant vector, or the academic
-    expression 10(sin x1, cos x1, 0); neither depends on t."""
+def applied_field(applied, mesh):
+    """Nodal values of the applied field f of the resolved field.applied
+    section applied: a constant vector, or the academic expression
+    10(sin x1, cos x1, 0).  Neither depends on time."""
     if applied["kind"] == "constant":
         return np.tile(np.asarray(applied["value"], dtype=np.float64), (mesh.N, 1))
     x1 = mesh.nodes[:, 0]

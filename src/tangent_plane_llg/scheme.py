@@ -21,7 +21,7 @@ from . import fem, precond as precond_mod
 from .gmres import GmresError, ReducedOperator, gmres_solve
 from .mesh import Mesh, MeshError, check_box, generate_structured_cube, load_mesh
 from .physics import applied_field, pi_apply
-from .tangent import FIXED_INVOLUTIONS, apply_q, build_frame, frame_gamma, select_tn_adaptive
+from .tangent import FIXED_INVOLUTIONS, apply_q, build_frame, select_tn_adaptive
 
 
 class ConfigError(ValueError):
@@ -34,39 +34,15 @@ class SolverFailure(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class SchemeCoefficients:
-    """Variant-dependent coefficient family of the tangent plane scheme; the
-    values, and k in (0, 1) for tps2, are SimulationConfig.validate's to check."""
-
-    variant: str                 # "tps1" | "tps2"
-    alpha: float                 # Gilbert damping
-    ell_ex2: float               # exchange length squared
-    theta: float = 1.0           # first-order stabilization parameter
-
-    def rho(self, k):
-        """|k log k| (natural logarithm)."""
-        return abs(k * math.log(k))
-
-    def cap(self, k):
-        """Weight cap 1 / |k log k| (second-order variant)."""
-        return 1.0 / self.rho(k)
-
-    def beta(self, k):
-        if self.variant == "tps1":
-            return self.ell_ex2 * self.theta
-        return 0.5 * self.ell_ex2 * (1.0 + self.rho(k))
-
-    def wk(self, k, s):
-        """Weight function W_k; accepts scalars or arrays."""
-        if self.variant == "tps1":
-            return self.alpha * np.ones_like(np.asarray(s, dtype=np.float64))
-        s = np.asarray(s, dtype=np.float64)
-        cap = self.cap(k)
-        pos = self.alpha + 0.5 * k * np.minimum(np.maximum(s, 0.0), cap)
-        neg_arg = np.minimum(np.maximum(-s, 0.0), cap)
-        neg = self.alpha / (1.0 + (0.5 * k / self.alpha) * neg_arg)
-        return np.where(s >= 0.0, pos, neg)
+def wk(alpha, k, s):
+    """tps2's weight function W_k, capped at 1 / |k log k| (natural
+    logarithm); accepts scalars or arrays."""
+    s = np.asarray(s, dtype=np.float64)
+    cap = 1.0 / abs(k * math.log(k))
+    pos = alpha + 0.5 * k * np.minimum(np.maximum(s, 0.0), cap)
+    neg_arg = np.minimum(np.maximum(-s, 0.0), cap)
+    neg = alpha / (1.0 + (0.5 * k / alpha) * neg_arg)
+    return np.where(s >= 0.0, pos, neg)
 
 
 def lambda_field(mesh, m, f_plus_pi, ell_ex2):
@@ -90,13 +66,14 @@ def lambda_field(mesh, m, f_plus_pi, ell_ex2):
     return -ell_ex2 * frob2 + lower
 
 
-def lh_term(coeffs, pi_n, pi_nm1, applied, t_n, k):
-    """Nodal lower-order right-hand-side combination for the current step,
-    given pi_n = pi(m^n), pi_nm1 = pi(m^{n-1}) and applied(t), the nodal
-    applied field at time t: taken at t_n by tps1, at t_n + k/2 by tps2."""
-    if coeffs.variant == "tps1":
-        return pi_n + applied(t_n)
-    return 1.5 * pi_n - 0.5 * pi_nm1 + applied(t_n + 0.5 * k)
+def lh_term(scheme, pi_n, pi_nm1, f):
+    """Nodal lower-order right-hand-side combination of a step of scheme,
+    given pi_n = pi(m^n), pi_nm1 = pi(m^{n-1}) and the nodal applied field
+    f: pi_n + f for tps1, 1.5 pi_n - 0.5 pi_nm1 + f for tps2.  f does not
+    depend on time, so it is also tps2's f(t_n + k/2)."""
+    if scheme == "tps1":
+        return pi_n + f
+    return 1.5 * pi_n - 0.5 * pi_nm1 + f
 
 
 def assert_unit_nodal(m, tol=1e-14):
@@ -378,10 +355,6 @@ class SimulationConfig(types.SimpleNamespace):
                 raise ConfigError(f"field.pi: anisotropy axis must be unit length, |a| = {norm}")
         return self
 
-    def coefficients(self):
-        return SchemeCoefficients(variant=self.scheme, alpha=self.alpha,
-                                  ell_ex2=self.ell_ex2, theta=self.theta)
-
     def n_steps(self):
         return int(round(self.T / self.k))
 
@@ -422,25 +395,33 @@ def initial_magnetization(cfg, mesh):
 
 
 class StepContext:
-    """Per-run data, all built at set-up: the mesh, its static matrices, the
-    applied field as a function of time alone, and the run's
+    """Per-run data, built at set-up: the mesh, its static matrices, beta_k
+    (the stiffness coefficient of the step matrix), and the run's
     PreconditionerSource, which each step asks for that step's
-    preconditioner (the only state that changes).  config is a resolved
-    config (SimulationConfig.from_dict), not checked again; a step reads
-    its field.pi section as it is."""
+    preconditioner (the only state that changes).  The nodal applied field
+    is computed once, on the first step that reads it.  config is a
+    resolved config (SimulationConfig.from_dict), not checked again; a step
+    reads its keys as they are."""
 
     def __init__(self, config, mesh=None):
         self.config = config
         self.mesh = mesh if mesh is not None else config.build_mesh()
-        self.coeffs = config.coefficients()
-        self.k = float(config.k)
-        self.beta_k = self.coeffs.beta(self.k) * self.k
+        k = self.k = float(config.k)
+        if config.scheme == "tps1":
+            beta = config.ell_ex2 * config.theta
+        else:
+            beta = 0.5 * config.ell_ex2 * (1.0 + abs(k * math.log(k)))
+        self.beta_k = beta * k
         self.mass = fem.assemble_mass(self.mesh)
         self.stiffness = fem.assemble_stiffness(self.mesh)
-        self.applied = functools.partial(applied_field, config.field["applied"], self.mesh)
         # the precond section holds exactly the options of PreconditionerSource
         self.preconditioners = precond_mod.PreconditionerSource(
             self.mesh, self.mass, self.stiffness, self.beta_k, **config.precond)
+
+    @functools.cached_property
+    def applied(self):
+        """The nodal applied field f, (N, 3); it does not depend on time."""
+        return applied_field(self.config.field["applied"], self.mesh)
 
     def initial_state(self):
         m0 = initial_magnetization(self.config.field["m0"], self.mesh)
@@ -455,7 +436,6 @@ def tps_step(ctx, state):
     """One step of the tangent plane scheme; returns (new_state, record).
     A numerical failure of the step raises SolverFailure with its index."""
     cfg = ctx.config
-    coeffs = ctx.coeffs
     mesh = ctx.mesh
     k = ctx.k
     m = state.m_n
@@ -463,28 +443,28 @@ def tps_step(ctx, state):
     norms = np.linalg.norm(m, axis=1)
     mdir = m / norms[:, None]
 
-    selection = select_tn_adaptive(mdir)
-    tn = cfg.frame["tn"]
-    T = selection.chosen_T if tn == "adaptive" else FIXED_INVOLUTIONS[tn]
-    frame = build_frame(mdir, T)
+    key, gamma, d_adapt = select_tn_adaptive(mdir, cfg.frame["tn"])
+    frame = build_frame(mdir, key)
 
     pi_n = pi_apply(cfg.field["pi"], mesh, m)
-    if coeffs.variant == "tps2":
-        f_plus_pi = ctx.applied(state.t_n) + pi_n
-        lam = lambda_field(mesh, m, f_plus_pi, coeffs.ell_ex2)
+    if cfg.scheme == "tps2":
+        lam = lambda_field(mesh, m, ctx.applied + pi_n, cfg.ell_ex2)
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = coeffs.wk(k, lam) / coeffs.alpha
-        if not np.isfinite(weights).all():  # W_k / alpha overflows for a tiny alpha
-            raise SolverFailure(state.n, f"non-finite W_k weights (alpha = {coeffs.alpha!r})")
+            weights = wk(cfg.alpha, k, lam) / cfg.alpha
+        # for a tiny alpha, W_k / alpha overflows where lam > 0 and
+        # underflows to 0 where lam < 0
+        if not ((weights > 0.0) & (weights < np.inf)).all():
+            what = "zero" if np.isfinite(weights).all() else "non-finite"
+            raise SolverFailure(state.n, f"{what} W_k weights (alpha = {cfg.alpha!r})")
     else:
         # first-order: W_k is the constant alpha, so the weighted mass is the mass
         weights = None
 
     # at step 0, pi(m^0) serves for both time levels
     pi_nm1 = pi_n if state.pi_nm1 is None else state.pi_nm1
-    lh = lh_term(coeffs, pi_n, pi_nm1, ctx.applied, state.t_n, k)
-    system = fem.build_system(mesh, m, coeffs.alpha, ctx.beta_k, weights, lh,
-                              coeffs.ell_ex2, mass=ctx.mass, stiffness=ctx.stiffness)
+    lh = lh_term(cfg.scheme, pi_n, pi_nm1, ctx.applied)
+    system = fem.build_system(mesh, m, cfg.alpha, ctx.beta_k, weights, lh,
+                              cfg.ell_ex2, mass=ctx.mass, stiffness=ctx.stiffness)
 
     try:
         pc = ctx.preconditioners.for_step(frame, state.n)
@@ -510,9 +490,9 @@ def tps_step(ctx, state):
         gmres_iterations=stats.iterations,
         restarts=stats.restarts,
         final_residual=stats.final_relative_residual,
-        gamma=frame_gamma(mdir, T),
-        d_adapt=selection.gamma,
-        exchange_energy=exchange_energy(ctx.stiffness, m, coeffs.ell_ex2),
+        gamma=gamma,
+        d_adapt=d_adapt,
+        exchange_energy=exchange_energy(ctx.stiffness, m, cfg.ell_ex2),
     )
     new_state = TimeStepState(n=state.n + 1, t_n=state.t_n + k, m_n=m_next,
                               pi_nm1=pi_n, last_stats=stats, last_v=v)

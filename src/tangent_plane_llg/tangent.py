@@ -8,8 +8,6 @@ signed-axis involution T relabels the coordinate axes first, and can be
 picked adaptively to keep 1 + (T m)_3 away from zero at every node.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -17,7 +15,9 @@ from .mesh import once_per_mesh
 
 _E = np.eye(3)
 
-# The six admissible axis involutions, keyed as in the CLI (--tn).
+# The six admissible axis involutions, keyed as in the config's frame.tn,
+# in the scan order of select_tn_adaptive.  Each is a signed permutation,
+# symmetric and its own inverse.
 FIXED_INVOLUTIONS = {
     "t1+": np.column_stack([-_E[:, 2], _E[:, 1], -_E[:, 0]]),
     "t1-": np.column_stack([_E[:, 2], _E[:, 1], _E[:, 0]]),
@@ -26,7 +26,6 @@ FIXED_INVOLUTIONS = {
     "t3+": np.column_stack([_E[:, 0], _E[:, 1], -_E[:, 2]]),
     "t3-": np.eye(3),
 }
-_ADAPTIVE_ORDER = ["t1+", "t1-", "t2+", "t2-", "t3+", "t3-"]
 
 # The reflection takes its exact -e3 branch where the row norm of w is below
 # this bound.  There the tangential part of m is the rounding of a field on
@@ -66,47 +65,22 @@ def _householder(m):
     return blocks
 
 
-@dataclass(frozen=True)
-class FrameSelection:
-    """Outcome of the adaptive axis-involution choice."""
+def select_tn_adaptive(m, tn="adaptive"):
+    """The axis involution of a step: (key, gamma, d_adapt).
 
-    d_plus: np.ndarray   # (3,) values 1 - max_z m_l(z)
-    d_minus: np.ndarray  # (3,) values 1 + min_z m_l(z)
-    chosen_key: str
-    chosen_T: np.ndarray
-    gamma: float
-
-    def all_d(self):
-        """The six candidates in scan order (1+, 1-, 2+, 2-, 3+, 3-)."""
-        return np.array([self.d_plus[0], self.d_minus[0], self.d_plus[1],
-                         self.d_minus[1], self.d_plus[2], self.d_minus[2]])
-
-
-def select_tn_adaptive(m):
-    """Pick the axis involution maximizing the nodal bound on 1 + (T m)_3.
-
-    Ties are broken by the fixed scan order t1+, t1-, t2+, t2-, t3+, t3-.
-    gamma = 0 is a valid outcome (all six signed axes present in the field).
+    The bound of key t<l>+ is 1 - max_z m_l(z), that of t<l>- is
+    1 + min_z m_l(z): exactly min_z 1 + (T m(z))_3 for T =
+    FIXED_INVOLUTIONS[key].  d_adapt is the largest of the six bounds, and
+    key is tn, or for tn = "adaptive" the first key in FIXED_INVOLUTIONS
+    order whose bound is d_adapt; gamma is the bound of key.  d_adapt = 0
+    is a valid outcome (all six signed axes present in the field).
     """
     m = np.asarray(m, dtype=np.float64)
-    d_plus = 1.0 - m.max(axis=0)
-    d_minus = 1.0 + m.min(axis=0)
-    order = [d_plus[0], d_minus[0], d_plus[1], d_minus[1], d_plus[2], d_minus[2]]
-    best = int(np.argmax(order))
-    key = _ADAPTIVE_ORDER[best]
-    return FrameSelection(
-        d_plus=d_plus,
-        d_minus=d_minus,
-        chosen_key=key,
-        chosen_T=FIXED_INVOLUTIONS[key],
-        gamma=float(order[best]),
-    )
-
-
-def frame_gamma(m, T):
-    """min over nodes of 1 + m(z) . (T e3)."""
-    axis = np.asarray(T)[:, 2]
-    return float(1.0 + (np.asarray(m) @ axis).min())
+    bounds = np.column_stack([1.0 - m.max(axis=0), 1.0 + m.min(axis=0)]).ravel()
+    keys = list(FIXED_INVOLUTIONS)
+    best = int(np.argmax(bounds))
+    key = keys[best] if tn == "adaptive" else tn
+    return key, float(bounds[keys.index(key)]), float(bounds[best])
 
 
 class TangentFrame:
@@ -130,23 +104,19 @@ class TangentFrame:
         return self._sparse
 
 
-def build_frame(m, T=None):
-    """Build the nodal frame field: block i = T frame(T m(z_i)).
+def build_frame(m, key):
+    """Build the nodal frame field: block i = T frame(T m(z_i)), with T =
+    FIXED_INVOLUTIONS[key].
 
-    T must be a symmetric involution (defaults to the identity).  The 3x2
-    frame of a unit vector m is the first two columns of the reflection
-    I - 2 w w^T with w = (m + e3)/|m + e3|: it maps e3 to -m, so they are
-    orthonormal and span the plane orthogonal to m; at m = -e3 the limit
-    branch [e1, e2, -e3] applies.
+    The 3x2 frame of a unit vector m is the first two columns of the
+    reflection I - 2 w w^T with w = (m + e3)/|m + e3|: it maps e3 to -m, so
+    they are orthonormal and span the plane orthogonal to m; at m = -e3 the
+    limit branch [e1, e2, -e3] applies.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != 3:
         raise FrameError(f"magnetization must be (N, 3), got {m.shape}")
-    if T is None:
-        T = np.eye(3)
-    T = np.asarray(T, dtype=np.float64)
-    if np.abs(T - T.T).max() > 1e-14 or np.abs(T @ T - np.eye(3)).max() > 1e-14:
-        raise FrameError("T must be a symmetric involution (T = T^T, T T = I)")
+    T = FIXED_INVOLUTIONS[key]
 
     # with the signed permutations of FIXED_INVOLUTIONS both products are exact
     mt = m @ T.T

@@ -56,6 +56,18 @@ def perturbed_cube():
     return Mesh(cube.nodes + 0.05 * rng.uniform(-1.0, 1.0, cube.nodes.shape), cube.tets)
 
 
+def perturbed_unit_cube(n, seed, a=0.2):
+    """The unit cube of n^3 cells with every interior node moved by a
+    seeded uniform offset of up to a h per axis (h = 1/n); the boundary
+    nodes stay, so the domain is the unit cube."""
+    cube = generate_structured_cube(UNIT_BOUNDS, (n, n, n))
+    nodes = cube.nodes.copy()
+    interior = ((nodes > 0.0) & (nodes < 1.0)).all(axis=1)
+    rng = np.random.default_rng(seed)
+    nodes[interior] += (a / n) * rng.uniform(-1.0, 1.0, (int(interior.sum()), 3))
+    return Mesh(nodes, cube.tets)
+
+
 def cross_form(mesh, m):
     """The 3N x 3N cross form S as BSR, expanded from the moments of m: the
     negated block matrix of zero scalar part."""

@@ -308,6 +308,10 @@ EXIT_CODE_ROWS = [
     (("T", "k"), (0.03, 1e-320), 2, "T/k = inf is not a finite step count"),
     # the Householder reflection is the one frame
     ("frame.strategy", "signflip", 2, "frame.strategy: unknown value 'signflip'"),
+    # alpha so small that W_k / alpha underflows to 0 where lambda < 0, as
+    # the exchange term of a spiral makes it
+    (("scheme", "alpha", "field.m0"), ("tps2", 1e-200, {"kind": "spiral"}), 3,
+     "step 0: zero W_k weights"),
 ]
 
 _CUBE1 = generate_structured_cube(UNIT_BOUNDS, (1, 1, 1))

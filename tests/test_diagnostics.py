@@ -29,7 +29,7 @@ class TestDenseOracle:
     def test_zero_rhs_gives_zero(self, cube2):
         m = random_unit_field(cube2.N, seed=90)
         sys_ = make_system(cube2, m, lh=np.zeros((cube2.N, 3)), ell_ex2=0.0)
-        frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+        frame = build_frame(m, select_tn_adaptive(m)[0])
         x, v = dense_oracle_solve(sys_, frame)
         assert np.abs(x).max() <= 1e-14
         assert np.abs(v).max() <= 1e-14
@@ -37,7 +37,7 @@ class TestDenseOracle:
     def test_lifted_solution_tangent(self, cube2):
         m = random_unit_field(cube2.N, seed=91)
         sys_ = make_system(cube2, m, seed=91)
-        frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+        frame = build_frame(m, select_tn_adaptive(m)[0])
         x, v = dense_oracle_solve(sys_, frame)
         dots = np.abs(np.einsum("nc,nc->n", v.reshape(cube2.N, 3), m))
         assert dots.max() <= 1e-12 * (1 + np.abs(v).max())
@@ -45,7 +45,7 @@ class TestDenseOracle:
     def test_matches_gmres(self, cube2, cube2_matrices):
         m = random_unit_field(cube2.N, seed=92)
         sys_ = make_system(cube2, m, seed=92)
-        frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+        frame = build_frame(m, select_tn_adaptive(m)[0])
         xd, _ = dense_oracle_solve(sys_, frame)
         op = ReducedOperator(sys_, frame)
         pc = build_stationary_2d(ScalarFactorization(spd(*cube2_matrices, 1.0, 0.1),
@@ -57,7 +57,7 @@ class TestDenseOracle:
     def test_reduced_matrix_consistency(self, cube2, rng):
         m = random_unit_field(cube2.N, seed=93)
         sys_ = make_system(cube2, m, seed=93)
-        frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+        frame = build_frame(m, select_tn_adaptive(m)[0])
         reduced, rhs, _, _ = dense_reduced_system(sys_, frame)
         op = ReducedOperator(sys_, frame)
         x = rng.standard_normal(2 * cube2.N)
@@ -68,7 +68,7 @@ class TestDenseOracle:
         mesh = generate_structured_cube([[0, 1], [0, 1], [0, 1]], (6, 6, 6))
         m = random_unit_field(mesh.N, seed=94)
         sys_ = make_system(mesh, m, seed=94)
-        frame = build_frame(m, np.eye(3))
+        frame = build_frame(m, "t3-")
         with pytest.raises(OracleError):
             dense_oracle_solve(sys_, frame)
 
@@ -77,14 +77,14 @@ class TestMappingIdentities:
     def test_random_frames_pass(self, cube2):
         for seed in range(3):
             m = random_unit_field(cube2.N, seed=95 + seed)
-            frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+            frame = build_frame(m, select_tn_adaptive(m)[0])
             report = check_mapping_identities(frame, m)
             assert report.passed, report
             assert report.max_error <= 1e-13
 
     def test_report_serializes(self, cube2):
         m = random_unit_field(cube2.N, seed=98)
-        frame = build_frame(m, np.eye(3))
+        frame = build_frame(m, "t3-")
         report = check_mapping_identities(frame, m)
         doc = json.loads(json.dumps(report.to_dict()))
         assert set(doc) == {"check", "max_error", "threshold", "pass"}
@@ -94,7 +94,7 @@ class TestEnergyNorm:
     def test_zero_vector(self, cube2, cube2_matrices):
         mass, stiffness = cube2_matrices
         m = random_unit_field(cube2.N, seed=99)
-        frame = build_frame(m, np.eye(3))
+        frame = build_frame(m, "t3-")
         a, b = energy_norm(mass, stiffness, frame, 1.0, 0.1,
                            np.zeros(2 * cube2.N), mesh=cube2)
         assert a == 0.0 and b == 0.0
@@ -102,7 +102,7 @@ class TestEnergyNorm:
     def test_dual_route_agreement(self, cube2, cube2_matrices, rng):
         mass, stiffness = cube2_matrices
         m = random_unit_field(cube2.N, seed=100)
-        frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+        frame = build_frame(m, select_tn_adaptive(m)[0])
         for _ in range(10):
             x = rng.standard_normal(2 * cube2.N)
             a, b = energy_norm(mass, stiffness, frame, 1.0, 0.1, x, mesh=cube2)
@@ -111,7 +111,7 @@ class TestEnergyNorm:
     def test_mass_only_is_l2_norm(self, cube2, cube2_matrices, rng):
         mass, stiffness = cube2_matrices
         m = random_unit_field(cube2.N, seed=101)
-        frame = build_frame(m, np.eye(3))
+        frame = build_frame(m, "t3-")
         x = rng.standard_normal(2 * cube2.N)
         a, b = energy_norm(mass, stiffness, frame, 1.0, 0.0, x, mesh=cube2)
         from tangent_plane_llg import apply_q
@@ -123,7 +123,7 @@ class TestEnergyNorm:
         # x . (Q^T (aP M + bk L) Q) y equals the FEM form of the two lifted fields
         mass, stiffness = cube2_matrices
         m = random_unit_field(cube2.N, seed=102)
-        frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+        frame = build_frame(m, select_tn_adaptive(m)[0])
         q = frame.as_sparse()
         scalar3 = sp.kron(1.0 * mass + 0.1 * stiffness,
                           sp.identity(3, format="csr"), format="csr")
@@ -193,7 +193,7 @@ class TestInverseBounds:
     def test_real_assembly_pair(self, cube1):
         m = random_unit_field(cube1.N, seed=150)
         sys_ = make_system(cube1, m, seed=150)
-        frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+        frame = build_frame(m, select_tn_adaptive(m)[0])
         reduced, _, _, q = dense_reduced_system(sys_, frame)
         inner = q.T @ sp.kron(1.0 * assemble_mass(cube1) + 0.1 * assemble_stiffness(cube1),
                               sp.identity(3, format="csr"),
@@ -222,7 +222,7 @@ def test_early_contraction_fit_predicts_uniform_rate(cube2, cube2_matrices):
     for seed in range(5):
         m = random_unit_field(cube2.N, seed=160 + seed)
         sys_ = make_system(cube2, m, seed=160 + seed)
-        frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+        frame = build_frame(m, select_tn_adaptive(m)[0])
         op = ReducedOperator(sys_, frame)
         for source in sources:
             pc = source.for_step(frame, 0)

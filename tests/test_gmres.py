@@ -114,14 +114,13 @@ def test_apply_counts():
 
 def test_defaults_follow_experiment_settings():
     """Every library default that restates a CONFIG_TABLE default equals it."""
-    from tangent_plane_llg import PreconditionerSource, SchemeCoefficients
+    from tangent_plane_llg import PreconditionerSource
     defaults = scheme.config_schema()["defaults"]
     restated = [
         (gmres_solve, "tol", defaults["solver"]["tol"]),
         (gmres_solve, "restart", defaults["solver"]["restart"]),
         (gmres_solve, "maxit", defaults["solver"]["maxit"]),
         (PreconditionerSource, "rebuild_every", defaults["precond"]["rebuild_every"]),
-        (SchemeCoefficients, "theta", defaults["theta"]),
     ]
     for owner, name, default in restated:
         assert inspect.signature(owner).parameters[name].default == default, (owner, name)

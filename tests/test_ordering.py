@@ -22,10 +22,9 @@ import scipy.sparse.linalg as spla
 import tangent_plane_llg.fem as fem_mod
 import tangent_plane_llg.mesh as mesh_mod
 import tangent_plane_llg.precond as precond_mod
-from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, SimulationConfig, StepContext,
-                               assemble_mass, assemble_stiffness, build_frame,
-                               build_theoretical, generate_structured_cube, run_simulation,
-                               tps_step)
+from tangent_plane_llg import (Mesh, SimulationConfig, StepContext, assemble_mass,
+                               assemble_stiffness, build_frame, build_theoretical,
+                               generate_structured_cube, run_simulation, tps_step)
 from tangent_plane_llg.cli import main
 from tangent_plane_llg.precond import PreconditionerError, ScalarFactorization
 
@@ -159,7 +158,7 @@ def test_scalar_solves_match_spsolve(meshes, name, rng):
 @pytest.mark.parametrize("name", ["cube6", "shuffled_cube", "thin_film"])
 def test_theoretical_solves_match_spsolve(meshes, name, rng):
     mesh = meshes[name]
-    frame = build_frame(random_unit_field(mesh.N, seed=51), FIXED_INVOLUTIONS["t1+"])
+    frame = build_frame(random_unit_field(mesh.N, seed=51), "t1+")
     pc = build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K),
                            mesh.dissection_order())
     for _ in range(3):
@@ -196,7 +195,7 @@ def test_fill_below_colamd_on_cube16(monkeypatch):
         spd(mass, stiffness, ALPHA_P, BETA_K), order))
     assert fill <= 0.7 * spla.splu(scalar_matrix(mesh).tocsc()).nnz
 
-    frame = build_frame(random_unit_field(mesh.N, seed=52), FIXED_INVOLUTIONS["t3-"])
+    frame = build_frame(random_unit_field(mesh.N, seed=52), "t3-")
     scalar = k_slots(mesh, ALPHA_P, BETA_K)
     fill = factored_fill(monkeypatch, lambda: build_theoretical(frame, mesh, scalar, order))
     inner = theoretical_matrix(mesh, frame)
@@ -306,7 +305,7 @@ def test_band_theoretical_solves_match_spsolve(meshes, name, rng, monkeypatch):
     mesh = meshes[name]
     monkeypatch.setattr(precond_mod, "splu", None)
     order = mesh.band_order()[0]
-    frame = build_frame(random_unit_field(mesh.N, seed=54), FIXED_INVOLUTIONS["t1+"])
+    frame = build_frame(random_unit_field(mesh.N, seed=54), "t1+")
     pc = build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K), order)
     matrix = theoretical_matrix(mesh, frame)
     for _ in range(3):
@@ -328,7 +327,7 @@ def test_band_bytes_boundary(meshes, kind, monkeypatch):
         build = lambda: ScalarFactorization(scalar, order)  # noqa: E731
     else:
         n, w = 2 * mesh.N, 2 * width + 1
-        frame = build_frame(random_unit_field(mesh.N, seed=55), FIXED_INVOLUTIONS["t2+"])
+        frame = build_frame(random_unit_field(mesh.N, seed=55), "t2+")
         scalar = k_slots(mesh, ALPHA_P, BETA_K)
         build = lambda: build_theoretical(frame, mesh, scalar, order)  # noqa: E731
     factored = []
@@ -415,7 +414,7 @@ def test_band_factor_of_a_matrix_that_is_not_spd_names_the_lapack_info(meshes, m
     with pytest.raises(PreconditionerError, match=r"scalar operator factorization failed "
                                                   r"\(SPD lost\?\): LAPACK info 1$"):
         ScalarFactorization(negated, order)
-    frame = build_frame(random_unit_field(mesh.N, seed=56), FIXED_INVOLUTIONS["t3-"])
+    frame = build_frame(random_unit_field(mesh.N, seed=56), "t3-")
     with pytest.raises(PreconditionerError, match="theoretical preconditioner .* LAPACK info 1$"):
         build_theoretical(frame, mesh, k_slots(mesh, -ALPHA_P, -BETA_K), order)
 

@@ -134,7 +134,7 @@ def test_pi_operator_bound(cube2):
 
 
 def test_academic_applied_field(cube2):
-    f = applied_field(dict(kind="academic"), cube2, 0.0)
+    f = applied_field(dict(kind="academic"), cube2)
     x1 = cube2.nodes[:, 0]
     assert np.abs(f[:, 0] - 10 * np.sin(x1)).max() == 0.0
     assert np.abs(f[:, 1] - 10 * np.cos(x1)).max() == 0.0
@@ -142,7 +142,7 @@ def test_academic_applied_field(cube2):
 
 
 def test_constant_applied_field(cube2):
-    f = applied_field(dict(kind="constant", value=(1.0, 2.0, 3.0)), cube2, 5.0)
+    f = applied_field(dict(kind="constant", value=(1.0, 2.0, 3.0)), cube2)
     assert np.array_equal(f, np.tile([1.0, 2.0, 3.0], (cube2.N, 1)))
 
 

@@ -41,7 +41,7 @@ def kron2(scalar):
 def setup(cube2, cube2_matrices):
     mass, stiffness = cube2_matrices
     m = random_unit_field(cube2.N, seed=70)
-    frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+    frame = build_frame(m, select_tn_adaptive(m)[0])
     return cube2, mass, stiffness, m, frame
 
 
@@ -74,7 +74,7 @@ class TestTheoretical:
         for key in ("t3-", "t1+", "t2-"):
             t = FIXED_INVOLUTIONS[key]
             mu = np.tile(t[:, 2], (mesh.N, 1))
-            frame = build_frame(mu, t)
+            frame = build_frame(mu, key)
             theo = theoretical(frame, mesh)
             stat = build_stationary_2d(factor)
             worst = 0.0
@@ -176,9 +176,8 @@ class TestJacobi:
         worst = 0.0
         for seed in range(5):
             m = random_unit_field(mesh.N, seed=80 + seed)
-            for t in (select_tn_adaptive(m).chosen_T, np.eye(3),
-                      FIXED_INVOLUTIONS["t2+"]):
-                frame = build_frame(m, t)
+            for key in (select_tn_adaptive(m)[0], "t3-", "t2+"):
+                frame = build_frame(m, key)
                 q = frame.as_sparse()
                 inner = (q.T @ kron3(scalar) @ q).tocsr()
                 p_congruent = 1.0 / inner.diagonal()
@@ -221,7 +220,7 @@ class TestApplyDispatch:
         from tangent_plane_llg import assemble_mass, assemble_stiffness
         mass, stiffness = assemble_mass(cube1), assemble_stiffness(cube1)
         m = random_unit_field(cube1.N, seed=81)
-        frame = build_frame(m, np.eye(3))
+        frame = build_frame(m, "t3-")
         order = cube1.dissection_order()
         pc = build_theoretical(frame, cube1, k_slots(cube1, ALPHA_P, BETA_K), order)
         q = frame.as_sparse().toarray()
@@ -263,7 +262,7 @@ def test_theoretical_with_stale_frame_still_solves(setup, rng):
     rhs = op.reduced_rhs()
     x_fresh, s_fresh = gmres_solve(op, theoretical(frame, mesh), rhs)
     stale_field = random_unit_field(mesh.N, seed=999)
-    stale_frame = build_frame(stale_field, select_tn_adaptive(stale_field).chosen_T)
+    stale_frame = build_frame(stale_field, select_tn_adaptive(stale_field)[0])
     stale = theoretical(stale_frame, mesh)
     x_stale, s_stale = gmres_solve(op, stale, rhs)
     assert s_fresh.converged and s_stale.converged
@@ -326,7 +325,7 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
     frames = []
     for step in range(steps):
         m = random_unit_field(mesh.N, seed=300 + step)
-        frames.append(build_frame(m, select_tn_adaptive(m).chosen_T))
+        frames.append(build_frame(m, select_tn_adaptive(m)[0]))
     factorizations = []
     factor_spd = precond_mod._factor_spd
     monkeypatch.setattr(precond_mod, "_factor_spd",
@@ -389,7 +388,7 @@ def test_theoretical_source_holds_one_factorization(setup, monkeypatch, rng, ban
     source = PreconditionerSource(mesh, mass, stiffness, BETA_K, "theoretical", ALPHA_P, 1)
     for step in range(3):
         m = random_unit_field(mesh.N, seed=400 + step)
-        frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+        frame = build_frame(m, select_tn_adaptive(m)[0])
         source.for_step(frame, step).apply(rng.standard_normal(2 * mesh.N))
     assert source.builds == 3
     assert earlier_dead == [True, True, True]

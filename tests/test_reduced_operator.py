@@ -44,12 +44,12 @@ def mesh(request):
     return request.getfixturevalue(request.param)
 
 
-def tangent_frame(m, T, frame):
+def tangent_frame(m, key, frame):
     """build_frame's Householder frame, or another orthonormal tangent frame
     of loop_reference: the reduced operator must hold for any."""
     if frame == "householder":
-        return build_frame(m, T)
-    return TangentFrame(ref.frame_blocks(m, T, frame))
+        return build_frame(m, key)
+    return TangentFrame(ref.frame_blocks(m, FIXED_INVOLUTIONS[key], frame))
 
 
 def step_operator(mesh, frame, tps2, seed=60):
@@ -60,7 +60,7 @@ def step_operator(mesh, frame, tps2, seed=60):
     weights = 0.5 + rng.random(mesh.elem_count) if tps2 else None
     system = build_system(mesh, m, ALPHA, BETA_K, weights, rng.standard_normal((mesh.N, 3)),
                           10.0, assemble_mass(mesh), assemble_stiffness(mesh))
-    return ReducedOperator(system, tangent_frame(m, FIXED_INVOLUTIONS["t2+"], frame))
+    return ReducedOperator(system, tangent_frame(m, "t2+", frame))
 
 
 @pytest.mark.parametrize("tps2", [False, True], ids=["tps1", "tps2"])
@@ -136,7 +136,7 @@ def test_theoretical_matrix_matches_the_slotwise_reference(mesh, frame, ordering
     monkeypatch.setattr(precond, "_factor_spd",
                         lambda *args: factored.append(args) or factor_spd(*args))
     order = mesh.band_order()[0] if ordering == "band" else mesh.dissection_order()
-    q = tangent_frame(random_unit_field(mesh.N, seed=62), FIXED_INVOLUTIONS["t3+"], frame)
+    q = tangent_frame(random_unit_field(mesh.N, seed=62), "t3+", frame)
     scalar = k_slots(mesh, 1.0, BETA_K)
     build_theoretical(q, mesh, scalar, order)
     indptr, indices, _ = mesh.adjacency()
@@ -193,7 +193,7 @@ def test_theoretical_uses_the_shared_helper_and_inverts_the_dense_matrix(
     mesh = shuffled_cube
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
     m = random_unit_field(mesh.N, seed=61)
-    frame = build_frame(m, FIXED_INVOLUTIONS["t1-"])
+    frame = build_frame(m, "t1-")
     order = mesh.dissection_order()
     pc = build_theoretical(frame, mesh, k_slots(mesh, 1.0, BETA_K), order)
     assert len(calls) == 1

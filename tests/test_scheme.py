@@ -1,13 +1,12 @@
-import functools
 import math
 
 import numpy as np
 import pytest
 
 import tangent_plane_llg.fem as fem_mod
-from tangent_plane_llg import (SchemeCoefficients, SimulationConfig,
-                               generate_structured_cube, lambda_field, lh_term,
-                               mesh_quality, normalize_update, run_simulation, tps_step)
+from tangent_plane_llg import (SimulationConfig, generate_structured_cube, lambda_field,
+                               lh_term, mesh_quality, normalize_update, run_simulation,
+                               tps_step, wk)
 from tangent_plane_llg.physics import applied_field, pi_apply
 from tangent_plane_llg.scheme import (ConfigError, StepContext,
                                       assert_unit_nodal, exchange_energy)
@@ -31,39 +30,38 @@ def academic_config(**over):
     return base
 
 
+def beta_k(**over):
+    return StepContext(SimulationConfig.from_dict(academic_config(**over))).beta_k
+
+
 class TestCoefficients:
     def test_tps1_constants(self):
-        c = SchemeCoefficients("tps1", alpha=0.5, ell_ex2=10.0, theta=0.7)
-        assert c.beta(0.01) == 10.0 * 0.7
-        assert c.wk(0.01, 3.7) == 0.5
-        assert c.wk(0.01, -123.0) == 0.5
+        # beta = ell_ex2 theta
+        assert beta_k(theta=0.7) == 10.0 * 0.7 * 0.01
 
     def test_tps2_values(self):
-        c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=10.0)
         k = 0.01
         rho = abs(k * math.log(k))
-        assert c.rho(k) == pytest.approx(rho, rel=1e-15)
-        assert c.beta(k) == pytest.approx(5.0 * (1 + rho), rel=1e-15)
+        assert beta_k(scheme="tps2") == pytest.approx(5.0 * (1 + rho) * k, rel=1e-15)
         # both branches give alpha at s = 0
-        assert c.wk(k, 0.0) == 0.5
-        assert c.wk(k, -1e-300) == pytest.approx(0.5, rel=1e-12)
+        assert wk(0.5, k, 0.0) == 0.5
+        assert wk(0.5, k, -1e-300) == pytest.approx(0.5, rel=1e-12)
         # capped branches
         cap = 1.0 / rho
         expect_hi = 0.5 + 1.0 / (2.0 * abs(math.log(k)))
-        assert c.wk(k, cap) == pytest.approx(expect_hi, rel=1e-14)
-        assert c.wk(k, 10 * cap) == pytest.approx(expect_hi, rel=1e-14)
+        assert wk(0.5, k, cap) == pytest.approx(expect_hi, rel=1e-14)
+        assert wk(0.5, k, 10 * cap) == pytest.approx(expect_hi, rel=1e-14)
         expect_lo = 0.5 / (1.0 + 1.0 / (2 * 0.5 * abs(math.log(k))))
-        assert c.wk(k, -1e12) == pytest.approx(expect_lo, rel=1e-14)
+        assert wk(0.5, k, -1e12) == pytest.approx(expect_lo, rel=1e-14)
 
     def test_tps2_weight_lower_bound_on_grid(self):
         # alpha = 0.5, k = 0.01 satisfies the uniform lower bound alpha/2
-        c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=10.0)
         grid = np.linspace(-1e6, 1e6, 20001)
-        w = c.wk(0.01, grid)
+        w = wk(0.5, 0.01, grid)
         assert (w >= 0.25).all()
         assert (w > 0).all()
 
-    # the coefficients take their values unchecked: a config is checked
+    # wk and StepContext take their values unchecked: a config is checked
     # where it is resolved, by SimulationConfig.from_dict
     def test_tps2_rejects_large_k(self):
         SimulationConfig.from_dict(academic_config(scheme="tps2", k=0.5, T=0.5))
@@ -104,59 +102,32 @@ class TestLambdaField:
         assert np.abs(lam + 10.0).max() <= 1e-13
 
 
-class TimeLinearField:
-    """Stub applied field f(t) = t * c at every node of mesh, for the
-    combination tests."""
-
-    def __init__(self, mesh, c):
-        self.mesh = mesh
-        self.c = np.asarray(c, dtype=np.float64)
-
-    def __call__(self, t):
-        return np.tile(t * self.c, (self.mesh.N, 1))
-
-
 class TestLhTerm:
     def test_constant_field_both_variants(self, cube2):
         m = random_unit_field(cube2.N, seed=40)
-        applied = functools.partial(applied_field, dict(kind="constant", value=(1.0, 2.0, 3.0)),
-                                    cube2)
+        f = applied_field(dict(kind="constant", value=(1.0, 2.0, 3.0)), cube2)
         pi = dict(kind="zero")
-        for variant in ("tps1", "tps2"):
-            c = SchemeCoefficients(variant, alpha=0.5, ell_ex2=1.0)
+        for scheme in ("tps1", "tps2"):
             pi_n = pi_apply(pi, cube2, m)
-            lh = lh_term(c, pi_n, pi_n, applied, 0.0, 0.01)
+            lh = lh_term(scheme, pi_n, pi_n, f)
             assert np.abs(lh - np.array([1.0, 2.0, 3.0])).max() <= 1e-15
 
     def test_tps2_equal_steps_collapse(self, cube2):
         m = random_unit_field(cube2.N, seed=41)
         pi = dict(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
-        c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=1.0)
-        f = TimeLinearField(cube2, [1.0, 0.0, 0.0])
-        t_n, k = 2.0, 0.01
+        f = applied_field(dict(kind="academic"), cube2)
         pi_n = pi_apply(pi, cube2, m)
-        lh = lh_term(c, pi_n, pi_n, f, t_n, k)
-        expected = pi_n + f(t_n + k / 2)
+        lh = lh_term("tps2", pi_n, pi_n, f)
+        expected = pi_n + f
         assert np.abs(lh - expected).max() <= 1e-14
 
     def test_tps2_extrapolates_pi(self, cube2):
         pi = dict(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
         pi_n, pi_nm1 = (pi_apply(pi, cube2, random_unit_field(cube2.N, seed=seed))
                         for seed in (43, 44))
-        c = SchemeCoefficients("tps2", alpha=0.5, ell_ex2=1.0)
-        f = TimeLinearField(cube2, [1.0, 0.0, 0.0])
-        lh = lh_term(c, pi_n, pi_nm1, f, 2.0, 0.01)
-        expected = 1.5 * pi_n - 0.5 * pi_nm1 + f(2.005)
-        assert np.abs(lh - expected).max() <= 1e-14
-
-    def test_tps1_time_evaluation(self, cube2):
-        m = random_unit_field(cube2.N, seed=42)
-        pi = dict(kind="uniaxial", axis=(0, 0, 1), strength=2.0)
-        c = SchemeCoefficients("tps1", alpha=0.5, ell_ex2=1.0)
-        fvec = np.array([0.5, -1.0, 0.0])
-        pi_n = pi_apply(pi, cube2, m)
-        lh = lh_term(c, pi_n, pi_n, TimeLinearField(cube2, fvec), 2.0, 0.01)
-        expected = 2.0 * fvec + pi_n
+        f = applied_field(dict(kind="academic"), cube2)
+        lh = lh_term("tps2", pi_n, pi_nm1, f)
+        expected = 1.5 * pi_n - 0.5 * pi_nm1 + f
         assert np.abs(lh - expected).max() <= 1e-14
 
 
@@ -233,12 +204,12 @@ class TestStep:
             field={"m0": {"kind": "spiral", "turns": 1.0}})))
         st = ctx.initial_state()
         pi_0 = pi_apply(ctx.config.field["pi"], ctx.mesh, st.m_n)
-        lh = lh_fn(ctx.coeffs, pi_0, pi_0, ctx.applied, 0.0, ctx.k)
-        sys_ = fem.build_system(ctx.mesh, st.m_n, ctx.coeffs.alpha, ctx.beta_k,
+        lh = lh_fn(ctx.config.scheme, pi_0, pi_0, ctx.applied)
+        sys_ = fem.build_system(ctx.mesh, st.m_n, ctx.config.alpha, ctx.beta_k,
                                 np.ones(ctx.mesh.elem_count), lh,
-                                ctx.coeffs.ell_ex2, mass=ctx.mass,
+                                ctx.config.ell_ex2, mass=ctx.mass,
                                 stiffness=ctx.stiffness)
-        frame = build_frame(st.m_n, select_tn_adaptive(st.m_n).chosen_T)
+        frame = build_frame(st.m_n, select_tn_adaptive(st.m_n)[0])
         op = ReducedOperator(sys_, frame)
         rhs = op.reduced_rhs()
         x, stats = gmres_solve(op, None, rhs)
@@ -254,10 +225,10 @@ class TestStep:
         # without weights the system takes the static mass, and a tps1 step
         # assembles no weighted mass
         st = ctx.initial_state()
-        sys_ = fem.build_system(ctx.mesh, st.m_n, ctx.coeffs.alpha, ctx.beta_k, None,
-                                np.zeros((ctx.mesh.N, 3)), ctx.coeffs.ell_ex2,
+        sys_ = fem.build_system(ctx.mesh, st.m_n, ctx.config.alpha, ctx.beta_k, None,
+                                np.zeros((ctx.mesh.N, 3)), ctx.config.ell_ex2,
                                 mass=ctx.mass, stiffness=ctx.stiffness)
-        assert np.array_equal(sys_.scalar, ctx.coeffs.alpha * ctx.mass.data
+        assert np.array_equal(sys_.scalar, ctx.config.alpha * ctx.mass.data
                               + ctx.beta_k * ctx.stiffness.data)
 
         def no_assembly(mesh, weights):
@@ -449,12 +420,12 @@ def test_single_step_matches_dense_oracle_step():
     stepped, _ = tps_step(ctx, st0)
 
     pi_0 = pi_apply(ctx.config.field["pi"], ctx.mesh, st0.m_n)
-    lh = lh_fn(ctx.coeffs, pi_0, pi_0, ctx.applied, 0.0, ctx.k)
-    sys_ = fem.build_system(ctx.mesh, st0.m_n, ctx.coeffs.alpha, ctx.beta_k,
+    lh = lh_fn(ctx.config.scheme, pi_0, pi_0, ctx.applied)
+    sys_ = fem.build_system(ctx.mesh, st0.m_n, ctx.config.alpha, ctx.beta_k,
                             np.ones(ctx.mesh.elem_count), lh,
-                            ctx.coeffs.ell_ex2, mass=ctx.mass,
+                            ctx.config.ell_ex2, mass=ctx.mass,
                             stiffness=ctx.stiffness)
-    frame = build_frame(st0.m_n, select_tn_adaptive(st0.m_n).chosen_T)
+    frame = build_frame(st0.m_n, select_tn_adaptive(st0.m_n)[0])
     _, v_dense = dense_oracle_solve(sys_, frame)
     m_ref = normalize_update(st0.m_n, v_dense.reshape(ctx.mesh.N, 3), ctx.k)
     assert np.abs(stepped.m_n - m_ref).max() <= 1e-9
@@ -483,7 +454,7 @@ def test_static_preconditioners_built_once():
         seen = set()
         for _ in range(3):
             state, _ = tps_step(ctx, state)
-            frame = build_frame(state.m_n, select_tn_adaptive(state.m_n).chosen_T)
+            frame = build_frame(state.m_n, select_tn_adaptive(state.m_n)[0])
             seen.add(id(ctx.preconditioners.for_step(frame, state.n)))
         assert len(seen) == 1
 

@@ -3,7 +3,7 @@ import pytest
 
 from tangent_plane_llg import (FIXED_INVOLUTIONS, apply_q, apply_qt, assemble_mass,
                                assemble_stiffness, build_frame, build_system,
-                               frame_gamma, gmres_solve, select_tn_adaptive)
+                               gmres_solve, select_tn_adaptive)
 from tangent_plane_llg.gmres import ReducedOperator
 from tangent_plane_llg.tangent import FrameError
 
@@ -18,7 +18,7 @@ def random_units(n, seed):
 
 def frame_of(m):
     """The 3x2 frame of one unit vector, as build_frame makes it."""
-    return build_frame(np.asarray(m, dtype=np.float64)[None]).blocks[0]
+    return build_frame(np.asarray(m, dtype=np.float64)[None], "t3-").blocks[0]
 
 
 def test_householder_at_poles():
@@ -66,54 +66,75 @@ def test_fixed_involutions_exact():
         assert np.array_equal(t @ t, np.eye(3)), key
 
 
+def six_bounds(m):
+    """The bound of every key, in FIXED_INVOLUTIONS order."""
+    return [select_tn_adaptive(m, key)[1] for key in FIXED_INVOLUTIONS]
+
+
 def test_adaptive_selection_e1():
     m = np.tile(E1, (10, 1))
-    sel = select_tn_adaptive(m)
-    assert np.array_equal(sel.all_d(), [0, 2, 1, 1, 1, 1])
-    assert sel.chosen_key == "t1-"
-    assert np.array_equal(sel.chosen_T, np.column_stack([E3, E2, E1]))
-    assert sel.gamma == 2.0
+    assert six_bounds(m) == [0, 2, 1, 1, 1, 1]
+    assert select_tn_adaptive(m) == ("t1-", 2.0, 2.0)
+    assert np.array_equal(FIXED_INVOLUTIONS["t1-"], np.column_stack([E3, E2, E1]))
 
 
 def test_adaptive_selection_e3():
-    sel = select_tn_adaptive(np.tile(E3, (4, 1)))
-    assert sel.chosen_key == "t3-"
-    assert np.array_equal(sel.chosen_T, np.eye(3))
-    assert sel.gamma == 2.0
+    assert select_tn_adaptive(np.tile(E3, (4, 1))) == ("t3-", 2.0, 2.0)
+    assert np.array_equal(FIXED_INVOLUTIONS["t3-"], np.eye(3))
 
 
 def test_adaptive_gamma_zero_when_all_axes_present():
     m = np.vstack([np.eye(3), -np.eye(3)])
-    sel = select_tn_adaptive(m)
-    assert sel.gamma == 0.0
+    # all six bounds tie at 0: the scan order picks the first key
+    assert six_bounds(m) == [0.0] * 6
+    assert select_tn_adaptive(m) == ("t1+", 0.0, 0.0)
+
+
+def bound_fields():
+    """Unit fields for the bound checks: random ones, the six signed axes,
+    and fields with exact and signed zero components."""
+    fields = [random_units(64, seed=seed) for seed in range(25, 45)]
+    fields.append(np.vstack([np.eye(3), -np.eye(3)]))
+    fields.append(np.tile([-0.0, 0.0, 1.0], (4, 1)))
+    fields.append(np.tile([0.0, -0.0, -1.0], (4, 1)))
+    for seed in range(45, 50):
+        m = random_units(64, seed=seed)
+        m[:, seed % 3] = np.where(np.arange(64) % 2, 0.0, -0.0)
+        fields.append(m / np.linalg.norm(m, axis=1)[:, None])
+    return fields
 
 
 def test_selection_lower_bound_holds_exactly():
-    m = random_units(64, seed=25)
-    sel = select_tn_adaptive(m)
-    assert frame_gamma(m, sel.chosen_T) >= sel.gamma
-    for key, t in FIXED_INVOLUTIONS.items():
-        d = dict(zip(["t1+", "t1-", "t2+", "t2-", "t3+", "t3-"], sel.all_d()))[key]
-        assert frame_gamma(m, t) == pytest.approx(d, abs=1e-15)
+    """gamma is bit for bit min_i 1 + (T m_i)_3 for T of its key, under
+    every key, and d_adapt is the largest of the six bounds."""
+    for m in bound_fields():
+        expected = [1.0 + (m @ t.T)[:, 2].min() for t in FIXED_INVOLUTIONS.values()]
+        for key, bound in zip(FIXED_INVOLUTIONS, expected):
+            chosen, gamma, d_adapt = select_tn_adaptive(m, key)
+            assert chosen == key and d_adapt == max(expected)
+            assert np.float64(gamma).tobytes() == np.float64(bound).tobytes(), key
+        key, gamma, d_adapt = select_tn_adaptive(m)
+        assert gamma == d_adapt == max(expected)
+        assert key == list(FIXED_INVOLUTIONS)[expected.index(d_adapt)]
 
 
 def test_build_frame_identity_reduces_to_householder():
     m = random_units(20, seed=26)
-    frame = build_frame(m, np.eye(3))
+    frame = build_frame(m, "t3-")
     for i in range(20):
         assert np.array_equal(frame.blocks[i], frame_of(m[i]))
 
 
 def test_build_frame_t3plus_constant_e3():
     m = np.tile(E3, (5, 1))
-    frame = build_frame(m, FIXED_INVOLUTIONS["t3+"])
+    frame = build_frame(m, "t3+")
     for block in frame.blocks:
         assert np.array_equal(block, np.column_stack([E1, E2]))
 
 
 def test_frame_orthonormal_columns(rng):
     m = random_units(40, seed=27)
-    frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+    frame = build_frame(m, select_tn_adaptive(m)[0])
     q = frame.as_sparse()
     eye = (q.T @ q).toarray()
     assert np.abs(eye - np.eye(2 * 40)).max() <= 1e-14
@@ -125,14 +146,14 @@ def test_build_frame_errors():
     m = random_units(5, seed=28)
     m[3] *= 1.5
     with pytest.raises(FrameError, match="node 3"):
-        build_frame(m, np.eye(3))
-    with pytest.raises(FrameError, match="involution"):
-        build_frame(random_units(5, seed=28), np.diag([1.0, 1.0, 2.0]))
+        build_frame(m, "t3-")
+    with pytest.raises(KeyError):
+        build_frame(random_units(5, seed=28), "t4+")
 
 
 def test_apply_roundtrip(rng):
     m = random_units(30, seed=29)
-    frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+    frame = build_frame(m, select_tn_adaptive(m)[0])
     x = rng.standard_normal(60)
     assert np.abs(apply_qt(frame, apply_q(frame, x)) - x).max() <= 1e-14
     lifted = apply_q(frame, x)
@@ -141,14 +162,14 @@ def test_apply_roundtrip(rng):
 
 def test_lifted_field_is_nodally_tangent(rng):
     m = random_units(30, seed=30)
-    frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+    frame = build_frame(m, select_tn_adaptive(m)[0])
     v = apply_q(frame, rng.standard_normal(60)).reshape(30, 3)
     assert np.abs(np.einsum("nc,nc->n", v, m)).max() <= 1e-13 * (1 + np.abs(v).max())
 
 
 def test_apply_dimension_mismatch(rng):
     m = random_units(4, seed=31)
-    frame = build_frame(m, np.eye(3))
+    frame = build_frame(m, "t3-")
     with pytest.raises(FrameError):
         apply_q(frame, np.zeros(9))
     with pytest.raises(FrameError):
@@ -157,7 +178,7 @@ def test_apply_dimension_mismatch(rng):
 
 def test_projector_identities(cube2, rng):
     m = random_units(cube2.N, seed=32)
-    frame = build_frame(m, select_tn_adaptive(m).chosen_T)
+    frame = build_frame(m, select_tn_adaptive(m)[0])
     q = frame.as_sparse().toarray()
     proj = q @ q.T
     assert np.abs(proj @ proj - proj).max() <= 1e-13
@@ -168,9 +189,8 @@ def test_projector_identities(cube2, rng):
 
 
 def test_projector_constant_field_blocks():
-    t = FIXED_INVOLUTIONS["t2-"]
-    m = np.tile(t[:, 2], (6, 1))
-    frame = build_frame(m, t)
+    m = np.tile(FIXED_INVOLUTIONS["t2-"][:, 2], (6, 1))
+    frame = build_frame(m, "t2-")
     for i in range(6):
         block = frame.blocks[i] @ frame.blocks[i].T
         assert np.abs(block - (np.eye(3) - np.outer(m[i], m[i]))).max() <= 1e-15
@@ -184,8 +204,8 @@ def test_reduced_solution_is_frame_independent(cube2, rng):
                         weights=np.ones(cube2.elem_count), lh=lh, ell_ex2=10.0,
                         mass=assemble_mass(cube2), stiffness=assemble_stiffness(cube2))
     lifted = {}
-    for key, t in FIXED_INVOLUTIONS.items():
-        frame = build_frame(m, t)
+    for key in FIXED_INVOLUTIONS:
+        frame = build_frame(m, key)
         op = ReducedOperator(sys_, frame)
         x, stats = gmres_solve(op, None, op.reduced_rhs())
         assert stats.converged
