@@ -1,16 +1,18 @@
 """P1 finite element assembly on tetrahedra.
 
-Every matrix lives on the N x N node-adjacency pattern of the mesh
-(Mesh.adjacency): an element-assembled matrix is one np.bincount of the
-element contributions over the pattern's slots, so each entry is summed
-element by element in element order.  Mass, stiffness and weighted mass are
-N x N CSR matrices on that pattern.  The cross-product form is kept as its
-moments: C_d[ij], the mass matrix weighted by the P1 function m_d, one
-(3, nnz) array on the same slots.  Block (i, j) of the 3N cross form is
-sum_d C_d[ij] E_d, with E_d[p, q] = e_d . (e_p x e_q) a skew 3x3
-generator.  The moments need no element tensor: the exact cubic moments
-reduce them to two sums over the elements of each node pair, taken by one
-product with the mesh's pair incidence (Mesh.pair_incidence).
+Every matrix lives on the N x N pattern of the mesh's node pairs
+(Mesh.node_pairs): the slots (i, j) and (j, i) of each pair {i, j} that
+shares an element.  An element-assembled matrix is one np.bincount of the
+ten entries a <= b of every element's symmetric local matrix over the pair
+numbering, so each pair sums its addends element by element in element
+order, and both of its slots take that sum through the slot -> pair mirror.
+Mass, stiffness and weighted mass are N x N CSR matrices on that pattern.
+The cross-product form is kept as its moments: C_d[ij], the mass matrix
+weighted by the P1 function m_d, one (3, nnz) array on the same slots.
+Block (i, j) of the 3N cross form is sum_d C_d[ij] E_d, with E_d[p, q] =
+e_d . (e_p x e_q) a skew 3x3 generator.  The moments need no element
+tensor: the exact cubic moments reduce them to two sums over the elements
+of each node pair, taken by one product with the pair x element incidence.
 
 A step's system is the scalar values s = alpha M_k + beta_k L, the moments
 and the right-hand side (AssembledSystem); the 3x3 blocks of the 3N matrix
@@ -28,36 +30,33 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import once_per_mesh
+from .mesh import LOCAL_PAIRS, once_per_mesh
 
 
 class AssemblyError(ValueError):
     pass
 
 
-# Local P1 mass matrix over an element, divided by |K|:
+# The local P1 mass entries of the pairs LOCAL_PAIRS, divided by |K|:
 # integral of lambda_a * lambda_b = |K| (1 + delta_ab) / 20.
-_LOCAL_MASS = (np.ones((4, 4)) + np.eye(4)) / 20.0
+_LOCAL_MASS = (1.0 + (LOCAL_PAIRS[0] == LOCAL_PAIRS[1])) / 20.0
 
 
-def _scatter(mesh, local_data):
-    """Sum (M,4,4) element contributions onto the mesh pattern, in element order."""
-    _, indices, slot = mesh.adjacency()
-    return np.bincount(slot.ravel(), weights=local_data.ravel(), minlength=len(indices))
-
-
-def _scatter_scalar(mesh, local_data):
-    """Assemble (M,4,4) local contributions into a CSR N x N matrix."""
-    indptr, indices, _ = mesh.adjacency()
-    return sp.csr_array((_scatter(mesh, local_data), indices, indptr), shape=(mesh.N, mesh.N))
+def _scatter_scalar(mesh, local):
+    """The N x N CSR matrix on the mesh pattern whose slots (i, j) and
+    (j, i) sum the (M, 10) local entries of their pair, in element order."""
+    pairs = mesh.node_pairs()
+    sums = np.bincount(pairs.element_pairs.ravel(), weights=local.ravel(),
+                       minlength=len(pairs.slots[0]))
+    return sp.csr_array((sums.take(pairs.mirror), pairs.indices, pairs.indptr),
+                        shape=(mesh.N, mesh.N))
 
 
 @once_per_mesh
 def assemble_mass(mesh):
     """Scalar P1 mass matrix, exact: element entry |K|(1+delta_ab)/20.
     Assembled once per mesh, read-only."""
-    vol = mesh.element_volumes()
-    mass = _scatter_scalar(mesh, vol[:, None, None] * _LOCAL_MASS[None])
+    mass = _scatter_scalar(mesh, mesh.element_volumes()[:, None] * _LOCAL_MASS)
     mass.data.setflags(write=False)
     return mass
 
@@ -67,12 +66,9 @@ def assemble_stiffness(mesh):
     """Scalar P1 stiffness matrix from constant element gradients: element
     entry |K| grad_a . grad_b.  Assembled once per mesh, read-only."""
     vol, grad = mesh.element_volumes(), mesh.gradient_components()
-    local = np.empty((mesh.elem_count, 4, 4))
-    for a in range(4):
-        for b in range(a, 4):
-            dot = grad[a, 0] * grad[b, 0] + grad[a, 1] * grad[b, 1] + grad[a, 2] * grad[b, 2]
-            local[:, a, b] = local[:, b, a] = vol * dot
-    stiffness = _scatter_scalar(mesh, local)
+    a, b = LOCAL_PAIRS
+    dot = grad[a, 0] * grad[b, 0] + grad[a, 1] * grad[b, 1] + grad[a, 2] * grad[b, 2]
+    stiffness = _scatter_scalar(mesh, (vol * dot).T)
     stiffness.data.setflags(write=False)
     return stiffness
 
@@ -91,7 +87,7 @@ def assemble_weighted_mass(mesh, weights):
         bad = int(np.nonzero(weights <= 0)[0][0])
         raise AssemblyError(f"non-positive weight {weights[bad]} on element {bad}")
     vol = mesh.element_volumes()
-    return _scatter_scalar(mesh, (weights * vol)[:, None, None] * _LOCAL_MASS[None])
+    return _scatter_scalar(mesh, (weights * vol)[:, None] * _LOCAL_MASS)
 
 
 def assemble_cross(mesh, m):
@@ -100,7 +96,7 @@ def assemble_cross(mesh, m):
     Entry ((i,p),(j,q)) of the cross form S integrates (m x phi_i e_p) .
     (phi_j e_q) exactly (degree-3 integrand), so block (i, j) of S is
     sum_d C_d[ij] E_d with C_d[ij] the integral of phi_i phi_j m_d, and
-    column s of the result holds C[ij] of slot s of Mesh.adjacency().  On
+    column s of the result holds C[ij] of slot s of Mesh.node_pairs().  On
     an element K, with S_K the sum of m over its vertices, the cubic
     moments give |K| (S_K + m_i + m_j) / 120 for i != j and
     |K| (S_K + 2 m_i) / 60 for i = j, so
@@ -115,16 +111,17 @@ def assemble_cross(mesh, m):
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (mesh.N, 3):
         raise AssemblyError(f"magnetization must be (N, 3), got {m.shape}")
-    incidence, (i, j), mirror = mesh.pair_incidence()
+    pairs = mesh.node_pairs()
+    i, j = pairs.ends
     vol = mesh.element_volumes()
     mloc = np.take(m.T, mesh.tets.T, axis=1)  # mloc[d, a, e]: m_d at local vertex a of e
     weighted = np.empty((mesh.elem_count, 4))
     weighted[:, :3] = (vol * (mloc[:, 0] + mloc[:, 1] + mloc[:, 2] + mloc[:, 3])).T
     weighted[:, 3] = vol
-    sums = (incidence @ weighted).T
+    sums = (pairs.incidence @ weighted).T
     moments = ((sums[:3] + (np.take(m.T, i, axis=1) + np.take(m.T, j, axis=1)) * sums[3])
                / np.where(i == j, 60.0, 120.0))
-    return moments.take(mirror, axis=1)
+    return moments.take(pairs.mirror, axis=1)
 
 
 def assemble_rhs(mesh, m_n, lh, ell_ex2, mass, stiffness):
@@ -159,7 +156,7 @@ def block_matrix(indptr, indices, scalar, moments):
 @dataclass
 class AssembledSystem:
     """Per-step linear system data for the tangent plane scheme, on the
-    pattern of the mesh (Mesh.adjacency).
+    pattern of the mesh (Mesh.node_pairs).
 
     The 3N system matrix A has the 3x3 blocks s_ij I_3 - S_ij: s is the
     scalar part alpha M_k + beta_k L, with M_k the weighted mass and L the
@@ -177,8 +174,8 @@ class AssembledSystem:
     @cached_property
     def matrix(self):
         """The 3N x 3N system matrix as BSR, built on first use."""
-        indptr, indices, _ = self.mesh.adjacency()
-        return block_matrix(indptr, indices, self.scalar, self.moments)
+        pairs = self.mesh.node_pairs()
+        return block_matrix(pairs.indptr, pairs.indices, self.scalar, self.moments)
 
     def apply(self, v):
         """y = (alpha M_k + beta_k L - S) v on stacked 3N vectors."""

@@ -3,6 +3,12 @@
 Meshes are immutable after construction.  Element orientation is normalized
 to positive signed volume when a mesh is built, so downstream assembly can
 use signed determinants directly.
+
+Set-up that depends only on the mesh runs once per mesh and is kept on it,
+read-only (once_per_mesh): the gradients, the elimination orders and the
+node pairs (Mesh.node_pairs), numbered by one sort of the ten local pairs
+of every element: the pattern every assembled matrix lives on, the two
+slots of each pair, the pair of every slot and the pair x element incidence.
 """
 
 import functools
@@ -10,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +34,10 @@ _KUHN_PATHS = np.array([
     [np.isin(np.arange(3), perm[:step]) for step in range(4)]
     for perm in itertools.permutations(range(3))
 ], dtype=np.int64)
+
+# The ten local vertex pairs (a, b), a <= b, of a tetrahedron, row by row:
+# the columns of NodePairs.element_pairs.
+LOCAL_PAIRS = np.triu_indices(4)
 
 # Local vertex triples of the four faces of a tetrahedron.
 _LOCAL_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
@@ -46,6 +57,21 @@ def once_per_mesh(build):
             mesh._cache[build] = build(mesh)
         return mesh._cache[build]
     return cached
+
+
+class NodePairs(NamedTuple):
+    """The P node pairs {i, j} that share an element (Mesh.node_pairs),
+    numbered by (i, j), i <= j, ascending.  Every assembled matrix lives on
+    the pattern (indptr, indices): the N x N canonical CSR structure of the
+    slots (i, j) and (j, i) of every pair."""
+
+    indptr: np.ndarray         # (N + 1,) row pointers of the pattern
+    indices: np.ndarray        # (nnz,) column indices, ascending in each row
+    ends: np.ndarray           # (2, P) the nodes i <= j of each pair
+    slots: np.ndarray          # (2, P) the slots of (i, j) and (j, i), one for i = j
+    mirror: np.ndarray         # (nnz,) the pair of every slot
+    element_pairs: np.ndarray  # (M, 10) the pair of each local pair of each element
+    incidence: sp.csr_array    # P x M, columns of each pair in element order
 
 
 class Mesh:
@@ -154,74 +180,49 @@ class Mesh:
         return grad
 
     @once_per_mesh
-    def adjacency(self):
-        """The N x N node-adjacency pattern every assembled matrix lives on.
+    def node_pairs(self):
+        """The node pairs of the mesh and the pattern they span (NodePairs).
 
-        Returns (indptr, indices, slot): the CSR row pointers and sorted
-        column indices of the node pairs that share an element, diagonal
-        included, and slot of shape (M, 4, 4), where slot[e, a, b] is the
-        position in indices of the pair (tets[e, a], tets[e, b]).  Computed
-        once and read-only.
+        One stable sort of the ten local pairs of every element by their
+        node ids (i, j), i <= j, numbers the pairs: a run of equal keys is
+        one pair, and lists its elements in element order, which is the
+        incidence.  Row r of the pattern holds the pairs (i, r), i < r, then
+        the pairs (r, j), j >= r; a stable order of the pairs by j ranks the
+        first.  Computed once and read-only.
         """
-        n = self.N
-        keys = self.tets[:, :, None] * n + self.tets[:, None, :]
-        pairs, slot = np.unique(keys.ravel(), return_inverse=True)
-        index = np.int32 if len(pairs) < 2**31 else np.int64
-        indptr = np.searchsorted(pairs, np.arange(n + 1) * n).astype(index)
-        indices = (pairs % n).astype(index)
-        slot = slot.reshape(keys.shape)
-        for arr in (indptr, indices, slot):
+        n, (a, b) = self.N, LOCAL_PAIRS
+        local = self.tets[:, a], self.tets[:, b]
+        keys = (np.minimum(*local) * n + np.maximum(*local)).ravel()
+        by_key = np.argsort(keys, kind="stable")
+        keys = keys.take(by_key)
+        ptr = np.append(np.flatnonzero(np.diff(keys, prepend=-1)), len(keys))
+        i, j = keys[ptr[:-1]] // n, keys[ptr[:-1]] % n
+        pair = np.arange(len(i))
+        element_pairs = np.empty(len(keys), dtype=np.intp)
+        element_pairs[by_key] = np.repeat(pair, np.diff(ptr))
+        # row r holds its left[r] pairs (i, r), i < r, then its upper[r]
+        # pairs (r, j), j >= r: pair p = (i, j) is upper pair p - sum_{r<i}
+        # upper of row i, so its slot is p + sum_{r<=i} left, and the pair
+        # of rank q in the order by (j, i) has the slot q + sum_{r<j} (upper - 1)
+        upper = np.bincount(i, minlength=n)
+        left = np.bincount(j, minlength=n) - 1
+        index = np.int32 if 2 * len(keys) < 2**31 else np.int64  # nnz < 2 * 10 M
+        indptr = np.concatenate([[0], np.cumsum(upper + left)]).astype(index)
+        slots = np.empty((2, len(i)), dtype=index)
+        slots[0] = pair + np.cumsum(left)[i]
+        by_j = np.argsort(j, kind="stable")
+        slots[1, by_j] = pair + (np.cumsum(upper - 1) - (upper - 1))[j[by_j]]
+        indices = np.empty(indptr[-1], dtype=index)
+        indices[slots[0]], indices[slots[1]] = j, i
+        mirror = np.empty(indptr[-1], dtype=index)
+        mirror[slots[0]] = mirror[slots[1]] = pair
+        incidence = sp.csr_array((np.ones(len(keys)), (by_key // 10).astype(index),
+                                  ptr.astype(index)), shape=(len(i), self.elem_count))
+        pairs = NodePairs(indptr, indices, np.stack([i, j]).astype(index), slots, mirror,
+                          element_pairs.reshape(-1, 10), incidence)
+        for arr in (*pairs[:-1], incidence.data, incidence.indices, incidence.indptr):
             arr.setflags(write=False)
-        return indptr, indices, slot
-
-    @once_per_mesh
-    def pair_slots(self):
-        """The two slots of every node pair {i, j} that shares an element.
-
-        Returns slots of shape (2, P): slots[0, p] is the slot of adjacency()
-        of the pair's (i, j) with i <= j, and slots[1, p] that of (j, i), the
-        same slot for i = j; the pairs are numbered in the order of their
-        slots[0].  Computed once and read-only.
-        """
-        indptr, indices, _ = self.adjacency()
-        n = self.N
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        cols = indices.astype(np.int64)
-        upper = np.flatnonzero(rows <= cols)
-        transpose = np.searchsorted(rows * n + cols, cols[upper] * n + rows[upper])
-        slots = np.stack([upper, transpose]).astype(indptr.dtype)
-        slots.setflags(write=False)
-        return slots
-
-    @once_per_mesh
-    def pair_incidence(self):
-        """The node pairs {i, j} that share an element, and their elements.
-
-        Returns (incidence, pairs, mirror): pairs (2, P) holds the node ids
-        i <= j of each pair, numbered as in pair_slots(); incidence is the
-        P x M CSR matrix with a one where pair p belongs to element e,
-        columns in element order, so incidence @ x sums x over the elements
-        of every pair in element order; mirror[s] is the pair of slot s, the
-        same for the slots (i, j) and (j, i).  Computed once and read-only.
-        """
-        indptr, indices, slot = self.adjacency()
-        slots = self.pair_slots()
-        n_pairs = slots.shape[1]
-        rows = np.repeat(np.arange(self.N), np.diff(indptr))
-        pairs = np.stack([rows[slots[0]], indices[slots[0]]]).astype(indptr.dtype)
-        mirror = np.empty(len(indices), dtype=indptr.dtype)
-        mirror[slots] = np.arange(n_pairs)
-        # the ten local pairs a <= b of every element, element by element
-        a, b = np.triu_indices(4)
-        pair = mirror[slot[:, a, b]].ravel()
-        index = np.int32 if len(pair) < 2**31 else np.int64
-        elements = (np.argsort(pair, kind="stable") // 10).astype(index)
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(pair, minlength=n_pairs))])
-        incidence = sp.csr_array((np.ones(len(pair)), elements, ptr.astype(index)),
-                                 shape=(n_pairs, self.elem_count))
-        for arr in (incidence.data, incidence.indices, incidence.indptr, pairs, mirror):
-            arr.setflags(write=False)
-        return incidence, pairs, mirror
+        return pairs
 
     @once_per_mesh
     def dissection_order(self):
@@ -235,7 +236,7 @@ class Mesh:
         the lower half are its separator.  The lower half, then the upper
         half, each dissected in turn, come first and the separator after
         them, so the Cholesky-type factor of a matrix on the pattern of
-        adjacency() fills only within the blocks of a subdomain and its
+        node_pairs() fills only within the blocks of a subdomain and its
         separators (George, SIAM J. Numer. Anal. 10, 1973).  Subdomains of
         at most DISSECTION_LEAF nodes, or whose nodes all coincide, are not
         split.  The nodes of a leaf or a separator are ordered by their
@@ -243,8 +244,8 @@ class Mesh:
         depends on the node coordinates, not on the node numbering.
         Computed once and read-only.
         """
-        indptr, indices, _ = self.adjacency()
-        order = _nested_dissection(self.nodes, indptr, indices)
+        pairs = self.node_pairs()
+        order = _nested_dissection(self.nodes, pairs.indptr, pairs.indices)
         order.setflags(write=False)
         return order
 
@@ -255,12 +256,12 @@ class Mesh:
         Returns (order, width): order[i] is the node eliminated i-th, and
         width is the largest distance |rank_i - rank_j| in that order
         between two nodes that share an element, so every matrix on the
-        pattern of adjacency() has its entries within width of the diagonal
+        pattern of node_pairs() has its entries within width of the diagonal
         once permuted by order (Cuthill and McKee, ACM National Conference,
         1969).  The order depends on the node numbering.  Computed once and
         read-only.
         """
-        indptr, indices, _ = self.adjacency()
+        indptr, indices = self.node_pairs()[:2]
         pattern = sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(self.N,) * 2)
         order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.int64)
         rank = np.empty_like(order)

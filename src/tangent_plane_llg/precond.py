@@ -186,7 +186,7 @@ def build_none(n_nodes):
 def build_theoretical(frame, mesh, scalar, order):
     """Inverse of the frame-congruent SPD matrix Q^T (K (x) I_3) Q.
 
-    scalar holds K on the slots of mesh.adjacency() and order is the
+    scalar holds K on the slots of mesh.node_pairs() and order is the
     elimination order of the nodes (node order[i] is eliminated i-th).
     Block (i, j) of the 2N x 2N matrix is the 2x2 block K_ij Q_i^T Q_j: the
     reduced system matrix without cross moments, formed by the same
@@ -270,9 +270,8 @@ class PreconditionerSource:
         self.builds = 0
         self._current = None
         # on the mesh pattern that M and L share, as the step's scalar part is
-        indptr, indices, _ = mesh.adjacency()
         values = alpha_p * mass.data + beta_k * stiffness.data
-        scalar = sp.csr_array((values, indices, indptr), shape=mass.shape)
+        scalar = sp.csr_array((values, mass.indices, mass.indptr), shape=mass.shape)
         if kind == "none":
             self._current = build_none(mesh.N)
         elif kind == "jacobi":

@@ -167,18 +167,18 @@ def reduce_pairs(q, pairs, scalar, at, size, moments=None):
 @once_per_mesh
 def reduced_pattern(mesh):
     """Where the reduced matrices on mesh live: the 2N x 2N CSR index
-    structure with a 2x2 block at every slot of mesh.adjacency(), and the
-    positions at of reduce_pairs for the pairs of mesh.pair_slots().
+    structure with a 2x2 block at every slot of mesh.node_pairs(), and the
+    positions at of reduce_pairs for its pairs.
 
     Rows 2i and 2i + 1 hold the blocks of the slots of row i in slot order,
     so entry (a, b) of the block of slot s is entry first + a width + b of
-    the data; at[k][:, p] is (first, width) of slot pair_slots()[k, p].
-    The structure is canonical CSR.  Returns (indptr, indices, at).
-    Computed once per mesh, on first use, and read-only: every
+    the data; at[k][:, p] is (first, width) of the slot slots[k, p] of the
+    node pairs.  The structure is canonical CSR.  Returns (indptr, indices,
+    at).  Computed once per mesh, on first use, and read-only: every
     reduced_matrix on mesh shares indptr and indices.
     """
-    indptr, indices, _ = mesh.adjacency()
-    indptr = indptr.astype(np.int64)
+    pairs = mesh.node_pairs()
+    indptr, indices = pairs.indptr.astype(np.int64), pairs.indices
     n, nnz = mesh.N, len(indices)
     count = np.diff(indptr)
     index = np.int32 if 4 * nnz < 2**31 else np.int64
@@ -194,7 +194,7 @@ def reduced_pattern(mesh):
     for a in range(2):
         for b in range(2):
             indices2[at[0] + a * at[1] + b] = 2 * indices + b
-    at = np.ascontiguousarray(at[:, mesh.pair_slots()].transpose(1, 0, 2))
+    at = np.ascontiguousarray(at[:, pairs.slots].transpose(1, 0, 2))
     for arr in (indptr2, indices2, at):
         arr.setflags(write=False)
     return indptr2, indices2, at
@@ -205,18 +205,18 @@ def reduced_matrix(mesh, q, scalar, moments=None):
     reduced_pattern(mesh).
 
     scalar (and moments, (3, slots)) hold B's scalar part s and cross
-    moments c on the slots of mesh.adjacency(), q the (N, 3, 2) frame
+    moments c on the slots of mesh.node_pairs(), q the (N, 3, 2) frame
     blocks; reduce_pairs forms each node pair's two blocks.  With moments,
     R is the reduced system matrix of a step; without, the cross term is
     zero and R = Q^T (K (x) I_3) Q, the matrix of the theoretical
     preconditioner, bit for bit R with zero moments.
     """
     indptr, indices, at = reduced_pattern(mesh)
-    _, pairs, _ = mesh.pair_incidence()
-    upper = mesh.pair_slots()[0]
+    pairs = mesh.node_pairs()
+    upper = pairs.slots[0]
     if moments is not None:
         moments = moments.take(upper, axis=1)
-    data = reduce_pairs(q, pairs, scalar.take(upper), at, len(indices), moments)
+    data = reduce_pairs(q, pairs.ends, scalar.take(upper), at, len(indices), moments)
     n = len(indptr) - 1
     return sp.csr_array((data, indices, indptr), shape=(n, n))
 

@@ -71,13 +71,13 @@ def perturbed_unit_cube(n, seed, a=0.2):
 def cross_form(mesh, m):
     """The 3N x 3N cross form S as BSR, expanded from the moments of m: the
     negated block matrix of zero scalar part."""
-    indptr, indices, _ = mesh.adjacency()
+    indptr, indices = mesh.node_pairs()[:2]
     return -block_matrix(indptr, indices, np.zeros(len(indices)), assemble_cross(mesh, m))
 
 
 def transpose_slots(mesh):
     """slot[t] of the pair (j, i) for every slot t = (i, j) of the mesh pattern."""
-    indptr, indices, _ = mesh.adjacency()
+    indptr, indices = mesh.node_pairs()[:2]
     rows = np.repeat(np.arange(mesh.N), np.diff(indptr))
     return np.searchsorted(rows * mesh.N + indices, indices * mesh.N + rows)
 
@@ -89,7 +89,7 @@ def spd(mass, stiffness, alpha_p, beta_k):
 
 
 def k_slots(mesh, alpha_p, beta_k):
-    """K = alpha_p M + beta_k L on the slots of mesh.adjacency(), formed
+    """K = alpha_p M + beta_k L on the slots of mesh.node_pairs(), formed
     apart from the package's source: the values build_theoretical takes."""
     return alpha_p * assemble_mass(mesh).data + beta_k * assemble_stiffness(mesh).data
 

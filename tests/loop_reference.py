@@ -7,6 +7,14 @@ connectivity and the mesh checks built one element at a time, and the
 summed one element at a time.  The library's vectorized versions must
 reproduce their arrays bit for bit.
 
+node_pairs numbers the node pairs that share an element with a dict, one
+element at a time, and builds from it the pattern, the two slots of each
+pair, the pair of each slot and the pair x element incidence that
+Mesh.node_pairs builds from one sort.  scatter_16 assembles (M, 4, 4) local
+matrices over the 16 slots of every element, numbered by np.unique of the
+pair keys; it sums the same addends in the same order as the library's ten
+pairs per element.
+
 assemble_cross_tensor integrates the cross form from the full 5-index
 element tensor of the cubic moments instead.  It sums in another order, so
 it checks the closed form to rounding, not bit for bit.
@@ -177,6 +185,58 @@ def assemble_cross(mesh, m):
     indptr = np.searchsorted([i for i, _ in pairs], np.arange(mesh.N + 1))
     indices = np.array([j for _, j in pairs])
     return indptr, indices, np.array(blocks)
+
+
+def node_pairs(mesh):
+    """(indptr, indices, ends, slots, mirror, element_pairs, incidence) as
+    Mesh.node_pairs documents them, from a dict of the pairs (i, j), i <= j,
+    filled one element at a time."""
+    elements = {}  # pair -> the elements that hold it, in element order
+    local = []     # the pairs (a, b), a <= b, of every element, row by row
+    for e, tet in enumerate(mesh.tets.tolist()):
+        local.append([])
+        for a in range(4):
+            for b in range(a, 4):
+                pair = (min(tet[a], tet[b]), max(tet[a], tet[b]))
+                elements.setdefault(pair, []).append(e)
+                local[-1].append(pair)
+    ends = sorted(elements)
+    number = {pair: p for p, pair in enumerate(ends)}
+    rows = [[] for _ in range(mesh.N)]
+    for i, j in ends:
+        rows[i].append(j)
+        if i != j:
+            rows[j].append(i)
+    indptr, indices = [0], []
+    for row in rows:
+        indices.extend(sorted(row))
+        indptr.append(len(indices))
+    slot, mirror = {}, []
+    for i in range(mesh.N):
+        for s in range(indptr[i], indptr[i + 1]):
+            j = indices[s]
+            slot[i, j] = s
+            mirror.append(number[min(i, j), max(i, j)])
+    slots = [[slot[i, j] for i, j in ends], [slot[j, i] for i, j in ends]]
+    element_pairs = [[number[pair] for pair in pairs] for pairs in local]
+    incidence = sp.csr_array((np.ones(10 * mesh.elem_count),
+                              np.concatenate([elements[pair] for pair in ends]),
+                              np.cumsum([0] + [len(elements[pair]) for pair in ends])),
+                             shape=(len(ends), mesh.elem_count))
+    return (np.array(indptr), np.array(indices), np.array(ends).T, np.array(slots),
+            np.array(mirror), np.array(element_pairs), incidence)
+
+
+def scatter_16(mesh, local):
+    """The N x N CSR matrix that sums the (M, 4, 4) local matrices onto the
+    node pairs of mesh, one np.bincount over the 16 slots of every element
+    in element order, the slots numbered by np.unique of the keys i N + j."""
+    n = mesh.N
+    keys = mesh.tets[:, :, None] * n + mesh.tets[:, None, :]
+    pairs, slot = np.unique(keys.ravel(), return_inverse=True)
+    data = np.bincount(slot, weights=local.ravel(), minlength=len(pairs))
+    indptr = np.searchsorted(pairs, np.arange(n + 1) * n)
+    return sp.csr_array((data, pairs % n, indptr), shape=(n, n))
 
 
 # Cubic moments: integral of lambda_a lambda_b lambda_c = |K| * _LOCAL_CUBIC[a,b,c]

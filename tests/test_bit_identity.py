@@ -24,7 +24,7 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, MeshError, SimulationCon
                                StepContext, assemble_mass,
                                assemble_stiffness, assemble_weighted_mass, build_frame,
                                build_system, build_theoretical, generate_structured_cube,
-                               tps_step)
+                               load_mesh, save_mesh, tps_step)
 from tangent_plane_llg.diagnostics import dense_oracle_solve
 import tangent_plane_llg.mesh as mesh_mod
 import tangent_plane_llg.precond as precond_mod
@@ -32,7 +32,7 @@ import tangent_plane_llg.scheme as scheme_mod
 from tangent_plane_llg.mesh import _check_conforming
 from tangent_plane_llg.tangent import FrameError
 
-from conftest import UNIT_BOUNDS, cross_form, k_slots, random_unit_field
+from conftest import UNIT_BOUNDS, cross_form, k_slots, perturbed_unit_cube, random_unit_field
 
 SIGNED_AXES = np.vstack([np.eye(3), -np.eye(3)])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -167,6 +167,44 @@ def test_conformity_check_with_large_node_ids():
     assert str(err.value) == ref.mesh_check_message(tets)
 
 
+@pytest.mark.parametrize("name", ["perturbed", "file"])
+def test_node_pairs_and_static_matrices_match_element_loops(name, shuffled_cube, tmp_path):
+    """The one-sort pair numbering equals the per-element dict loop, and M,
+    L and M_k summed per pair equal the 16-slot scatter of the (M, 4, 4)
+    local matrices, array for array: on a perturbed cube, and on the
+    shuffled cube written to a file and read back."""
+    if name == "perturbed":
+        mesh = perturbed_unit_cube(4, seed=60)
+    else:
+        path = tmp_path / "mesh.json"
+        path.write_bytes(save_mesh(shuffled_cube))
+        with path.open("rb") as source:
+            mesh = load_mesh(source)
+    pairs = mesh.node_pairs()
+    *arrays, incidence = ref.node_pairs(mesh)
+    for field, expected in zip(pairs._fields, arrays):
+        assert np.array_equal(getattr(pairs, field), expected), field
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(pairs.incidence, field), getattr(incidence, field)), field
+
+    vol, grad = mesh.element_geometry()
+    local_mass = (np.ones((4, 4)) + np.eye(4)) / 20.0
+    stiffness = np.empty((mesh.elem_count, 4, 4))
+    for a in range(4):
+        for b in range(4):
+            ga, gb = grad[:, a], grad[:, b]
+            stiffness[:, a, b] = vol * (ga[:, 0] * gb[:, 0] + ga[:, 1] * gb[:, 1]
+                                        + ga[:, 2] * gb[:, 2])
+    weights = np.random.default_rng(61).uniform(0.5, 2.0, mesh.elem_count)
+    for matrix, local in ((assemble_mass(mesh), vol[:, None, None] * local_mass),
+                          (assemble_stiffness(mesh), stiffness),
+                          (assemble_weighted_mass(mesh, weights),
+                           (weights * vol)[:, None, None] * local_mass)):
+        expected = ref.scatter_16(mesh, local)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix, field), getattr(expected, field)), field
+
+
 def _cross_fields(n_nodes):
     planar = random_unit_field(n_nodes, seed=45)
     planar[:, 2] = 0.0
@@ -269,7 +307,7 @@ def test_shuffled_mesh_theoretical_blocks_match_kron(shuffled_cube, monkeypatch)
         (matrix, elimination, _), = factored
         error = np.abs(matrix.toarray() - expected).max()
         assert error <= 1e-14 * np.abs(expected).max()
-        assert matrix.nnz == 4 * len(shuffled_cube.adjacency()[1])
+        assert matrix.nnz == 4 * len(shuffled_cube.node_pairs().indices)
         assert np.array_equal(elimination, dofs)
 
 

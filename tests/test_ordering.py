@@ -101,7 +101,7 @@ def top_level_split(mesh):
     lower = coord < median
     if not lower.any():
         lower = coord <= median
-    indptr, indices, _ = mesh.adjacency()
+    indptr, indices = mesh.node_pairs()[:2]
     rows = np.repeat(np.arange(mesh.N), np.diff(indptr))
     separator = np.zeros(mesh.N, dtype=bool)
     separator[rows[~lower[rows] & lower[indices]]] = True
@@ -119,7 +119,7 @@ def test_top_level_separator_splits_the_halves(meshes, name):
     assert np.array_equal(np.sort(order[:n_lower]), np.flatnonzero(lower))
     assert np.array_equal(np.sort(order[mesh.N - n_sep:]), np.flatnonzero(separator))
     # no adjacency edge joins the two halves
-    indptr, indices, _ = mesh.adjacency()
+    indptr, indices = mesh.node_pairs()[:2]
     rows = np.repeat(np.arange(mesh.N), np.diff(indptr))
     assert not (lower[rows] & upper[indices]).any()
     assert not (upper[rows] & lower[indices]).any()

@@ -84,7 +84,7 @@ def test_matvec_matches_the_matrix_free_route(mesh, frame, tps2, rng):
 
 def test_pattern_is_the_adjacency_with_2x2_blocks(mesh):
     op = step_operator(mesh, "householder", tps2=True)
-    indptr, indices, _ = mesh.adjacency()
+    indptr, indices = mesh.node_pairs()[:2]
     adjacency = sp.csr_array((np.ones(len(indices)), indices, indptr), shape=(mesh.N, mesh.N))
     expected = sp.kron(adjacency, np.ones((2, 2)), format="csr")
     expected.sort_indices()
@@ -117,7 +117,7 @@ def test_matrix_matches_the_slotwise_reference(mesh, frame, tps2):
     congruence converted from BSR, bit for bit, and canonical CSR."""
     op = step_operator(mesh, frame, tps2)
     s = op.system
-    indptr, indices, _ = mesh.adjacency()
+    indptr, indices = mesh.node_pairs()[:2]
     expected = ref.reduce_blocks(op.frame.blocks, indptr, indices, s.scalar, s.moments)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(op.matrix, name), getattr(expected, name)), name
@@ -139,7 +139,7 @@ def test_theoretical_matrix_matches_the_slotwise_reference(mesh, frame, ordering
     q = tangent_frame(random_unit_field(mesh.N, seed=62), "t3+", frame)
     scalar = k_slots(mesh, 1.0, BETA_K)
     build_theoretical(q, mesh, scalar, order)
-    indptr, indices, _ = mesh.adjacency()
+    indptr, indices = mesh.node_pairs()[:2]
     expected = ref.reduce_blocks(q.blocks, indptr, indices, scalar)
     (matrix, dofs, _), = factored
     for name in ("indptr", "indices", "data"):
