@@ -16,9 +16,7 @@ from .mesh import (Mesh, MeshError, QualityReport, generate_structured_cube,
 from .precond import (Preconditioner, PreconditionerSource, ScalarFactorization,
                       build_jacobi, build_none, build_practical,
                       build_stationary_2d, build_theoretical)
-from .physics import (SIParameters, applied_field, applied_field_mumag4,
-                      mumag4_parameters, mumag5_spin_velocity, nondimensionalize,
-                      pi_apply)
+from .physics import applied_field, pi_apply
 from .scheme import (SimulationConfig, SolverFailure, StepContext, TimeStepState,
                      lambda_field, lh_term, normalize_update, run_simulation,
                      tps_step, wk)

@@ -1,7 +1,8 @@
-"""Experiment runner: sweeps over mesh sizes, preconditioners, alpha_P and
-frame axis modes, writing per-step and summary CSV files plus optional VTK
-snapshots.  Plot rendering stays out of scope; the CSVs are ready for
-gnuplot or a spreadsheet.
+"""Command line with two subcommands.  `run` sweeps a config over mesh
+sizes, preconditioners, alpha_P and frame axis modes, writing per-step and
+summary CSV files plus optional VTK snapshots; `schema` prints the config
+table.  Plot rendering stays out of scope; the CSVs are ready for gnuplot
+or a spreadsheet.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure or a sweep
 point out of memory (partial outputs are kept).
@@ -19,13 +20,10 @@ from collections import namedtuple
 import numpy as np
 
 from . import __version__
-from .diagnostics import (CheckReport, check_bounded_ratio, check_inverse_bounds,
-                          check_mapping_identities, energy_norm)
-from .mesh import MeshError, generate_structured_cube, load_mesh, mesh_quality
+from .mesh import MeshError, load_mesh, mesh_quality
 from .precond import PRECONDITIONER_KINDS, PreconditionerError
 from .scheme import (TN_MODES, ConfigError, SimulationConfig, SolverFailure,
                      _fmt, check_spiral_phase, config_schema, run_simulation)
-from .tangent import build_frame, select_tn_adaptive
 
 SUMMARY_HEADER = ("h,k,precond,alpha,alpha_p,tn_mode,"
                   "avg_iterations,max_iterations,steps,wall_time_s")
@@ -196,42 +194,6 @@ def _apply_overrides(doc, overrides):
     return doc
 
 
-def run_checks(out=None):
-    """Self-contained diagnostics pass; prints one JSON report per check."""
-    out = out if out is not None else sys.stdout
-    rng = np.random.default_rng(7)
-    mesh = generate_structured_cube([[0, 1], [0, 1], [0, 1]], (2, 2, 2))
-    m = rng.standard_normal((mesh.N, 3))
-    m /= np.linalg.norm(m, axis=1)[:, None]
-    frame = build_frame(m, select_tn_adaptive(m)[0])
-
-    reports = [check_mapping_identities(frame, m)]
-    reports.append(check_bounded_ratio(mesh, m))
-
-    from .fem import assemble_mass, assemble_stiffness
-    mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
-    worst = 0.0
-    for _ in range(5):
-        x = rng.standard_normal(2 * mesh.N)
-        a, b = energy_norm(mass, stiffness, frame, 1.0, 0.1, x, mesh=mesh)
-        worst = max(worst, abs(a - b) / max(a, 1e-300))
-    reports.append(CheckReport("energy_norm_dual_route", worst, 1e-12, worst <= 1e-12))
-
-    dim = 12
-    for trial in range(3):
-        g = rng.standard_normal((dim, dim))
-        b0 = g @ g.T + dim * np.eye(dim)
-        skew = rng.standard_normal((dim, dim))
-        b = b0 + 0.5 * (skew - skew.T)
-        reports.append(check_inverse_bounds(b, b0, n_pairs=30, seed=trial))
-
-    ok = True
-    for rep in reports:
-        out.write(json.dumps(rep.to_dict()) + "\n")
-        ok = ok and rep.passed
-    return 0 if ok else 1
-
-
 # run flags: each sets one dotted config key over the config file
 RUN_FLAGS = (
     ("--precond", "precond.kind", {"choices": PRECONDITIONER_KINDS}),
@@ -259,15 +221,12 @@ def main(argv=None):
         p_run.add_argument(flag, dest=key, **options)
 
     sub.add_parser("schema", help="print the config schema with defaults")
-    sub.add_parser("check", help="run the diagnostics suite")
 
     args = parser.parse_args(argv)
 
     if args.command == "schema":
         print_config_schema()
         return 0
-    if args.command == "check":
-        return run_checks()
 
     overrides = {key: getattr(args, key) for _, key, _ in RUN_FLAGS
                  if getattr(args, key) is not None}

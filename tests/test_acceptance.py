@@ -4,7 +4,9 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines
 interleaved; all tolerances are pinned here and nowhere else.
 """
 
+import json
 import math
+import pathlib
 import sys
 import time
 
@@ -17,19 +19,19 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, PreconditionerSource,
                                assemble_mass, assemble_stiffness,
                                build_frame, build_stationary_2d, build_system,
                                build_theoretical, generate_structured_cube,
-                               gmres_solve, mumag4_parameters, nondimensionalize,
-                               run_simulation, save_mesh, select_tn_adaptive)
+                               gmres_solve, run_simulation, save_mesh, select_tn_adaptive)
 from tangent_plane_llg import precond as precond_mod
-from tangent_plane_llg.diagnostics import (check_bounded_ratio,
-                                           check_inverse_bounds,
-                                           check_mapping_identities,
-                                           dense_oracle_solve, energy_norm)
 from tangent_plane_llg.gmres import ReducedOperator
-from tangent_plane_llg.physics import applied_field, applied_field_mumag4, pi_apply
+from tangent_plane_llg.physics import applied_field, pi_apply
 from tangent_plane_llg.scheme import lambda_field, lh_term, wk
 
 from conftest import (UNIT_BOUNDS, cross_form, k_slots, perturbed_unit_cube, random_unit_field,
                       spd, step_states)
+from oracles import (GAMMA0_K, GAMMA0_U, applied_field_mumag4, check_bounded_ratio,
+                     check_inverse_bounds, check_mapping_identities, dense_oracle_solve,
+                     energy_norm, mumag4_nondimensional, mumag5_spin_velocity)
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 MODULE_T0 = time.perf_counter()
 
@@ -280,7 +282,7 @@ def test_criterion_07_structural_matrices(cube27):
     q = frame.as_sparse()
     ok &= np.abs((q.T @ q).toarray() - np.eye(2 * cube27.N)).max() <= 1e-14
 
-    ok &= check_mapping_identities(frame, m).max_error <= 1e-13
+    ok &= check_mapping_identities(frame, m) <= 1e-13
 
     worst_energy = 0.0
     for _ in range(5):
@@ -291,11 +293,32 @@ def test_criterion_07_structural_matrices(cube27):
     report(7, "structural matrix suite", ok)
 
 
+def printed_half_unit(value):
+    """Half a unit in the last decimal that a config file prints of value."""
+    return 0.5 * 10.0 ** -len(repr(float(value)).partition(".")[2])
+
+
 def test_criterion_08_nondimensionalization():
-    out = nondimensionalize(mumag4_parameters())
-    ok = abs(out["ell_ex2"] - 32.3283) <= 1e-3
-    ok &= abs(out["k"] - 0.017688) <= 1e-5
-    report(8, f"ell_ex2={out['ell_ex2']:.4f}, k={out['k']:.6f}", ok)
+    """The bundled muMAG configs hold the numbers of their SI derivation:
+    k (to 1e-12 relative) and T = 5k made with GAMMA0_K, ell_ex2 and the
+    applied field to the digits each file prints, and the mumag5 spin
+    velocity u (to 1e-12 relative) made with GAMMA0_U."""
+    derived = mumag4_nondimensional(GAMMA0_K)
+    k = derived["k"]
+    u = mumag5_spin_velocity(GAMMA0_U)
+    ok = True
+    for name in ("mumag4_like", "mumag4_axis_modes", "mumag5_like"):
+        doc = json.loads((REPO / "configs" / f"{name}.json").read_text())
+        ok &= abs(doc["k"] - k) <= 1e-12 * k
+        ok &= abs(doc["T"] - 5 * k) <= 5e-12 * k
+        ok &= abs(doc["ell_ex2"] - derived["ell_ex2"]) <= printed_half_unit(doc["ell_ex2"])
+        # muMAG #5 applies no field
+        field = np.zeros(3) if name == "mumag5_like" else applied_field_mumag4()
+        ok &= all(abs(printed - value) <= printed_half_unit(printed)
+                  for printed, value in zip(doc["field"]["applied"]["value"], field))
+        if name == "mumag5_like":
+            ok &= np.abs(np.subtract(doc["field"]["pi"]["u"], u)).max() <= 1e-12 * u[0]
+    report(8, f"k={k:.6f} (gamma0 {GAMMA0_K:g}), u={u[0]:.6f} (gamma0 {GAMMA0_U:g})", ok)
 
 
 def test_criterion_09_linear_convergence():
@@ -325,7 +348,7 @@ def test_criterion_10_appendix_checks(cube27):
         mu = random_unit_field(cube27.N, seed=400 + seed)
         if (1.0 + mu[:, 2] <= 0).any():
             mu[:, 2] = np.abs(mu[:, 2])  # keep away from the excluded pole
-        ok &= check_bounded_ratio(cube27, mu, depth=5).passed
+        ok &= check_bounded_ratio(cube27, mu, depth=5) <= 2.0 + 1e-12
 
     for trial in range(100):
         dim = int(rng.integers(5, 41))
@@ -334,7 +357,7 @@ def test_criterion_10_appendix_checks(cube27):
         g2 = rng.standard_normal((dim, dim))
         skew = rng.standard_normal((dim, dim))
         b = g2 @ g2.T + dim * np.eye(dim) + 0.7 * (skew - skew.T)
-        ok &= check_inverse_bounds(b, b0, n_pairs=100, seed=trial).passed
+        ok &= check_inverse_bounds(b, b0, n_pairs=100, seed=trial) <= 1e-10
     report(10, "appendix bounds (ratio<=2, inverse transfer)", ok)
 
 

@@ -25,7 +25,6 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, Mesh, MeshError, SimulationCon
                                assemble_stiffness, assemble_weighted_mass, build_frame,
                                build_system, build_theoretical, generate_structured_cube,
                                load_mesh, save_mesh, tps_step)
-from tangent_plane_llg.diagnostics import dense_oracle_solve
 import tangent_plane_llg.mesh as mesh_mod
 import tangent_plane_llg.precond as precond_mod
 import tangent_plane_llg.scheme as scheme_mod
@@ -33,6 +32,7 @@ from tangent_plane_llg.mesh import _check_conforming
 from tangent_plane_llg.tangent import FrameError
 
 from conftest import UNIT_BOUNDS, cross_form, k_slots, perturbed_unit_cube, random_unit_field
+from oracles import dense_oracle_solve
 
 SIGNED_AXES = np.vstack([np.eye(3), -np.eye(3)])
 E3 = np.array([0.0, 0.0, 1.0])

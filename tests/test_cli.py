@@ -16,7 +16,7 @@ import tangent_plane_llg.cli as cli
 import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg import generate_structured_cube, save_mesh
 from tangent_plane_llg.cli import (_apply_overrides, _point_config, _sweep_points,
-                                   main, print_config_schema, run_checks)
+                                   main, print_config_schema)
 from tangent_plane_llg.scheme import SimulationConfig
 from tangent_plane_llg.tangent import reduced_pattern
 
@@ -189,12 +189,22 @@ def test_vtk_snapshot_output(tmp_path):
         f"{base}_m_000001.vtk", f"{base}_m_000002.vtk"]
 
 
-def test_check_subcommand_passes(capsys):
-    assert run_checks() == 0
-    reports = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()
-               if line.startswith("{")]
-    assert reports and all(r["pass"] for r in reports)
-    assert {"check", "max_error", "threshold", "pass"} <= set(reports[0])
+def test_check_subcommand_is_rejected(capsys):
+    """The diagnostics live with the tests (tests/oracles.py): `check` is an
+    invalid choice, which argparse reports as a usage error, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'check'" in err
+    assert "Traceback" not in err
+
+
+def test_help_lists_run_and_schema(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{run,schema}" in capsys.readouterr().out
 
 
 def test_missing_mesh_file_is_config_error(tmp_path):

@@ -1,4 +1,4 @@
-import json
+import types
 
 import numpy as np
 import pytest
@@ -7,14 +7,14 @@ import scipy.sparse as sp
 from tangent_plane_llg import (PreconditionerSource, ScalarFactorization, assemble_mass,
                                assemble_stiffness, build_frame, build_system,
                                build_stationary_2d, gmres_solve, select_tn_adaptive)
-from tangent_plane_llg.diagnostics import (OracleError, check_bounded_ratio,
-                                           check_inverse_bounds,
-                                           check_mapping_identities,
-                                           dense_oracle_solve,
-                                           dense_reduced_system, energy_norm)
 from tangent_plane_llg.gmres import ReducedOperator
 
 from conftest import random_unit_field, spd
+from oracles import (check_bounded_ratio, check_inverse_bounds, check_mapping_identities,
+                     dense_oracle_solve, dense_reduced_system, energy_norm,
+                     inverse_bound_constants)
+
+RATIO_BOUND = 2.0 + 1e-12
 
 
 def make_system(mesh, m, lh=None, alpha=0.5, beta_k=0.1, ell_ex2=10.0, seed=0):
@@ -58,7 +58,7 @@ class TestDenseOracle:
         m = random_unit_field(cube2.N, seed=93)
         sys_ = make_system(cube2, m, seed=93)
         frame = build_frame(m, select_tn_adaptive(m)[0])
-        reduced, rhs, _, _ = dense_reduced_system(sys_, frame)
+        reduced, rhs, _ = dense_reduced_system(sys_, frame)
         op = ReducedOperator(sys_, frame)
         x = rng.standard_normal(2 * cube2.N)
         assert np.abs(reduced @ x - op.matvec(x)).max() <= 1e-13 * np.abs(reduced @ x).max()
@@ -69,7 +69,7 @@ class TestDenseOracle:
         m = random_unit_field(mesh.N, seed=94)
         sys_ = make_system(mesh, m, seed=94)
         frame = build_frame(m, "t3-")
-        with pytest.raises(OracleError):
+        with pytest.raises(ValueError, match="dense oracle limited"):
             dense_oracle_solve(sys_, frame)
 
 
@@ -78,16 +78,15 @@ class TestMappingIdentities:
         for seed in range(3):
             m = random_unit_field(cube2.N, seed=95 + seed)
             frame = build_frame(m, select_tn_adaptive(m)[0])
-            report = check_mapping_identities(frame, m)
-            assert report.passed, report
-            assert report.max_error <= 1e-13
+            assert check_mapping_identities(frame, m) <= 1e-13
 
-    def test_report_serializes(self, cube2):
+    def test_detects_non_orthonormal_frame(self, cube2):
+        # Q scaled by 1 + 1e-6 breaks Q^T Q = I by about 2e-6 |x|
         m = random_unit_field(cube2.N, seed=98)
         frame = build_frame(m, "t3-")
-        report = check_mapping_identities(frame, m)
-        doc = json.loads(json.dumps(report.to_dict()))
-        assert set(doc) == {"check", "max_error", "threshold", "pass"}
+        scaled = types.SimpleNamespace(n_nodes=frame.n_nodes,
+                                       as_sparse=lambda: (1.0 + 1e-6) * frame.as_sparse())
+        assert check_mapping_identities(scaled, m) > 1e-6
 
 
 class TestEnergyNorm:
@@ -149,60 +148,61 @@ class TestEnergyNorm:
 class TestBoundedRatio:
     def test_aligned_field_zero_ratio(self, cube2):
         m = np.tile([0.0, 0.0, 1.0], (cube2.N, 1))
-        report = check_bounded_ratio(cube2, m)
-        assert report.passed
-        assert report.max_error == 0.0
+        assert check_bounded_ratio(cube2, m) == 0.0
 
     def test_near_south_pole(self, cube2):
         mu3 = -(1.0 - 1e-3)
         r = np.sqrt(1.0 - mu3**2)
         m = np.tile([r, 0.0, mu3], (cube2.N, 1))
-        report = check_bounded_ratio(cube2, m)
-        assert report.passed
+        assert check_bounded_ratio(cube2, m) <= RATIO_BOUND
 
     def test_random_fields(self, cube2):
         for seed in range(20):
             m = random_unit_field(cube2.N, seed=140 + seed)
             if (1.0 + m[:, 2] <= 0).any():
                 continue
-            assert check_bounded_ratio(cube2, m).passed
+            assert check_bounded_ratio(cube2, m) <= RATIO_BOUND
 
     def test_rejects_pole_nodes(self, cube2):
         m = np.tile([0.0, 0.0, -1.0], (cube2.N, 1))
-        with pytest.raises(OracleError):
+        with pytest.raises(ValueError, match="1 \\+ mu_3"):
             check_bounded_ratio(cube2, m)
+
+    def test_detects_non_unit_field(self, cube2):
+        # the bound holds for unit fields only: m = (3, 0, 0) reads 9
+        m = np.tile([3.0, 0.0, 0.0], (cube2.N, 1))
+        assert check_bounded_ratio(cube2, m) == pytest.approx(9.0, rel=1e-15)
 
 
 class TestInverseBounds:
     def test_identity_case(self, rng):
         g = rng.standard_normal((8, 8))
         b0 = g @ g.T + 8 * np.eye(8)
-        report = check_inverse_bounds(b0, b0)
-        assert report.passed
-        assert report.c1 == pytest.approx(1.0, rel=1e-10)
-        assert report.c2 == pytest.approx(1.0, rel=1e-10)
+        assert check_inverse_bounds(b0, b0) <= 1e-10
+        c1, c2 = inverse_bound_constants(b0, b0)
+        assert c1 == pytest.approx(1.0, rel=1e-10)
+        assert c2 == pytest.approx(1.0, rel=1e-10)
 
     def test_scaling_case(self, rng):
         g = rng.standard_normal((8, 8))
         b0 = g @ g.T + 8 * np.eye(8)
-        report = check_inverse_bounds(2.0 * b0, b0)
-        assert report.passed
-        assert report.c1 == pytest.approx(2.0, rel=1e-10)
-        assert report.c2 == pytest.approx(2.0, rel=1e-10)
+        assert check_inverse_bounds(2.0 * b0, b0) <= 1e-10
+        c1, c2 = inverse_bound_constants(2.0 * b0, b0)
+        assert c1 == pytest.approx(2.0, rel=1e-10)
+        assert c2 == pytest.approx(2.0, rel=1e-10)
 
     def test_real_assembly_pair(self, cube1):
         m = random_unit_field(cube1.N, seed=150)
         sys_ = make_system(cube1, m, seed=150)
         frame = build_frame(m, select_tn_adaptive(m)[0])
-        reduced, _, _, q = dense_reduced_system(sys_, frame)
+        reduced, _, q = dense_reduced_system(sys_, frame)
         inner = q.T @ sp.kron(1.0 * assemble_mass(cube1) + 0.1 * assemble_stiffness(cube1),
                               sp.identity(3, format="csr"),
                               format="csr").toarray() @ q
-        report = check_inverse_bounds(reduced, inner)
-        assert report.passed
+        assert check_inverse_bounds(reduced, inner) <= 1e-10
 
     def test_dim_guard(self):
-        with pytest.raises(OracleError):
+        with pytest.raises(ValueError, match="dim <= 40"):
             check_inverse_bounds(np.eye(41), np.eye(41))
 
 

@@ -2,34 +2,25 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from tangent_plane_llg import (SIParameters, applied_field, applied_field_mumag4,
-                               generate_structured_cube,
-                               mumag4_parameters, mumag5_spin_velocity,
-                               nondimensionalize, pi_apply)
-from tangent_plane_llg.physics import MU0, FieldConfigError, nodal_directional_derivative
+from tangent_plane_llg import applied_field, generate_structured_cube, pi_apply
+from tangent_plane_llg.physics import nodal_directional_derivative
 from tangent_plane_llg.scheme import ConfigError, SimulationConfig
 
 from conftest import random_unit_field
+from oracles import (GAMMA0_K, GAMMA0_U, MU0, applied_field_mumag4, mumag4_nondimensional,
+                     mumag5_spin_velocity)
 
 
 def test_mumag4_nondimensional_values():
-    out = nondimensionalize(mumag4_parameters())
+    out = mumag4_nondimensional(GAMMA0_K)
     assert out["ell_ex2"] == pytest.approx(32.3283, abs=1e-3)
     assert out["k"] == pytest.approx(0.017688, abs=1e-5)
     assert out["h"] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_scale_consistency_doubling_L():
-    base = mumag4_parameters()
-    doubled = SIParameters(A=base.A, Ms=base.Ms, mu0=base.mu0, gamma0=base.gamma0,
-                           L=2 * base.L, dt_phys=base.dt_phys, dx_phys=base.dx_phys)
-    assert nondimensionalize(doubled)["ell_ex2"] * 4 == pytest.approx(
-        nondimensionalize(base)["ell_ex2"], rel=1e-15)
-
-
-def test_si_parameters_validated():
-    with pytest.raises(FieldConfigError):
-        SIParameters(A=0.0, Ms=1, mu0=1, gamma0=1, L=1, dt_phys=1, dx_phys=1)
+    assert mumag4_nondimensional(GAMMA0_K, L=2e-9)["ell_ex2"] * 4 == pytest.approx(
+        mumag4_nondimensional(GAMMA0_K)["ell_ex2"], rel=1e-15)
 
 
 def test_applied_field_mumag4_value():
@@ -47,7 +38,7 @@ def test_applied_field_mumag4_linearity():
 
 
 def test_mumag5_spin_velocity():
-    u = mumag5_spin_velocity()
+    u = mumag5_spin_velocity(GAMMA0_U)
     expected = 72.17 / (2.21e5 * 8.0e5 * 1e-9)
     assert abs(u[0] - expected) <= 1e-6 * expected
     assert u[1] == 0.0 and u[2] == 0.0

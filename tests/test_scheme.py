@@ -365,8 +365,8 @@ class TestConfig:
 
 
 def test_zhang_li_simulation_end_to_end():
-    from tangent_plane_llg.physics import mumag5_spin_velocity
-    u = mumag5_spin_velocity()
+    from oracles import GAMMA0_U, mumag5_spin_velocity
+    u = mumag5_spin_velocity(GAMMA0_U)
     cfg = SimulationConfig.from_dict(academic_config(
         T=0.02,
         field={"pi": {"kind": "zhang_li", "u": list(u), "beta_zl": 0.05},
@@ -410,7 +410,7 @@ def test_single_step_matches_dense_oracle_step():
     same normalization, and compare the advanced field nodally."""
     import tangent_plane_llg.fem as fem
     from tangent_plane_llg import build_frame, select_tn_adaptive
-    from tangent_plane_llg.diagnostics import dense_oracle_solve
+    from oracles import dense_oracle_solve
     from tangent_plane_llg.scheme import lh_term as lh_fn
 
     base = academic_config(field={"m0": {"kind": "spiral", "turns": 1.0}},
