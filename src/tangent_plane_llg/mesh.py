@@ -419,10 +419,9 @@ def generate_structured_cube(bounds, n):
 def mesh_quality(mesh):
     """Quality metrics computed exactly from coordinates, once per mesh."""
     vol = mesh.element_volumes()
-    v = mesh.nodes[mesh.tets]
-    pairs = list(itertools.combinations(range(4), 2))
-    d2 = np.stack([((v[:, a] - v[:, b]) ** 2).sum(axis=1) for a, b in pairs])
-    diam = np.sqrt(d2.max(axis=0))
+    x = np.take(mesh.nodes.T, mesh.tets.T, axis=1)  # x[d, a, e]
+    edges = [x[:, a] - x[:, b] for a, b in itertools.combinations(range(4), 2)]
+    diam = np.sqrt(np.max([_dot(edge, edge) for edge in edges], axis=0))
     h = float(vol.min() ** (1.0 / 3.0))
     return QualityReport(
         h=h,

@@ -6,24 +6,20 @@ do the iteration counts): stationary solves with K on both tangent
 components of a node, practical wraps that solve in the step's frame,
 Q^T K^{-1} Q, theoretical factors the frame congruence Q^T (K (x) I_3) Q,
 jacobi scales by (diag K)^{-1}, and none is the identity.  The one
-PreconditionerSource of a run forms K and decides what is built when.
+PreconditionerSource of a run forms K and decides what is built when.  The
+2N x 2N matrix is the reduced system matrix without cross moments:
+tangent.reduced_matrix forms both, once per node pair of the mesh, on the
+one index structure of the mesh (tangent.reduced_pattern).
 
-Both factored matrices are SPD, so elimination is stable in any symmetric
-order without pivoting.  One rule (_factor_spd) factors either: given the
-matrix in node order and an elimination order, it ranks the entries by that
-order, which no other code does, and reads the lower triangle of the
-permuted matrix; it factors by LAPACK's banded Cholesky (dpbtrf, dpbtrs)
-while the lower band takes at most BAND_BYTES, and above by SuperLU in its
-symmetric mode with the diagonal as pivot; its solve permutes the
-right-hand side into that order and back.  The source picks the order from
-the mesh's cached band width: reverse Cuthill-McKee (Mesh.band_order) where
-the band fits, else nested dissection (Mesh.dissection_order), so that
-SuperLU fills only as that order predicts.  The 2N x 2N matrix is the
-reduced system matrix without cross moments: tangent.reduced_matrix forms
-both, once per node pair of the mesh, on the one index structure of the
-mesh (tangent.reduced_pattern).  K of a small mesh is not factored but
-inverted, once and in node order (DENSE_INVERSE_BYTES): each of its solves
-is then one dense product.
+Both solved matrices are SPD, so elimination is stable in any symmetric
+order without pivoting.  One rule (_factor_spd) decides, from the matrix
+and its mesh alone, how either is stored, ordered and solved: a matrix with
+one unknown per node whose inverse takes at most DENSE_INVERSE_BYTES is
+inverted in node order; otherwise one whose lower band, in the mesh's
+reverse Cuthill-McKee order (Mesh.band_order), takes at most BAND_BYTES is
+factored there by LAPACK's banded Cholesky (dpbtrf, dpbtrs); otherwise
+SuperLU factors it in the mesh's nested-dissection order
+(Mesh.dissection_order), in its symmetric mode with the diagonal as pivot.
 
 A run holds at most one theoretical factorization: the source lets go of
 the stale one before it factors the next, so the two are never alive at
@@ -45,39 +41,62 @@ class PreconditionerError(RuntimeError):
     pass
 
 
+# The largest inverse, 8 n^2 bytes, that _factor_spd forms densely: K of N
+# <= 362 nodes.  At a few hundred nodes a SuperLU solve is mostly fixed
+# cost.  With one BLAS thread on a 2-core host, a 3-column solve took 61 us
+# against 18 us for the product with K^{-1} at N = 252, and 85 against 36 us
+# at N = 343, while the inversion cost 0.7 and 1.7 ms more than the factor.
+# At N = 512 the product barely won and the inversion cost 10 ms more; at
+# N = 729, where K^{-1} (4 MiB) no longer fits in L2, the product was 2.6x
+# slower.  README.md has the table.
+DENSE_INVERSE_BYTES = 2**20
+
 # The largest lower band, 8 n (w + 1) bytes for an n x n matrix whose
 # entries lie within w of the diagonal, that _factor_spd factors by LAPACK's
-# banded Cholesky; above it, SuperLU factors the matrix in the mesh's
-# nested-dissection order.  It puts the scalar K of cube n <= 21 and the
-# theoretical matrix (2N rows, width 2w + 1) of cube n <= 16 on the band.
-# With one BLAS thread on a 2-core host the band factor was 2.3-2.9x faster
-# from cube n = 12 to 24.  Its solves read the band once per column: a
-# 1-column theoretical solve took 3.3 against 5.7 ms at n = 16 and 21.6
+# banded Cholesky.  It puts the scalar K of cube n <= 21 and the theoretical
+# matrix (2N rows, width 2w + 1) of cube n <= 16 on the band.  With one
+# BLAS thread on a 2-core host the band factor was 2.3-2.9x faster than
+# SuperLU from cube n = 12 to 24.  Its solves read the band once per column:
+# a 1-column theoretical solve took 3.3 against 5.7 ms at n = 16 and 21.6
 # against 14.9 ms at n = 20, and a 3-column scalar solve 2.4 against 2.1 ms
 # at n = 16 and 12.4 against 8.1 ms at n = 22.  README.md has the table.
 BAND_BYTES = 48 * 2**20
 
 
-def band_fits(n, width):
-    """Whether an n x n matrix of half-bandwidth width is factored in band
-    storage (8 n (width + 1) <= BAND_BYTES)."""
-    return 8 * n * (width + 1) <= BAND_BYTES
+def _factor_spd(matrix, mesh, what):
+    """The solve of an SPD matrix A on the nodes of mesh, by the one rule.
 
+    matrix is A in CSR, n x n, with per = n / N unknowns per node: those of
+    a node consecutive, the nodes in node order.  With w the width of
+    mesh.band_order(), the first row that holds decides how A is stored and
+    in which order of the nodes it is eliminated (a node's unknowns
+    together):
 
-def _factor_spd(matrix, order, what):
-    """The solve of an SPD matrix A, factored in a given elimination order.
+    | per | cap                           | storage                 | order              |
+    |-----|-------------------------------|-------------------------|--------------------|
+    | 1   | 8 n^2 <= DENSE_INVERSE_BYTES  | A^{-1} (dpotrf, dpotri) | node order         |
+    | any | 8 n per (w + 1) <= BAND_BYTES | band (dpbtrf, dpbtrs)   | band_order()       |
+    | any | otherwise                     | SuperLU, symmetric mode | dissection_order() |
 
-    matrix is A in CSR, in the caller's order, and order the elimination
-    order (unknown order[i] is eliminated i-th), P its permutation: the
-    entries of A are ranked by order, and only those on and below the
-    diagonal of P^T A P are read.  If that lower band fits (band_fits), it
-    is copied to LAPACK's lower band storage, factored there by the banded
-    Cholesky dpbtrf and solved by dpbtrs.  Otherwise SuperLU factors P^T A P
-    mirrored from its lower triangle in its symmetric mode without pivoting.
-    solve takes rhs of shape (n,) or (n, k) in the caller's order and
-    returns A^{-1} rhs in that order.
+    The band holds the per (w + 1) diagonals on and below the main one of
+    P^T A P, P the permutation of that order, and is filled from the ranked
+    entries of A; SuperLU factors P^T A P mirrored from its lower triangle,
+    the diagonal as pivot.  Either reads only the entries on and below the
+    diagonal of P^T A P.  solve takes rhs of shape (n,) or (n, k) in node
+    order and returns A^{-1} rhs in node order.
     """
     n = matrix.shape[0]
+    per = n // mesh.N
+    if per == 1 and 8 * n * n <= DENSE_INVERSE_BYTES:
+        inverse = _spd_inverse(matrix.toarray(), what)
+        return lambda rhs: inverse @ rhs
+    nodes, width = mesh.band_order()
+    width = per * (width + 1) - 1  # in unknowns, a node's together
+    fits = 8 * n * (width + 1) <= BAND_BYTES
+    if not fits:
+        nodes = mesh.dissection_order()
+    # unknown a of node nodes[i] is eliminated (per i + a)-th
+    order = (per * nodes[:, None] + np.arange(per)).ravel()
     # entry (i, j) of A is entry (rank[i], rank[j]) of P^T A P
     rank = np.empty(n, dtype=matrix.indices.dtype)
     rank[order] = np.arange(n, dtype=rank.dtype)
@@ -85,8 +104,7 @@ def _factor_spd(matrix, order, what):
     offset = np.repeat(rank, np.diff(matrix.indptr)) - col
     below = offset >= 0
     offset, col, data = offset[below], col[below], matrix.data[below]
-    width = int(offset.max(initial=0))
-    if band_fits(n, width):
+    if fits:
         # Fortran order: column j of the band is contiguous, as LAPACK reads it
         band = np.zeros((width + 1, n), order="F")
         band[offset, col] = data
@@ -115,38 +133,7 @@ def _factor_spd(matrix, order, what):
     return lambda rhs: solve(rhs.take(order, axis=0)).take(rank, axis=0)
 
 
-# The largest K^{-1} that ScalarFactorization forms densely: 8 N^2 bytes, so
-# N <= 362.  At a few hundred nodes a SuperLU solve is mostly fixed cost.
-# With one BLAS thread on a 2-core host, a 3-column solve took 61 us against
-# 18 us for the product with K^{-1} at N = 252, and 85 against 36 us at
-# N = 343, while the inversion cost 0.7 and 1.7 ms more than the factor.  At
-# N = 512 the product barely won and the inversion cost 10 ms more; at
-# N = 729, where K^{-1} (4 MiB) no longer fits in L2, the product was 2.6x
-# slower.  README.md has the table.
-DENSE_INVERSE_BYTES = 2**20
-
-
-class ScalarFactorization:
-    """Cached factorization of K = alpha_P M + beta_k L (N x N SPD).
-
-    scalar is K (CSR, node order).  solve(rhs) is K^{-1} rhs for rhs of
-    shape (N,) or (N, k).  Up to DENSE_INVERSE_BYTES, K^{-1} is formed once
-    by LAPACK's Cholesky factorization and inversion (dpotrf, dpotri), and
-    solve is one product with it.  Above, solve is the _factor_spd solve of
-    K, eliminated in order (node order[i] is eliminated i-th).
-    """
-
-    def __init__(self, scalar, order):
-        n = len(order)
-        self.n_nodes = n
-        if 8 * n * n <= DENSE_INVERSE_BYTES:
-            k_inv = _spd_inverse(scalar.toarray())
-            self.solve = lambda rhs: k_inv @ rhs
-        else:
-            self.solve = _factor_spd(scalar, order, "scalar operator")
-
-
-def _spd_inverse(dense):
+def _spd_inverse(dense, what):
     """The inverse of a dense SPD matrix, from the lower Cholesky factor;
     overwrites dense."""
     # dense is symmetric, so its transpose is itself in Fortran order, which
@@ -156,12 +143,24 @@ def _spd_inverse(dense):
         inverse, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info != 0:
         raise PreconditionerError(
-            f"scalar operator inversion failed (SPD lost?): LAPACK info {info}")
+            f"{what} inversion failed (SPD lost?): LAPACK info {info}")
     # dpotri fills the lower triangle and keeps the upper one of factor,
     # which dpotrf zeroed: adding the transpose mirrors it
     full = inverse + inverse.T
     full.flat[::len(full) + 1] = inverse.diagonal()
     return full
+
+
+class ScalarFactorization:
+    """Cached factorization of K = alpha_P M + beta_k L (N x N SPD).
+
+    scalar is K (CSR, node order) on the nodes of mesh.  solve(rhs) is
+    K^{-1} rhs for rhs of shape (N,) or (N, k), by the _factor_spd rule.
+    """
+
+    def __init__(self, scalar, mesh):
+        self.n_nodes = mesh.N
+        self.solve = _factor_spd(scalar, mesh, "scalar operator")
 
 
 class Preconditioner:
@@ -183,20 +182,16 @@ def build_none(n_nodes):
     return Preconditioner("none", n_nodes, lambda r: r.copy())
 
 
-def build_theoretical(frame, mesh, scalar, order):
+def build_theoretical(frame, mesh, scalar):
     """Inverse of the frame-congruent SPD matrix Q^T (K (x) I_3) Q.
 
-    scalar holds K on the slots of mesh.node_pairs() and order is the
-    elimination order of the nodes (node order[i] is eliminated i-th).
-    Block (i, j) of the 2N x 2N matrix is the 2x2 block K_ij Q_i^T Q_j: the
-    reduced system matrix without cross moments, formed by the same
-    tangent.reduced_matrix on the same structure, node order.  _factor_spd
-    factors it with the two unknowns of node order[i] eliminated at 2i and
-    2i + 1.
+    scalar holds K on the slots of mesh.node_pairs().  Block (i, j) of the
+    2N x 2N matrix is the 2x2 block K_ij Q_i^T Q_j: the reduced system
+    matrix without cross moments, formed by the same tangent.reduced_matrix
+    on the same structure, node order, and solved by the _factor_spd rule.
     """
-    dofs = (2 * order[:, None] + np.arange(2)).ravel()
     return Preconditioner("theoretical", frame.n_nodes,
-                          _factor_spd(reduced_matrix(mesh, frame.blocks, scalar), dofs,
+                          _factor_spd(reduced_matrix(mesh, frame.blocks, scalar), mesh,
                                       "theoretical preconditioner"))
 
 
@@ -252,11 +247,8 @@ class PreconditionerSource:
     kind, alpha_p and rebuild_every are the options of the config's precond
     section, taken unchecked (SimulationConfig.validate holds alpha_p > 0,
     and beta_k >= 0).  K is formed here, once; theoretical keeps its values
-    on the mesh's slots and the elimination order, and stationary and
-    practical share its one ScalarFactorization.  The order is the
-    mesh's reverse Cuthill-McKee order when the band of the matrix to
-    factor fits (band_fits), else its nested-dissection order, which is
-    computed only then.  The frame-independent kinds are built here,
+    on the mesh's slots, and stationary and practical share its one
+    ScalarFactorization.  The frame-independent kinds are built here,
     practical on every step, and theoretical is refactored every
     rebuild_every steps with a stale frame in between (builds counts its
     factorizations).  The source drops its stale theoretical preconditioner
@@ -276,18 +268,10 @@ class PreconditionerSource:
             self._current = build_none(mesh.N)
         elif kind == "jacobi":
             self._current = build_jacobi(scalar)
+        elif kind == "theoretical":
+            self._theoretical = (mesh, values)
         else:
-            order, width = mesh.band_order()
-            if kind == "theoretical":  # two dofs per node
-                fits = band_fits(2 * mesh.N, 2 * width + 1)
-            else:
-                fits = band_fits(mesh.N, width)
-            if not fits:
-                order = mesh.dissection_order()
-            if kind == "theoretical":
-                self._theoretical = (mesh, values, order)
-            else:
-                self._factor = ScalarFactorization(scalar, order)
+            self._factor = ScalarFactorization(scalar, mesh)
             if kind == "stationary":
                 self._current = build_stationary_2d(self._factor)
 

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
+import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg import (Mesh, StepContext, assemble_cross, assemble_mass,
                                assemble_stiffness, generate_structured_cube, load_mesh,
                                save_mesh, tps_step)
@@ -86,6 +88,27 @@ def spd(mass, stiffness, alpha_p, beta_k):
     """K = alpha_p M + beta_k L (CSR, node order), formed apart from the
     package: the matrix ScalarFactorization takes."""
     return (alpha_p * mass + beta_k * stiffness).tocsr()
+
+
+def factored_lower(monkeypatch):
+    """A list that collects, dense, the lower triangle of every matrix that
+    precond._factor_spd factors, in its elimination order: the band it
+    hands to dpbtrf, or the matrix it hands to SuperLU."""
+    factored = []
+    dpbtrf, splu = lapack.dpbtrf, precond_mod.splu
+
+    def band_factor(band, **options):
+        n = band.shape[1]
+        lower = np.zeros((n, n))
+        for d in range(len(band)):
+            lower[np.arange(d, n), np.arange(n - d)] = band[d, :n - d]
+        factored.append(lower)
+        return dpbtrf(band, **options)
+
+    monkeypatch.setattr(lapack, "dpbtrf", band_factor)
+    monkeypatch.setattr(precond_mod, "splu", lambda a, **options: factored.append(
+        np.tril(a.toarray())) or splu(a, **options))
+    return factored
 
 
 def k_slots(mesh, alpha_p, beta_k):

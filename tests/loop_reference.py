@@ -33,6 +33,11 @@ nodal_directional_derivative recovers (u . grad) m at the nodes with one
 np.add.at scatter per local vertex.  The library sums the same terms in the
 same order with np.bincount and must reproduce it bit for bit.
 
+mesh_quality is the quality report from the (M, 4, 3) stack of element
+vertices, each squared edge length summed over its last axis.  The library
+gathers the coordinates component by component and must reproduce every
+figure bit for bit.
+
 gmres_solve is the restarted GMRES whose Arnoldi step orthogonalizes one
 basis vector at a time (single-pass modified Gram-Schmidt, or one classical
 Gram-Schmidt pass).  The library's CGS2 sums in another order, so it is
@@ -156,6 +161,17 @@ def mesh_check_message(tets):
             if faces[key] > 2:
                 return f"face {key} shared by more than two elements (element {e})"
     return None
+
+
+def mesh_quality(mesh):
+    """(h, max_diam, c_mesh, min_vol, max_vol) of mesh."""
+    vol = mesh.element_volumes()
+    v = mesh.nodes[mesh.tets]
+    pairs = list(itertools.combinations(range(4), 2))
+    d2 = np.stack([((v[:, a] - v[:, b]) ** 2).sum(axis=1) for a, b in pairs])
+    diam = np.sqrt(d2.max(axis=0))
+    h = float(vol.min() ** (1.0 / 3.0))
+    return h, float(diam.max()), float((diam / h).max()), float(vol.min()), float(vol.max())
 
 
 def assemble_cross(mesh, m):

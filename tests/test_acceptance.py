@@ -166,9 +166,8 @@ def test_criterion_03_constant_field_identity(cube27):
         t = FIXED_INVOLUTIONS[key]
         mu = np.tile(t[:, 2], (cube27.N, 1))
         frame = build_frame(mu, key)
-        order = cube27.dissection_order()
-        theo = build_theoretical(frame, cube27, k_slots(cube27, 1.0, 0.1), order)
-        stat = build_stationary_2d(ScalarFactorization(spd(mass, stiffness, 1.0, 0.1), order))
+        theo = build_theoretical(frame, cube27, k_slots(cube27, 1.0, 0.1))
+        stat = build_stationary_2d(ScalarFactorization(spd(mass, stiffness, 1.0, 0.1), cube27))
         for i in range(2 * cube27.N):
             e = np.zeros(2 * cube27.N)
             e[i] = 1.0

@@ -31,7 +31,8 @@ import tangent_plane_llg.scheme as scheme_mod
 from tangent_plane_llg.mesh import _check_conforming
 from tangent_plane_llg.tangent import FrameError
 
-from conftest import UNIT_BOUNDS, cross_form, k_slots, perturbed_unit_cube, random_unit_field
+from conftest import (UNIT_BOUNDS, cross_form, factored_lower, k_slots, perturbed_unit_cube,
+                      random_unit_field)
 from oracles import dense_oracle_solve
 
 SIGNED_AXES = np.vstack([np.eye(3), -np.eye(3)])
@@ -286,29 +287,31 @@ def test_shuffled_mesh_system_matrix_is_kron_form(shuffled_cube, rng):
 def test_shuffled_mesh_theoretical_blocks_match_kron(shuffled_cube, monkeypatch):
     """The matrix build_theoretical hands to _factor_spd, in band storage
     and, with no band fitting, for SuperLU: Q^T (K (x) I_3) Q in node order,
-    every 2x2 block on the mesh pattern, with the elimination order of the
-    node pairs (2p, 2p + 1)."""
+    every 2x2 block on the mesh pattern, factored with the node pairs (2p,
+    2p + 1) in the band or the dissection order."""
     factored = []
     factor_spd = precond_mod._factor_spd
     monkeypatch.setattr(precond_mod, "_factor_spd",
                         lambda *args: factored.append(args) or factor_spd(*args))
+    lower = factored_lower(monkeypatch)
     mass, stiffness = assemble_mass(shuffled_cube), assemble_stiffness(shuffled_cube)
     m = random_unit_field(shuffled_cube.N, seed=50)
     frame = build_frame(m, "t2-")
-    order = shuffled_cube.dissection_order()
     q = frame.as_sparse()
     kron = sp.kron(1.0 * mass + 0.1 * stiffness, sp.identity(3, format="csr"))
     expected = (q.T @ kron @ q).toarray()
-    dofs = (2 * order[:, None] + np.arange(2)).ravel()
-    for band_bytes in (precond_mod.BAND_BYTES, 0):
+    for band_bytes, order in ((precond_mod.BAND_BYTES, shuffled_cube.band_order()[0]),
+                              (0, shuffled_cube.dissection_order())):
         monkeypatch.setattr(precond_mod, "BAND_BYTES", band_bytes)
         factored.clear()
-        build_theoretical(frame, shuffled_cube, k_slots(shuffled_cube, 1.0, 0.1), order)
-        (matrix, elimination, _), = factored
+        lower.clear()
+        build_theoretical(frame, shuffled_cube, k_slots(shuffled_cube, 1.0, 0.1))
+        (matrix, _, _), = factored
         error = np.abs(matrix.toarray() - expected).max()
         assert error <= 1e-14 * np.abs(expected).max()
         assert matrix.nnz == 4 * len(shuffled_cube.node_pairs().indices)
-        assert np.array_equal(elimination, dofs)
+        dofs = (2 * order[:, None] + np.arange(2)).ravel()
+        assert np.array_equal(lower, [np.tril(matrix.toarray()[np.ix_(dofs, dofs)])])
 
 
 def test_shuffled_mesh_tps2_step_matches_dense_oracle(shuffled_cube, monkeypatch):

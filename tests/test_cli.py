@@ -485,10 +485,9 @@ def test_precondition_failure_at_set_up_exits_3_and_the_next_point_runs(tmp_path
     """A factorization that fails while point 0 sets up (before its first
     step) ends that point with one line; the jacobi point after it, which
     factors nothing, still runs."""
-    def failing(matrix, order, what):
+    def failing(matrix, mesh, what):
         raise precond_mod.PreconditionerError(f"{what} factorization failed (SPD lost?)")
 
-    monkeypatch.setattr(precond_mod, "DENSE_INVERSE_BYTES", 0)
     monkeypatch.setattr(precond_mod, "_factor_spd", failing)
     doc = academic_sweep_doc(n_levels=(2,), preconds=("practical", "jacobi"))
     out = tmp_path / "out"

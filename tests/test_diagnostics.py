@@ -48,8 +48,7 @@ class TestDenseOracle:
         frame = build_frame(m, select_tn_adaptive(m)[0])
         xd, _ = dense_oracle_solve(sys_, frame)
         op = ReducedOperator(sys_, frame)
-        pc = build_stationary_2d(ScalarFactorization(spd(*cube2_matrices, 1.0, 0.1),
-                                                     cube2.dissection_order()))
+        pc = build_stationary_2d(ScalarFactorization(spd(*cube2_matrices, 1.0, 0.1), cube2))
         xg, stats = gmres_solve(op, pc, op.reduced_rhs())
         assert stats.converged
         assert np.linalg.norm(xg - xd) <= 1e-9 * np.linalg.norm(xd)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -9,6 +10,7 @@ from tangent_plane_llg import (Mesh, MeshError, generate_structured_cube,
 from tangent_plane_llg.fem import assemble_mass
 from tangent_plane_llg.mesh import _cross, _dot, _edge_components, check_box
 
+import loop_reference as ref
 from conftest import UNIT_BOUNDS
 
 
@@ -109,6 +111,17 @@ def test_quality_uniform_cube(k):
     vol = mesh.element_volumes()
     assert (q.h <= vol ** (1 / 3) + 1e-15).all()
     assert q.max_diam <= q.c_mesh * q.h * (1 + 1e-14)
+
+
+@pytest.mark.parametrize("name", ["cube", "shuffled_cube", "perturbed_cube", "file_mesh"])
+def test_quality_matches_the_element_stack_reference(name, shuffled_cube, perturbed_cube):
+    """Every figure of mesh_quality equals, bit for bit, that of the (M, 4, 3)
+    vertex stack in loop_reference."""
+    meshes = {"cube": generate_structured_cube(UNIT_BOUNDS, (5, 4, 3)),
+              "shuffled_cube": shuffled_cube, "perturbed_cube": perturbed_cube,
+              "file_mesh": load_mesh(save_mesh(perturbed_cube))}
+    mesh = meshes[name]
+    assert dataclasses.astuple(mesh_quality(mesh)) == ref.mesh_quality(mesh)
 
 
 def test_kuhn_shape_constant_across_resolutions():

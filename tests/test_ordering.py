@@ -58,7 +58,7 @@ def scalar_matrix(mesh):
 
 
 def scalar_factorization(mesh):
-    return ScalarFactorization(scalar_matrix(mesh).tocsr(), mesh.dissection_order())
+    return ScalarFactorization(scalar_matrix(mesh).tocsr(), mesh)
 
 
 def theoretical_matrix(mesh, frame):
@@ -77,7 +77,8 @@ def test_order_is_a_read_only_permutation(meshes, name):
 
 @pytest.mark.parametrize("kind", precond_mod.PRECONDITIONER_KINDS)
 def test_order_is_computed_once_and_only_for_factorizations(kind, monkeypatch):
-    # no band fits, so every kind that factors uses the dissection order
+    # no band fits, so every factor uses the dissection order; K of these 64
+    # nodes is inverted in node order, so only theoretical factors
     monkeypatch.setattr(precond_mod, "BAND_BYTES", 0)
     calls = []
     nested_dissection = mesh_mod._nested_dissection
@@ -90,7 +91,7 @@ def test_order_is_computed_once_and_only_for_factorizations(kind, monkeypatch):
     state = ctx.initial_state()
     for _ in range(2):  # theoretical factors in both steps
         state, _ = tps_step(ctx, state)
-    assert len(calls) == (kind not in ("jacobi", "none"))
+    assert len(calls) == (kind == "theoretical")
 
 
 def top_level_split(mesh):
@@ -159,8 +160,7 @@ def test_scalar_solves_match_spsolve(meshes, name, rng):
 def test_theoretical_solves_match_spsolve(meshes, name, rng):
     mesh = meshes[name]
     frame = build_frame(random_unit_field(mesh.N, seed=51), "t1+")
-    pc = build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K),
-                           mesh.dissection_order())
+    pc = build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K))
     for _ in range(3):
         r = rng.standard_normal(2 * mesh.N)
         expected = spla.spsolve(theoretical_matrix(mesh, frame), r)
@@ -188,16 +188,16 @@ def test_fill_below_colamd_on_cube16(monkeypatch):
     """At cube n = 16 the nested-dissection factors of the scalar and the
     theoretical matrix hold at most 0.7x the nonzeros of scipy's default
     splu (COLAMD column order, partial pivoting)."""
+    monkeypatch.setattr(precond_mod, "BAND_BYTES", 0)
     mesh = generate_structured_cube(UNIT_BOUNDS, (16, 16, 16))
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
-    order = mesh.dissection_order()
     fill = factored_fill(monkeypatch, lambda: ScalarFactorization(
-        spd(mass, stiffness, ALPHA_P, BETA_K), order))
+        spd(mass, stiffness, ALPHA_P, BETA_K), mesh))
     assert fill <= 0.7 * spla.splu(scalar_matrix(mesh).tocsc()).nnz
 
     frame = build_frame(random_unit_field(mesh.N, seed=52), "t3-")
     scalar = k_slots(mesh, ALPHA_P, BETA_K)
-    fill = factored_fill(monkeypatch, lambda: build_theoretical(frame, mesh, scalar, order))
+    fill = factored_fill(monkeypatch, lambda: build_theoretical(frame, mesh, scalar))
     inner = theoretical_matrix(mesh, frame)
     inner.eliminate_zeros()
     assert fill <= 0.7 * spla.splu(inner).nnz
@@ -242,6 +242,27 @@ def test_dense_inverse_up_to_its_cap(meshes, name, dense, monkeypatch):
                         lambda a, **options: factored.append(a) or splu(a, **options))
     scalar_factorization(mesh)
     assert len(factored) == (0 if dense else 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dense_inverse_only_for_one_unknown_per_node(n, monkeypatch):
+    """On cube n = 2, 3, 4 the inverse of the 2N x 2N theoretical matrix
+    would take at most DENSE_INVERSE_BYTES, yet that matrix is factored in
+    band storage: only K, one unknown per node, is inverted."""
+    mesh = generate_structured_cube(UNIT_BOUNDS, (n, n, n))
+    assert 8 * (2 * mesh.N) ** 2 <= precond_mod.DENSE_INVERSE_BYTES
+    inverted, banded = [], []
+    spd_inverse, dpbtrf = precond_mod._spd_inverse, precond_mod.lapack.dpbtrf
+    monkeypatch.setattr(precond_mod, "_spd_inverse",
+                        lambda a, what: inverted.append(what) or spd_inverse(a, what))
+    monkeypatch.setattr(precond_mod.lapack, "dpbtrf",
+                        lambda band, **options: banded.append(band.shape[1])
+                        or dpbtrf(band, **options))
+    frame = build_frame(random_unit_field(mesh.N, seed=57), "t1+")
+    build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K))
+    assert inverted == [] and banded == [2 * mesh.N]
+    scalar_factorization(mesh)
+    assert inverted == ["scalar operator"] and banded == [2 * mesh.N]
 
 
 def test_coincident_nodes_end_the_dissection():
@@ -293,7 +314,7 @@ def test_band_order_is_computed_once_per_mesh_and_dissection_not_at_all(kind, mo
 def test_band_scalar_solves_match_spsolve(meshes, name, rng, monkeypatch):
     mesh = meshes[name]
     monkeypatch.setattr(precond_mod, "splu", None)  # the band path calls no SuperLU
-    factor = ScalarFactorization(scalar_matrix(mesh).tocsr(), mesh.band_order()[0])
+    factor = ScalarFactorization(scalar_matrix(mesh).tocsr(), mesh)
     rhs = rng.standard_normal((mesh.N, 3))
     expected = spla.spsolve(scalar_matrix(mesh).tocsc(), rhs)
     x = factor.solve(rhs)
@@ -304,9 +325,8 @@ def test_band_scalar_solves_match_spsolve(meshes, name, rng, monkeypatch):
 def test_band_theoretical_solves_match_spsolve(meshes, name, rng, monkeypatch):
     mesh = meshes[name]
     monkeypatch.setattr(precond_mod, "splu", None)
-    order = mesh.band_order()[0]
     frame = build_frame(random_unit_field(mesh.N, seed=54), "t1+")
-    pc = build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K), order)
+    pc = build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K))
     matrix = theoretical_matrix(mesh, frame)
     for _ in range(3):
         r = rng.standard_normal(2 * mesh.N)
@@ -320,16 +340,16 @@ def test_band_bytes_boundary(meshes, kind, monkeypatch):
     is factored in band storage; one byte less, and it is factored by one
     splu call.  The theoretical matrix has n = 2N and w = 2 w_K + 1."""
     mesh = meshes["above_cap_box"]
-    order, width = mesh.band_order()
+    width = mesh.band_order()[1]
     if kind == "scalar":
         n, w = mesh.N, width
         scalar = scalar_matrix(mesh).tocsr()
-        build = lambda: ScalarFactorization(scalar, order)  # noqa: E731
+        build = lambda: ScalarFactorization(scalar, mesh)  # noqa: E731
     else:
         n, w = 2 * mesh.N, 2 * width + 1
         frame = build_frame(random_unit_field(mesh.N, seed=55), "t2+")
         scalar = k_slots(mesh, ALPHA_P, BETA_K)
-        build = lambda: build_theoretical(frame, mesh, scalar, order)  # noqa: E731
+        build = lambda: build_theoretical(frame, mesh, scalar)  # noqa: E731
     factored = []
     splu = precond_mod.splu
     monkeypatch.setattr(precond_mod, "splu",
@@ -399,8 +419,8 @@ def test_factor_reads_only_the_lower_triangle(meshes, band, rng, monkeypatch):
     row, col = np.append(entries.row, order[0]), np.append(entries.col, order[-1])
     scrambled = sp.csr_array((np.append(data, 1.0), (row, col)), shape=symmetric.shape)
     rhs = rng.standard_normal((mesh.N, 3))
-    expected = precond_mod._factor_spd(symmetric, order, "symmetric")(rhs)
-    x = precond_mod._factor_spd(scrambled, order, "scrambled")(rhs)
+    expected = precond_mod._factor_spd(symmetric, mesh, "symmetric")(rhs)
+    x = precond_mod._factor_spd(scrambled, mesh, "scrambled")(rhs)
     assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
     reference = spla.spsolve(scalar_matrix(mesh).tocsc(), rhs)
     assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -409,14 +429,13 @@ def test_factor_reads_only_the_lower_triangle(meshes, band, rng, monkeypatch):
 def test_band_factor_of_a_matrix_that_is_not_spd_names_the_lapack_info(meshes, monkeypatch):
     mesh = meshes["above_cap_box"]
     monkeypatch.setattr(precond_mod, "splu", None)
-    order = mesh.band_order()[0]
     negated = -1.0 * scalar_matrix(mesh).tocsr()
     with pytest.raises(PreconditionerError, match=r"scalar operator factorization failed "
                                                   r"\(SPD lost\?\): LAPACK info 1$"):
-        ScalarFactorization(negated, order)
+        ScalarFactorization(negated, mesh)
     frame = build_frame(random_unit_field(mesh.N, seed=56), "t3-")
     with pytest.raises(PreconditionerError, match="theoretical preconditioner .* LAPACK info 1$"):
-        build_theoretical(frame, mesh, k_slots(mesh, -ALPHA_P, -BETA_K), order)
+        build_theoretical(frame, mesh, k_slots(mesh, -ALPHA_P, -BETA_K))
 
 
 def test_run_whose_band_factor_fails_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

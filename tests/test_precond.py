@@ -6,27 +6,22 @@ import scipy.sparse as sp
 
 from tangent_plane_llg import (FIXED_INVOLUTIONS, PreconditionerSource, build_frame,
                                build_jacobi, build_none, build_practical,
-                               build_stationary_2d, build_theoretical,
-                               generate_structured_cube, select_tn_adaptive)
+                               build_stationary_2d, build_theoretical, select_tn_adaptive)
 import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg.precond import (PRECONDITIONER_KINDS, PreconditionerError,
                                        ScalarFactorization)
 from tangent_plane_llg.scheme import ConfigError, SimulationConfig
 
-from conftest import UNIT_BOUNDS, k_slots, random_unit_field, spd
+from conftest import k_slots, random_unit_field, spd
 
 ALPHA_P, BETA_K = 1.0, 0.1
-# the nested-dissection order of the 27-node cube of the setup fixture
-ORDER = generate_structured_cube(UNIT_BOUNDS, (2, 2, 2)).dissection_order()
-
-
 def theoretical(frame, mesh):
-    """build_theoretical of ALPHA_P M + BETA_K L, formed by the test, in ORDER."""
-    return build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K), ORDER)
+    """build_theoretical of ALPHA_P M + BETA_K L, formed by the test."""
+    return build_theoretical(frame, mesh, k_slots(mesh, ALPHA_P, BETA_K))
 
 
-def scalar_factorization(mass, stiffness, beta_k=BETA_K):
-    return ScalarFactorization(spd(mass, stiffness, ALPHA_P, beta_k), ORDER)
+def scalar_factorization(mesh, mass, stiffness, beta_k=BETA_K):
+    return ScalarFactorization(spd(mass, stiffness, ALPHA_P, beta_k), mesh)
 
 
 def kron3(scalar):
@@ -46,9 +41,9 @@ def setup(cube2, cube2_matrices):
 
 
 @pytest.fixture(scope="module")
-def factor(cube2_matrices):
+def factor(cube2, cube2_matrices):
     """The shared scalar factorization of ALPHA_P M + BETA_K L."""
-    return scalar_factorization(*cube2_matrices)
+    return scalar_factorization(cube2, *cube2_matrices)
 
 
 class TestTheoretical:
@@ -104,7 +99,7 @@ class TestStationary:
 
     def test_mass_inverse_recovery(self, setup, rng):
         mesh, mass, stiffness, _, _ = setup
-        pc = build_stationary_2d(scalar_factorization(mass, stiffness, 0.0))
+        pc = build_stationary_2d(scalar_factorization(mesh, mass, stiffness, 0.0))
         r = rng.standard_normal((mesh.N, 2))
         w = ALPHA_P * (mass @ r)
         assert np.abs(pc.apply(w.ravel()).reshape(mesh.N, 2) - r).max() <= 1e-12
@@ -144,7 +139,7 @@ class TestPractical:
         # both kinds solve with the one factorization they are given, and
         # factor nothing of their own
         mesh, mass, stiffness, m, frame = setup
-        factor = scalar_factorization(mass, stiffness)
+        factor = scalar_factorization(mesh, mass, stiffness)
         monkeypatch.setattr(precond_mod, "splu", None)
         solves = []
         solve = factor.solve
@@ -193,9 +188,9 @@ class TestJacobi:
             build_jacobi(-1.0 * mass)
 
 
-def test_scalar_operator_that_is_not_spd_is_rejected(cube2_matrices):
+def test_scalar_operator_that_is_not_spd_is_rejected(cube2, cube2_matrices):
     with pytest.raises(PreconditionerError, match="SPD lost"):
-        ScalarFactorization(spd(*cube2_matrices, -ALPHA_P, BETA_K), ORDER)
+        ScalarFactorization(spd(*cube2_matrices, -ALPHA_P, BETA_K), cube2)
 
 
 class TestApplyDispatch:
@@ -221,8 +216,7 @@ class TestApplyDispatch:
         mass, stiffness = assemble_mass(cube1), assemble_stiffness(cube1)
         m = random_unit_field(cube1.N, seed=81)
         frame = build_frame(m, "t3-")
-        order = cube1.dissection_order()
-        pc = build_theoretical(frame, cube1, k_slots(cube1, ALPHA_P, BETA_K), order)
+        pc = build_theoretical(frame, cube1, k_slots(cube1, ALPHA_P, BETA_K))
         q = frame.as_sparse().toarray()
         dense = np.linalg.inv(q.T @ kron3(ALPHA_P * mass + BETA_K * stiffness).toarray() @ q)
         r = rng.standard_normal(2 * cube1.N)
@@ -235,7 +229,7 @@ class TestApplyDispatch:
             pc.apply(np.zeros(3 * mesh.N))
 
     def test_make_preconditioner_dispatch(self, setup):
-        # the source supplies each kind's order, factorization and frame
+        # the source supplies each kind's factorization and frame
         # itself, so a kind is all a caller names
         mesh, mass, stiffness, m, frame = setup
         for kind in PRECONDITIONER_KINDS:
@@ -317,9 +311,7 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
     step, and theoretical refactors at steps 0, r, 2r; every step's
     preconditioner applies exactly as its builder fed a K formed here.
     The factorizations are counted where the rule of _factor_spd picks
-    band storage or SuperLU; the scalar K of this mesh is inverted densely,
-    without that rule, so its builds are counted as ScalarFactorization
-    calls."""
+    dense inverse, band storage or SuperLU."""
     mesh, mass, stiffness, _, _ = setup
     rebuild_every, steps = 2, 5
     frames = []
@@ -330,13 +322,9 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
     factor_spd = precond_mod._factor_spd
     monkeypatch.setattr(precond_mod, "_factor_spd",
                         lambda a, *args: factorizations.append(a) or factor_spd(a, *args))
-    monkeypatch.setattr(precond_mod, "ScalarFactorization",
-                        lambda *args: factorizations.append(args) or ScalarFactorization(*args))
 
     scalar = (ALPHA_P * mass + BETA_K * stiffness).tocsr()
-    factor = scalar_factorization(mass, stiffness)
-    # the band of this mesh fits, so the source orders it by band_order
-    order = mesh.band_order()[0]
+    factor = scalar_factorization(mesh, mass, stiffness)
     rebuilt = [0, 0, 2, 2, 4]  # the step whose frame each step's theoretical uses
     expected = {
         "none": lambda step: build_none(mesh.N),
@@ -344,7 +332,7 @@ def test_source_builds_every_kind_by_its_rule(setup, monkeypatch, rng):
         "stationary": lambda step: build_stationary_2d(factor),
         "practical": lambda step: build_practical(frames[step], factor),
         "theoretical": lambda step: build_theoretical(
-            frames[rebuilt[step]], mesh, k_slots(mesh, ALPHA_P, BETA_K), order),
+            frames[rebuilt[step]], mesh, k_slots(mesh, ALPHA_P, BETA_K)),
     }
     counts = {"none": 0, "jacobi": 0, "stationary": 1, "practical": 1, "theoretical": 3}
     for kind in PRECONDITIONER_KINDS:

@@ -23,7 +23,7 @@ from tangent_plane_llg import (FIXED_INVOLUTIONS, SimulationConfig, TangentFrame
 from tangent_plane_llg.gmres import ReducedOperator
 from tangent_plane_llg.tangent import reduced_pattern
 
-from conftest import UNIT_BOUNDS, k_slots, random_unit_field
+from conftest import UNIT_BOUNDS, factored_lower, k_slots, random_unit_field
 
 ALPHA, BETA_K = 0.5, 0.1
 
@@ -130,22 +130,31 @@ def test_theoretical_matrix_matches_the_slotwise_reference(mesh, frame, ordering
                                                            monkeypatch):
     """build_theoretical hands _factor_spd the slot-by-slot congruence of
     K (x) I_3 in node order (the reference without moments), bit for bit,
-    with the two unknowns of node order[i] eliminated at 2i and 2i + 1."""
+    and the factor eliminates the two unknowns of node order[i] at 2i and
+    2i + 1: order is the mesh's band order, or with no band fitting its
+    dissection order."""
     factored = []
     factor_spd = precond._factor_spd
     monkeypatch.setattr(precond, "_factor_spd",
                         lambda *args: factored.append(args) or factor_spd(*args))
-    order = mesh.band_order()[0] if ordering == "band" else mesh.dissection_order()
+    lower = factored_lower(monkeypatch)
+    if ordering == "band":
+        order = mesh.band_order()[0]
+    else:
+        monkeypatch.setattr(precond, "BAND_BYTES", 0)
+        order = mesh.dissection_order()
     q = tangent_frame(random_unit_field(mesh.N, seed=62), "t3+", frame)
     scalar = k_slots(mesh, 1.0, BETA_K)
-    build_theoretical(q, mesh, scalar, order)
+    build_theoretical(q, mesh, scalar)
     indptr, indices = mesh.node_pairs()[:2]
     expected = ref.reduce_blocks(q.blocks, indptr, indices, scalar)
-    (matrix, dofs, _), = factored
+    (matrix, on, _), = factored
+    assert on is mesh
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(matrix, name), getattr(expected, name)), name
     assert matrix.has_canonical_format
-    assert np.array_equal(dofs, np.stack([2 * order, 2 * order + 1], axis=1).ravel())
+    dofs = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
+    assert np.array_equal(lower, [np.tril(expected.toarray()[np.ix_(dofs, dofs)])])
 
 
 def test_theoretical_matrix_is_the_reduced_matrix_without_moments(mesh, monkeypatch):
@@ -157,7 +166,7 @@ def test_theoretical_matrix_is_the_reduced_matrix_without_moments(mesh, monkeypa
                         lambda a, *args: factored.append(a) or factor_spd(a, *args))
     op = step_operator(mesh, "householder", tps2=True)
     scalar = k_slots(mesh, 1.0, BETA_K)
-    build_theoretical(op.frame, mesh, scalar, mesh.band_order()[0])
+    build_theoretical(op.frame, mesh, scalar)
     system = dataclasses.replace(op.system, scalar=scalar,
                                  moments=np.zeros_like(op.system.moments))
     expected = ReducedOperator(system, op.frame).matrix
@@ -194,8 +203,7 @@ def test_theoretical_uses_the_shared_helper_and_inverts_the_dense_matrix(
     mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
     m = random_unit_field(mesh.N, seed=61)
     frame = build_frame(m, "t1-")
-    order = mesh.dissection_order()
-    pc = build_theoretical(frame, mesh, k_slots(mesh, 1.0, BETA_K), order)
+    pc = build_theoretical(frame, mesh, k_slots(mesh, 1.0, BETA_K))
     assert len(calls) == 1
     q = frame.as_sparse()
     kron = sp.kron(mass + BETA_K * stiffness, sp.identity(3), format="csr")
