@@ -108,6 +108,8 @@ def run_experiment(config_path, out_dir=None, overrides=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     code = 0
+    # the scalar factorizations of the current mesh, by (alpha_P, beta_k)
+    factors, factors_mesh = {}, None
     with summary:
         summary.write(SUMMARY_HEADER + "\n")
         for idx, cfg in enumerate(configs):
@@ -117,7 +119,10 @@ def run_experiment(config_path, out_dir=None, overrides=None):
             base = f"steps_{idx:03d}_{pkind}_ap{alpha_p:g}_{tn.replace('+', 'p').replace('-', 'm')}"
             cfg.output["dir"] = out_dir
             cfg.output["basename"] = base
-            point_code, row = _run_point(idx, cfg)
+            if cfg.mesh != factors_mesh:
+                factors.clear()  # before the next mesh is built
+                factors_mesh = cfg.mesh
+            point_code, row = _run_point(idx, cfg, factors)
             if point_code == 2:
                 return 2
             code = max(code, point_code)
@@ -138,16 +143,19 @@ def run_experiment(config_path, out_dir=None, overrides=None):
 PointRow = namedtuple("PointRow", "h avg_iterations max_iterations steps wall_time_s")
 
 
-def _run_point(idx, cfg):
+def _run_point(idx, cfg, factors=None):
     """Run sweep point idx; returns (exit code, its PointRow or None).
 
     The point's mesh, set-up and result live only in this call, so none of
     them is reachable when the next point builds its mesh: a sweep holds one
     point at a time, and the one-entry cube memo frees the last mesh with
-    its caches.  A numerical failure (a SolverFailure in a step, a
-    PreconditionerError at set-up, or a floating-point overflow, invalid
-    operation or division by zero anywhere) and a MemoryError print one
-    line and give 3; a config error found only now gives 2.
+    its caches.  factors is the sweep's table of scalar factorizations on
+    this point's mesh (PreconditionerSource), which the caller empties
+    before a point on another mesh; a factorization the point builds is
+    timed in its wall time.  A numerical failure (a SolverFailure in a
+    step, a PreconditionerError at set-up, or a floating-point overflow,
+    invalid operation or division by zero anywhere) and a MemoryError print
+    one line and give 3; a config error found only now gives 2.
     """
     pkind = cfg.precond["kind"]
     started = time.perf_counter()
@@ -155,7 +163,7 @@ def _run_point(idx, cfg):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             mesh = cfg.build_mesh()
             h = mesh_quality(mesh).h
-            result = run_simulation(cfg, mesh=mesh)
+            result = run_simulation(cfg, mesh=mesh, factors=factors)
     except (SolverFailure, PreconditionerError, ArithmeticError) as exc:
         print(f"solver failure on sweep point {idx} ({pkind}): {exc}", file=sys.stderr)
         return 3, None

@@ -45,14 +45,11 @@ class ReducedOperator:
     pair and written straight into the data of the mesh's CSR structure
     (tangent.reduced_pattern, built on the first step and shared by every
     step's R and the theoretical preconditioner), so the blocks of A are
-    never expanded.  One BLAS thread, 2-core host: forming R took 0.22-0.34
-    / 4.0-5.9 / 9.1-11.8 ms at N = 252 / 4913 / 9261 (best of 7, three
-    runs), against 0.26-0.43 / 9.7-10.9 / 14.9-19.5 ms slot by slot through
-    BSR.  That is 5 to 7 matrix-free applies Q^T (A (Q x)), and a product
-    with R costs a quarter to a fifth of one (9 to 15 against 36 to 58 us at
-    N = 252, 0.42 to 0.47 against 1.9 to 2.0 ms at N = 9261), so R pays for
-    itself within 6 to 10 iterations.  Steps of the bundled configs take 18 or more, the cube
-    ones about 22, so there is no matrix-free route.
+    never expanded.  Forming R costs a few matrix-free applies
+    Q^T (A (Q x)), and a product with R a fraction of one, so R pays for
+    itself within about 10 iterations (CHANGES.md has the measurements).
+    Steps of the bundled configs take 18 or more, the cube ones about 22, so
+    there is no matrix-free route.
     """
 
     system: object        # AssembledSystem

@@ -42,24 +42,20 @@ class PreconditionerError(RuntimeError):
 
 
 # The largest inverse, 8 n^2 bytes, that _factor_spd forms densely: K of N
-# <= 362 nodes.  At a few hundred nodes a SuperLU solve is mostly fixed
-# cost.  With one BLAS thread on a 2-core host, a 3-column solve took 61 us
-# against 18 us for the product with K^{-1} at N = 252, and 85 against 36 us
-# at N = 343, while the inversion cost 0.7 and 1.7 ms more than the factor.
-# At N = 512 the product barely won and the inversion cost 10 ms more; at
-# N = 729, where K^{-1} (4 MiB) no longer fits in L2, the product was 2.6x
-# slower.  README.md has the table.
+# <= 362 nodes.  At a few hundred nodes a SuperLU or band solve is mostly
+# fixed cost, and the product with K^{-1} is cheaper while K^{-1} fits the
+# per-core L2 cache; past 1 MiB the products no longer win back the extra
+# cost of the inversion (CHANGES.md has the measurements).
 DENSE_INVERSE_BYTES = 2**20
 
 # The largest lower band, 8 n (w + 1) bytes for an n x n matrix whose
 # entries lie within w of the diagonal, that _factor_spd factors by LAPACK's
 # banded Cholesky.  It puts the scalar K of cube n <= 21 and the theoretical
-# matrix (2N rows, width 2w + 1) of cube n <= 16 on the band.  With one
-# BLAS thread on a 2-core host the band factor was 2.3-2.9x faster than
-# SuperLU from cube n = 12 to 24.  Its solves read the band once per column:
-# a 1-column theoretical solve took 3.3 against 5.7 ms at n = 16 and 21.6
-# against 14.9 ms at n = 20, and a 3-column scalar solve 2.4 against 2.1 ms
-# at n = 16 and 12.4 against 8.1 ms at n = 22.  README.md has the table.
+# matrix (2N rows, width 2w + 1) of cube n <= 16 on the band.  The band
+# factors faster than SuperLU at every size, but its solves read the whole
+# band once per column and lose to SuperLU's once the band is large: up to
+# the cap the faster factor outweighs the slower solves of a run (CHANGES.md
+# has the measurements).
 BAND_BYTES = 48 * 2**20
 
 
@@ -248,15 +244,20 @@ class PreconditionerSource:
     section, taken unchecked (SimulationConfig.validate holds alpha_p > 0,
     and beta_k >= 0).  K is formed here, once; theoretical keeps its values
     on the mesh's slots, and stationary and practical share its one
-    ScalarFactorization.  The frame-independent kinds are built here,
-    practical on every step, and theoretical is refactored every
-    rebuild_every steps with a stale frame in between (builds counts its
-    factorizations).  The source drops its stale theoretical preconditioner
-    before it refactors, so it holds at most one factorization; if the new
-    one fails, none is held and the next step refactors.
+    ScalarFactorization.  factors, a dict that the caller keeps for the
+    runs on this mesh, holds that factorization by (alpha_p, beta_k): the
+    source takes it from there, or builds it and stores it there, so runs
+    with equal K factor it once; with factors None it is the run's own.
+    The frame-independent kinds are built here, practical on every step,
+    and theoretical is refactored every rebuild_every steps with a stale
+    frame in between (builds counts its factorizations).  The source drops
+    its stale theoretical preconditioner before it refactors, so it holds
+    at most one factorization; if the new one fails, none is held and the
+    next step refactors.
     """
 
-    def __init__(self, mesh, mass, stiffness, beta_k, kind, alpha_p, rebuild_every=1):
+    def __init__(self, mesh, mass, stiffness, beta_k, kind, alpha_p, rebuild_every=1,
+                 factors=None):
         self.kind = kind
         self.rebuild_every = rebuild_every
         self.builds = 0
@@ -271,7 +272,10 @@ class PreconditionerSource:
         elif kind == "theoretical":
             self._theoretical = (mesh, values)
         else:
-            self._factor = ScalarFactorization(scalar, mesh)
+            factors = {} if factors is None else factors
+            if (alpha_p, beta_k) not in factors:
+                factors[alpha_p, beta_k] = ScalarFactorization(scalar, mesh)
+            self._factor = factors[alpha_p, beta_k]
             if kind == "stationary":
                 self._current = build_stationary_2d(self._factor)
 

@@ -401,9 +401,10 @@ class StepContext:
     preconditioner (the only state that changes).  The nodal applied field
     is computed once, on the first step that reads it.  config is a
     resolved config (SimulationConfig.from_dict), not checked again; a step
-    reads its keys as they are."""
+    reads its keys as they are.  factors, if given, is a table of scalar
+    factorizations on mesh shared with other runs (PreconditionerSource)."""
 
-    def __init__(self, config, mesh=None):
+    def __init__(self, config, mesh=None, factors=None):
         self.config = config
         self.mesh = mesh if mesh is not None else config.build_mesh()
         k = self.k = float(config.k)
@@ -416,7 +417,8 @@ class StepContext:
         self.stiffness = fem.assemble_stiffness(self.mesh)
         # the precond section holds exactly the options of PreconditionerSource
         self.preconditioners = precond_mod.PreconditionerSource(
-            self.mesh, self.mass, self.stiffness, self.beta_k, **config.precond)
+            self.mesh, self.mass, self.stiffness, self.beta_k, factors=factors,
+            **config.precond)
 
     @functools.cached_property
     def applied(self):
@@ -515,14 +517,15 @@ class SimulationResult:
         return int(max(r.gmres_iterations for r in self.records))
 
 
-def run_simulation(config, mesh=None):
+def run_simulation(config, mesh=None, factors=None):
     """Run T/k steps; returns records, per-step solver stats and final state.
 
     Deterministic for a fixed config.  If config.output carries a directory,
     per-step CSV rows and optional field snapshots are written as the run
-    progresses (partial output survives a failing step).
+    progresses (partial output survives a failing step).  factors goes to
+    StepContext.
     """
-    ctx = StepContext(config, mesh=mesh)
+    ctx = StepContext(config, mesh=mesh, factors=factors)
     cfg = ctx.config
     n_steps = cfg.n_steps()
     state = ctx.initial_state()

@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import tangent_plane_llg.precond as precond_mod
 from tangent_plane_llg import generate_structured_cube, save_mesh
 from tangent_plane_llg.cli import (_apply_overrides, _point_config, _sweep_points,
                                    main, print_config_schema)
-from tangent_plane_llg.scheme import SimulationConfig
+from tangent_plane_llg.scheme import TN_MODES, SimulationConfig
 from tangent_plane_llg.tangent import reduced_pattern
 
 from conftest import UNIT_BOUNDS, step_states
@@ -566,6 +567,104 @@ def test_points_on_the_same_cube_share_one_mesh(tmp_path, monkeypatch):
     path.write_bytes(save_mesh(meshes[0]))
     cfg = SimulationConfig.from_dict({"mesh": {"kind": "file", "path": str(path)}})
     assert cfg.build_mesh() is not cfg.build_mesh()
+
+
+def track_factorizations(monkeypatch):
+    """Weak references to the scalar factorizations built from here on, and
+    for each build, which of the earlier ones were still alive as it began."""
+    refs, alive = [], []
+    factorization = precond_mod.ScalarFactorization
+
+    def tracking(scalar, mesh):
+        gc.collect()
+        alive.append([ref() is not None for ref in refs])
+        built = factorization(scalar, mesh)
+        refs.append(weakref.ref(built))
+        return built
+
+    monkeypatch.setattr(precond_mod, "ScalarFactorization", tracking)
+    return refs, alive
+
+
+def k_sharing_doc():
+    """stationary and practical at alpha_P 1 and 0.5 on cube n = 3: two
+    distinct K."""
+    doc = academic_sweep_doc(n_levels=(3,), preconds=("stationary", "practical"))
+    doc["sweep"]["alpha_p"] = [1.0, 0.5]
+    return doc
+
+
+def test_points_with_equal_k_share_one_factorization(tmp_path, monkeypatch):
+    """The four points of stationary and practical at two alpha_P on one
+    cube factor K twice, once per alpha_P."""
+    refs, _ = track_factorizations(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, k_sharing_doc()), "--out", str(out)]) == 0
+    _, rows = read_summary(out)
+    assert [(row["precond"], row["alpha_p"]) for row in rows] == [
+        ("stationary", "1.0"), ("stationary", "0.5"), ("practical", "1.0"), ("practical", "0.5")]
+    assert len(refs) == 2
+
+
+def test_the_axis_modes_of_one_k_share_one_factorization(tmp_path, monkeypatch):
+    refs, _ = track_factorizations(monkeypatch)
+    doc = academic_sweep_doc(n_levels=(3,), preconds=("stationary",))
+    doc["sweep"]["tn"] = [mode for mode in TN_MODES if mode != "adaptive"]
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert len(read_summary(out)[1]) == 6
+    assert len(refs) == 1
+
+
+def test_a_mesh_releases_its_factorizations_before_the_next_mesh_factors(tmp_path,
+                                                                          monkeypatch):
+    """Two cubes make one factorization each, and the first cube's is dead
+    when the second cube's is built."""
+    refs, alive = track_factorizations(monkeypatch)
+    doc = academic_sweep_doc(n_levels=(2, 3), preconds=("stationary", "practical"))
+    assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 0
+    assert alive == [[], [False]]
+
+
+def test_each_run_factors_anew(tmp_path, monkeypatch):
+    refs, _ = track_factorizations(monkeypatch)
+    path = write_config(tmp_path, academic_sweep_doc(n_levels=(2,),
+                                                     preconds=("stationary", "practical")))
+    for out in ("a", "b"):
+        assert main(["run", path, "--out", str(tmp_path / out)]) == 0
+    assert len(refs) == 2
+
+
+@pytest.mark.parametrize("path", ["dense", "band", "superlu"])
+def test_a_sharing_sweep_writes_the_steps_of_its_points_run_alone(tmp_path, monkeypatch, path):
+    """Each steps_*.csv of a sweep whose points share K is byte-identical
+    to that of its point run alone, on each path of the _factor_spd rule
+    (forced by the caps; cube n = 3 is inverted by default)."""
+    if path != "dense":
+        monkeypatch.setattr(precond_mod, "DENSE_INVERSE_BYTES", 0)
+    if path == "superlu":
+        monkeypatch.setattr(precond_mod, "BAND_BYTES", 0)
+    taken = []
+    spd_inverse, dpbtrf, splu = (precond_mod._spd_inverse, precond_mod.lapack.dpbtrf,
+                                 precond_mod.splu)
+    monkeypatch.setattr(precond_mod, "_spd_inverse",
+                        lambda a, what: taken.append("dense") or spd_inverse(a, what))
+    monkeypatch.setattr(precond_mod.lapack, "dpbtrf",
+                        lambda band, **options: taken.append("band") or dpbtrf(band, **options))
+    monkeypatch.setattr(precond_mod, "splu",
+                        lambda a, **options: taken.append("superlu") or splu(a, **options))
+    config = write_config(tmp_path, k_sharing_doc())
+    assert main(["run", config, "--out", str(tmp_path / "sweep")]) == 0
+    assert taken == [path] * 2
+    shared = sorted((tmp_path / "sweep").glob("steps_*.csv"))
+    points = itertools.product(("stationary", "practical"), ("1", "0.5"))
+    for idx, (pkind, alpha_p) in enumerate(points):
+        out = tmp_path / f"alone{idx}"
+        assert main(["run", config, "--out", str(out),
+                     "--precond", pkind, "--alpha-p", alpha_p]) == 0
+        (alone,) = out.glob("steps_*.csv")
+        assert alone.read_bytes() == shared[idx].read_bytes()
+    assert taken == [path] * 6
 
 
 def test_precond_flag_pins_the_swept_axis(tmp_path):
