@@ -4,8 +4,10 @@ summary CSV files plus optional VTK snapshots; `schema` prints the config
 table.  Plot rendering stays out of scope; the CSVs are ready for gnuplot
 or a spreadsheet.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure or a sweep
-point out of memory (partial outputs are kept).
+Exit codes: 0 success; 2 an error the pre-flight finds, before any output
+is written; 3 a sweep point that failed after it (numerical, out of
+memory, I/O, or its mesh file changed), its partial outputs kept and the
+later points still run.
 """
 
 import argparse
@@ -15,7 +17,6 @@ import json
 import os
 import sys
 import time
-from collections import namedtuple
 
 import numpy as np
 
@@ -75,10 +76,13 @@ def _point_config(doc, *point):
 
 
 def run_experiment(config_path, out_dir=None, overrides=None):
-    """Run every sweep point; returns process exit code.
+    """Run every sweep point; returns the process exit code.
 
     overrides maps dotted config keys to values; one that sets the key of a
-    sweep axis replaces that axis by its single value.
+    sweep axis replaces that axis by its single value.  The pre-flight
+    resolves every point and reads every mesh file before any output; what
+    it finds gives 2 with nothing written.  After it, a point that fails
+    (_run_point) gives 3 and the later points still run.
     """
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -113,38 +117,16 @@ def run_experiment(config_path, out_dir=None, overrides=None):
     with summary:
         summary.write(SUMMARY_HEADER + "\n")
         for idx, cfg in enumerate(configs):
-            pkind = cfg.precond["kind"]
-            alpha_p = cfg.precond["alpha_p"]
-            tn = cfg.frame["tn"]
-            base = f"steps_{idx:03d}_{pkind}_ap{alpha_p:g}_{tn.replace('+', 'p').replace('-', 'm')}"
-            cfg.output["dir"] = out_dir
-            cfg.output["basename"] = base
             if cfg.mesh != factors_mesh:
                 factors.clear()  # before the next mesh is built
                 factors_mesh = cfg.mesh
-            point_code, row = _run_point(idx, cfg, factors)
-            if point_code == 2:
-                return 2
-            code = max(code, point_code)
-            if row is None:
-                continue
-            summary.write(",".join([
-                _fmt(row.h), _fmt(cfg.k), pkind, _fmt(cfg.alpha), _fmt(alpha_p), tn,
-                _fmt(row.avg_iterations), str(row.max_iterations), str(row.steps),
-                _fmt(row.wall_time_s),
-            ]) + "\n")
-            summary.flush()
-            print(f"[{idx + 1}/{len(configs)}] {pkind:12s} alpha_p={alpha_p:<8g} "
-                  f"tn={tn:8s} h={row.h:.4g} avg_it={row.avg_iterations:.1f}")
+            code = max(code, _run_point(idx, len(configs), cfg, out_dir, summary, factors))
     return code
 
 
-# what the summary row and the progress line of a finished sweep point need
-PointRow = namedtuple("PointRow", "h avg_iterations max_iterations steps wall_time_s")
-
-
-def _run_point(idx, cfg, factors=None):
-    """Run sweep point idx; returns (exit code, its PointRow or None).
+def _run_point(idx, count, cfg, out_dir, summary, factors):
+    """Run sweep point idx of count into out_dir, write its summary row and
+    progress line; returns its exit code, 0 or 3.
 
     The point's mesh, set-up and result live only in this call, so none of
     them is reachable when the next point builds its mesh: a sweep holds one
@@ -152,30 +134,44 @@ def _run_point(idx, cfg, factors=None):
     its caches.  factors is the sweep's table of scalar factorizations on
     this point's mesh (PreconditionerSource), which the caller empties
     before a point on another mesh; a factorization the point builds is
-    timed in its wall time.  A numerical failure (a SolverFailure in a
-    step, a PreconditionerError at set-up, or a floating-point overflow,
-    invalid operation or division by zero anywhere) and a MemoryError print
-    one line and give 3; a config error found only now gives 2.
+    timed in its wall time.  Whatever ends the point early, from building
+    its mesh to writing its row, ends it the same way: one line naming the
+    point on stderr, its partial outputs kept, 3.  That is a numerical
+    failure (a SolverFailure in a step, a PreconditionerError at set-up, or
+    a floating-point overflow, invalid operation or division by zero
+    anywhere), a MemoryError, an OSError, or a mesh file that no longer
+    reads as it did in the pre-flight (MeshError, ConfigError).
     """
     pkind = cfg.precond["kind"]
+    alpha_p = cfg.precond["alpha_p"]
+    tn = cfg.frame["tn"]
+    cfg.output["dir"] = out_dir
+    cfg.output["basename"] = (f"steps_{idx:03d}_{pkind}_ap{alpha_p:g}_"
+                              f"{tn.replace('+', 'p').replace('-', 'm')}")
     started = time.perf_counter()
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             mesh = cfg.build_mesh()
             h = mesh_quality(mesh).h
             result = run_simulation(cfg, mesh=mesh, factors=factors)
-    except (SolverFailure, PreconditionerError, ArithmeticError) as exc:
-        print(f"solver failure on sweep point {idx} ({pkind}): {exc}", file=sys.stderr)
-        return 3, None
-    except MemoryError as exc:
-        print(f"out of memory on sweep point {idx} ({pkind}): {exc}", file=sys.stderr)
-        return 3, None
-    except (ConfigError, MeshError, OSError) as exc:
-        print(f"config error on sweep point {idx}: {exc}", file=sys.stderr)
-        return 2, None
-    wall = time.perf_counter() - started
-    return 0, PointRow(h, result.average_iterations(), result.max_iterations(),
-                       len(result.records), wall)
+        wall = time.perf_counter() - started
+        avg = result.average_iterations()
+        summary.write(",".join([
+            _fmt(h), _fmt(cfg.k), pkind, _fmt(cfg.alpha), _fmt(alpha_p), tn, _fmt(avg),
+            str(result.max_iterations()), str(len(result.records)), _fmt(wall),
+        ]) + "\n")
+        summary.flush()
+        print(f"[{idx + 1}/{count}] {pkind:12s} alpha_p={alpha_p:<8g} "
+              f"tn={tn:8s} h={h:.4g} avg_it={avg:.1f}")
+        return 0
+    except (SolverFailure, PreconditionerError, ArithmeticError, MemoryError,
+            ConfigError, MeshError, OSError) as exc:
+        what = ("out of memory" if isinstance(exc, MemoryError) else
+                "I/O error" if isinstance(exc, OSError) else
+                "mesh error" if isinstance(exc, (ConfigError, MeshError)) else
+                "solver failure")
+        print(f"{what} on sweep point {idx} ({pkind}): {exc}", file=sys.stderr)
+        return 3
 
 
 def _check_mesh_file(path):

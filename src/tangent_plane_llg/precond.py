@@ -224,8 +224,8 @@ def build_practical(frame, scalar_factor):
 def build_jacobi(scalar):
     """Nodal diagonal preconditioner (diag K)^{-1} per component."""
     diag = scalar.diagonal()
-    if (diag <= 0).any():
-        bad = int(np.nonzero(diag <= 0)[0][0])
+    if not (diag > 0).all():  # NaN fails too
+        bad = int(np.argmin(diag > 0))
         raise PreconditionerError(
             f"non-positive diagonal {diag[bad]} at node {bad} (assembly bug)")
     n = scalar.shape[0]

@@ -98,7 +98,7 @@ def normalize_update(m, v, k):
     m = np.asarray(m, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     defect, scale = tangency_defect(m, v)
-    if defect > 1e-8 * scale:
+    if not defect <= 1e-8 * scale:  # NaN fails too
         worst = int(np.argmax(np.abs(np.einsum("nc,nc->n", m, v))))
         raise ValueError(
             f"update is not tangent: |v.m| = {defect:.3e} at node {worst} (scale {scale:.3e})")
@@ -106,7 +106,7 @@ def normalize_update(m, v, k):
     nsq = np.einsum("nc,nc->n", updated, updated)
     predicted = np.einsum("nc,nc->n", m, m) + k * k * np.einsum("nc,nc->n", v, v)
     err = float(np.abs(nsq - predicted).max() / (1.0 + predicted.max()))
-    if err > 1e-10:
+    if not err <= 1e-10:
         raise ValueError(f"orthogonality identity violated by {err:.3e}")
     return updated / np.sqrt(nsq)[:, None]
 
@@ -480,7 +480,7 @@ def tps_step(ctx, state):
                                 f"after {stats.iterations} iterations")
         v = apply_q(frame, x).reshape(mesh.N, 3)
         defect, scale = tangency_defect(m, v)
-        if defect > 1e-8 * scale:
+        if not defect <= 1e-8 * scale:  # NaN fails too
             raise SolverFailure(state.n, f"solved update lost tangency: {defect:.3e}")
         m_next = normalize_update(m, v, k) if cfg.projection else m + k * v
     except (GmresError, precond_mod.PreconditionerError, ValueError, ArithmeticError) as exc:

@@ -121,7 +121,7 @@ def build_frame(m, key):
     # with the signed permutations of FIXED_INVOLUTIONS both products are exact
     mt = m @ T.T
     nrm = _row_norms(mt)
-    bad = np.abs(nrm - 1.0) > 1e-12
+    bad = ~(np.abs(nrm - 1.0) <= 1e-12)  # NaN fails too
     if bad.any():
         i = int(np.argmax(bad))
         raise FrameError(f"node {i}: frame input must be a unit vector, |m| = {float(nrm[i])}")

@@ -7,6 +7,9 @@ check_inverse_bounds each return their worst error, and energy_norm
 evaluates the energy norm by two routes; every test holds the result to its
 own bound.
 
+cube_prolongation is the P1 prolongation between two cube meshes, one the
+uniform refinement of the other.
+
 The SI functions restate how the bundled muMAG configs' dimensionless
 numbers were derived.  The gyromagnetic ratio gamma0 is an argument, since
 the configs were made with two values of it: k (and T = 5k) with GAMMA0_K,
@@ -17,6 +20,7 @@ import itertools
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from tangent_plane_llg import apply_q
 
@@ -144,6 +148,27 @@ def check_inverse_bounds(B, B0, n_pairs=100, seed=0):
         worst = max(worst, (lower - actual) / max(abs(actual), 1e-300),
                     (abs(x @ binv @ y) - bound) / max(bound, 1e-300))
     return float(worst)
+
+
+def cube_prolongation(n):
+    """The P1 prolongation from the cube mesh of n sub-boxes per axis to that
+    of 2n on the same box (generate_structured_cube), as a sparse matrix of
+    shape ((2n + 1)^3, (n + 1)^3) on their (z, y, x)-ordered nodes.
+
+    The Kuhn tetrahedra of the 2n mesh split those of the n mesh, so a P1
+    function of the n mesh is P1 on the 2n mesh.  Fine node (z, y, x) lies
+    at the midpoint of coarse nodes lo = (z, y, x) // 2 and lo + d, where
+    d = (z, y, x) % 2 marks its odd axes; the two lie on one edge of the n
+    mesh (on one node where d = 0), so the fine value is their mean.
+    """
+    fine = np.indices((2 * n + 1,) * 3).reshape(3, -1).T
+    lo, d = fine // 2, fine % 2
+    place = np.array([(n + 1) ** 2, n + 1, 1])
+    cols = np.column_stack([lo @ place, (lo + d) @ place]).ravel()
+    rows = np.repeat(np.arange(len(fine)), 2)
+    # where d = 0 the two entries 1/2 sum to 1
+    return sp.csr_array((np.full(cols.size, 0.5), (rows, cols)),
+                        shape=(len(fine), (n + 1) ** 3))
 
 
 def mumag4_nondimensional(gamma0, L=1e-9):

@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import itertools
@@ -15,9 +16,11 @@ import pytest
 
 import tangent_plane_llg.cli as cli
 import tangent_plane_llg.precond as precond_mod
+import tangent_plane_llg.scheme as scheme_mod
 from tangent_plane_llg import generate_structured_cube, save_mesh
 from tangent_plane_llg.cli import (_apply_overrides, _point_config, _sweep_points,
                                    main, print_config_schema)
+from tangent_plane_llg.mesh import MeshError
 from tangent_plane_llg.scheme import TN_MODES, SimulationConfig
 from tangent_plane_llg.tangent import reduced_pattern
 
@@ -500,6 +503,82 @@ def test_precondition_failure_at_set_up_exits_3_and_the_next_point_runs(tmp_path
     assert [row["precond"] for row in rows] == ["jacobi"]
     assert sorted(p for p in os.listdir(out) if p.startswith("steps_")) == [
         "steps_001_jacobi_ap1_t3m.csv"]
+
+
+def fail_nth_write(monkeypatch, module, name, n):
+    """module's open() gives the file named name a write that raises ENOSPC
+    on its nth call, as a full disk would; the other writes go through."""
+    def opening(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if os.path.basename(path) == name:
+            calls, write = [], fh.write
+
+            def failing(text):
+                calls.append(text)
+                if len(calls) == n:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+                return write(text)
+            fh.write = failing
+        return fh
+
+    monkeypatch.setattr(module, "open", opening, raising=False)
+
+
+def fail_second_call(monkeypatch, module, name, exc):
+    """module.name raises exc on its second call: in sweep point 1."""
+    fn, calls = getattr(module, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise exc
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+POINT_FAILURES = {
+    # the first row of its steps_*.csv, after the header
+    "steps-write": (lambda mp: fail_nth_write(mp, scheme_mod,
+                                              "steps_001_practical_ap1_t3m.csv", 2),
+                    "I/O error", True),
+    # the mesh file, read by the pre-flight, no longer parses when point 1 reads it
+    "mesh-changed": (lambda mp: fail_second_call(mp, scheme_mod, "load_mesh",
+                                                 MeshError("mesh JSON parse error")),
+                     "mesh error", False),
+    # its row of summary.csv, after the header and point 0's row
+    "summary-write": (lambda mp: fail_nth_write(mp, cli, "summary.csv", 3), "I/O error", True),
+    # point 1's run, as the subprocess test above does for real
+    "out-of-memory": (lambda mp: fail_second_call(mp, cli, "run_simulation",
+                                                  MemoryError("no room")),
+                      "out of memory", False),
+}
+
+
+@pytest.mark.parametrize("failure", POINT_FAILURES)
+def test_a_point_that_fails_after_the_pre_flight_exits_3_and_the_next_point_runs(
+        tmp_path, monkeypatch, capsys, failure):
+    """Whatever ends sweep point 1 of 3 once the pre-flight has passed ends
+    it the same way: one line naming it on stderr and no traceback, point
+    0's outputs kept, point 2 run, exit 3."""
+    inject, what, point_1_steps = POINT_FAILURES[failure]
+    (tmp_path / "cube.json").write_bytes(save_mesh(generate_structured_cube(UNIT_BOUNDS,
+                                                                            (2, 2, 2))))
+    doc = academic_sweep_doc(preconds=("stationary", "practical", "jacobi"))
+    doc["sweep"]["mesh"] = [{"kind": "file", "path": str(tmp_path / "cube.json")}]
+    inject(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"{what} on sweep point 1 (practical): ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    _, rows = read_summary(out)
+    assert [row["precond"] for row in rows] == ["stationary", "jacobi"]
+    steps = ["steps_000_stationary_ap1_t3m.csv", "steps_002_jacobi_ap1_t3m.csv"]
+    if point_1_steps:
+        steps.insert(1, "steps_001_practical_ap1_t3m.csv")
+    assert sorted(p for p in os.listdir(out) if p.startswith("steps_")) == steps
+    assert len((out / steps[0]).read_text().splitlines()) == 3  # header and two steps
 
 
 @pytest.mark.parametrize("k, pkind, in_step", [(1e308, "stationary", False),

@@ -4,10 +4,12 @@ import scipy.sparse as sp
 
 from tangent_plane_llg import (Mesh, assemble_cross, assemble_mass,
                                assemble_rhs, assemble_stiffness,
-                               assemble_weighted_mass, build_system)
+                               assemble_weighted_mass, build_system,
+                               generate_structured_cube)
 from tangent_plane_llg.fem import AssemblyError
 
-from conftest import cross_form, random_unit_field, transpose_slots
+from conftest import UNIT_BOUNDS, cross_form, random_unit_field, transpose_slots
+from oracles import cube_prolongation
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +176,17 @@ def test_assembly_deterministic(cube2):
     m1 = assemble_mass(cube2)
     m2 = assemble_mass(cube2)
     assert np.array_equal(m1.data, m2.data)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_cube_meshes_are_nested(n):
+    """The P1 prolongation P from cube n to cube 2n carries the coarse
+    node coordinates to the fine ones, and the Galerkin products
+    P^T M_2n P and P^T L_2n P are M_n and L_n to a few rounding units."""
+    coarse = generate_structured_cube(UNIT_BOUNDS, (n, n, n))
+    fine = generate_structured_cube(UNIT_BOUNDS, (2 * n, 2 * n, 2 * n))
+    p = cube_prolongation(n)
+    assert np.array_equal(p @ coarse.nodes, fine.nodes)
+    for assemble in (assemble_mass, assemble_stiffness):
+        galerkin, direct = (p.T @ assemble(fine) @ p).toarray(), assemble(coarse).toarray()
+        assert np.abs(galerkin - direct).max() <= 4 * np.finfo(float).eps * np.abs(direct).max()

@@ -151,6 +151,24 @@ def test_nan_detection_raises():
         gmres_solve(bad, None, np.ones(4))
 
 
+def test_non_finite_explicit_residual_raises():
+    """The identity for the Arnoldi step, NaN for the explicit residual at
+    the cycle end: the solve stops there instead of restarting from NaN."""
+    calls = []
+
+    def identity_then_nan(v):
+        calls.append(None)
+        return v.copy() if len(calls) == 1 else np.full_like(v, np.nan)
+
+    with pytest.raises(GmresError, match="non-finite residual after 1 iterations"):
+        gmres_solve(identity_then_nan, None, np.ones(4))
+
+
+def test_zero_operator_is_a_singular_hessenberg_column():
+    with pytest.raises(GmresError, match="singular Hessenberg column at iteration 0"):
+        gmres_solve(np.zeros_like, None, np.ones(4))
+
+
 def test_cycle_that_does_not_lower_the_residual_ends_the_solve():
     """GMRES(1) on a rotation by pi/2 with b = e1: A b is orthogonal to b,
     so the one-dimensional cycle leaves x = 0 and the residual at b.  Every

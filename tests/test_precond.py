@@ -187,10 +187,29 @@ class TestJacobi:
         with pytest.raises(PreconditionerError):
             build_jacobi(-1.0 * mass)
 
+    def test_rejects_a_nan_diagonal(self, setup):
+        mesh, mass, stiffness, _, _ = setup
+        scalar = (ALPHA_P * mass + BETA_K * stiffness).tolil()
+        scalar[4, 4] = np.nan
+        with pytest.raises(PreconditionerError, match="diagonal nan at node 4"):
+            build_jacobi(scalar.tocsr())
+
 
 def test_scalar_operator_that_is_not_spd_is_rejected(cube2, cube2_matrices):
     with pytest.raises(PreconditionerError, match="SPD lost"):
         ScalarFactorization(spd(*cube2_matrices, -ALPHA_P, BETA_K), cube2)
+
+
+def test_a_singular_matrix_fails_the_superlu_factor(cube2, monkeypatch):
+    """With both caps at 0 every matrix goes to SuperLU; a zero diagonal
+    entry, dropped as an explicit zero, leaves the matrix structurally
+    singular, and SuperLU's error becomes a PreconditionerError."""
+    monkeypatch.setattr(precond_mod, "DENSE_INVERSE_BYTES", 0)
+    monkeypatch.setattr(precond_mod, "BAND_BYTES", 0)
+    diag = np.ones(cube2.N)
+    diag[5] = 0.0
+    with pytest.raises(PreconditionerError, match="scalar operator factorization failed"):
+        precond_mod._factor_spd(sp.diags_array(diag).tocsr(), cube2, "scalar operator")
 
 
 class TestApplyDispatch:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import tangent_plane_llg.fem as fem_mod
+import tangent_plane_llg.scheme as scheme_mod
 from tangent_plane_llg import (SimulationConfig, generate_structured_cube, lambda_field,
                                lh_term, mesh_quality, normalize_update, run_simulation,
                                tps_step, wk)
 from tangent_plane_llg.physics import applied_field, pi_apply
-from tangent_plane_llg.scheme import (ConfigError, StepContext,
+from tangent_plane_llg.scheme import (ConfigError, SolverFailure, StepContext,
                                       assert_unit_nodal, exchange_energy)
 
 from conftest import UNIT_BOUNDS, random_unit_field, step_states
@@ -160,6 +161,13 @@ class TestNormalizeUpdate:
         with pytest.raises(ValueError, match="not tangent"):
             normalize_update(m, m.copy(), 0.1)
 
+    def test_rejects_a_nan_update(self):
+        m = random_unit_field(5, seed=45)
+        v = np.zeros((5, 3))
+        v[3, 1] = np.nan
+        with pytest.raises(ValueError, match="not tangent"):
+            normalize_update(m, v, 0.1)
+
 
 class TestStep:
     def test_equilibrium_constant_field(self, cube2):
@@ -185,6 +193,15 @@ class TestStep:
             T=0.05, field={"m0": {"kind": "spiral", "turns": 1.0}}))
         for st in step_states(cfg):
             assert_unit_nodal(st.m_n, tol=1e-14)
+
+    def test_a_nan_update_fails_the_step(self, monkeypatch):
+        """A solved update with NaN entries fails the tangency check of the
+        step itself, also without the projection that checks it again."""
+        ctx = StepContext(SimulationConfig.from_dict(academic_config(T=0.01, projection=False)))
+        monkeypatch.setattr(scheme_mod, "apply_q",
+                            lambda frame, x: np.full(3 * frame.n_nodes, np.nan))
+        with pytest.raises(SolverFailure, match="step 0: solved update lost tangency: nan"):
+            tps_step(ctx, ctx.initial_state())
 
     def test_unit_check_fails_on_nan(self):
         m = np.tile([1.0, 0.0, 0.0], (3, 1))

@@ -151,6 +151,13 @@ def test_build_frame_errors():
         build_frame(random_units(5, seed=28), "t4+")
 
 
+def test_build_frame_rejects_a_nan_row():
+    m = random_units(5, seed=28)
+    m[2, 0] = np.nan
+    with pytest.raises(FrameError, match="node 2"):
+        build_frame(m, "t3-")
+
+
 def test_apply_roundtrip(rng):
     m = random_units(30, seed=29)
     frame = build_frame(m, select_tn_adaptive(m)[0])
