@@ -180,7 +180,7 @@ def _check_mesh_file(path):
     try:
         with open(path, "rb") as fh:
             return load_mesh(fh)
-    except (ValueError, TypeError) as exc:  # MeshError is a ValueError
+    except MeshError as exc:
         raise ConfigError(f"mesh.path: {path!r}: {exc}") from exc
 
 

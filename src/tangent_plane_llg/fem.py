@@ -83,9 +83,9 @@ def assemble_weighted_mass(mesh, weights):
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (mesh.elem_count,):
         raise AssemblyError(f"need one weight per element, got shape {weights.shape}")
-    if (weights <= 0).any():
-        bad = int(np.nonzero(weights <= 0)[0][0])
-        raise AssemblyError(f"non-positive weight {weights[bad]} on element {bad}")
+    if not (weights > 0).all():  # NaN fails too
+        bad = int(np.argmin(weights > 0))
+        raise AssemblyError(f"weight {weights[bad]} on element {bad} is not positive")
     vol = mesh.element_volumes()
     return _scatter_scalar(mesh, (weights * vol)[:, None] * _LOCAL_MASS)
 

@@ -42,12 +42,11 @@ class ReducedOperator:
     pattern with 2x2 blocks Q_i^T B_ij Q_j, B_ij the 3x3 blocks of the
     system matrix A: tangent.reduced_matrix of the system's scalar values
     and cross moments, read as they were assembled, evaluated once per node
-    pair and written straight into the data of the mesh's CSR structure
-    (tangent.reduced_pattern, built on the first step and shared by every
-    step's R and the theoretical preconditioner), so the blocks of A are
-    never expanded.  Forming R costs a few matrix-free applies
-    Q^T (A (Q x)), and a product with R a fraction of one, so R pays for
-    itself within about 10 iterations (CHANGES.md has the measurements).
+    pair into the 2x2 blocks of the mesh pattern and laid out as CSR by
+    scipy, so the blocks of A are never expanded.  Forming R costs a few
+    matrix-free applies Q^T (A (Q x)), and a product with R a fraction of
+    one, so R pays for itself within about 10 iterations (CHANGES.md has the
+    measurements).
     Steps of the bundled configs take 18 or more, the cube ones about 22, so
     there is no matrix-free route.
     """

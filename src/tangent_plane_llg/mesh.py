@@ -47,6 +47,15 @@ _LOCAL_FACES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 DEGENERATE_VOLUME = 1e-14
 
 
+def _array(key, rows, dtype=None):
+    """rows as an array; MeshError where numpy cannot convert them (ragged
+    rows, or an entry that is not a number)."""
+    try:
+        return np.asarray(rows, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise MeshError(f"{key}: not an array of numbers ({exc})") from exc
+
+
 def once_per_mesh(build):
     """build(mesh), computed on the first call for a mesh and kept on it: the
     set-up that depends only on the mesh runs once per mesh.  The result is
@@ -78,8 +87,8 @@ class Mesh:
     """Conforming tetrahedral mesh given by node coordinates and connectivity."""
 
     def __init__(self, nodes, tets):
-        nodes = np.ascontiguousarray(np.asarray(nodes, dtype=np.float64))
-        tets = np.asarray(tets)
+        nodes = np.ascontiguousarray(_array("nodes", nodes, np.float64))
+        tets = _array("tets", tets)
         if tets.dtype.kind == "f":
             # indices read as reals (JSON allows 3.5) must be whole numbers
             # that int64 holds, which NaN and inf are not
@@ -88,7 +97,7 @@ class Mesh:
                 at = [int(i) for i in np.argwhere(~whole)[0]]
                 raise MeshError(f"node index {float(tets[tuple(at)])!r} at tets{at} "
                                 "is not an int64 integer")
-        tets = np.ascontiguousarray(tets, dtype=np.int64)
+        tets = np.ascontiguousarray(_array("tets", tets, np.int64))
         if nodes.ndim != 2 or nodes.shape[1] != 3:
             raise MeshError(f"nodes must be (N, 3), got {nodes.shape}")
         if tets.ndim != 2 or tets.shape[1] != 4:

@@ -8,8 +8,8 @@ Q^T K^{-1} Q, theoretical factors the frame congruence Q^T (K (x) I_3) Q,
 jacobi scales by (diag K)^{-1}, and none is the identity.  The one
 PreconditionerSource of a run forms K and decides what is built when.  The
 2N x 2N matrix is the reduced system matrix without cross moments:
-tangent.reduced_matrix forms both, once per node pair of the mesh, on the
-one index structure of the mesh (tangent.reduced_pattern).
+tangent.reduced_matrix forms both, once per node pair of the mesh, as 2x2
+blocks on the mesh pattern laid out as CSR.
 
 Both solved matrices are SPD, so elimination is stable in any symmetric
 order without pivoting.  One rule (_factor_spd) decides, from the matrix
@@ -184,7 +184,7 @@ def build_theoretical(frame, mesh, scalar):
     scalar holds K on the slots of mesh.node_pairs().  Block (i, j) of the
     2N x 2N matrix is the 2x2 block K_ij Q_i^T Q_j: the reduced system
     matrix without cross moments, formed by the same tangent.reduced_matrix
-    on the same structure, node order, and solved by the _factor_spd rule.
+    in node order, and solved by the _factor_spd rule.
     """
     return Preconditioner("theoretical", frame.n_nodes,
                           _factor_spd(reduced_matrix(mesh, frame.blocks, scalar), mesh,

@@ -6,12 +6,12 @@ the 3N x 2N change of basis between tangent coefficients and full vectors.
 The frame is a Householder reflection mapping e3 to -m; a global
 signed-axis involution T relabels the coordinate axes first, and can be
 picked adaptively to keep 1 + (T m)_3 away from zero at every node.
+reduced_matrix forms Q^T B Q, B of 3x3 blocks on the mesh pattern, as 2x2
+blocks on that pattern, afresh at each call: nothing is kept on the mesh.
 """
 
 import numpy as np
 import scipy.sparse as sp
-
-from .mesh import once_per_mesh
 
 _E = np.eye(3)
 
@@ -129,29 +129,36 @@ def build_frame(m, key):
     return TangentFrame(blocks)
 
 
-def reduce_pairs(q, pairs, scalar, at, size, moments=None):
-    """The data of the congruence R = Q^T B Q, formed once per node pair.
+def reduced_matrix(mesh, q, scalar, moments=None):
+    """The congruence R = Q^T B Q on mesh, as 2N x 2N CSR.
 
     B is a 3x3-block matrix with the blocks B_ij = s_ij I_3 - sum_d c_ij,d E_d
-    and B_ji = B_ij^T (s and c the same at (i, j) and (j, i)); q holds the
-    (N, 3, 2) frame blocks.  Pair p is the nodes (i, j) = pairs[:, p] with
-    s = scalar[p] and c = moments[:, p], or c = 0 when moments is None.  With
+    and B_ji = B_ij^T on the slots of mesh.node_pairs(): s = scalar and
+    c = moments (3, slots), or c = 0 when moments is None; q holds the
+    (N, 3, 2) frame blocks.  Each node pair (i, j), i <= j, is evaluated
+    once: with
 
         G_ab = s (q_ia . q_jb),   H_ab = c . (q_ia x q_jb),
 
     block (i, j) of R is G - H and block (j, i) is (G + H)^T, bit for bit
     the blocks evaluated on their own: q_jb . q_ia is the same products in
-    the same order, and q_jb x q_ia is exactly -(q_ia x q_jb).  With
-    (first, width) = at[0][:, p], entry (a, b) of block (i, j) goes to
-    data[first + a width + b], and entry (b, a) of block (j, i) goes to
-    data[first + b width + a], (first, width) = at[1][:, p].  Returns data,
-    of size entries.
+    the same order, and q_jb x q_ia is exactly -(q_ia x q_jb).  The 2x2
+    blocks fill the slots of the mesh pattern, which scipy lays out as CSR
+    (BSR to CSR: rows 2i and 2i + 1 take the blocks of row i in slot order).
+    With moments, R is the reduced system matrix of a step; without, the
+    cross term is zero and R = Q^T (K (x) I_3) Q, the matrix of the
+    theoretical preconditioner, bit for bit R with zero moments.
     """
+    pairs = mesh.node_pairs()
+    upper, lower = pairs.slots
+    scalar = scalar.take(upper)
+    if moments is not None:
+        moments = moments.take(upper, axis=1)
     frame = np.ascontiguousarray(q.transpose(2, 1, 0))  # frame[a, p]: component p of q_a
-    right = np.take(frame, pairs[1], axis=2)            # q_jb over the pairs
-    data = np.empty(size)
+    right = np.take(frame, pairs.ends[1], axis=2)       # q_jb over the pairs
+    blocks = np.empty((len(pairs.indices), 2, 2))
     for a in range(2):
-        x = np.take(frame[a], pairs[0], axis=1)         # q_ia over the pairs
+        x = np.take(frame[a], pairs.ends[0], axis=1)    # q_ia over the pairs
         for b in range(2):
             y = right[b]
             g = scalar * (x[0] * y[0] + x[1] * y[1] + x[2] * y[2])
@@ -159,66 +166,11 @@ def reduce_pairs(q, pairs, scalar, at, size, moments=None):
                 moments[0] * (x[1] * y[2] - x[2] * y[1])
                 + moments[1] * (x[2] * y[0] - x[0] * y[2])
                 + moments[2] * (x[0] * y[1] - x[1] * y[0]))
-            data[at[0, 0] + a * at[0, 1] + b] = g - h
-            data[at[1, 0] + b * at[1, 1] + a] = g + h
-    return data
-
-
-@once_per_mesh
-def reduced_pattern(mesh):
-    """Where the reduced matrices on mesh live: the 2N x 2N CSR index
-    structure with a 2x2 block at every slot of mesh.node_pairs(), and the
-    positions at of reduce_pairs for its pairs.
-
-    Rows 2i and 2i + 1 hold the blocks of the slots of row i in slot order,
-    so entry (a, b) of the block of slot s is entry first + a width + b of
-    the data; at[k][:, p] is (first, width) of the slot slots[k, p] of the
-    node pairs.  The structure is canonical CSR.  Returns (indptr, indices,
-    at).  Computed once per mesh, on first use, and read-only: every
-    reduced_matrix on mesh shares indptr and indices.
-    """
-    pairs = mesh.node_pairs()
-    indptr, indices = pairs.indptr.astype(np.int64), pairs.indices
-    n, nnz = mesh.N, len(indices)
-    count = np.diff(indptr)
-    index = np.int32 if 4 * nnz < 2**31 else np.int64
-    # row 2i + a starts at 4 indptr[i] + 2 a count[i], and slot s of row i
-    # takes its columns 2 (s - indptr[i]) and 2 (s - indptr[i]) + 1
-    at = np.stack([2 * (np.repeat(indptr[:-1], count) + np.arange(nnz)),
-                   np.repeat(2 * count, count)]).astype(index)
-    indptr2 = np.empty(2 * n + 1, dtype=index)
-    indptr2[:-1:2] = 4 * indptr[:-1]
-    indptr2[1::2] = 4 * indptr[:-1] + 2 * count
-    indptr2[-1] = 4 * nnz
-    indices2 = np.empty(4 * nnz, dtype=index)
-    for a in range(2):
-        for b in range(2):
-            indices2[at[0] + a * at[1] + b] = 2 * indices + b
-    at = np.ascontiguousarray(at[:, pairs.slots].transpose(1, 0, 2))
-    for arr in (indptr2, indices2, at):
-        arr.setflags(write=False)
-    return indptr2, indices2, at
-
-
-def reduced_matrix(mesh, q, scalar, moments=None):
-    """The congruence R = Q^T B Q on mesh, as 2N x 2N CSR on
-    reduced_pattern(mesh).
-
-    scalar (and moments, (3, slots)) hold B's scalar part s and cross
-    moments c on the slots of mesh.node_pairs(), q the (N, 3, 2) frame
-    blocks; reduce_pairs forms each node pair's two blocks.  With moments,
-    R is the reduced system matrix of a step; without, the cross term is
-    zero and R = Q^T (K (x) I_3) Q, the matrix of the theoretical
-    preconditioner, bit for bit R with zero moments.
-    """
-    indptr, indices, at = reduced_pattern(mesh)
-    pairs = mesh.node_pairs()
-    upper = pairs.slots[0]
-    if moments is not None:
-        moments = moments.take(upper, axis=1)
-    data = reduce_pairs(q, pairs.ends, scalar.take(upper), at, len(indices), moments)
-    n = len(indptr) - 1
-    return sp.csr_array((data, indices, indptr), shape=(n, n))
+            blocks[upper, a, b] = g - h
+            blocks[lower, b, a] = g + h
+    del frame, right, x, y, g, h  # before the CSR copy of the blocks
+    n = 2 * mesh.N
+    return sp.bsr_array((blocks, pairs.indices, pairs.indptr), shape=(n, n)).tocsr()
 
 
 def apply_q(frame, x):

@@ -28,8 +28,9 @@ from tangent_plane_llg.scheme import lambda_field, lh_term, wk
 from conftest import (UNIT_BOUNDS, cross_form, k_slots, perturbed_unit_cube, random_unit_field,
                       spd, step_states)
 from oracles import (GAMMA0_K, GAMMA0_U, applied_field_mumag4, check_bounded_ratio,
-                     check_inverse_bounds, check_mapping_identities, dense_oracle_solve,
-                     energy_norm, mumag4_nondimensional, mumag5_spin_velocity)
+                     check_inverse_bounds, check_mapping_identities, cube_prolongation,
+                     dense_oracle_solve, energy_norm, mumag4_nondimensional,
+                     mumag5_spin_velocity)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -417,6 +418,43 @@ def test_criterion_13_order_in_time():
     ok &= bool(np.all(np.abs(rates["tps2"] - TPS2_RATES) <= 0.05))
     detail = ", ".join(f"{s} {' '.join(f'{r:.2f}' for r in rates[s])}" for s in rates)
     report(13, f"rates in time ({detail})", ok)
+
+
+# Observed rates log2(e(h) / e(h/2)) over cube n = 2, 4, 8 of the error
+# e = P m_n - m_2n at T, P the prolongation from cube n to 2n (tps2,
+# practical, alpha = 0.5, ell_ex2 = 1, academic field, spiral of 0.25
+# turns, T = 0.05, k = T/16): its largest nodal value at the coarse nodes,
+# its M-norm and its L-seminorm.  The measured last rates (the first are
+# 1.51, 1.84 and 0.91) are near 2, 2 and 1, the orders of P1 in the nodal
+# and L2 errors and in H1
+SPACE_RATES = (2.172, 1.800, 0.973)
+
+
+def test_criterion_14_order_in_space():
+    T = 0.05
+    final = {}
+    for n in (2, 4, 8, 16):
+        cfg = academic_config(scheme="tps2", alpha=0.5, ell_ex2=1.0, T=T, k=T / 16,
+                              mesh={"n": [n, n, n]},
+                              field={"m0": {"kind": "spiral", "turns": 0.25}},
+                              precond={"kind": "practical"},
+                              # far below the errors: their first 7 digits are those of 1e-14
+                              solver={"tol": 1e-8})
+        result = run_simulation(cfg)
+        final[n] = result.mesh, result.final_state.m_n
+    errs = []
+    for n in (2, 4, 8):
+        mesh, fine = final[2 * n]
+        e = cube_prolongation(n) @ final[n][1] - fine
+        coarse = (np.indices((2 * n + 1,) * 3).reshape(3, -1) % 2 == 0).all(axis=0)
+        errs.append([np.abs(e[coarse]).max()] + [
+            math.sqrt(np.vdot(e, matrix @ e))
+            for matrix in (assemble_mass(mesh), assemble_stiffness(mesh))])
+    errs = np.array(errs)
+    rates = np.log2(errs[:-1] / errs[1:])
+    ok = bool(np.all(np.abs(rates[-1] - SPACE_RATES) <= 0.05))
+    detail = ", ".join(f"{name} {r:.2f}" for name, r in zip(("nodal", "M", "L"), rates[-1]))
+    report(14, f"rates in space ({detail})", ok)
 
 
 # last, so that it times the whole module

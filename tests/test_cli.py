@@ -22,7 +22,6 @@ from tangent_plane_llg.cli import (_apply_overrides, _point_config, _sweep_point
                                    main, print_config_schema)
 from tangent_plane_llg.mesh import MeshError
 from tangent_plane_llg.scheme import TN_MODES, SimulationConfig
-from tangent_plane_llg.tangent import reduced_pattern
 
 from conftest import UNIT_BOUNDS, step_states
 
@@ -537,6 +536,28 @@ def fail_second_call(monkeypatch, module, name, exc):
     monkeypatch.setattr(module, name, failing)
 
 
+def rewrite_for_second_read(monkeypatch, content):
+    """The mesh file holds content while sweep point 1 reads it (the second
+    call of scheme.load_mesh), after the pre-flight, and its own bytes again
+    for point 2."""
+    fn, calls = scheme_mod.load_mesh, []
+
+    def rewriting(fh):
+        calls.append(None)
+        if len(calls) != 2:
+            return fn(fh)
+        path = pathlib.Path(fh.name)
+        own = path.read_bytes()
+        path.write_text(json.dumps(content))
+        try:
+            with open(path, "rb") as again:
+                return fn(again)
+        finally:
+            path.write_bytes(own)
+
+    monkeypatch.setattr(scheme_mod, "load_mesh", rewriting)
+
+
 POINT_FAILURES = {
     # the first row of its steps_*.csv, after the header
     "steps-write": (lambda mp: fail_nth_write(mp, scheme_mod,
@@ -546,6 +567,12 @@ POINT_FAILURES = {
     "mesh-changed": (lambda mp: fail_second_call(mp, scheme_mod, "load_mesh",
                                                  MeshError("mesh JSON parse error")),
                      "mesh error", False),
+    # the mesh file holds rows numpy cannot convert when point 1 reads it
+    "mesh-not-rows": (lambda mp: rewrite_for_second_read(mp, {"nodes": {"x": 0}, "tets": []}),
+                      "mesh error", False),
+    "mesh-ragged": (lambda mp: rewrite_for_second_read(
+                        mp, {"nodes": [[0, 0, 0], [1, 0]], "tets": [[0, 1, 2, 3]]}),
+                    "mesh error", False),
     # its row of summary.csv, after the header and point 0's row
     "summary-write": (lambda mp: fail_nth_write(mp, cli, "summary.csv", 3), "I/O error", True),
     # point 1's run, as the subprocess test above does for real
@@ -597,7 +624,7 @@ def test_floating_point_overflow_exits_3_with_one_line(tmp_path, capsys, k, pkin
 
 def test_a_point_releases_its_mesh_before_the_next_point_runs(tmp_path, monkeypatch):
     """Nothing of a finished point (its mesh, the caches on it, such as the
-    index structure its steps' reduced matrices shared, its result) is
+    node pairs its steps' reduced matrices were laid out on, its result) is
     reachable once the next point has built its mesh."""
     refs, alive = [], []
     run_simulation = cli.run_simulation
@@ -606,7 +633,7 @@ def test_a_point_releases_its_mesh_before_the_next_point_runs(tmp_path, monkeypa
         gc.collect()
         alive.append([ref() is not None for ref in refs])
         result = run_simulation(cfg, mesh=mesh, **kwargs)
-        indptr, indices, _ = reduced_pattern(mesh)  # cached on the mesh by its steps
+        indptr, indices = mesh.node_pairs()[:2]  # cached on the mesh by its steps
         refs.extend(weakref.ref(obj) for obj in (mesh, indptr, indices))
         return result
 

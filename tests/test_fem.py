@@ -84,6 +84,13 @@ def test_weighted_mass_rejects_nonpositive_weight(cube2):
         assemble_weighted_mass(cube2, w)
 
 
+def test_weighted_mass_rejects_nan_weight(cube2):
+    w = np.ones(cube2.elem_count)
+    w[3] = np.nan
+    with pytest.raises(AssemblyError, match="weight nan on element 3 is not positive"):
+        assemble_weighted_mass(cube2, w)
+
+
 def test_cross_constant_e3_block_structure(cube2):
     m = np.tile([0.0, 0.0, 1.0], (cube2.N, 1))
     s = cross_form(cube2, m).toarray()

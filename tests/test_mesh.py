@@ -154,6 +154,15 @@ def test_load_rejects_parse_error():
         load_mesh(b"{not json")
 
 
+@pytest.mark.parametrize("doc", [
+    {"nodes": {"x": 0}, "tets": []},
+    {"nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "tets": [[0, 1, 2, 3], [0, 1]]},
+], ids=["not-rows", "ragged"])
+def test_load_rejects_rows_numpy_cannot_convert(doc):
+    with pytest.raises(MeshError, match="not an array of numbers"):
+        load_mesh(json.dumps(doc))
+
+
 def test_load_rejects_degenerate_element():
     doc = {"nodes": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 0]],
            "tets": [[0, 1, 2, 3]]}
